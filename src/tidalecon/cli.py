@@ -31,7 +31,13 @@ from .cost_estimation import (
     split_from_ratio,
     split_two_points,
 )
-from .cost_model import ArrayDesign, CostParameters, TariffScheme, build_schedule
+from .cost_model import (
+    HOURS_PER_YEAR,
+    ArrayDesign,
+    CostParameters,
+    TariffScheme,
+    build_schedule,
+)
 from .finance_core import Compounding, DiscountSpec
 from . import metrics as _metrics
 from . import scenarios as _scenarios
@@ -180,7 +186,7 @@ def _default_break_even(
     """Break-even power implied by the per-turbine cost components."""
     expenditures = [params.ca_t * 1e6] + [params.o_t * 1e6] * design.lifetime_years
     hours = [0.0] + [
-        8760.0 * design.availability_in_year(year)
+        HOURS_PER_YEAR * design.availability_in_year(year)
         for year in range(1, design.lifetime_years + 1)
     ]
     return _metrics.break_even_power(expenditures, hours, tariff.t_e)

@@ -59,11 +59,11 @@ class ArrayDesign:
     def __post_init__(self) -> None:
         if not isinstance(self.n_t, int) or self.n_t < 1:
             raise ValueError(f"n_t must be a positive integer, got {self.n_t}")
-        if self.mw_t <= 0:
-            raise ValueError(f"mw_t must be positive, got {self.mw_t}")
+        if not math.isfinite(self.mw_t) or self.mw_t <= 0:
+            raise ValueError(f"mw_t must be finite and positive, got {self.mw_t}")
         if not isinstance(self.lifetime_years, int) or self.lifetime_years < 1:
             raise ValueError(f"lifetime_years must be a positive integer, got {self.lifetime_years}")
-        if self.p_avg_mw < 0 or self.p_avg_mw > self.n_t * self.mw_t:
+        if not 0 <= self.p_avg_mw <= self.n_t * self.mw_t:  # also rejects NaN and inf
             raise ValueError(
                 f"p_avg_mw {self.p_avg_mw} must lie in [0, rated capacity "
                 f"{self.n_t * self.mw_t}]"

@@ -23,8 +23,9 @@ from .cost_model import (
 )
 from .finance_core import CashFlowSchedule, DiscountSpec, discount_factor, present_value
 
-IRR_NPV_TOLERANCE = 1e-6  # GBP m
+IRR_NPV_TOLERANCE = 1e-6  # GBP m; scaled by the largest flow when that is below 1
 IRR_BRACKET = (-0.99, 10.0)
+_GRID_CELLS = 2000  # log-spaced cells of the bracket scan
 _SECANT_SEEDS = (0.05, 0.15)  # spans the recommended discount-rate range
 _MAX_ITERATIONS = 200
 
@@ -133,13 +134,15 @@ def _bisect(schedule: CashFlowSchedule, low: float, high: float, tol: float = 1e
     return 0.5 * (low + high)
 
 
-def _scan_brackets(schedule: CashFlowSchedule) -> list[tuple[float, float]]:
-    # Sample uniformly in log(1 + r) so the steep region near r = -1 is
-    # resolved as finely as the long tail toward r = 10.
+def _grid_rate(k: int) -> float:
+    # Uniform in log(1 + r) so the steep region near r = -1 is resolved as
+    # finely as the long tail toward r = 10.
     low, high = IRR_BRACKET
-    n = 2000
-    grid = [math.expm1(math.log1p(low) + k * (math.log1p(high) - math.log1p(low)) / n)
-            for k in range(n + 1)]
+    return math.expm1(math.log1p(low) + k * (math.log1p(high) - math.log1p(low)) / _GRID_CELLS)
+
+
+def _scan_brackets(schedule: CashFlowSchedule) -> list[tuple[float, float]]:
+    grid = [_grid_rate(k) for k in range(_GRID_CELLS + 1)]
     brackets = []
     f_prev = _npv_at_rate(schedule, grid[0])
     for r_prev, r_next in zip(grid, grid[1:]):
@@ -152,49 +155,84 @@ def _scan_brackets(schedule: CashFlowSchedule) -> list[tuple[float, float]]:
     return brackets
 
 
+def _grid_cell(schedule: CashFlowSchedule, low_positive: bool) -> tuple[float, float]:
+    """The cell of the ``_scan_brackets`` grid where NPV's one sign change lies."""
+    lo, hi = 0, _GRID_CELLS
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (_npv_at_rate(schedule, _grid_rate(mid)) > 0) == low_positive:
+            lo = mid
+        else:
+            hi = mid
+    return _grid_rate(lo), _grid_rate(hi)
+
+
+def _secant(schedule: CashFlowSchedule, tolerance: float) -> float | None:
+    """Secant root from the discount-rate seeds, or None if it gives up."""
+    r_prev, r_curr = _SECANT_SEEDS
+    f_prev = _npv_at_rate(schedule, r_prev)
+    f_curr = _npv_at_rate(schedule, r_curr)
+    for _ in range(_MAX_ITERATIONS):
+        if abs(f_curr) < tolerance:
+            if IRR_BRACKET[0] <= r_curr <= IRR_BRACKET[1]:
+                return r_curr
+            return None
+        if f_curr == f_prev:
+            return None
+        r_next = r_curr - f_curr * (r_curr - r_prev) / (f_curr - f_prev)
+        if not math.isfinite(r_next) or r_next <= -1.0 or r_next > IRR_BRACKET[1]:
+            return None
+        r_prev, f_prev = r_curr, f_curr
+        r_curr, f_curr = r_next, _npv_at_rate(schedule, r_next)
+    return None
+
+
 def irr(schedule: CashFlowSchedule) -> float:
     """Internal rate of return: the discount rate at which NPV is zero.
 
-    Secant iteration seeded inside the usual tidal discount-rate range,
-    with a bisection fallback on the bracket [-0.99, 10]. If several roots
-    exist the smallest bracketed one is returned and an
-    ``AmbiguousIrrWarning`` is emitted.
+    Searches the bracket [-0.99, 10]. When the nonzero flows change sign
+    exactly once, Descartes' rule of signs in x = 1/(1+r) gives exactly one
+    root on r > -1: NPV at the two bracket ends tells whether it lies in
+    range, and a secant iteration seeded inside the usual tidal
+    discount-rate range finds it, with bisection of its cell of the scan
+    grid as fallback. With two or more sign changes, NPV is scanned over a
+    2001-point grid for brackets first; if several roots exist the
+    smallest bracketed one is returned and an ``AmbiguousIrrWarning`` is
+    emitted. The NPV tolerance scales down with the largest flow when that
+    is below 1 GBP m.
     """
     amounts = [schedule.flow(i) for i in range(schedule.horizon + 1)]
     signs = [a > 0 for a in amounts if a != 0]
-    if not signs or all(signs) or not any(signs):
+    sign_changes = sum(a != b for a, b in zip(signs, signs[1:]))
+    if sign_changes == 0:
         raise IrrUndefinedError("IRR undefined: cash flows never change sign")
+    scale = min(1.0, max(abs(a) for a in amounts))
+    bisect_tol = 1e-12 * scale
+    no_root = f"no IRR in range [{IRR_BRACKET[0]}, {IRR_BRACKET[1]}]"
+
+    if sign_changes == 1:
+        low_positive = _npv_at_rate(schedule, _grid_rate(0)) > 0
+        if low_positive == (_npv_at_rate(schedule, _grid_rate(_GRID_CELLS)) > 0):
+            raise NoIrrInRangeError(no_root)
+        rate = _secant(schedule, IRR_NPV_TOLERANCE * scale)
+        if rate is not None:
+            return rate
+        return _bisect(schedule, *_grid_cell(schedule, low_positive), bisect_tol)
 
     brackets = _scan_brackets(schedule)
     if not brackets:
-        raise NoIrrInRangeError(
-            f"no IRR in range [{IRR_BRACKET[0]}, {IRR_BRACKET[1]}]"
-        )
+        raise NoIrrInRangeError(no_root)
     if len(brackets) > 1:
         warnings.warn(
             f"{len(brackets)} NPV roots bracketed; returning the smallest",
             AmbiguousIrrWarning,
             stacklevel=2,
         )
-        return _bisect(schedule, *brackets[0])
-
-    low, high = brackets[0]
-    r_prev, r_curr = _SECANT_SEEDS
-    f_prev = _npv_at_rate(schedule, r_prev)
-    f_curr = _npv_at_rate(schedule, r_curr)
-    for _ in range(_MAX_ITERATIONS):
-        if abs(f_curr) < IRR_NPV_TOLERANCE:
-            if IRR_BRACKET[0] <= r_curr <= IRR_BRACKET[1]:
-                return r_curr
-            break
-        if f_curr == f_prev:
-            break
-        r_next = r_curr - f_curr * (r_curr - r_prev) / (f_curr - f_prev)
-        if not math.isfinite(r_next) or r_next <= -1.0 or r_next > IRR_BRACKET[1]:
-            break
-        r_prev, f_prev = r_curr, f_curr
-        r_curr, f_curr = r_next, _npv_at_rate(schedule, r_next)
-    return _bisect(schedule, low, high)
+        return _bisect(schedule, *brackets[0], bisect_tol)
+    rate = _secant(schedule, IRR_NPV_TOLERANCE * scale)
+    if rate is not None:
+        return rate
+    return _bisect(schedule, *brackets[0], bisect_tol)
 
 
 def break_even_power(

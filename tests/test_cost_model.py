@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -38,6 +40,12 @@ class TestTypes:
             design(availability=0.0)
         with pytest.raises(ValueError):
             design(availability=[0.95] * 24)  # wrong length
+
+    @pytest.mark.parametrize("field", ["mw_t", "p_avg_mw"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_design_rejects_non_finite_sizes(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            design(**{field: value})
 
     def test_per_year_availability_lookup(self):
         d = design(lifetime_years=3, availability=[0.98, 0.95, 0.90])

@@ -1,0 +1,34 @@
+"""CLI machine output on the demo config, compared byte for byte.
+
+The files in ``tests/golden/`` are the ``--format json --plain`` stdout of
+each command below. A change that alters them on purpose regenerates them,
+for example::
+
+    PYTHONPATH=src python -m tidalecon.cli metrics demos/example_config.json \\
+        --format json --plain > tests/golden/metrics.json
+
+and records the change in CHANGES.md.
+"""
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from tidalecon.cli import EXIT_OK, main
+
+TESTS = Path(__file__).resolve().parent
+CONFIG = str(TESTS.parent / "demos" / "example_config.json")
+SWEEP = ["--param", "tariff", "--from", "60", "--to", "300", "--steps", "25", "--metric", "irr"]
+
+COMMANDS = {
+    "metrics.json": ["metrics", CONFIG],
+    "scenarios.json": ["scenarios", CONFIG],
+    "sweep_tariff_irr.csv": ["sweep", CONFIG, *SWEEP],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(COMMANDS))
+def test_output_matches_golden_file(capsys, golden):
+    assert main([*COMMANDS[golden], "--format", "json", "--plain"]) == EXIT_OK
+    assert capsys.readouterr().out.encode("utf-8") == (TESTS / "golden" / golden).read_bytes()

@@ -3,8 +3,9 @@ from __future__ import annotations
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from tidalecon import metrics as metrics_module
 from tidalecon.cost_model import (
     ArrayDesign,
     CostParameters,
@@ -14,6 +15,7 @@ from tidalecon.cost_model import (
 )
 from tidalecon.finance_core import CashFlowSchedule, DiscountSpec
 from tidalecon.metrics import (
+    IRR_NPV_TOLERANCE,
     AmbiguousIrrWarning,
     BreakEvenSpec,
     IrrUndefinedError,
@@ -35,6 +37,8 @@ from tidalecon.metrics import (
 from conftest import irr_bisection_oracle, lcoe_oracle, payback_scan_oracle, pv_oracle
 
 TYPICAL = CostParameters(ca_f=9.2, ca_t=3.3, o_f=0.32, o_t=0.15)
+# NPV proportional to -((1+r)-1.05)((1+r)-1.15): roots at 5% and 15%.
+TWO_ROOT_FLOWS = {0: -1.0, 1: 2.2, 2: -1.2075}
 
 
 def design(**kwargs) -> ArrayDesign:
@@ -159,10 +163,8 @@ class TestIrr:
         assert abs(npv(schedule, DiscountSpec(rate))) < 1e-6
 
     def test_multiple_roots_returns_smallest_and_warns(self):
-        # NPV proportional to -((1+r)-1.05)((1+r)-1.15): roots at 5% and 15%.
-        flows = {0: -1.0, 1: 2.2, 2: -1.2075}
         with pytest.warns(AmbiguousIrrWarning):
-            result = irr(schedule_of(flows))
+            result = irr(schedule_of(TWO_ROOT_FLOWS))
         assert result == pytest.approx(0.05, abs=1e-6)
 
     def test_no_root_in_bracket(self):
@@ -186,6 +188,84 @@ class TestIrr:
         except AssertionError:
             return
         assert irr(schedule_of(flows)) == pytest.approx(expected, abs=1e-6)
+
+    def test_unique_root_beyond_bracket(self):
+        # One sign change, so r = 99 is the only root, and it lies above 10.
+        with pytest.raises(NoIrrInRangeError):
+            irr(schedule_of({0: -1.0, 1: 100.0}))
+
+    def test_small_flows_not_mistaken_for_a_root(self):
+        # Every NPV of these flows is below 1e-6 GBP m, so an absolute NPV
+        # tolerance would accept the first secant seed.
+        assert irr(schedule_of({0: -1e-7, 1: 2e-7})) == pytest.approx(1.0, abs=1e-6)
+
+
+class TestIrrRuleOfSigns:
+    """One sign change means one root on r > -1, so no bracket scan is needed."""
+
+    @pytest.fixture
+    def no_scan(self, monkeypatch):
+        def fail(schedule):
+            raise AssertionError("bracket scan run for a single sign change")
+
+        monkeypatch.setattr(metrics_module, "_scan_brackets", fail)
+
+    def test_typical_project_skips_scan(self, no_scan):
+        schedule = build_schedule(design(), TYPICAL, TariffScheme(150.0))
+        expected = irr_bisection_oracle(dict(schedule.flows))
+        assert irr(schedule) == pytest.approx(expected, abs=1e-6)
+
+    @pytest.mark.parametrize("flows, expected", [
+        ({0: -100.0, 1: 110.0}, 0.10),
+        ({0: -100.0, 1: 60.0, 2: 60.0}, 0.13066),
+        ({0: -100.0, 40: 1.0}, 100.0 ** (-1 / 40) - 1),  # secant gives up
+    ])
+    def test_annuities_skip_scan(self, no_scan, flows, expected):
+        rate = irr(schedule_of(flows))
+        assert rate == pytest.approx(expected, abs=1e-5)
+        assert rate == pytest.approx(irr_bisection_oracle(flows), abs=1e-6)
+
+    def test_two_roots_still_scan(self, monkeypatch):
+        calls = []
+
+        def spy(schedule):
+            calls.append(schedule)
+            return scan(schedule)
+
+        scan = metrics_module._scan_brackets
+        monkeypatch.setattr(metrics_module, "_scan_brackets", spy)
+        with pytest.warns(AmbiguousIrrWarning):
+            result = irr(schedule_of(TWO_ROOT_FLOWS))
+        assert len(calls) == 1
+        assert result == pytest.approx(0.05, abs=1e-6)
+
+    @given(
+        upfront=st.floats(min_value=10.0, max_value=1000.0),
+        inflows=st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=500.0)),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    # The secant gives up on the first and last examples, forcing the fallback.
+    @example(upfront=100.0, inflows=[0.0] * 39 + [1.0])
+    @example(upfront=10.0, inflows=[0.0, 0.0, 500.0])
+    @example(upfront=10.0, inflows=[0.0] * 10 + [1e-6])
+    @settings(max_examples=40, deadline=None)
+    def test_capex_then_non_negative_agrees_with_oracle(self, upfront, inflows):
+        assume(any(inflows))
+        flows = {0: -upfront, **dict(enumerate(inflows, start=1))}
+        schedule = schedule_of(flows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AmbiguousIrrWarning)
+            try:
+                rate = irr(schedule)
+            except NoIrrInRangeError:
+                with pytest.raises(AssertionError, match="no IRR bracket"):
+                    irr_bisection_oracle(flows)
+                return
+        assert rate == pytest.approx(irr_bisection_oracle(flows), abs=1e-6)
+        assert abs(npv(schedule, DiscountSpec(rate))) < IRR_NPV_TOLERANCE
 
 
 class TestBreakEvenPower:
