@@ -122,10 +122,19 @@ def _estimate_costs(directive: dict) -> CostParameters:
     return CostParameters(ca_f=ca.fixed, ca_t=ca.per_turbine, o_f=op.fixed, o_t=op.per_turbine)
 
 
+def _whole_number(value: Any, name: str) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def load_config(path: str) -> ProjectInputs:
+    def reject_non_finite(literal: str) -> float:
+        raise ConfigError(f"config {path} holds {literal}; every number must be finite")
+
     try:
         with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, parse_constant=reject_non_finite)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:
@@ -133,10 +142,12 @@ def load_config(path: str) -> ProjectInputs:
 
     array = _require(raw, "array", "config")
     design = ArrayDesign(
-        n_t=int(_require(array, "n_t", "array")),
+        n_t=_whole_number(_require(array, "n_t", "array"), "array.n_t"),
         mw_t=float(_require(array, "mw_t", "array")),
         p_avg_mw=float(_require(array, "p_avg_mw", "array")),
-        lifetime_years=int(_require(array, "lifetime_years", "array")),
+        lifetime_years=_whole_number(
+            _require(array, "lifetime_years", "array"), "array.lifetime_years"
+        ),
         availability=array.get("availability", 1.0),
         electrical_efficiency=float(array.get("electrical_efficiency", 1.0)),
     )
@@ -161,7 +172,9 @@ def load_config(path: str) -> ProjectInputs:
     spec = DiscountSpec(
         annual_rate=float(_require(finance, "r", "finance")),
         mode=Compounding(finance.get("mode", "discrete")),
-        periods_per_year=int(finance.get("periods_per_year", 1)),
+        periods_per_year=_whole_number(
+            finance.get("periods_per_year", 1), "finance.periods_per_year"
+        ),
     )
     tariff = TariffScheme(t_e=float(_require(finance, "tariff_gbp_per_mwh", "finance")))
 
@@ -204,7 +217,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _json_dump(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
@@ -257,7 +270,11 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     report: dict[str, float | None] = {}
     notes: dict[str, str] = {}
     report["npv_gbp_m"] = _metrics.npv(schedule, spec)
-    report["lcoe_gbp_per_mwh"] = _metrics.lcoe(design, params, spec)
+    try:
+        report["lcoe_gbp_per_mwh"] = _metrics.lcoe(design, params, spec)
+    except ValueError as err:  # zero-power design: no energy, LCOE undefined
+        report["lcoe_gbp_per_mwh"] = None
+        notes["lcoe_gbp_per_mwh"] = str(err)
     try:
         report["payback_years"] = _metrics.payback_period(schedule, spec)
     except _metrics.NoPaybackError as err:
@@ -520,8 +537,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     curve = _scenarios.sensitivity_sweep(
         inputs.design, base if base else "typical", args.param, grid, args.metric
     )
-    rows = [(repr(value), _cell(result)) for value, result in curve]
-    _emit(_csv_text(("value", args.metric), rows), args.out)
+    if args.format == "json":
+        points = [{"value": value, args.metric: result} for value, result in curve]
+        _emit(_json_dump({"command": "sweep", "param": args.param, "metric": args.metric,
+                          "points": points}), args.out)
+    else:
+        rows = [(repr(value), _cell(result)) for value, result in curve]
+        _emit(_csv_text(("value", args.metric), rows), args.out)
     return EXIT_OK
 
 

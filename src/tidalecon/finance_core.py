@@ -8,7 +8,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from itertools import repeat
+from operator import mul
+from typing import Mapping, Sequence
 
 
 class Compounding(Enum):
@@ -82,8 +84,45 @@ def discount_factor(spec: DiscountSpec, years: float) -> float:
     return (1.0 + spec.annual_rate / p) ** (-p * years)
 
 
+def _discrete_terms(
+    schedule: CashFlowSchedule, periods_per_year: int = 1
+) -> tuple[list[float], list[int]]:
+    """The schedule's flows in year order, with each year's discount exponent.
+
+    The exponent of year ``y`` is ``-periods_per_year * y``, so the pair
+    feeds ``_discounted_sum`` with the base ``1 + r / periods_per_year``.
+    """
+    years = sorted(schedule.flows)
+    return [schedule.flows[y] for y in years], [-periods_per_year * y for y in years]
+
+
+def _discounted_sum(amounts: Sequence[float], exponents: Sequence[int], base: float) -> float:
+    """``sum(a * base ** e)`` over the terms in order: discrete-compounding NPV.
+
+    This is the one place that does the discrete discounting arithmetic, so
+    ``present_value`` and the IRR root-finder agree bit for bit. When a
+    factor overflows (a long horizon at a rate near -1), the NPV is beyond
+    float range: the result is then an infinity of the NPV's sign, taken from
+    the sum with every factor scaled down by the largest one.
+    """
+    try:
+        return sum(map(mul, amounts, map(pow, repeat(base), exponents)))
+    except OverflowError:
+        lowest = min(exponents)
+        scaled = sum(map(mul, amounts, map(pow, repeat(base), [e - lowest for e in exponents])))
+        return math.copysign(math.inf, scaled)
+
+
 def present_value(schedule: CashFlowSchedule, spec: DiscountSpec) -> float:
-    """Discounted sum of all flows in the schedule, in GBP m."""
-    return sum(
-        amount * discount_factor(spec, year) for year, amount in sorted(schedule.flows.items())
-    )
+    """Discounted sum of all flows in the schedule, in GBP m.
+
+    With discrete compounding, an NPV beyond float range is returned as an
+    infinity of its sign.
+    """
+    if spec.mode is Compounding.CONTINUOUS:
+        return sum(
+            amount * discount_factor(spec, year)
+            for year, amount in sorted(schedule.flows.items())
+        )
+    p = spec.periods_per_year
+    return _discounted_sum(*_discrete_terms(schedule, p), 1.0 + spec.annual_rate / p)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Sequence
 
 from .cost_model import (
@@ -21,7 +22,14 @@ from .cost_model import (
     energy_year,
     opex_year,
 )
-from .finance_core import CashFlowSchedule, DiscountSpec, discount_factor, present_value
+from .finance_core import (
+    CashFlowSchedule,
+    DiscountSpec,
+    _discounted_sum,
+    _discrete_terms,
+    discount_factor,
+    present_value,
+)
 
 IRR_NPV_TOLERANCE = 1e-6  # GBP m; scaled by the largest flow when that is below 1
 IRR_BRACKET = (-0.99, 10.0)
@@ -63,11 +71,12 @@ class BreakEvenSpec:
     ev_mw_per_turbine: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.p_be_mw <= 0:
-            raise ValueError(f"break-even power must be positive, got {self.p_be_mw}")
-        if self.ev_mw_per_turbine < 0:
+        if not math.isfinite(self.p_be_mw) or self.p_be_mw <= 0:
+            raise ValueError(f"break-even power must be positive and finite, got {self.p_be_mw}")
+        if not math.isfinite(self.ev_mw_per_turbine) or self.ev_mw_per_turbine < 0:
             raise ValueError(
-                f"economies-of-volume coefficient must be >= 0, got {self.ev_mw_per_turbine}"
+                "economies-of-volume coefficient must be >= 0 and finite, "
+                f"got {self.ev_mw_per_turbine}"
             )
 
 
@@ -116,15 +125,22 @@ def payback_period(schedule: CashFlowSchedule, spec: DiscountSpec) -> float:
     )
 
 
-def _npv_at_rate(schedule: CashFlowSchedule, rate: float) -> float:
-    return present_value(schedule, DiscountSpec(annual_rate=rate))
+# An IRR search works on ``_discrete_terms(schedule)``: the amounts in year
+# order and their negated years, sorted once per ``irr`` call.
+_Terms = tuple[list[float], list[int]]
 
 
-def _bisect(schedule: CashFlowSchedule, low: float, high: float, tol: float = 1e-12) -> float:
-    f_low = _npv_at_rate(schedule, low)
+def _npv_at_rate(terms: _Terms, rate: float) -> float:
+    # Annual discrete NPV, as ``npv(schedule, DiscountSpec(rate))`` computes
+    # it. Callers keep the rate in (-1, 10], so no DiscountSpec is checked.
+    return _discounted_sum(*terms, 1.0 + rate)
+
+
+def _bisect(terms: _Terms, low: float, high: float, tol: float = 1e-12) -> float:
+    f_low = _npv_at_rate(terms, low)
     for _ in range(200):
         mid = 0.5 * (low + high)
-        f_mid = _npv_at_rate(schedule, mid)
+        f_mid = _npv_at_rate(terms, mid)
         if abs(f_mid) < tol or (high - low) < 1e-15:
             return mid
         if (f_mid > 0) == (f_low > 0):
@@ -134,19 +150,24 @@ def _bisect(schedule: CashFlowSchedule, low: float, high: float, tol: float = 1e
     return 0.5 * (low + high)
 
 
-def _grid_rate(k: int) -> float:
+@cache
+def _grid() -> tuple[float, ...]:
     # Uniform in log(1 + r) so the steep region near r = -1 is resolved as
-    # finely as the long tail toward r = 10.
+    # finely as the long tail toward r = 10. A constant table, built on
+    # first use so that importing the package does not pay for it.
     low, high = IRR_BRACKET
-    return math.expm1(math.log1p(low) + k * (math.log1p(high) - math.log1p(low)) / _GRID_CELLS)
+    span = math.log1p(high) - math.log1p(low)
+    return tuple(
+        math.expm1(math.log1p(low) + k * span / _GRID_CELLS) for k in range(_GRID_CELLS + 1)
+    )
 
 
-def _scan_brackets(schedule: CashFlowSchedule) -> list[tuple[float, float]]:
-    grid = [_grid_rate(k) for k in range(_GRID_CELLS + 1)]
+def _scan_brackets(terms: _Terms) -> list[tuple[float, float]]:
+    grid = _grid()
     brackets = []
-    f_prev = _npv_at_rate(schedule, grid[0])
+    f_prev = _npv_at_rate(terms, grid[0])
     for r_prev, r_next in zip(grid, grid[1:]):
-        f_next = _npv_at_rate(schedule, r_next)
+        f_next = _npv_at_rate(terms, r_next)
         if f_prev == 0.0:
             brackets.append((r_prev, r_prev))
         elif (f_prev > 0) != (f_next > 0):
@@ -155,23 +176,24 @@ def _scan_brackets(schedule: CashFlowSchedule) -> list[tuple[float, float]]:
     return brackets
 
 
-def _grid_cell(schedule: CashFlowSchedule, low_positive: bool) -> tuple[float, float]:
+def _grid_cell(terms: _Terms, low_positive: bool) -> tuple[float, float]:
     """The cell of the ``_scan_brackets`` grid where NPV's one sign change lies."""
+    grid = _grid()
     lo, hi = 0, _GRID_CELLS
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if (_npv_at_rate(schedule, _grid_rate(mid)) > 0) == low_positive:
+        if (_npv_at_rate(terms, grid[mid]) > 0) == low_positive:
             lo = mid
         else:
             hi = mid
-    return _grid_rate(lo), _grid_rate(hi)
+    return grid[lo], grid[hi]
 
 
-def _secant(schedule: CashFlowSchedule, tolerance: float) -> float | None:
+def _secant(terms: _Terms, tolerance: float) -> float | None:
     """Secant root from the discount-rate seeds, or None if it gives up."""
     r_prev, r_curr = _SECANT_SEEDS
-    f_prev = _npv_at_rate(schedule, r_prev)
-    f_curr = _npv_at_rate(schedule, r_curr)
+    f_prev = _npv_at_rate(terms, r_prev)
+    f_curr = _npv_at_rate(terms, r_curr)
     for _ in range(_MAX_ITERATIONS):
         if abs(f_curr) < tolerance:
             if IRR_BRACKET[0] <= r_curr <= IRR_BRACKET[1]:
@@ -183,7 +205,7 @@ def _secant(schedule: CashFlowSchedule, tolerance: float) -> float | None:
         if not math.isfinite(r_next) or r_next <= -1.0 or r_next > IRR_BRACKET[1]:
             return None
         r_prev, f_prev = r_curr, f_curr
-        r_curr, f_curr = r_next, _npv_at_rate(schedule, r_next)
+        r_curr, f_curr = r_next, _npv_at_rate(terms, r_next)
     return None
 
 
@@ -199,9 +221,13 @@ def irr(schedule: CashFlowSchedule) -> float:
     2001-point grid for brackets first; if several roots exist the
     smallest bracketed one is returned and an ``AmbiguousIrrWarning`` is
     emitted. The NPV tolerance scales down with the largest flow when that
-    is below 1 GBP m.
+    is below 1 GBP m. The scan, the secant and bisection all evaluate NPV
+    with the one kernel behind ``npv``, so each trial rate's NPV is exactly
+    ``npv(schedule, DiscountSpec(rate))``; an NPV beyond float range counts
+    as an infinity of its sign.
     """
-    amounts = [schedule.flow(i) for i in range(schedule.horizon + 1)]
+    terms = _discrete_terms(schedule)
+    amounts = terms[0]
     signs = [a > 0 for a in amounts if a != 0]
     sign_changes = sum(a != b for a, b in zip(signs, signs[1:]))
     if sign_changes == 0:
@@ -211,15 +237,16 @@ def irr(schedule: CashFlowSchedule) -> float:
     no_root = f"no IRR in range [{IRR_BRACKET[0]}, {IRR_BRACKET[1]}]"
 
     if sign_changes == 1:
-        low_positive = _npv_at_rate(schedule, _grid_rate(0)) > 0
-        if low_positive == (_npv_at_rate(schedule, _grid_rate(_GRID_CELLS)) > 0):
+        grid = _grid()
+        low_positive = _npv_at_rate(terms, grid[0]) > 0
+        if low_positive == (_npv_at_rate(terms, grid[-1]) > 0):
             raise NoIrrInRangeError(no_root)
-        rate = _secant(schedule, IRR_NPV_TOLERANCE * scale)
+        rate = _secant(terms, IRR_NPV_TOLERANCE * scale)
         if rate is not None:
             return rate
-        return _bisect(schedule, *_grid_cell(schedule, low_positive), bisect_tol)
+        return _bisect(terms, *_grid_cell(terms, low_positive), bisect_tol)
 
-    brackets = _scan_brackets(schedule)
+    brackets = _scan_brackets(terms)
     if not brackets:
         raise NoIrrInRangeError(no_root)
     if len(brackets) > 1:
@@ -228,11 +255,11 @@ def irr(schedule: CashFlowSchedule) -> float:
             AmbiguousIrrWarning,
             stacklevel=2,
         )
-        return _bisect(schedule, *brackets[0], bisect_tol)
-    rate = _secant(schedule, IRR_NPV_TOLERANCE * scale)
+        return _bisect(terms, *brackets[0], bisect_tol)
+    rate = _secant(terms, IRR_NPV_TOLERANCE * scale)
     if rate is not None:
         return rate
-    return _bisect(schedule, *brackets[0], bisect_tol)
+    return _bisect(terms, *brackets[0], bisect_tol)
 
 
 def break_even_power(

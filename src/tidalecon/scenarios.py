@@ -108,7 +108,11 @@ def compute_metrics(
     results: dict[str, float | None] = {}
     notes: dict[str, str] = {}
     results["npv"] = _metrics.npv(schedule, spec)
-    results["lcoe"] = _metrics.lcoe(bound_design, params, spec)
+    try:
+        results["lcoe"] = _metrics.lcoe(bound_design, params, spec)
+    except ValueError as err:  # zero-power design: no energy, LCOE undefined
+        results["lcoe"] = None
+        notes["lcoe"] = str(err)
     try:
         results["payback"] = _metrics.payback_period(schedule, spec)
     except _metrics.NoPaybackError as err:

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
-from tidalecon.cli import EXIT_INPUT_ERROR, EXIT_OK, main
+from tidalecon.cli import EXIT_INPUT_ERROR, EXIT_OK, _json_dump, main
 from tidalecon.cost_model import ArrayDesign, CostParameters
 from tidalecon.finance_core import DiscountSpec
 from tidalecon.metrics import lcoe
@@ -90,6 +91,14 @@ class TestMetricsCommand:
         code, _, _ = run(capsys, ["metrics", "/nonexistent/config.json"])
         assert code == EXIT_INPUT_ERROR
 
+    def test_zero_power_reports_undefined_lcoe(self, capsys, config_path):
+        array = dict(BASE_CONFIG["array"], p_avg_mw=0)
+        code, out, _ = run(capsys, ["metrics", config_path({"array": array}), "--format", "json"])
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["metrics"]["lcoe_gbp_per_mwh"] is None
+        assert "LCOE is undefined" in payload["notes"]["lcoe_gbp_per_mwh"]
+
     def test_out_file(self, capsys, config_path, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, ["metrics", config_path(), "--format", "json",
@@ -97,6 +106,43 @@ class TestMetricsCommand:
         assert code == EXIT_OK
         assert out == ""
         json.loads(target.read_text())
+
+
+class TestConfigValidation:
+    def test_nan_break_even_power_exits_2(self, capsys, config_path):
+        path = config_path({"break_even": {"p_be_mw": math.nan}})  # written as NaN
+        code, out, err = run(capsys, ["metrics", path, "--format", "json"])
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert "NaN" in err and "finite" in err
+
+    def test_infinite_rate_exits_2(self, capsys, config_path):
+        path = config_path({"finance": dict(BASE_CONFIG["finance"], r=-math.inf)})
+        code, _, err = run(capsys, ["metrics", path])
+        assert code == EXIT_INPUT_ERROR
+        assert "-Infinity" in err
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("array", "n_t", 4.7),
+        ("array", "lifetime_years", 25.9),
+        ("finance", "periods_per_year", 2.5),
+    ])
+    def test_non_integral_count_exits_2_naming_field(self, capsys, config_path,
+                                                     block, key, value):
+        path = config_path({block: dict(BASE_CONFIG[block], **{key: value})})
+        code, _, err = run(capsys, ["metrics", path])
+        assert code == EXIT_INPUT_ERROR
+        assert f"{block}.{key} must be a whole number, got {value!r}" in err
+
+    def test_integral_float_counts_accepted(self, capsys, config_path):
+        array = dict(BASE_CONFIG["array"], n_t=4.0, lifetime_years=25.0)
+        code, out, _ = run(capsys, ["metrics", config_path({"array": array}), "--format", "json"])
+        assert code == EXIT_OK
+        assert json.loads(out)["inputs"]["n_t"] == 4
+
+    def test_json_output_never_holds_nan(self):
+        with pytest.raises(ValueError):
+            _json_dump({"value": math.nan})
 
 
 class TestSplitCommand:
@@ -259,6 +305,24 @@ class TestSweepCommand:
         short, long = (float(line.split(",")[1]) for line in lines[1:])
         # Late years are heavily discounted at r=0.10: only a few percent change.
         assert abs(short - long) / long < 0.10
+
+    def test_json_format(self, capsys, config_path):
+        argv = ["sweep", config_path(), "--param", "tariff", "--from", "40", "--to", "150",
+                "--steps", "3", "--metric", "payback"]
+        code, out, _ = run(capsys, [*argv, "--format", "json"])
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert (payload["command"], payload["param"], payload["metric"]) == (
+            "sweep", "tariff", "payback")
+        points = payload["points"]
+        assert [point["value"] for point in points] == [40.0, 95.0, 150.0]
+        assert points[0]["payback"] is None  # no payback at 40 GBP/MWh
+        _, csv_out, _ = run(capsys, [*argv, "--format", "csv"])
+        rows = [line.split(",") for line in csv_out.strip().splitlines()[1:]]
+        assert [row[1] for row in rows] == [
+            "undefined" if point["payback"] is None else repr(point["payback"])
+            for point in points
+        ]
 
     def test_unknown_param_exits_2_listing_names(self, capsys, config_path):
         code, _, err = run(capsys, [

@@ -3,12 +3,14 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tidalecon.finance_core import (
     CashFlowSchedule,
     Compounding,
     DiscountSpec,
+    _discounted_sum,
+    _discrete_terms,
     discount_factor,
     present_value,
 )
@@ -168,3 +170,35 @@ class TestPresentValue:
         assert present_value(schedule, DiscountSpec(annual_rate=0.0)) == pytest.approx(
             sum(amounts), abs=1e-9
         )
+
+
+class TestDiscountedSumKernel:
+    """The one discrete NPV kernel shared by ``present_value`` and ``irr``."""
+
+    @given(
+        periods=st.sampled_from([1, 2, 4, 12]),
+        rate=st.floats(min_value=-0.99, max_value=10.0),
+        flows=st.dictionaries(
+            st.integers(min_value=0, max_value=60),
+            st.floats(min_value=-1e4, max_value=1e4),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_exactly_equals_present_value(self, periods, rate, flows):
+        schedule = CashFlowSchedule(horizon=60, flows=flows)
+        spec = DiscountSpec(annual_rate=rate, periods_per_year=periods)
+        kernel = _discounted_sum(*_discrete_terms(schedule, periods), 1.0 + rate / periods)
+        per_year = sum(
+            amount * discount_factor(spec, year) for year, amount in sorted(flows.items())
+        )
+        assert kernel == present_value(schedule, spec) == per_year
+
+    @pytest.mark.parametrize("horizon", [155, 200])
+    def test_overflow_gives_infinity_of_the_npv_sign(self, horizon):
+        # 0.01 ** -155 is beyond float range, so the factors at r = -0.99 overflow.
+        spec = DiscountSpec(annual_rate=-0.99)
+        flows = {0: -100.0, **{year: 12.0 for year in range(1, horizon + 1)}}
+        assert present_value(CashFlowSchedule(horizon, flows), spec) == math.inf
+        flows[horizon] = -1e6
+        assert present_value(CashFlowSchedule(horizon, flows), spec) == -math.inf

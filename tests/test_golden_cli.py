@@ -1,8 +1,8 @@
 """CLI machine output on the demo config, compared byte for byte.
 
-The files in ``tests/golden/`` are the ``--format json --plain`` stdout of
-each command below. A change that alters them on purpose regenerates them,
-for example::
+The files in ``tests/golden/`` are the ``--plain`` stdout of each command
+below, in the format their extension names. A change that alters them on
+purpose regenerates them, for example::
 
     PYTHONPATH=src python -m tidalecon.cli metrics demos/example_config.json \\
         --format json --plain > tests/golden/metrics.json
@@ -25,10 +25,12 @@ COMMANDS = {
     "metrics.json": ["metrics", CONFIG],
     "scenarios.json": ["scenarios", CONFIG],
     "sweep_tariff_irr.csv": ["sweep", CONFIG, *SWEEP],
+    "sweep_tariff_irr.json": ["sweep", CONFIG, *SWEEP],
 }
 
 
 @pytest.mark.parametrize("golden", sorted(COMMANDS))
 def test_output_matches_golden_file(capsys, golden):
-    assert main([*COMMANDS[golden], "--format", "json", "--plain"]) == EXIT_OK
+    output_format = Path(golden).suffix[1:]
+    assert main([*COMMANDS[golden], "--format", output_format, "--plain"]) == EXIT_OK
     assert capsys.readouterr().out.encode("utf-8") == (TESTS / "golden" / golden).read_bytes()

@@ -268,6 +268,54 @@ class TestIrrRuleOfSigns:
         assert abs(npv(schedule, DiscountSpec(rate))) < IRR_NPV_TOLERANCE
 
 
+def _level(years: int, amount: float) -> dict[int, float]:
+    return {year: amount for year in range(1, years + 1)}
+
+
+# float.hex IRRs of schedules that change sign two or more times, recorded
+# before the root-finder switched to the shared NPV kernel. The kernel does
+# the same floating-point arithmetic as ``npv``, so they must not move a bit.
+SCAN_PATH_IRRS = [
+    # overhaul-style: CAPEX, level net revenue, large OPEX hits
+    ({0: -20.0, **_level(20, 3.0), 7: -4.0, 14: -4.0}, "0x1.9cfbeadb05cfdp-4"),
+    ({0: -38.5, **_level(25, 5.25), 5: -9.0, 10: -9.0, 15: -9.0, 20: -9.0},
+     "0x1.e282756eeea4fp-5"),
+    ({0: -12.0, **_level(30, 1.9), 8: -2.5, 16: -2.5, 24: -2.5}, "0x1.02f127fd69909p-3"),
+    ({0: -60.0, **_level(20, 4.4), 10: -25.0}, "-0x1.1e162c7984ae0p-9"),
+    ({0: -9.2, **_level(25, 0.8), 6: -1.1, 12: -1.1, 18: -1.1, 24: -1.1},
+     "0x1.bf9a9ec21e491p-6"),
+    ({0: -100.0, **_level(40, 9.0), 9: -30.0, 18: -30.0, 27: -30.0, 36: -30.0},
+     "0x1.7cd5f1261f241p-5"),
+    # the secant gives up and bisection of the scan's bracket finds the root
+    ({0: -100.0, 20: 1e-3, 21: -1e-3, 40: 1.0}, "-0x1.bd6ff0fdf9dc4p-4"),
+    ({0: -100.0, 10: 1e-4, 11: -2e-4, 39: 1.0}, "-0x1.c8327d94a7c84p-4"),
+    ({0: -150.9395279595386, 17: 0.00029976223055331127, 18: -0.004661570317237272,
+      21: 2.4060613401405204}, "-0x1.6e6f262f8a0f7p-3"),
+]
+
+
+class TestIrrExactness:
+    @pytest.mark.parametrize("flows, expected", SCAN_PATH_IRRS)
+    def test_scan_path_bits_unchanged(self, flows, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert irr(schedule_of(flows)) == float.fromhex(expected)
+
+    def test_two_roots_bits_and_warning_unchanged(self):
+        with pytest.warns(AmbiguousIrrWarning, match="2 NPV roots bracketed"):
+            result = irr(schedule_of(TWO_ROOT_FLOWS))
+        assert result == float.fromhex("0x1.99999999d6dc9p-5")
+
+    @pytest.mark.parametrize("horizon", [154, 155, 200])
+    def test_long_annuity_does_not_overflow(self, horizon):
+        # At r = -0.99 the discount factor of year 155 is 100 ** 155, beyond
+        # float range; NPV there counts as +inf and the root is still found.
+        schedule = schedule_of({0: -100.0, **_level(horizon, 12.0)})
+        rate = irr(schedule)
+        assert rate == pytest.approx(0.12, abs=1e-6)
+        assert npv(schedule, DiscountSpec(rate)) == pytest.approx(0.0, abs=IRR_NPV_TOLERANCE)
+
+
 class TestBreakEvenPower:
     def test_constructed_unity(self):
         assert break_even_power([876000.0], [8760.0], 100.0) == pytest.approx(1.0)
@@ -307,6 +355,13 @@ class TestBepHelpers:
             bep_from_capacity_factor(2.0, 0.0)
         with pytest.raises(ValueError):
             bep_from_capacity_factor(2.0, 1.2)
+
+    @pytest.mark.parametrize("p_be, ev", [
+        (float("nan"), 0.0), (float("inf"), 0.0), (0.4, float("nan")), (0.4, float("inf")),
+    ])
+    def test_non_finite_break_even_rejected(self, p_be, ev):
+        with pytest.raises(ValueError, match="finite"):
+            BreakEvenSpec(p_be_mw=p_be, ev_mw_per_turbine=ev)
 
     def test_functional_zero_at_break_even(self):
         spec = BreakEvenSpec(p_be_mw=0.5)

@@ -81,6 +81,12 @@ class TestEvaluateScenarios:
         assert pes.metrics["payback"] is None
         assert "payback" in pes.notes
 
+    def test_zero_power_lcoe_undefined_with_note(self):
+        for res in evaluate_scenarios(design(p_avg_mw=0.0)):
+            assert res.metrics["lcoe"] is None
+            assert "LCOE is undefined" in res.notes["lcoe"]
+            assert res.metrics["irr"] is None
+
     def test_overrides_apply_to_all_scenarios(self):
         results = evaluate_scenarios(design(), overrides={"tariff": 150.0})
         assert all(res.parameters["tariff"] == 150.0 for res in results)
