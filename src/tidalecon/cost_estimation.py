@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 RATIO_WINDOW = (2.3, 3.9)  # range supported by offshore-wind cost data
 
 
@@ -51,6 +49,10 @@ class CostObservation:
     currency_rate: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("n_t", "cost", "capacity_mw", "currency_rate"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.n_t <= 0:
             raise ValueError(f"n_t must be positive, got {self.n_t}")
         if self.cost < 0:
@@ -70,8 +72,8 @@ class FixedToTurbineRatio:
     ratio: float
 
     def __post_init__(self) -> None:
-        if self.ratio < 0:
-            raise ValueError(f"ratio must be >= 0, got {self.ratio}")
+        if not math.isfinite(self.ratio) or self.ratio < 0:
+            raise ValueError(f"ratio must be finite and >= 0, got {self.ratio}")
         low, high = RATIO_WINDOW
         if not low <= self.ratio <= high:
             warnings.warn(
@@ -151,17 +153,27 @@ def fit_higgins_ratio(
 ) -> FixedToTurbineRatio:
     """Least-squares fixed-to-turbine ratio from (n_t, total GBP m) points.
 
-    Fits a line through the points; the ratio is intercept over slope.
-    A non-positive slope means the data carry no per-turbine cost signal
-    and is reported as an error.
+    Fits a line through the points by ordinary least squares, centred on
+    the means; the ratio is intercept over slope. A non-positive slope
+    means the data carry no per-turbine cost signal and is reported as an
+    error.
     """
     if len(normalized_points) < 2:
         raise ValueError("need at least two points to fit a cost line")
-    counts = np.array([n for n, _ in normalized_points], dtype=float)
-    totals = np.array([t for _, t in normalized_points], dtype=float)
-    if len(set(counts.tolist())) < 2:
+    counts = [float(n) for n, _ in normalized_points]
+    totals = [float(t) for _, t in normalized_points]
+    for index, (n, t) in enumerate(zip(counts, totals)):
+        if not math.isfinite(n):
+            raise ValueError(f"point {index}: n_t must be finite, got {n}")
+        if not math.isfinite(t):
+            raise ValueError(f"point {index}: total must be finite, got {t}")
+    if len(set(counts)) < 2:
         raise ValueError("need at least two distinct n_t values")
-    slope, intercept = np.polyfit(counts, totals, 1)
+    mean_n = math.fsum(counts) / len(counts)
+    mean_t = math.fsum(totals) / len(totals)
+    dn = [n - mean_n for n in counts]
+    slope = math.fsum(d * (t - mean_t) for d, t in zip(dn, totals)) / math.fsum(d * d for d in dn)
     if slope <= 0:
         raise ValueError(f"fitted per-turbine cost is non-positive ({slope:g} GBP m)")
-    return FixedToTurbineRatio(ratio=float(intercept / slope))
+    intercept = mean_t - slope * mean_n
+    return FixedToTurbineRatio(ratio=intercept / slope)

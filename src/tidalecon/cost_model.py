@@ -158,8 +158,8 @@ def build_schedule(
             raise ValueError(
                 f"opex_multipliers needs {design.lifetime_years} entries, got {len(multipliers)}"
             )
-        if any(m < 0 for m in multipliers):
-            raise ValueError("opex_multipliers must be non-negative")
+        if any(not 0 <= m < math.inf for m in multipliers):  # also rejects NaN
+            raise ValueError("opex_multipliers must be finite and non-negative")
     else:
         multipliers = (1.0,) * design.lifetime_years
 

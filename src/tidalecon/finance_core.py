@@ -78,6 +78,16 @@ def discount_factor(spec: DiscountSpec, years: float) -> float:
     """
     if years < 0:
         raise ValueError(f"cannot discount a flow at negative time {years}")
+    return _factor(spec, years)
+
+
+def _factor(spec: DiscountSpec, years: float) -> float:
+    """``discount_factor`` without its time check, for callers whose years
+    are schedule years. A negative time compounds: ``_factor(spec, y - h)``
+    is the factor of year ``y`` divided by that of year ``h``, computed
+    without forming either one, so it stays in float range when both would
+    overflow.
+    """
     if spec.mode is Compounding.CONTINUOUS:
         return math.exp(-spec.annual_rate * years)
     p = spec.periods_per_year
@@ -101,16 +111,20 @@ def _discounted_sum(amounts: Sequence[float], exponents: Sequence[int], base: fl
 
     This is the one place that does the discrete discounting arithmetic, so
     ``present_value`` and the IRR root-finder agree bit for bit. When a
-    factor overflows (a long horizon at a rate near -1), the NPV is beyond
-    float range: the result is then an infinity of the NPV's sign, taken from
-    the sum with every factor scaled down by the largest one.
+    factor overflows (a long horizon at a rate near -1), or a product does
+    and opposite infinities meet in a NaN sum, the NPV is beyond float
+    range: the result is then an infinity of the NPV's sign, taken from the
+    sum with every factor scaled down by the largest one.
     """
     try:
-        return sum(map(mul, amounts, map(pow, repeat(base), exponents)))
+        total = sum(map(mul, amounts, map(pow, repeat(base), exponents)))
     except OverflowError:
-        lowest = min(exponents)
-        scaled = sum(map(mul, amounts, map(pow, repeat(base), [e - lowest for e in exponents])))
-        return math.copysign(math.inf, scaled)
+        total = math.nan
+    if total == total:  # not NaN: the one check on the common path
+        return total
+    lowest = min(exponents)
+    scaled = sum(map(mul, amounts, map(pow, repeat(base), [e - lowest for e in exponents])))
+    return math.copysign(math.inf, scaled)
 
 
 def present_value(schedule: CashFlowSchedule, spec: DiscountSpec) -> float:
@@ -121,8 +135,7 @@ def present_value(schedule: CashFlowSchedule, spec: DiscountSpec) -> float:
     """
     if spec.mode is Compounding.CONTINUOUS:
         return sum(
-            amount * discount_factor(spec, year)
-            for year, amount in sorted(schedule.flows.items())
+            amount * _factor(spec, year) for year, amount in sorted(schedule.flows.items())
         )
     p = spec.periods_per_year
     return _discounted_sum(*_discrete_terms(schedule, p), 1.0 + spec.annual_rate / p)

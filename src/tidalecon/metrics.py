@@ -27,7 +27,7 @@ from .finance_core import (
     DiscountSpec,
     _discounted_sum,
     _discrete_terms,
-    discount_factor,
+    _factor,
     present_value,
 )
 
@@ -92,16 +92,36 @@ def lcoe(design: ArrayDesign, params: CostParameters, spec: DiscountSpec) -> flo
     divided by discounted lifetime net energy. This is the tariff at which
     the project NPV is exactly zero.
     """
-    discounted_cost = capex(params, design.n_t)
-    discounted_energy = 0.0
-    annual_opex = opex_year(params, design.n_t)
-    for year in range(1, design.lifetime_years + 1):
-        factor = discount_factor(spec, year)
-        discounted_cost += annual_opex * factor
-        discounted_energy += energy_year(design, year) * factor
+    try:
+        discounted_cost, discounted_energy = _discounted_cost_and_energy(design, params, spec, 0)
+    except OverflowError:
+        discounted_cost = discounted_energy = math.inf
+    if discounted_cost * 1e6 + discounted_energy == math.inf:
+        # A long horizon at a negative rate: the factors, or the discounted
+        # amounts, pass float range. Dividing every factor by the largest,
+        # year L's, leaves the ratio as is.
+        discounted_cost, discounted_energy = _discounted_cost_and_energy(
+            design, params, spec, design.lifetime_years
+        )
     if discounted_energy <= 0:
         raise ValueError("discounted energy is zero; LCOE is undefined")
     return discounted_cost * 1e6 / discounted_energy
+
+
+def _discounted_cost_and_energy(
+    design: ArrayDesign, params: CostParameters, spec: DiscountSpec, shift: int
+) -> tuple[float, float]:
+    """LCOE's numerator and denominator, each factor divided by year ``shift``'s."""
+    discounted_cost = capex(params, design.n_t)  # year 0: factor 1 unless shifted
+    if shift:
+        discounted_cost *= _factor(spec, -shift)
+    discounted_energy = 0.0
+    annual_opex = opex_year(params, design.n_t)
+    for year in range(1, design.lifetime_years + 1):
+        factor = _factor(spec, year - shift)
+        discounted_cost += annual_opex * factor
+        discounted_energy += energy_year(design, year) * factor
+    return discounted_cost, discounted_energy
 
 
 def payback_period(schedule: CashFlowSchedule, spec: DiscountSpec) -> float:
@@ -110,17 +130,57 @@ def payback_period(schedule: CashFlowSchedule, spec: DiscountSpec) -> float:
     Returns an exact integer when the cumulative NPV hits zero on a year
     boundary; interpolates linearly within the break-even year otherwise.
     """
-    cumulative = schedule.flow(0) * discount_factor(spec, 0)
-    if cumulative >= 0:
-        return 0.0
-    for year in range(1, schedule.horizon + 1):
+    cumulative = 0.0
+    for year in range(schedule.horizon + 1):
         previous = cumulative
-        cumulative += schedule.flow(year) * discount_factor(spec, year)
-        if cumulative >= 0:
-            if cumulative == 0:
-                return float(year)
-            return (year - 1) + previous / (previous - cumulative)
-    raise NoPaybackError(
+        try:
+            cumulative += schedule.flow(year) * _factor(spec, year)
+        except OverflowError:
+            return _scaled_payback(schedule, spec)
+        if not cumulative < 0:  # zero reached, or +inf or NaN
+            if math.isfinite(cumulative):
+                return _crossing(year, previous, cumulative)
+            return _scaled_payback(schedule, spec)
+    if cumulative == -math.inf:
+        return _scaled_payback(schedule, spec)
+    raise _no_payback(schedule)
+
+
+def _scaled_payback(schedule: CashFlowSchedule, spec: DiscountSpec) -> float:
+    """``payback_period`` for a schedule whose discounted sums pass float range.
+
+    That takes a long horizon at a negative rate, so the horizon's factor is
+    the largest. Dividing every factor by it changes neither the sign of the
+    cumulative flow nor the interpolation fraction. The years before the
+    sums left float range were found negative; scaled, their terms can
+    underflow to zero, so they are summed but not tested again.
+    """
+    horizon = schedule.horizon
+    unscaled = cumulative = 0.0
+    testing = False
+    for year in range(horizon + 1):
+        previous = cumulative
+        cumulative += schedule.flow(year) * _factor(spec, year - horizon)
+        if not testing:
+            try:
+                unscaled += schedule.flow(year) * _factor(spec, year)
+                testing = not math.isfinite(unscaled)
+            except OverflowError:
+                testing = True
+        if testing and cumulative >= 0:
+            return _crossing(year, previous, cumulative)
+    raise _no_payback(schedule)
+
+
+def _crossing(year: int, previous: float, cumulative: float) -> float:
+    """Where the cumulative flow reaches zero within ``year``, interpolated."""
+    if cumulative == 0 or year == 0:
+        return float(year)
+    return (year - 1) + previous / (previous - cumulative)
+
+
+def _no_payback(schedule: CashFlowSchedule) -> NoPaybackError:
+    return NoPaybackError(
         f"cumulative discounted flow stays negative through year {schedule.horizon}"
     )
 

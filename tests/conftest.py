@@ -7,6 +7,7 @@ fractional scans) so agreement is meaningful.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -53,6 +54,29 @@ def payback_scan_oracle(
                 start = float(fractions[max(hit - 1, 0)])
                 width /= 1000.0
             return (year - 1) + start + width
+    return None
+
+
+def exact_factor(rate: float, year: int) -> Fraction:
+    """Annual discount factor of ``year`` in exact rational arithmetic.
+
+    The base is the float ``1 + rate``, as the library forms it, so this is
+    the exact value its float power approximates; it never overflows.
+    """
+    return Fraction(1.0 + rate) ** -year
+
+
+def payback_exact_oracle(flows: dict[int, float], rate: float, horizon: int) -> float | None:
+    """Payback with exact rational cumulative sums, for horizons whose
+    discount factors are beyond float range."""
+    running = Fraction(0)
+    for year in range(horizon + 1):
+        previous = running
+        running += Fraction(flows.get(year, 0.0)) * exact_factor(rate, year)
+        if running >= 0:
+            if year == 0 or running == 0:
+                return float(year)
+            return (year - 1) + float(previous / (previous - running))
     return None
 
 

@@ -99,6 +99,25 @@ class TestMetricsCommand:
         assert payload["metrics"]["lcoe_gbp_per_mwh"] is None
         assert "LCOE is undefined" in payload["notes"]["lcoe_gbp_per_mwh"]
 
+    @pytest.mark.parametrize("fmt", ["human", "csv"])
+    def test_200_years_at_minus_99_percent_exits_0(self, capsys, config_path, fmt):
+        # The discount factors pass float range in year 155; LCOE and payback
+        # are still reported (NPV is +inf, beyond float range).
+        array = dict(BASE_CONFIG["array"], lifetime_years=200)
+        finance = dict(BASE_CONFIG["finance"], r=-0.99)
+        path = config_path({"array": array, "finance": finance})
+        code, out, err = run(capsys, ["metrics", path, "--format", fmt])
+        assert (code, err) == (EXIT_OK, "")
+        design = ArrayDesign(n_t=4, mw_t=1.5, p_avg_mw=3.2, lifetime_years=200,
+                             availability=0.95)
+        expected = lcoe(design, CostParameters(9.2, 3.3, 0.32, 0.15), DiscountSpec(-0.99))
+        assert 34 < expected < 35
+        if fmt == "csv":
+            assert f"lcoe_gbp_per_mwh,{expected!r}\n" in out
+            assert "npv_gbp_m,inf\n" in out
+        else:
+            assert f"  {'lcoe_gbp_per_mwh':22s} {expected:.3g}\n" in out
+
     def test_out_file(self, capsys, config_path, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, ["metrics", config_path(), "--format", "json",
@@ -199,6 +218,21 @@ class TestSplitCommand:
         ])
         assert code == EXIT_OK
         assert json.loads(out)["costs"]["ca_f"] == pytest.approx(5.64, abs=5e-3)
+
+    @pytest.mark.parametrize("flag, field", [
+        ("--capex-total", "cost"),
+        ("--n-t", "n_t"),
+        ("--currency-rate", "currency_rate"),
+        ("--ratio", "ratio"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_input_exits_2_naming_field(self, capsys, flag, field, value):
+        options = {"--ratio": "3", "--capex-total": "227", "--n-t": "4", flag: value}
+        argv = ["split", "ratio", *(item for pair in options.items() for item in pair)]
+        code, out, err = run(capsys, [*argv, "--format", "json"])
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert f"{field} must be finite" in err
 
     def test_degenerate_inputs_exit_2(self, capsys):
         code, _, _ = run(capsys, [

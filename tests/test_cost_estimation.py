@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import math
 import random
 import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tidalecon.cost_estimation import (
     CostBasis,
@@ -41,6 +43,13 @@ class TestNormalizeObservation:
     def test_per_mw_requires_capacity(self):
         with pytest.raises(ValueError):
             CostObservation(n_t=5, cost=2.0, basis=CostBasis.PER_MW)
+
+    @pytest.mark.parametrize("field", ["n_t", "cost", "capacity_mw", "currency_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected_by_name(self, field, value):
+        fields = dict(n_t=5.0, cost=2.0, basis=CostBasis.PER_MW, capacity_mw=7.5)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CostObservation(**{**fields, field: value})
 
 
 class TestSplitTwoPoints:
@@ -114,6 +123,11 @@ class TestSplitFromRatio:
         with pytest.warns(RatioWindowWarning):
             FixedToTurbineRatio(8.4)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_ratio_rejected(self, value):
+        with pytest.raises(ValueError, match="ratio must be finite"):
+            FixedToTurbineRatio(value)
+
     @given(
         total=st.floats(min_value=1.0, max_value=500.0),
         n_t=st.floats(min_value=0.5, max_value=100.0),
@@ -186,3 +200,49 @@ class TestFitHigginsRatio:
     def test_non_positive_slope_rejected(self):
         with pytest.raises(ValueError):
             fit_higgins_ratio([(2.0, 30.0), (10.0, 10.0)])
+
+    @pytest.mark.parametrize("point, field", [
+        ((math.nan, 20.0), "n_t"),
+        ((math.inf, 20.0), "n_t"),
+        ((6.0, math.nan), "total"),
+        ((6.0, -math.inf), "total"),
+    ])
+    def test_non_finite_point_rejected_by_name(self, point, field):
+        with pytest.raises(ValueError, match=f"point 1: {field} must be finite"):
+            fit_higgins_ratio([(2.0, 12.0), point, (10.0, 40.0)])
+
+    @given(
+        counts=st.lists(st.integers(min_value=1, max_value=100), min_size=2, max_size=8,
+                        unique=True),
+        fixed=st.floats(min_value=0.5, max_value=50.0),
+        per_turbine=st.floats(min_value=0.1, max_value=10.0),
+        noise=st.lists(st.floats(min_value=-0.01, max_value=0.01), min_size=8, max_size=8),
+    )
+    @settings(deadline=None)
+    def test_agrees_with_numpy_polyfit(self, counts, fixed, per_turbine, noise):
+        points = [(float(n), (fixed + per_turbine * n) * (1.0 + e))
+                  for n, e in zip(counts, noise)]
+        slope, intercept = np.polyfit(*zip(*points), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RatioWindowWarning)
+            if slope <= 0 or intercept < 0:
+                with pytest.raises(ValueError):
+                    fit_higgins_ratio(points)
+                return
+            ratio = fit_higgins_ratio(points).ratio
+        assert ratio == pytest.approx(intercept / slope, rel=1e-9, abs=1e-9)
+
+    @given(
+        # Thirds of a turbine, like 100 MW / 1.5 MW: fractional but never
+        # so close together that the fit is ill-conditioned.
+        thirds=st.lists(st.integers(min_value=1, max_value=600), min_size=2, max_size=8,
+                        unique=True),
+        fixed=st.floats(min_value=0.5, max_value=50.0),
+        per_turbine=st.floats(min_value=0.1, max_value=10.0),
+    )
+    def test_collinear_points_give_the_exact_ratio(self, thirds, fixed, per_turbine):
+        points = [(k / 3, fixed + per_turbine * k / 3) for k in thirds]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RatioWindowWarning)
+            ratio = fit_higgins_ratio(points).ratio
+        assert ratio == pytest.approx(fixed / per_turbine, rel=1e-9)

@@ -180,6 +180,12 @@ class TestBuildSchedule:
         with pytest.raises(ValueError):
             build_schedule(design(), TYPICAL, TariffScheme(150.0), opex_multipliers=[1.0])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_opex_multipliers_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(ValueError, match="opex_multipliers must be finite"):
+            build_schedule(design(lifetime_years=3), TYPICAL, TariffScheme(150.0),
+                           opex_multipliers=[1.0, value, 1.0])
+
     def test_year_zero_flow_non_positive(self):
         schedule = build_schedule(design(), CostParameters(0, 0, 0.1, 0.1),
                                   TariffScheme(150.0))

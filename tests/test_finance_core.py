@@ -202,3 +202,10 @@ class TestDiscountedSumKernel:
         assert present_value(CashFlowSchedule(horizon, flows), spec) == math.inf
         flows[horizon] = -1e6
         assert present_value(CashFlowSchedule(horizon, flows), spec) == -math.inf
+
+    def test_opposite_overflowed_products_give_infinity_not_nan(self):
+        # 0.01 ** -150 = 1e300 is in range, but the products of years 149 and
+        # 150 overflow to +inf and -inf, whose plain sum is NaN.
+        flows = {0: -5e11, **{year: 1e11 for year in range(1, 150)}, 150: -1e13}
+        schedule = CashFlowSchedule(150, flows)
+        assert present_value(schedule, DiscountSpec(annual_rate=-0.99)) == -math.inf

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -13,7 +14,7 @@ from tidalecon.cost_model import (
     build_schedule,
     capex,
 )
-from tidalecon.finance_core import CashFlowSchedule, DiscountSpec
+from tidalecon.finance_core import CashFlowSchedule, Compounding, DiscountSpec
 from tidalecon.metrics import (
     IRR_NPV_TOLERANCE,
     AmbiguousIrrWarning,
@@ -34,7 +35,14 @@ from tidalecon.metrics import (
     profit_margin,
 )
 
-from conftest import irr_bisection_oracle, lcoe_oracle, payback_scan_oracle, pv_oracle
+from conftest import (
+    exact_factor,
+    irr_bisection_oracle,
+    lcoe_oracle,
+    payback_exact_oracle,
+    payback_scan_oracle,
+    pv_oracle,
+)
 
 TYPICAL = CostParameters(ca_f=9.2, ca_t=3.3, o_f=0.32, o_t=0.15)
 # NPV proportional to -((1+r)-1.05)((1+r)-1.15): roots at 5% and 15%.
@@ -313,6 +321,61 @@ class TestIrrExactness:
         schedule = schedule_of({0: -100.0, **_level(horizon, 12.0)})
         rate = irr(schedule)
         assert rate == pytest.approx(0.12, abs=1e-6)
+        assert npv(schedule, DiscountSpec(rate)) == pytest.approx(0.0, abs=IRR_NPV_TOLERANCE)
+
+
+class TestLongHorizonOverflow:
+    """At r = -0.99 the discount factor of year 155 is 100 ** 155, beyond float
+    range; LCOE and payback must still come out right, not overflow."""
+
+    # 153 years: the factors stay in range but the discounted amounts pass it
+    # (they gave NaN); 200 years: the factors themselves overflow.
+    @pytest.mark.parametrize("horizon", [153, 200])
+    def test_lcoe_matches_exact_oracle(self, horizon):
+        d = design(lifetime_years=horizon)
+        energy = 3.2 * 8760.0 * 0.95
+        cost = Fraction(9.2 + 3.3 * 4)
+        discounted_energy = Fraction(0)
+        for year in range(1, horizon + 1):
+            cost += Fraction(0.32 + 0.15 * 4) * exact_factor(-0.99, year)
+            discounted_energy += Fraction(energy) * exact_factor(-0.99, year)
+        expected = float(cost * 10**6 / discounted_energy)
+        assert lcoe(d, TYPICAL, DiscountSpec(-0.99)) == pytest.approx(expected, rel=1e-12)
+
+    def test_continuous_lcoe_beyond_exp_range(self):
+        # exp(0.9 * 800) overflows; so much weight on the last years leaves
+        # LCOE at one year's OPEX over one year's energy.
+        d = design(lifetime_years=800)
+        spec = DiscountSpec(-0.9, mode=Compounding.CONTINUOUS)
+        expected = (0.32 + 0.15 * 4) * 1e6 / (3.2 * 8760.0 * 0.95)
+        assert lcoe(d, TYPICAL, spec) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("flows, low", [
+        # negative until year 181, past the factor overflow at year 155
+        ({0: -50.0, **{year: -1.0 for year in range(1, 181)}, 181: 2.0, 182: 5.0}, 180),
+        # year 154's factor, 1e308, is in range but times 10 is not (gave 153.0)
+        ({0: -1.0, **{year: -1.0 for year in range(1, 154)}, 154: 10.0}, 153),
+    ])
+    def test_payback_beyond_float_range_matches_exact_oracle(self, flows, low):
+        expected = payback_exact_oracle(flows, -0.99, max(flows))
+        assert low < expected < low + 0.01
+        result = payback_period(schedule_of(flows), DiscountSpec(-0.99))
+        assert result == pytest.approx(expected, rel=1e-12)
+
+    def test_never_paying_back_is_reported_not_overflowed(self):
+        flows = {0: -50.0, **{year: -1.0 for year in range(1, 201)}}
+        with pytest.raises(NoPaybackError):
+            payback_period(schedule_of(flows), DiscountSpec(-0.99))
+
+    def test_scan_does_not_read_a_nan_npv_as_a_root(self):
+        # Near r = -0.99 the products of years 148 and 150 overflow to +inf and
+        # -inf. The true NPV there is positive; read as NaN, it once gave a
+        # spurious root at -0.9899 with an AmbiguousIrrWarning.
+        schedule = schedule_of({0: -1.0, 148: 2e13, 150: -1e9})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rate = irr(schedule)
+        assert 0.2 < rate < 0.3
         assert npv(schedule, DiscountSpec(rate)) == pytest.approx(0.0, abs=IRR_NPV_TOLERANCE)
 
 
