@@ -196,13 +196,20 @@ def load_config(path: str) -> ProjectInputs:
 def _default_break_even(
     design: ArrayDesign, params: CostParameters, tariff: TariffScheme
 ) -> float:
-    """Break-even power implied by the per-turbine cost components."""
+    """Break-even power implied by the per-turbine cost components.
+
+    P_BE is a gross average power, like the ``p_avg_mw`` that
+    J = P_avg - P_BE * n_t compares it with. ``energy_year`` applies the
+    electrical efficiency to that power, so covering the expenditure takes
+    the net figure divided by the efficiency.
+    """
     expenditures = [params.ca_t * 1e6] + [params.o_t * 1e6] * design.lifetime_years
     hours = [0.0] + [
         HOURS_PER_YEAR * design.availability_in_year(year)
         for year in range(1, design.lifetime_years + 1)
     ]
-    return _metrics.break_even_power(expenditures, hours, tariff.t_e)
+    net = _metrics.break_even_power(expenditures, hours, tariff.t_e)
+    return net / design.electrical_efficiency
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +276,11 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
     report: dict[str, float | None] = {}
     notes: dict[str, str] = {}
-    report["npv_gbp_m"] = _metrics.npv(schedule, spec)
+    try:
+        report["npv_gbp_m"] = _metrics.reported_npv(schedule, spec)
+    except _metrics.NpvOutOfRangeError as err:
+        report["npv_gbp_m"] = None
+        notes["npv_gbp_m"] = str(err)
     try:
         report["lcoe_gbp_per_mwh"] = _metrics.lcoe(design, params, spec)
     except ValueError as err:  # zero-power design: no energy, LCOE undefined
@@ -592,6 +603,9 @@ def cmd_curve(args: argparse.Namespace) -> int:
         lines.append(" ".join(f"{col:>20s}" for col in columns) + "\n")
         for row in rows:
             lines.append(" ".join(f"{_sig3(row[col]):>20s}" for col in columns) + "\n")
+        for row in rows:
+            for column, note in row.get("notes", {}).items():
+                lines.append(f"  note [n_t={row['n_t']}/{column}]: {note}\n")
         _emit("".join(lines), args.out)
     return EXIT_OK
 

@@ -130,12 +130,20 @@ def _discounted_sum(amounts: Sequence[float], exponents: Sequence[int], base: fl
 def present_value(schedule: CashFlowSchedule, spec: DiscountSpec) -> float:
     """Discounted sum of all flows in the schedule, in GBP m.
 
-    With discrete compounding, an NPV beyond float range is returned as an
-    infinity of its sign.
+    An NPV beyond float range is returned as an infinity of its sign.
     """
     if spec.mode is Compounding.CONTINUOUS:
-        return sum(
-            amount * _factor(spec, year) for year, amount in sorted(schedule.flows.items())
-        )
+        flows = sorted(schedule.flows.items())
+        try:
+            total = sum(amount * _factor(spec, year) for year, amount in flows)
+        except OverflowError:
+            total = math.nan
+        if total == total:  # as in ``_discounted_sum``: NaN means opposite overflows
+            return total
+        # Only a negative rate overflows, so the last year's factor is the
+        # largest; dividing every factor by it keeps the sign.
+        last = flows[-1][0]
+        scaled = sum(amount * _factor(spec, year - last) for year, amount in flows)
+        return math.copysign(math.inf, scaled)
     p = spec.periods_per_year
     return _discounted_sum(*_discrete_terms(schedule, p), 1.0 + spec.annual_rate / p)

@@ -38,6 +38,10 @@ _SECANT_SEEDS = (0.05, 0.15)  # spans the recommended discount-rate range
 _MAX_ITERATIONS = 200
 
 
+class NpvOutOfRangeError(ValueError):
+    """NPV lies beyond float range: a long horizon at a rate near -1."""
+
+
 class NoPaybackError(ValueError):
     """Cumulative discounted cash flow never reaches zero within the horizon."""
 
@@ -83,6 +87,17 @@ class BreakEvenSpec:
 def npv(schedule: CashFlowSchedule, spec: DiscountSpec) -> float:
     """Net present value of the schedule, GBP m."""
     return present_value(schedule, spec)
+
+
+def reported_npv(schedule: CashFlowSchedule, spec: DiscountSpec) -> float:
+    """``npv`` for a report, which states an infinite NPV as undefined.
+
+    Raises ``NpvOutOfRangeError`` where ``npv`` returns an infinity.
+    """
+    value = npv(schedule, spec)
+    if math.isinf(value):
+        raise NpvOutOfRangeError(f"NPV is beyond float range ({value:+})")
+    return value
 
 
 def lcoe(design: ArrayDesign, params: CostParameters, spec: DiscountSpec) -> float:
@@ -223,16 +238,68 @@ def _grid() -> tuple[float, ...]:
 
 
 def _scan_brackets(terms: _Terms) -> list[tuple[float, float]]:
+    """NPV's sign changes on the scan grid, in grid order.
+
+    The result is what evaluating the kernel ``_npv_at_rate`` at all 2001
+    grid points gives: a cell ``(r[k], r[k + 1])`` whose NPVs differ in sign
+    (> 0 against <= 0), or ``(r[k], r[k])`` when NPV at ``r[k]`` is exactly
+    0.0, for k < 2000. It is found from far fewer evaluations by certifying
+    the sign of whole ranges of grid points and evaluating the kernel only
+    in the cells no certificate covers.
+
+    Split the NPV into P(b) = sum of a * b**e over the amounts a >= 0 and
+    N(b) = the same over |a| for a < 0, with b = 1 + r and every exponent
+    e <= 0. Each term is non-increasing in b, so at grid points i <= k <= j
+    the exact NPV P(b_k) - N(b_k) lies in [P(b_j) - N(b_i), P(b_i) - N(b_j)].
+    Both bounds are computed by ``_discounted_sum``, as the kernel computes
+    NPV. Each of these three computed sums is within (n + 2) * 2**-53 of the
+    exact one relative to the sum of the |terms| (pow within 1 ulp, one
+    product, Higham's gamma(n - 1) for n-term recursive summation), which is
+    at most P(b_i) + N(b_i); factors that underflow add at most
+    (sum |a| + n) * 2**-1073 each. The margin, 8 * (n + 4) * 2**-53 times
+    P + N at both ends plus (sum |a| + n) * 2**-1070, covers all three
+    errors, so when P(b_j) - N(b_i) exceeds it the kernel's NPV is > 0 at
+    every point of the range, and when P(b_i) - N(b_j) is below minus it the
+    kernel's NPV is < 0 there: the range holds neither a sign change nor an
+    exact zero. An infinite bound (a factor or a sum beyond float range,
+    where the kernel takes its overflow path) makes the margin infinite and
+    both tests fail. A range that fails is halved; a single cell is decided
+    by the kernel, exactly as the exhaustive scan decides it.
+    """
+    amounts = terms[0]
     grid = _grid()
+    n = len(amounts)
+    relative = 8 * (n + 4) * 2.0**-53
+    absolute = math.ldexp(sum(map(abs, amounts)) + n, -1070)
+    positive = ([a for a in amounts if a >= 0], [e for a, e in zip(*terms) if a >= 0])
+    negative = ([-a for a in amounts if a < 0], [e for a, e in zip(*terms) if a < 0])
+
+    @cache
+    def bound(k: int) -> tuple[float, float]:
+        b = 1.0 + grid[k]
+        return _discounted_sum(*positive, b), _discounted_sum(*negative, b)
+
+    @cache
+    def value(k: int) -> float:
+        return _npv_at_rate(terms, grid[k])
+
     brackets = []
-    f_prev = _npv_at_rate(terms, grid[0])
-    for r_prev, r_next in zip(grid, grid[1:]):
-        f_next = _npv_at_rate(terms, r_next)
-        if f_prev == 0.0:
-            brackets.append((r_prev, r_prev))
-        elif (f_prev > 0) != (f_next > 0):
-            brackets.append((r_prev, r_next))
-        f_prev = f_next
+    ranges = [(0, _GRID_CELLS)]
+    while ranges:
+        i, j = ranges.pop()  # leftmost first, so brackets come in grid order
+        if j - i == 1:
+            f_i = value(i)
+            if f_i == 0.0:
+                brackets.append((grid[i], grid[i]))
+            elif (f_i > 0) != (value(j) > 0):
+                brackets.append((grid[i], grid[j]))
+            continue
+        p_i, n_i = bound(i)
+        p_j, n_j = bound(j)
+        margin = relative * (p_i + n_i + p_j + n_j) + absolute
+        if not (p_j - n_i > margin or p_i - n_j < -margin):
+            mid = (i + j) // 2
+            ranges += [(mid, j), (i, mid)]
     return brackets
 
 
@@ -277,14 +344,18 @@ def irr(schedule: CashFlowSchedule) -> float:
     root on r > -1: NPV at the two bracket ends tells whether it lies in
     range, and a secant iteration seeded inside the usual tidal
     discount-rate range finds it, with bisection of its cell of the scan
-    grid as fallback. With two or more sign changes, NPV is scanned over a
-    2001-point grid for brackets first; if several roots exist the
-    smallest bracketed one is returned and an ``AmbiguousIrrWarning`` is
-    emitted. The NPV tolerance scales down with the largest flow when that
-    is below 1 GBP m. The scan, the secant and bisection all evaluate NPV
-    with the one kernel behind ``npv``, so each trial rate's NPV is exactly
-    ``npv(schedule, DiscountSpec(rate))``; an NPV beyond float range counts
-    as an infinity of its sign.
+    grid as fallback. With two or more sign changes, NPV's sign changes on
+    a 2001-point grid are bracketed first: bounds from the discounted
+    positive and negative flows certify the sign of whole ranges of grid
+    points, with a margin for rounding, so NPV itself is evaluated only in
+    the few cells no bound covers, and the brackets are those an
+    evaluation at every point would give (see ``_scan_brackets``). If
+    several roots exist the smallest bracketed one is returned and an
+    ``AmbiguousIrrWarning`` is emitted. The NPV tolerance scales down with
+    the largest flow when that is below 1 GBP m. The scan, the secant and
+    bisection all evaluate NPV with the one kernel behind ``npv``, so each
+    trial rate's NPV is exactly ``npv(schedule, DiscountSpec(rate))``; an
+    NPV beyond float range counts as an infinity of its sign.
     """
     terms = _discrete_terms(schedule)
     amounts = terms[0]
@@ -392,7 +463,8 @@ def functional_sweep(
 
     Each (n_t, P_avg) sample is substituted into ``design_template``
     (availability, efficiency, rating and lifetime are kept). Returns one
-    row per sample, in input order.
+    row per sample, in input order. An undefined NPV or LCOE is None, and
+    the row then carries a ``notes`` mapping from its key to the reason.
     """
     if not power_curve:
         raise ValueError("power curve is empty")
@@ -404,19 +476,27 @@ def functional_sweep(
     for n_t, p_avg in power_curve:
         design = replace(design_template, n_t=int(n_t), p_avg_mw=float(p_avg))
         schedule = build_schedule(design, params, tariff)
+        notes = {}
+        try:
+            row_npv: float | None = reported_npv(schedule, spec)
+        except NpvOutOfRangeError as err:
+            row_npv = None
+            notes["npv_gbp_m"] = str(err)
         try:
             row_lcoe: float | None = lcoe(design, params, spec)
-        except ValueError:  # zero-power sample: no energy, LCOE undefined
+        except ValueError as err:  # zero-power sample: no energy, LCOE undefined
             row_lcoe = None
-        rows.append(
-            {
-                "n_t": int(n_t),
-                "p_avg_mw": float(p_avg),
-                "power_per_device_mw": float(p_avg) / n_t,
-                "j_bep_mw": bep_functional(p_avg, bep, n_t),
-                "j_bep_ev_mw": bep_ev_functional(p_avg, bep, n_t),
-                "npv_gbp_m": npv(schedule, spec),
-                "lcoe_gbp_per_mwh": row_lcoe,
-            }
-        )
+            notes["lcoe_gbp_per_mwh"] = str(err)
+        row = {
+            "n_t": int(n_t),
+            "p_avg_mw": float(p_avg),
+            "power_per_device_mw": float(p_avg) / n_t,
+            "j_bep_mw": bep_functional(p_avg, bep, n_t),
+            "j_bep_ev_mw": bep_ev_functional(p_avg, bep, n_t),
+            "npv_gbp_m": row_npv,
+            "lcoe_gbp_per_mwh": row_lcoe,
+        }
+        if notes:
+            row["notes"] = notes
+        rows.append(row)
     return rows

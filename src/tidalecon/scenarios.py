@@ -107,7 +107,11 @@ def compute_metrics(
 
     results: dict[str, float | None] = {}
     notes: dict[str, str] = {}
-    results["npv"] = _metrics.npv(schedule, spec)
+    try:
+        results["npv"] = _metrics.reported_npv(schedule, spec)
+    except _metrics.NpvOutOfRangeError as err:
+        results["npv"] = None
+        notes["npv"] = str(err)
     try:
         results["lcoe"] = _metrics.lcoe(bound_design, params, spec)
     except ValueError as err:  # zero-power design: no energy, LCOE undefined

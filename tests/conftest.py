@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from tidalecon.metrics import _grid, _npv_at_rate
+
 
 def pv_oracle(flows: dict[int, float], rate: float, periods: int = 1) -> float:
     """Spreadsheet-style present value: explicit per-year discounting."""
@@ -111,6 +113,24 @@ def irr_bisection_oracle(
         else:
             b = mid
     return 0.5 * (a + b)
+
+
+def scan_brackets_oracle(terms: tuple[list[float], list[int]]) -> list[tuple[float, float]]:
+    """The exhaustive IRR bracket scan: the NPV kernel at all 2001 grid points.
+
+    A cell whose NPVs differ in sign (> 0 against <= 0) is a bracket, and so
+    is ``(r, r)`` for a point other than the last where NPV is exactly 0.0.
+    ``metrics._scan_brackets`` must return this list element for element.
+    """
+    grid = _grid()
+    values = [_npv_at_rate(terms, rate) for rate in grid]
+    brackets = []
+    for k in range(len(grid) - 1):
+        if values[k] == 0.0:
+            brackets.append((grid[k], grid[k]))
+        elif (values[k] > 0) != (values[k + 1] > 0):
+            brackets.append((grid[k], grid[k + 1]))
+    return brackets
 
 
 def lcoe_oracle(

@@ -102,7 +102,7 @@ class TestMetricsCommand:
     @pytest.mark.parametrize("fmt", ["human", "csv"])
     def test_200_years_at_minus_99_percent_exits_0(self, capsys, config_path, fmt):
         # The discount factors pass float range in year 155; LCOE and payback
-        # are still reported (NPV is +inf, beyond float range).
+        # are still reported; NPV, beyond float range, is reported undefined.
         array = dict(BASE_CONFIG["array"], lifetime_years=200)
         finance = dict(BASE_CONFIG["finance"], r=-0.99)
         path = config_path({"array": array, "finance": finance})
@@ -114,9 +114,37 @@ class TestMetricsCommand:
         assert 34 < expected < 35
         if fmt == "csv":
             assert f"lcoe_gbp_per_mwh,{expected!r}\n" in out
-            assert "npv_gbp_m,inf\n" in out
+            assert "npv_gbp_m,undefined\n" in out
         else:
             assert f"  {'lcoe_gbp_per_mwh':22s} {expected:.3g}\n" in out
+
+    @pytest.mark.parametrize("lifetime, finance", [
+        (200, {"r": -0.99}),
+        (800, {"r": -0.9, "mode": "continuous"}),  # exp(0.9 * 789) overflows
+    ])
+    def test_npv_beyond_float_range_is_undefined_with_note(self, capsys, config_path,
+                                                            lifetime, finance):
+        array = dict(BASE_CONFIG["array"], lifetime_years=lifetime)
+        path = config_path({"array": array, "finance": dict(BASE_CONFIG["finance"], **finance)})
+        code, out, err = run(capsys, ["metrics", path, "--format", "json"])
+        assert (code, err) == (EXIT_OK, "")
+        payload = json.loads(out)
+        assert payload["metrics"]["npv_gbp_m"] is None
+        assert payload["notes"] == {"npv_gbp_m": "NPV is beyond float range (+inf)"}
+        assert 34 < payload["metrics"]["lcoe_gbp_per_mwh"] < 35
+
+    def test_default_break_even_power_is_gross_of_efficiency(self, capsys, config_path):
+        # J = P_avg - P_BE * n_t compares P_BE with gross power, and energy_year
+        # applies the efficiency to P_avg: half the efficiency, twice the P_BE.
+        powers = []
+        for efficiency in (1.0, 0.5):
+            array = dict(BASE_CONFIG["array"], electrical_efficiency=efficiency)
+            path = config_path({"array": array}, name=f"eta_{efficiency}.json")
+            code, out, _ = run(capsys, ["metrics", path, "--format", "json"])
+            assert code == EXIT_OK
+            powers.append(json.loads(out)["metrics"]["break_even_power_mw"])
+        assert powers[0] == pytest.approx(0.2259, abs=1e-4)
+        assert powers[1] == 2 * powers[0]
 
     def test_out_file(self, capsys, config_path, tmp_path):
         target = tmp_path / "report.json"
@@ -295,6 +323,14 @@ class TestScenariosCommand:
         assert over[1]["metrics"] == base[1]["metrics"]
         assert over[0]["metrics"]["npv"] != base[0]["metrics"]["npv"]
 
+    def test_npv_beyond_float_range_is_undefined_with_note(self, capsys, config_path):
+        path = config_path({"scenario_overrides": {"lifetime": 200, "r": -0.99}})
+        code, out, err = run(capsys, ["scenarios", path, "--format", "json"])
+        assert (code, err) == (EXIT_OK, "")
+        for scenario in json.loads(out)["scenarios"]:
+            assert scenario["metrics"]["npv"] is None
+            assert scenario["notes"]["npv"].startswith("NPV is beyond float range")
+
     def test_csv_layout(self, capsys, config_path):
         code, out, _ = run(capsys, ["scenarios", config_path(), "--format", "csv"])
         assert code == EXIT_OK
@@ -418,6 +454,19 @@ class TestCurveCommand:
         assert code == EXIT_OK
         rows = json.loads(out)["rows"]
         assert rows[0]["max_power"] and rows[0]["max_j_bep"]
+
+    def test_npv_beyond_float_range_is_undefined_with_note(self, capsys, config_path,
+                                                            tmp_path):
+        array = dict(BASE_CONFIG["array"], lifetime_years=200)
+        path = config_path({"array": array, "finance": dict(BASE_CONFIG["finance"], r=-0.99)})
+        argv = ["curve", path, "--power-curve", self.write_curve(tmp_path, [(4, 3.2)])]
+        code, out, err = run(capsys, argv + ["--format", "json"])
+        assert (code, err) == (EXIT_OK, "")
+        row = json.loads(out)["rows"][0]
+        assert row["npv_gbp_m"] is None
+        assert row["notes"] == {"npv_gbp_m": "NPV is beyond float range (+inf)"}
+        _, out, _ = run(capsys, argv)
+        assert "  note [n_t=4/npv_gbp_m]: NPV is beyond float range (+inf)\n" in out
 
     def test_malformed_csv_reports_line(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

@@ -209,3 +209,21 @@ class TestDiscountedSumKernel:
         flows = {0: -5e11, **{year: 1e11 for year in range(1, 150)}, 150: -1e13}
         schedule = CashFlowSchedule(150, flows)
         assert present_value(schedule, DiscountSpec(annual_rate=-0.99)) == -math.inf
+
+
+class TestContinuousOverflow:
+    """exp(0.9 * 789) is beyond float range; NPV there is an infinity of its sign."""
+
+    SPEC = DiscountSpec(annual_rate=-0.9, mode=Compounding.CONTINUOUS)
+
+    def test_overflowed_factor_gives_infinity_of_the_npv_sign(self):
+        flows = {0: -100.0, **{year: 12.0 for year in range(1, 801)}}
+        assert present_value(CashFlowSchedule(800, flows), self.SPEC) == math.inf
+        flows[800] = -1e6
+        assert present_value(CashFlowSchedule(800, flows), self.SPEC) == -math.inf
+
+    def test_opposite_overflowed_products_give_infinity_not_nan(self):
+        # The factors of years 780 and 781, about 1e305, are in range; the
+        # products overflow to +inf and -inf. Year 781's outweighs year 780's.
+        schedule = CashFlowSchedule(781, {0: -1.0, 780: 1e10, 781: -1e10})
+        assert present_value(schedule, self.SPEC) == -math.inf

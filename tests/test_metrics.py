@@ -14,7 +14,7 @@ from tidalecon.cost_model import (
     build_schedule,
     capex,
 )
-from tidalecon.finance_core import CashFlowSchedule, Compounding, DiscountSpec
+from tidalecon.finance_core import CashFlowSchedule, Compounding, DiscountSpec, _discrete_terms
 from tidalecon.metrics import (
     IRR_NPV_TOLERANCE,
     AmbiguousIrrWarning,
@@ -42,6 +42,7 @@ from conftest import (
     payback_exact_oracle,
     payback_scan_oracle,
     pv_oracle,
+    scan_brackets_oracle,
 )
 
 TYPICAL = CostParameters(ca_f=9.2, ca_t=3.3, o_f=0.32, o_t=0.15)
@@ -324,6 +325,79 @@ class TestIrrExactness:
         assert npv(schedule, DiscountSpec(rate)) == pytest.approx(0.0, abs=IRR_NPV_TOLERANCE)
 
 
+@st.composite
+def scan_schedules(draw) -> dict[int, float]:
+    """Flows that reach the bracket scan, from five families."""
+    kind = draw(st.sampled_from(["overhaul", "random_sign", "double_root", "tiny", "long"]))
+    rng = draw(st.randoms(use_true_random=False))
+    if kind == "overhaul":  # CAPEX, level net revenue, large OPEX hits
+        horizon, period = rng.randint(10, 40), rng.randint(3, 10)
+        level, hit = rng.uniform(0.1, 20.0), rng.uniform(0.0, 50.0)
+        flows = {0: -rng.uniform(1.0, 100.0)}
+        for year in range(1, horizon + 1):
+            flows[year] = level - (hit if year % period == 0 else 0.0)
+        return flows
+    if kind == "double_root":  # -c (x - b1)(x - b2) in x = 1 + r, roots close together
+        b1 = 1.0 + rng.uniform(-0.9, 5.0)
+        b2 = b1 * (1.0 + draw(st.sampled_from([1e-9, 1e-6, 1e-3, 1e-2])))
+        c = rng.uniform(0.1, 100.0)
+        return {0: -c, 1: c * (b1 + b2), 2: -c * b1 * b2}
+    if kind == "long":  # 100-240 years, flows up to 1e13: factors leave float range
+        horizon, big = rng.randint(100, 240), 10.0 ** rng.uniform(0.0, 13.0)
+        flows = {0: -big * rng.uniform(1.0, 10.0)}
+        for year in range(1, horizon + 1):
+            flows[year] = rng.uniform(-0.3, 1.0) * big / 10
+        flows[rng.randint(100, horizon)] = -big * rng.uniform(1.0, 1e3)
+        return flows
+    scale = 10.0 ** rng.uniform(-12.0, -4.0) if kind == "tiny" else 1.0
+    return {year: scale * rng.uniform(-10.0, 10.0) for year in range(rng.randint(1, 40) + 1)}
+
+
+# NPV at the scan grid's point 1234 is exactly 0.0 (found by adjusting the
+# last bits of the flows); the other root lies near r = 0.13.
+ZERO_AT_GRID_POINT_FLOWS = {0: -1.0, 1: 1.8813920104667285, 2: -0.8495126152915294}
+
+
+class TestCertifiedScan:
+    """The scan certifies the NPV sign of whole grid ranges, evaluating the
+    kernel only in cells no bound covers; its brackets must equal the
+    exhaustive scan's element for element."""
+
+    @given(flows=scan_schedules())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_exhaustive_scan(self, flows):
+        terms = _discrete_terms(schedule_of(flows))
+        assert metrics_module._scan_brackets(terms) == scan_brackets_oracle(terms)
+
+    def test_exact_zero_at_a_grid_point(self):
+        schedule = schedule_of(ZERO_AT_GRID_POINT_FLOWS)
+        terms = _discrete_terms(schedule)
+        root = metrics_module._grid()[1234]
+        assert metrics_module._npv_at_rate(terms, root) == 0.0
+        brackets = metrics_module._scan_brackets(terms)
+        assert brackets == scan_brackets_oracle(terms)
+        assert brackets[0] == (root, root) and len(brackets) == 2
+        with pytest.warns(AmbiguousIrrWarning, match="2 NPV roots bracketed"):
+            assert irr(schedule) == root
+
+    @pytest.mark.parametrize("flows", [TWO_ROOT_FLOWS, SCAN_PATH_IRRS[1][0]])
+    def test_one_irr_evaluates_far_fewer_npvs_than_the_grid(self, monkeypatch, flows):
+        # The exhaustive scan alone made 2001 kernel calls. This counts every
+        # call of the kernel during one irr: bounds, cells, secant, bisection.
+        calls = []
+        kernel = metrics_module._discounted_sum
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(metrics_module, "_discounted_sum", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AmbiguousIrrWarning)
+            irr(schedule_of(flows))
+        assert 0 < len(calls) < 400
+
+
 class TestLongHorizonOverflow:
     """At r = -0.99 the discount factor of year 155 is 100 ** 155, beyond float
     range; LCOE and payback must still come out right, not overflow."""
@@ -504,6 +578,20 @@ class TestFunctionalSweep:
         rows = self.sweep([(n, 0.0) for n in (1, 2, 3)], BreakEvenSpec(p_be_mw=0.4))
         assert all(row["npv_gbp_m"] < 0 for row in rows)
         assert all(row["lcoe_gbp_per_mwh"] is None for row in rows)
+
+    def test_undefined_values_are_none_with_notes(self):
+        rows = functional_sweep(
+            [(4, 3.2), (5, 0.0)], design(mw_t=5.0, lifetime_years=200), TYPICAL,
+            TariffScheme(150.0), DiscountSpec(-0.99), BreakEvenSpec(p_be_mw=0.4),
+        )
+        assert rows[0]["npv_gbp_m"] is None
+        assert rows[0]["notes"] == {"npv_gbp_m": "NPV is beyond float range (+inf)"}
+        assert rows[1]["npv_gbp_m"] is rows[1]["lcoe_gbp_per_mwh"] is None
+        assert rows[1]["notes"] == {
+            "npv_gbp_m": "NPV is beyond float range (-inf)",
+            "lcoe_gbp_per_mwh": "discounted energy is zero; LCOE is undefined",
+        }
+        assert "notes" not in self.sweep([(4, 3.2)], BreakEvenSpec(p_be_mw=0.4))[0]
 
     def test_empty_curve_rejected(self):
         with pytest.raises(ValueError):
