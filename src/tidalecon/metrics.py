@@ -11,6 +11,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cache
+from itertools import accumulate
 from typing import Sequence
 
 from .cost_model import (
@@ -336,23 +337,78 @@ def _secant(terms: _Terms, tolerance: float) -> float | None:
     return None
 
 
+def _root_bound(terms: _Terms) -> int | None:
+    """A bound on the number of NPV roots on r > -1, from running sums of the flows.
+
+    With x = 1/(1+r), NPV is p(x) = sum of a_k * x**k over the dense flows
+    a_0..a_n from the first listed year to the last. Rates r > 0 are x in
+    (0, 1), where p(x) / (1 - x)**2 = sum of c_k * x**k has the same roots,
+    and Descartes' rule for power series (Polya & Szego, *Problems and
+    Theorems in Analysis* II, part V) bounds them by the sign changes of
+    the c_k: the 2-fold running sums T_0..T_n of the flows, then
+    T_n + (k - n) * S_n for k > n, whose sign ends as that of the total
+    S_n. With one running sum in place of two this is Norstrom's
+    cumulative-cash-flow criterion (JFQA 7(3), 1972). Rates in (-1, 0) are
+    x > 1, where x**-n * p(x) is the same polynomial in 1/x with the flows
+    in reverse year order, so the same count on the reversed flows bounds
+    them. r = 0 is a root only when S_n is 0. The bound is the sum of the
+    two counts.
+
+    The sums are floats. Each addition errs by at most 2**-53 times its
+    result, |S_j| <= sum |a| and |T_j| <= (j + 1) * sum |a|, so the computed
+    T_k is within (k**2 + 2k) * 2**-53 * sum |a| of the exact one, to first
+    order, and S_n within n * 2**-53 * sum |a|. Each of the n + 2 signs
+    counted, the total last, is taken only from a sum whose magnitude
+    exceeds (k + 2)**2 * 2**-53 * sum |a| at its place k in the sequence,
+    whose slack covers the second-order terms for n below 10**7. Then
+    every sign is exact and the total is not 0; otherwise, and for flows
+    so small or large that a sum or its bound leaves the normal float
+    range, the result is None and the caller scans.
+    """
+    amounts, exponents = terms
+    flows = [0.0] * (exponents[0] - exponents[-1] + 1)
+    for amount, exponent in zip(amounts, exponents):
+        flows[exponents[0] - exponent] = amount
+    unit = sum(map(abs, flows)) * 2.0**-53
+    bounds = [(k + 2) ** 2 * unit for k in range(len(flows) + 1)]
+    if not (2.0**-1020 < unit and bounds[-1] < 2.0**960):
+        return None
+    count = 0
+    for ordered in (flows, flows[::-1]):
+        sums = list(accumulate(ordered))
+        coefficients = [*accumulate(sums), sums[-1]]
+        if not all(abs(c) > bound for c, bound in zip(coefficients, bounds)):
+            return None
+        signs = [c > 0 for c in coefficients]
+        count += sum(a != b for a, b in zip(signs, signs[1:]))
+    return count
+
+
 def irr(schedule: CashFlowSchedule) -> float:
     """Internal rate of return: the discount rate at which NPV is zero.
 
-    Searches the bracket [-0.99, 10]. When the nonzero flows change sign
-    exactly once, Descartes' rule of signs in x = 1/(1+r) gives exactly one
-    root on r > -1: NPV at the two bracket ends tells whether it lies in
-    range, and a secant iteration seeded inside the usual tidal
-    discount-rate range finds it, with bisection of its cell of the scan
-    grid as fallback. With two or more sign changes, NPV's sign changes on
-    a 2001-point grid are bracketed first: bounds from the discounted
-    positive and negative flows certify the sign of whole ranges of grid
-    points, with a margin for rounding, so NPV itself is evaluated only in
-    the few cells no bound covers, and the brackets are those an
-    evaluation at every point would give (see ``_scan_brackets``). If
-    several roots exist the smallest bracketed one is returned and an
-    ``AmbiguousIrrWarning`` is emitted. The NPV tolerance scales down with
-    the largest flow when that is below 1 GBP m. The scan, the secant and
+    Searches the bracket [-0.99, 10] by one of three paths.
+
+    - One sign change. When the nonzero flows change sign exactly once,
+      Descartes' rule of signs in x = 1/(1+r) gives exactly one root on
+      r > -1.
+    - Root-count bound. With two or more sign changes, the running sums of
+      the flows bound the roots on r > -1 (see ``_root_bound``); most
+      overhaul-style schedules have a certified bound of at most 1.
+    - Certified scan. Otherwise NPV's sign changes on a 2001-point grid are
+      bracketed first: bounds from the discounted positive and negative
+      flows certify the sign of whole ranges of grid points, with a margin
+      for rounding, so NPV itself is evaluated only in the few cells no
+      bound covers, and the brackets are those an evaluation at every point
+      would give (see ``_scan_brackets``). If several roots are bracketed
+      the smallest is returned and an ``AmbiguousIrrWarning`` is emitted.
+
+    On the first two paths, with at most one root, NPV at the two bracket
+    ends tells whether it lies in range, and a secant iteration seeded
+    inside the usual tidal discount-rate range finds it, with bisection of
+    its cell of the scan grid as fallback. The scan path tries the same
+    secant when it finds one bracket. The NPV tolerance scales down with the
+    largest flow when that is below 1 GBP m. The scan, the secant and
     bisection all evaluate NPV with the one kernel behind ``npv``, so each
     trial rate's NPV is exactly ``npv(schedule, DiscountSpec(rate))``; an
     NPV beyond float range counts as an infinity of its sign.
@@ -367,7 +423,7 @@ def irr(schedule: CashFlowSchedule) -> float:
     bisect_tol = 1e-12 * scale
     no_root = f"no IRR in range [{IRR_BRACKET[0]}, {IRR_BRACKET[1]}]"
 
-    if sign_changes == 1:
+    if sign_changes == 1 or _root_bound(terms) in (0, 1):
         grid = _grid()
         low_positive = _npv_at_rate(terms, grid[0]) > 0
         if low_positive == (_npv_at_rate(terms, grid[-1]) > 0):

@@ -85,6 +85,9 @@ def _resolve(label: str, overrides: Mapping[str, float] | None) -> dict[str, flo
 
 
 def _apply(design: ArrayDesign, values: Mapping[str, float]):
+    lifetime = values["lifetime"]
+    if not float(lifetime).is_integer():
+        raise ValueError(f"lifetime must be a whole number of years, got {lifetime!r}")
     params = CostParameters(
         ca_f=values["ca_f"], ca_t=values["ca_t"], o_f=values["o_f"], o_t=values["o_t"]
     )
@@ -92,7 +95,7 @@ def _apply(design: ArrayDesign, values: Mapping[str, float]):
     spec = DiscountSpec(annual_rate=values["r"])
     bound_design = replace(
         design,
-        lifetime_years=int(values["lifetime"]),
+        lifetime_years=int(lifetime),
         availability=values["availability"],
     )
     return bound_design, params, tariff, spec

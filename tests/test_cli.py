@@ -6,9 +6,9 @@ import math
 import pytest
 
 from tidalecon.cli import EXIT_INPUT_ERROR, EXIT_OK, _json_dump, main
-from tidalecon.cost_model import ArrayDesign, CostParameters
+from tidalecon.cost_model import ArrayDesign, CostParameters, TariffScheme, build_schedule
 from tidalecon.finance_core import DiscountSpec
-from tidalecon.metrics import lcoe
+from tidalecon.metrics import lcoe, npv
 
 BASE_CONFIG = {
     "array": {
@@ -331,6 +331,12 @@ class TestScenariosCommand:
             assert scenario["metrics"]["npv"] is None
             assert scenario["notes"]["npv"].startswith("NPV is beyond float range")
 
+    def test_non_integral_lifetime_override_exits_2(self, capsys, config_path):
+        path = config_path({"scenario_overrides": {"lifetime": 25.5}})
+        code, out, err = run(capsys, ["scenarios", path, "--format", "json"])
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert "lifetime must be a whole number of years, got 25.5" in err
+
     def test_csv_layout(self, capsys, config_path):
         code, out, _ = run(capsys, ["scenarios", config_path(), "--format", "csv"])
         assert code == EXIT_OK
@@ -375,6 +381,30 @@ class TestSweepCommand:
         short, long = (float(line.split(",")[1]) for line in lines[1:])
         # Late years are heavily discounted at r=0.10: only a few percent change.
         assert abs(short - long) / long < 0.10
+
+    def test_non_integral_lifetime_step_exits_2(self, capsys, config_path):
+        # It once printed 23.333333333333332 beside a 23-year NPV.
+        code, out, err = run(capsys, [
+            "sweep", config_path(), "--param", "lifetime", "--from", "20", "--to", "30",
+            "--steps", "4", "--metric", "npv",
+        ])
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert "lifetime must be a whole number of years, got 23.333333333333332" in err
+
+    def test_whole_lifetime_steps_unchanged(self, capsys, config_path):
+        code, out, _ = run(capsys, [
+            "sweep", config_path(), "--param", "lifetime", "--from", "20", "--to", "30",
+            "--steps", "3", "--metric", "npv",
+        ])
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [value for value, _ in rows] == ["20.0", "25.0", "30.0"]
+        for value, result in rows:
+            design = ArrayDesign(n_t=4, mw_t=1.5, p_avg_mw=3.2,
+                                 lifetime_years=int(float(value)), availability=0.95)
+            schedule = build_schedule(design, CostParameters(9.2, 3.3, 0.32, 0.15),
+                                      TariffScheme(150.0))
+            assert float(result) == npv(schedule, DiscountSpec(0.10))
 
     def test_json_format(self, capsys, config_path):
         argv = ["sweep", config_path(), "--param", "tariff", "--from", "40", "--to", "150",

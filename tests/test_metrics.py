@@ -243,6 +243,7 @@ class TestIrrRuleOfSigns:
 
         scan = metrics_module._scan_brackets
         monkeypatch.setattr(metrics_module, "_scan_brackets", spy)
+        assert metrics_module._root_bound(_discrete_terms(schedule_of(TWO_ROOT_FLOWS))) == 2
         with pytest.warns(AmbiguousIrrWarning):
             result = irr(schedule_of(TWO_ROOT_FLOWS))
         assert len(calls) == 1
@@ -396,6 +397,49 @@ class TestCertifiedScan:
             warnings.simplefilter("ignore", AmbiguousIrrWarning)
             irr(schedule_of(flows))
         assert 0 < len(calls) < 400
+
+
+class TestRootCountBound:
+    """Running sums of the flows bound NPV's roots on r > -1, so a schedule
+    with several sign changes but a bound of at most 1 skips the scan."""
+
+    @given(flows=scan_schedules())
+    @settings(max_examples=200, deadline=None)
+    def test_never_below_the_exhaustive_scan(self, flows):
+        terms = _discrete_terms(schedule_of(flows))
+        bound = metrics_module._root_bound(terms)
+        if bound is not None:  # None: a running sum too near zero to trust its sign
+            assert bound >= len(scan_brackets_oracle(terms))
+
+    @pytest.mark.parametrize("flows, expected", SCAN_PATH_IRRS)
+    def test_one_root_schedules_skip_the_scan(self, monkeypatch, flows, expected):
+        def fail(terms):
+            raise AssertionError("bracket scan run under a root bound of 1")
+
+        monkeypatch.setattr(metrics_module, "_scan_brackets", fail)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert irr(schedule_of(flows)) == float.fromhex(expected)
+
+    def test_overhaul_irr_needs_few_npvs(self, monkeypatch):
+        # The certified scan made 79 kernel calls on this schedule.
+        calls = []
+        kernel = metrics_module._discounted_sum
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(metrics_module, "_discounted_sum", counting)
+        irr(schedule_of(SCAN_PATH_IRRS[1][0]))
+        assert 0 < len(calls) < 20
+
+    @pytest.mark.parametrize("flows", [
+        {0: 0.0, 1: -1.0, 2: 2.2, 3: -1.2075},  # a listed zero: T_0 is 0
+        {0: 1e-300, 1: -2e-300, 2: 1e-300},  # beyond the normal float range
+    ])
+    def test_uncertain_sums_give_no_bound(self, flows):
+        assert metrics_module._root_bound(_discrete_terms(schedule_of(flows))) is None
 
 
 class TestLongHorizonOverflow:
