@@ -31,13 +31,7 @@ from .cost_estimation import (
     split_from_ratio,
     split_two_points,
 )
-from .cost_model import (
-    HOURS_PER_YEAR,
-    ArrayDesign,
-    CostParameters,
-    TariffScheme,
-    build_schedule,
-)
+from .cost_model import ArrayDesign, CostParameters, TariffScheme
 from .finance_core import Compounding, DiscountSpec
 from . import metrics as _metrics
 from . import scenarios as _scenarios
@@ -185,31 +179,12 @@ def load_config(path: str) -> ProjectInputs:
             ev_mw_per_turbine=float(bep_block.get("ev_mw_per_turbine", 0.0)),
         )
     else:
-        bep = _metrics.BreakEvenSpec(p_be_mw=_default_break_even(design, params, tariff))
+        bep = _metrics.BreakEvenSpec(p_be_mw=_metrics.default_break_even(design, params, tariff))
 
     overrides = {str(k): float(v) for k, v in raw.get("scenario_overrides", {}).items()}
     return ProjectInputs(
         design=design, params=params, tariff=tariff, spec=spec, bep=bep, overrides=overrides
     )
-
-
-def _default_break_even(
-    design: ArrayDesign, params: CostParameters, tariff: TariffScheme
-) -> float:
-    """Break-even power implied by the per-turbine cost components.
-
-    P_BE is a gross average power, like the ``p_avg_mw`` that
-    J = P_avg - P_BE * n_t compares it with. ``energy_year`` applies the
-    electrical efficiency to that power, so covering the expenditure takes
-    the net figure divided by the efficiency.
-    """
-    expenditures = [params.ca_t * 1e6] + [params.o_t * 1e6] * design.lifetime_years
-    hours = [0.0] + [
-        HOURS_PER_YEAR * design.availability_in_year(year)
-        for year in range(1, design.lifetime_years + 1)
-    ]
-    net = _metrics.break_even_power(expenditures, hours, tariff.t_e)
-    return net / design.electrical_efficiency
 
 
 # ---------------------------------------------------------------------------
@@ -261,41 +236,13 @@ def _banner(args: argparse.Namespace) -> str:
 # ---------------------------------------------------------------------------
 # Subcommands
 
-_METRIC_KEYS = (
-    ("npv", "npv_gbp_m"),
-    ("lcoe", "lcoe_gbp_per_mwh"),
-    ("payback", "payback_years"),
-    ("irr", "irr"),
-)
-
-
 def cmd_metrics(args: argparse.Namespace) -> int:
     inputs = load_config(args.config)
     design, params, tariff, spec = inputs.design, inputs.params, inputs.tariff, inputs.spec
-    schedule = build_schedule(design, params, tariff)
-
-    report: dict[str, float | None] = {}
-    notes: dict[str, str] = {}
-    try:
-        report["npv_gbp_m"] = _metrics.reported_npv(schedule, spec)
-    except _metrics.NpvOutOfRangeError as err:
-        report["npv_gbp_m"] = None
-        notes["npv_gbp_m"] = str(err)
-    try:
-        report["lcoe_gbp_per_mwh"] = _metrics.lcoe(design, params, spec)
-    except ValueError as err:  # zero-power design: no energy, LCOE undefined
-        report["lcoe_gbp_per_mwh"] = None
-        notes["lcoe_gbp_per_mwh"] = str(err)
-    try:
-        report["payback_years"] = _metrics.payback_period(schedule, spec)
-    except _metrics.NoPaybackError as err:
-        report["payback_years"] = None
-        notes["payback_years"] = str(err)
-    try:
-        report["irr"] = _metrics.irr(schedule)
-    except (_metrics.IrrUndefinedError, _metrics.NoIrrInRangeError) as err:
-        report["irr"] = None
-        notes["irr"] = str(err)
+    values, undefined = _metrics.evaluate(design, params, tariff, spec)
+    keys = _metrics.REPORT_KEYS
+    report = {keys[name]: value for name, value in values.items()}
+    notes = {keys[name]: note for name, note in undefined.items()}
 
     p_be = inputs.bep.p_be_mw
     report["break_even_power_mw"] = p_be

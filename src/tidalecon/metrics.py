@@ -15,6 +15,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .cost_model import (
+    HOURS_PER_YEAR,
     ArrayDesign,
     CostParameters,
     TariffScheme,
@@ -32,6 +33,9 @@ from .finance_core import (
     present_value,
 )
 
+METRIC_NAMES = ("npv", "lcoe", "payback", "irr")
+# The key each metric is reported under in ``metrics`` and ``curve`` output.
+REPORT_KEYS = {"npv": "npv_gbp_m", "lcoe": "lcoe_gbp_per_mwh", "payback": "payback_years", "irr": "irr"}
 IRR_NPV_TOLERANCE = 1e-6  # GBP m; scaled by the largest flow when that is below 1
 IRR_BRACKET = (-0.99, 10.0)
 _GRID_CELLS = 2000  # log-spaced cells of the bracket scan
@@ -449,6 +453,53 @@ def irr(schedule: CashFlowSchedule) -> float:
     return _bisect(terms, *brackets[0], bisect_tol)
 
 
+# What each metric raises when it is undefined for the inputs.
+_UNDEFINED = {
+    "npv": NpvOutOfRangeError,
+    "lcoe": ValueError,  # zero-power design: no energy
+    "payback": NoPaybackError,
+    "irr": (IrrUndefinedError, NoIrrInRangeError),
+}
+
+
+def evaluate(
+    design: ArrayDesign,
+    params: CostParameters,
+    tariff: TariffScheme,
+    spec: DiscountSpec,
+    names: Sequence[str] = METRIC_NAMES,
+) -> tuple[dict[str, float | None], dict[str, str]]:
+    """The named metrics of one design, in ``METRIC_NAMES`` order.
+
+    Builds the schedule once and computes only the metrics in ``names``.
+    Returns ``(values, notes)``: a metric undefined for these inputs (an
+    NPV beyond float range, no energy for LCOE, no payback, no IRR) is None
+    in ``values``, and ``notes`` maps its name to the reason.
+    """
+    for name in names:
+        if name not in METRIC_NAMES:
+            raise ValueError(f"unknown metric {name!r}; valid names: {', '.join(METRIC_NAMES)}")
+    schedule = build_schedule(design, params, tariff)
+    values: dict[str, float | None] = {}
+    notes: dict[str, str] = {}
+    for name in METRIC_NAMES:
+        if name not in names:
+            continue
+        try:
+            if name == "npv":
+                values[name] = reported_npv(schedule, spec)
+            elif name == "lcoe":
+                values[name] = lcoe(design, params, spec)
+            elif name == "payback":
+                values[name] = payback_period(schedule, spec)
+            else:
+                values[name] = irr(schedule)
+        except _UNDEFINED[name] as err:
+            values[name] = None
+            notes[name] = str(err)
+    return values, notes
+
+
 def break_even_power(
     per_turbine_expenditures: Sequence[float],
     hours: Sequence[float],
@@ -466,6 +517,25 @@ def break_even_power(
     if denominator <= 0:
         raise ValueError("total tariff-weighted hours must be positive")
     return sum(per_turbine_expenditures) / denominator
+
+
+def default_break_even(
+    design: ArrayDesign, params: CostParameters, tariff: TariffScheme
+) -> float:
+    """Break-even power implied by the per-turbine cost components.
+
+    P_BE is a gross average power, like the ``p_avg_mw`` that
+    J = P_avg - P_BE * n_t compares it with. ``energy_year`` applies the
+    electrical efficiency to that power, so covering the expenditure takes
+    the net figure divided by the efficiency.
+    """
+    expenditures = [params.ca_t * 1e6] + [params.o_t * 1e6] * design.lifetime_years
+    hours = [0.0] + [
+        HOURS_PER_YEAR * design.availability_in_year(year)
+        for year in range(1, design.lifetime_years + 1)
+    ]
+    net = break_even_power(expenditures, hours, tariff.t_e)
+    return net / design.electrical_efficiency
 
 
 def bep_from_capacity_factor(rating_mw: float, capacity_factor: float) -> float:
@@ -518,41 +588,34 @@ def functional_sweep(
     """Evaluate every metric along a turbine-count / power curve.
 
     Each (n_t, P_avg) sample is substituted into ``design_template``
-    (availability, efficiency, rating and lifetime are kept). Returns one
-    row per sample, in input order. An undefined NPV or LCOE is None, and
-    the row then carries a ``notes`` mapping from its key to the reason.
+    (availability, efficiency, rating and lifetime are kept); n_t must be a
+    whole number, though an integral float such as 3.0 is accepted.
+    Returns one row per sample, in input order. An undefined NPV or LCOE is
+    None, and the row then carries a ``notes`` mapping from its key to the
+    reason.
     """
     if not power_curve:
         raise ValueError("power curve is empty")
     counts = [n for n, _ in power_curve]
+    for n_t in counts:
+        if not float(n_t).is_integer():
+            raise ValueError(f"n_t must be a whole number of turbines, got {n_t!r}")
     if len(set(counts)) != len(counts):
         raise ValueError("power-curve samples must have distinct n_t values")
 
     rows = []
     for n_t, p_avg in power_curve:
         design = replace(design_template, n_t=int(n_t), p_avg_mw=float(p_avg))
-        schedule = build_schedule(design, params, tariff)
-        notes = {}
-        try:
-            row_npv: float | None = reported_npv(schedule, spec)
-        except NpvOutOfRangeError as err:
-            row_npv = None
-            notes["npv_gbp_m"] = str(err)
-        try:
-            row_lcoe: float | None = lcoe(design, params, spec)
-        except ValueError as err:  # zero-power sample: no energy, LCOE undefined
-            row_lcoe = None
-            notes["lcoe_gbp_per_mwh"] = str(err)
+        values, notes = evaluate(design, params, tariff, spec, ("npv", "lcoe"))
         row = {
             "n_t": int(n_t),
             "p_avg_mw": float(p_avg),
             "power_per_device_mw": float(p_avg) / n_t,
             "j_bep_mw": bep_functional(p_avg, bep, n_t),
             "j_bep_ev_mw": bep_ev_functional(p_avg, bep, n_t),
-            "npv_gbp_m": row_npv,
-            "lcoe_gbp_per_mwh": row_lcoe,
         }
+        row.update((REPORT_KEYS[name], value) for name, value in values.items())
         if notes:
-            row["notes"] = notes
+            row["notes"] = {REPORT_KEYS[name]: note for name, note in notes.items()}
         rows.append(row)
     return rows

@@ -10,12 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from .cost_model import ArrayDesign, CostParameters, TariffScheme, build_schedule
+from .cost_model import ArrayDesign, CostParameters, TariffScheme
 from .finance_core import DiscountSpec
 from . import metrics as _metrics
 
 SCENARIO_LABELS = ("optimistic", "typical", "pessimistic")
-METRIC_NAMES = ("npv", "lcoe", "payback", "irr")
+METRIC_NAMES = _metrics.METRIC_NAMES
 
 
 @dataclass(frozen=True)
@@ -102,35 +102,13 @@ def _apply(design: ArrayDesign, values: Mapping[str, float]):
 
 
 def compute_metrics(
-    design: ArrayDesign, values: Mapping[str, float]
+    design: ArrayDesign, values: Mapping[str, float], names: Sequence[str] = METRIC_NAMES
 ) -> tuple[dict[str, float | None], dict[str, str]]:
-    """Evaluate NPV, LCOE, payback and IRR; undefined metrics become None."""
-    bound_design, params, tariff, spec = _apply(design, values)
-    schedule = build_schedule(bound_design, params, tariff)
+    """Evaluate the named metrics, all four by default; undefined ones become None.
 
-    results: dict[str, float | None] = {}
-    notes: dict[str, str] = {}
-    try:
-        results["npv"] = _metrics.reported_npv(schedule, spec)
-    except _metrics.NpvOutOfRangeError as err:
-        results["npv"] = None
-        notes["npv"] = str(err)
-    try:
-        results["lcoe"] = _metrics.lcoe(bound_design, params, spec)
-    except ValueError as err:  # zero-power design: no energy, LCOE undefined
-        results["lcoe"] = None
-        notes["lcoe"] = str(err)
-    try:
-        results["payback"] = _metrics.payback_period(schedule, spec)
-    except _metrics.NoPaybackError as err:
-        results["payback"] = None
-        notes["payback"] = str(err)
-    try:
-        results["irr"] = _metrics.irr(schedule)
-    except (_metrics.IrrUndefinedError, _metrics.NoIrrInRangeError) as err:
-        results["irr"] = None
-        notes["irr"] = str(err)
-    return results, notes
+    ``values`` binds every built-in parameter; see ``metrics.evaluate``.
+    """
+    return _metrics.evaluate(*_apply(design, values), names)
 
 
 def evaluate_scenarios(
@@ -163,7 +141,7 @@ def sensitivity_sweep(
 
     ``base_scenario`` is a scenario label or a full parameter mapping.
     Returns (value, metric) pairs in grid order; None marks grid points
-    where the metric is undefined.
+    where the metric is undefined. Only the swept metric is computed.
     """
     if metric not in METRIC_NAMES:
         raise ValueError(f"unknown metric {metric!r}; valid names: {', '.join(METRIC_NAMES)}")
@@ -179,7 +157,7 @@ def sensitivity_sweep(
     for value in grid:
         values = dict(base)
         values[parameter] = value
-        metric_values, _ = compute_metrics(design, values)
+        metric_values, _ = compute_metrics(design, values, (metric,))
         curve.append((value, metric_values[metric]))
     return curve
 

@@ -27,6 +27,8 @@ from tidalecon.metrics import (
     bep_from_capacity_factor,
     bep_functional,
     break_even_power,
+    default_break_even,
+    evaluate,
     functional_sweep,
     irr,
     lcoe,
@@ -644,6 +646,44 @@ class TestFunctionalSweep:
     def test_duplicate_counts_rejected(self):
         with pytest.raises(ValueError):
             self.sweep([(4, 3.0), (4, 3.1)], BreakEvenSpec(p_be_mw=0.4))
+
+    def test_non_integral_count_rejected_naming_n_t(self):
+        with pytest.raises(ValueError, match="n_t must be a whole number.*2.5"):
+            self.sweep([(2.5, 1.0)], BreakEvenSpec(p_be_mw=0.4))
+
+    def test_integral_float_count_accepted(self):
+        bep = BreakEvenSpec(p_be_mw=0.4, ev_mw_per_turbine=0.01)
+        rows = self.sweep([(3.0, 2.4), (5.0, 3.5)], bep)
+        assert rows == self.sweep([(3, 2.4), (5, 3.5)], bep)
+        assert [type(row["n_t"]) for row in rows] == [int, int]
+
+
+class TestEvaluate:
+    def test_unknown_name_rejected_listing_valid_ones(self):
+        with pytest.raises(ValueError, match="'bogus'; valid names: npv, lcoe, payback, irr"):
+            evaluate(design(), TYPICAL, TariffScheme(150.0), DiscountSpec(0.10), ("npv", "bogus"))
+
+    def test_values_and_notes_match_the_metric_functions(self):
+        d, tariff, spec = design(), TariffScheme(40.0), DiscountSpec(0.10)
+        schedule = build_schedule(d, TYPICAL, tariff)
+        values, notes = evaluate(d, TYPICAL, tariff, spec)
+        assert values == {
+            "npv": npv(schedule, spec),
+            "lcoe": lcoe(d, TYPICAL, spec),
+            "payback": None,
+            "irr": irr(schedule),
+        }
+        with pytest.raises(NoPaybackError) as err:
+            payback_period(schedule, spec)
+        assert notes == {"payback": str(err.value)}
+
+    def test_default_break_even_is_break_even_power_over_efficiency(self):
+        d = design(electrical_efficiency=0.8, lifetime_years=3)
+        hours = [0.0] + [8760.0 * 0.95] * 3
+        expenditures = [3.3e6, 0.15e6, 0.15e6, 0.15e6]
+        assert default_break_even(d, TYPICAL, TariffScheme(150.0)) == (
+            break_even_power(expenditures, hours, 150.0) / 0.8
+        )
 
 
 class TestArgmaxInvariance:

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import pytest
 
+from tidalecon import metrics as metrics_module
 from tidalecon.cost_model import ArrayDesign, CostParameters, TariffScheme, build_schedule
 from tidalecon.finance_core import DiscountSpec
 from tidalecon.metrics import lcoe, npv
 from tidalecon.scenarios import (
+    METRIC_NAMES,
     SCENARIO_LABELS,
     builtin_parameters,
+    compute_metrics,
     evaluate_scenarios,
     lcoe_rate_elasticity,
     parameter_range,
@@ -150,6 +153,73 @@ class TestSensitivitySweep:
         d = design()
         schedule = build_schedule(d, TYPICAL, TariffScheme(200.0))
         assert curve[0][1] == pytest.approx(npv(schedule, DiscountSpec(0.10)))
+
+
+TYPICAL_VALUES = {entry.name: entry.typical for entry in builtin_parameters()}
+# The function behind each metric, as ``metrics.evaluate`` calls it.
+METRIC_FUNCTIONS = {"npv": "reported_npv", "lcoe": "lcoe", "payback": "payback_period", "irr": "irr"}
+# Sweeps through points where a metric is undefined: (design, base, parameter, grid).
+UNDEFINED_GRIDS = [
+    (design(p_avg_mw=0.0), {}, "tariff", [40.0, 290.0]),  # zero power: no LCOE, payback, IRR
+    (design(), {}, "tariff", [10.0, 40.0, 150.0]),  # no IRR sign change, no payback
+    (design(), {}, "r", [0.05, 0.10, 0.15]),  # no payback at 15%
+    (design(), {"ca_t": 0.01}, "ca_f", [0.01, 9.2]),  # IRR above the bracket
+    (design(), {"r": -0.99}, "lifetime", [25.0, 200.0]),  # NPV beyond float range
+]
+
+
+class MetricNotWanted(Exception):
+    pass
+
+
+class TestMetricBundle:
+    def test_default_names_give_all_four_in_order(self):
+        values, notes = compute_metrics(design(), TYPICAL_VALUES)
+        assert list(values) == ["npv", "lcoe", "payback", "irr"]
+        assert notes == {}
+        assert METRIC_NAMES is metrics_module.METRIC_NAMES
+
+    def test_named_subset_comes_in_metric_order(self):
+        values, _ = compute_metrics(design(), TYPICAL_VALUES, ("irr", "npv"))
+        assert list(values) == ["npv", "irr"]
+        assert values == {k: v for k, v in compute_metrics(design(), TYPICAL_VALUES)[0].items()
+                          if k in ("npv", "irr")}
+
+    @pytest.mark.parametrize("metric", METRIC_NAMES)
+    def test_sweep_computes_only_its_metric(self, monkeypatch, metric):
+        def refuse(*args):
+            raise MetricNotWanted
+
+        for other in METRIC_NAMES:
+            if other != metric:
+                monkeypatch.setattr(metrics_module, METRIC_FUNCTIONS[other], refuse)
+        curve = sensitivity_sweep(design(), "typical", "r", [0.05, 0.10], metric)
+        assert [value for value, _ in curve] == [0.05, 0.10]
+        other = "npv" if metric != "npv" else "irr"
+        with pytest.raises(MetricNotWanted):
+            sensitivity_sweep(design(), "typical", "r", [0.10], other)
+
+    @pytest.mark.parametrize("metric", METRIC_NAMES)
+    @pytest.mark.parametrize("d, base, parameter, grid", UNDEFINED_GRIDS)
+    def test_sweep_point_equals_full_bundle(self, metric, d, base, parameter, grid):
+        curve = sensitivity_sweep(d, base, parameter, grid, metric)
+        for value, got in curve:
+            values = dict(TYPICAL_VALUES, **base, **{parameter: value})
+            assert repr(got) == repr(compute_metrics(d, values)[0][metric])
+
+    def test_bundle_grids_reach_every_undefined_case(self):
+        notes = set()
+        for d, base, parameter, grid in UNDEFINED_GRIDS:
+            for value in grid:
+                values = dict(TYPICAL_VALUES, **base, **{parameter: value})
+                notes.update(compute_metrics(d, values)[1].values())
+        assert notes == {
+            "NPV is beyond float range (+inf)",
+            "discounted energy is zero; LCOE is undefined",
+            "cumulative discounted flow stays negative through year 25",
+            "IRR undefined: cash flows never change sign",
+            "no IRR in range [-0.99, 10.0]",
+        }
 
 
 class TestLcoeRateElasticity:
