@@ -514,7 +514,8 @@ def _read_power_curve(path: str) -> list[tuple[int, float]]:
             samples = []
             for line_number, row in enumerate(reader, start=2):
                 try:
-                    samples.append((int(row["n_t"]), float(row["p_avg_mw"])))
+                    n_t = _whole_number(float(row["n_t"]), "n_t")
+                    samples.append((n_t, float(row["p_avg_mw"])))
                 except (TypeError, ValueError) as err:
                     raise ConfigError(f"{path}: malformed row at line {line_number}: {err}") from err
     except OSError as err:

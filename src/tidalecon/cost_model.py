@@ -135,6 +135,18 @@ def energy_year(design: ArrayDesign, year: int) -> float:
     return design.p_avg_mw * hours_generating(design, year) * design.electrical_efficiency
 
 
+def _energy_by_year(design: ArrayDesign) -> list[float]:
+    """Net energy output of each operating year 1..L, MWh.
+
+    Each entry is ``energy_year`` of its year, computed in the same order.
+    """
+    p_avg, efficiency = design.p_avg_mw, design.electrical_efficiency
+    if isinstance(design.availability, tuple):
+        return [p_avg * (HOURS_PER_YEAR * a) * efficiency for a in design.availability]
+    energy = p_avg * (HOURS_PER_YEAR * float(design.availability)) * efficiency
+    return [energy] * design.lifetime_years
+
+
 def revenue_year(design: ArrayDesign, tariff: TariffScheme, year: int) -> float:
     """Revenue in an operating year, GBP m."""
     return energy_year(design, year) * tariff.t_e / 1e6
@@ -164,7 +176,10 @@ def build_schedule(
         multipliers = (1.0,) * design.lifetime_years
 
     base_opex = opex_year(params, design.n_t)
-    flows = {0: -capex(params, design.n_t)}
-    for year in range(1, design.lifetime_years + 1):
-        flows[year] = revenue_year(design, tariff, year) - base_opex * multipliers[year - 1]
+    t_e = tariff.t_e
+    flows = [-capex(params, design.n_t)]
+    flows += [
+        energy * t_e / 1e6 - base_opex * multiplier
+        for energy, multiplier in zip(_energy_by_year(design), multipliers)
+    ]
     return CashFlowSchedule(horizon=design.lifetime_years, flows=flows)

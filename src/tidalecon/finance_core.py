@@ -6,11 +6,11 @@ are indexed by whole project years, with year 0 the installation year.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
 from operator import mul
-from typing import Mapping, Sequence
 
 
 class Compounding(Enum):
@@ -46,28 +46,42 @@ class DiscountSpec:
 class CashFlowSchedule:
     """Net cash flow per project year, in GBP m (positive = inflow).
 
-    Years missing from ``flows`` are treated as zero flow. Every listed
-    year must lie within [0, horizon].
+    ``flows`` is a tuple of the ``horizon + 1`` yearly flows, year 0 first.
+    The constructor takes that sequence, or a mapping from year to amount
+    in which every year lies within [0, horizon] and missing years are zero
+    flow.
     """
 
     horizon: int
-    flows: Mapping[int, float] = field(default_factory=dict)
+    flows: tuple[float, ...] = field(default_factory=dict)  # empty mapping: all zero
 
     def __post_init__(self) -> None:
         if not isinstance(self.horizon, int) or self.horizon < 0:
             raise ValueError(f"horizon must be a non-negative integer, got {self.horizon}")
-        frozen = {}
-        for year, amount in self.flows.items():
-            if not isinstance(year, int) or not (0 <= year <= self.horizon):
-                raise ValueError(f"flow year {year} outside [0, {self.horizon}]")
-            if not math.isfinite(amount):
-                raise ValueError(f"flow for year {year} is not finite: {amount}")
-            frozen[year] = float(amount)
-        object.__setattr__(self, "flows", frozen)
+        flows = self.flows
+        if isinstance(flows, Mapping):
+            dense = [0.0] * (self.horizon + 1)
+            for year, amount in flows.items():
+                if not isinstance(year, int) or not (0 <= year <= self.horizon):
+                    raise ValueError(f"flow year {year} outside [0, {self.horizon}]")
+                _check_flow(year, amount)
+                dense[year] = amount
+            flows = dense
+        elif len(flows) != self.horizon + 1:
+            raise ValueError(f"need {self.horizon + 1} yearly flows, got {len(flows)}")
+        elif not all(map(math.isfinite, flows)):
+            for year, amount in enumerate(flows):
+                _check_flow(year, amount)
+        object.__setattr__(self, "flows", tuple(map(float, flows)))
 
     def flow(self, year: int) -> float:
-        """Net flow in a given year; zero for years not listed."""
-        return self.flows.get(year, 0.0)
+        """Net flow in a given year; zero outside [0, horizon]."""
+        return self.flows[year] if 0 <= year <= self.horizon else 0.0
+
+
+def _check_flow(year: int, amount: float) -> None:
+    if not math.isfinite(amount):
+        raise ValueError(f"flow for year {year} is not finite: {amount}")
 
 
 def discount_factor(spec: DiscountSpec, years: float) -> float:
@@ -88,42 +102,57 @@ def _factor(spec: DiscountSpec, years: float) -> float:
     without forming either one, so it stays in float range when both would
     overflow.
     """
-    if spec.mode is Compounding.CONTINUOUS:
-        return math.exp(-spec.annual_rate * years)
-    p = spec.periods_per_year
-    return (1.0 + spec.annual_rate / p) ** (-p * years)
+    return next(_factors(spec, (years,)))
 
 
-def _discrete_terms(
-    schedule: CashFlowSchedule, periods_per_year: int = 1
-) -> tuple[list[float], list[int]]:
-    """The schedule's flows in year order, with each year's discount exponent.
-
-    The exponent of year ``y`` is ``-periods_per_year * y``, so the pair
-    feeds ``_discounted_sum`` with the base ``1 + r / periods_per_year``.
+def _factors(spec: DiscountSpec, years: Iterable[float]) -> Iterator[float]:
+    """``_factor`` of each of ``years`` in turn, computed only as it is drawn,
+    so a factor beyond float range raises ``OverflowError`` only when reached.
     """
-    years = sorted(schedule.flows)
-    return [schedule.flows[y] for y in years], [-periods_per_year * y for y in years]
+    if spec.mode is Compounding.CONTINUOUS:
+        return map(math.exp, map(mul, repeat(-spec.annual_rate), years))
+    p = spec.periods_per_year
+    return map(pow, repeat(1.0 + spec.annual_rate / p), map(mul, repeat(-p), years))
+
+
+def _sum(values: Iterable[float]) -> float:
+    """Float sum, added left to right with one rounding per term.
+
+    From Python 3.12 on, ``sum`` of floats compensates, so it gives other
+    bits than 3.10 and 3.11; every sum behind a reported number, or behind
+    a rounding bound, adds this way on every version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def _discounted_sum(amounts: Sequence[float], exponents: Sequence[int], base: float) -> float:
     """``sum(a * base ** e)`` over the terms in order: discrete-compounding NPV.
 
     This is the one place that does the discrete discounting arithmetic, so
-    ``present_value`` and the IRR root-finder agree bit for bit. When a
-    factor overflows (a long horizon at a rate near -1), or a product does
-    and opposite infinities meet in a NaN sum, the NPV is beyond float
-    range: the result is then an infinity of the NPV's sign, taken from the
-    sum with every factor scaled down by the largest one.
+    ``present_value`` and the IRR root-finder agree bit for bit. It adds
+    as ``_sum`` does, inline for speed. When a factor overflows (a long
+    horizon at a rate near -1), or a product does and opposite infinities
+    meet in a NaN sum, the zero amounts, which add nothing whatever their
+    factor, are left out and the sum is tried again. If it still fails, the
+    NPV is beyond float range: the result is then an infinity of the NPV's
+    sign, taken from the sum with every factor scaled down by the largest.
     """
+    total = 0.0
     try:
-        total = sum(map(mul, amounts, map(pow, repeat(base), exponents)))
+        for amount, exponent in zip(amounts, exponents):
+            total += amount * base**exponent
     except OverflowError:
         total = math.nan
     if total == total:  # not NaN: the one check on the common path
         return total
+    if 0.0 in amounts:
+        kept = [k for k, amount in enumerate(amounts) if amount]
+        return _discounted_sum([amounts[k] for k in kept], [exponents[k] for k in kept], base)
     lowest = min(exponents)
-    scaled = sum(map(mul, amounts, map(pow, repeat(base), [e - lowest for e in exponents])))
+    scaled = _sum(a * base ** (e - lowest) for a, e in zip(amounts, exponents))
     return math.copysign(math.inf, scaled)
 
 
@@ -132,18 +161,26 @@ def present_value(schedule: CashFlowSchedule, spec: DiscountSpec) -> float:
 
     An NPV beyond float range is returned as an infinity of its sign.
     """
+    flows = schedule.flows
     if spec.mode is Compounding.CONTINUOUS:
-        flows = sorted(schedule.flows.items())
-        try:
-            total = sum(amount * _factor(spec, year) for year, amount in flows)
-        except OverflowError:
-            total = math.nan
-        if total == total:  # as in ``_discounted_sum``: NaN means opposite overflows
-            return total
-        # Only a negative rate overflows, so the last year's factor is the
-        # largest; dividing every factor by it keeps the sign.
-        last = flows[-1][0]
-        scaled = sum(amount * _factor(spec, year - last) for year, amount in flows)
-        return math.copysign(math.inf, scaled)
+        return _continuous_sum(flows, range(len(flows)), spec)
     p = spec.periods_per_year
-    return _discounted_sum(*_discrete_terms(schedule, p), 1.0 + spec.annual_rate / p)
+    return _discounted_sum(flows, range(0, -p * len(flows), -p), 1.0 + spec.annual_rate / p)
+
+
+def _continuous_sum(amounts: Sequence[float], years: Sequence[int], spec: DiscountSpec) -> float:
+    """``_discounted_sum`` for continuous compounding: the same order of
+    addition and the same fallbacks when a factor passes float range."""
+    try:
+        total = _sum(map(mul, amounts, _factors(spec, years)))
+    except OverflowError:
+        total = math.nan
+    if total == total:
+        return total
+    if 0.0 in amounts:
+        kept = [k for k, amount in enumerate(amounts) if amount]
+        return _continuous_sum([amounts[k] for k in kept], [years[k] for k in kept], spec)
+    # Only a negative rate overflows, so the last year's factor is the
+    # largest; dividing every factor by it keeps the sign.
+    scaled = _sum(map(mul, amounts, _factors(spec, [year - years[-1] for year in years])))
+    return math.copysign(math.inf, scaled)

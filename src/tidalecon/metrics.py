@@ -19,17 +19,18 @@ from .cost_model import (
     ArrayDesign,
     CostParameters,
     TariffScheme,
+    _energy_by_year,
     build_schedule,
     capex,
-    energy_year,
     opex_year,
 )
 from .finance_core import (
     CashFlowSchedule,
     DiscountSpec,
     _discounted_sum,
-    _discrete_terms,
     _factor,
+    _factors,
+    _sum,
     present_value,
 )
 
@@ -132,15 +133,15 @@ def _discounted_cost_and_energy(
     design: ArrayDesign, params: CostParameters, spec: DiscountSpec, shift: int
 ) -> tuple[float, float]:
     """LCOE's numerator and denominator, each factor divided by year ``shift``'s."""
+    factors = _factors(spec, range(1 - shift, design.lifetime_years + 1 - shift))
     discounted_cost = capex(params, design.n_t)  # year 0: factor 1 unless shifted
     if shift:
         discounted_cost *= _factor(spec, -shift)
     discounted_energy = 0.0
     annual_opex = opex_year(params, design.n_t)
-    for year in range(1, design.lifetime_years + 1):
-        factor = _factor(spec, year - shift)
+    for factor, energy in zip(factors, _energy_by_year(design)):
         discounted_cost += annual_opex * factor
-        discounted_energy += energy_year(design, year) * factor
+        discounted_energy += energy * factor
     return discounted_cost, discounted_energy
 
 
@@ -151,10 +152,11 @@ def payback_period(schedule: CashFlowSchedule, spec: DiscountSpec) -> float:
     boundary; interpolates linearly within the break-even year otherwise.
     """
     cumulative = 0.0
-    for year in range(schedule.horizon + 1):
+    factors = _factors(spec, range(schedule.horizon + 1))
+    for year, amount in enumerate(schedule.flows):
         previous = cumulative
         try:
-            cumulative += schedule.flow(year) * _factor(spec, year)
+            cumulative += amount * next(factors)
         except OverflowError:
             return _scaled_payback(schedule, spec)
         if not cumulative < 0:  # zero reached, or +inf or NaN
@@ -169,21 +171,23 @@ def payback_period(schedule: CashFlowSchedule, spec: DiscountSpec) -> float:
 def _scaled_payback(schedule: CashFlowSchedule, spec: DiscountSpec) -> float:
     """``payback_period`` for a schedule whose discounted sums pass float range.
 
-    That takes a long horizon at a negative rate, so the horizon's factor is
-    the largest. Dividing every factor by it changes neither the sign of the
-    cumulative flow nor the interpolation fraction. The years before the
-    sums left float range were found negative; scaled, their terms can
-    underflow to zero, so they are summed but not tested again.
+    That takes a long horizon at a negative rate, so the factor of the last
+    year with a flow is the largest that counts; the zero years after it
+    leave the cumulative flow as it is. Dividing every factor by it changes
+    neither the sign of the cumulative flow nor the interpolation fraction.
+    The years before the sums left float range were found negative; scaled,
+    their terms can underflow to zero, so they are summed but not tested
+    again.
     """
-    horizon = schedule.horizon
+    last = max((year for year, amount in enumerate(schedule.flows) if amount), default=0)
     unscaled = cumulative = 0.0
     testing = False
-    for year in range(horizon + 1):
+    for year, amount in enumerate(schedule.flows[: last + 1]):
         previous = cumulative
-        cumulative += schedule.flow(year) * _factor(spec, year - horizon)
+        cumulative += amount * _factor(spec, year - last)
         if not testing:
             try:
-                unscaled += schedule.flow(year) * _factor(spec, year)
+                unscaled += amount * _factor(spec, year)
                 testing = not math.isfinite(unscaled)
             except OverflowError:
                 testing = True
@@ -205,9 +209,13 @@ def _no_payback(schedule: CashFlowSchedule) -> NoPaybackError:
     )
 
 
-# An IRR search works on ``_discrete_terms(schedule)``: the amounts in year
-# order and their negated years, sorted once per ``irr`` call.
-_Terms = tuple[list[float], list[int]]
+# An IRR search works on ``_terms(schedule)``: the flows in year order and
+# their negated years, the discount exponents of annual compounding.
+_Terms = tuple[Sequence[float], Sequence[int]]
+
+
+def _terms(schedule: CashFlowSchedule) -> _Terms:
+    return schedule.flows, range(0, -len(schedule.flows), -1)
 
 
 def _npv_at_rate(terms: _Terms, rate: float) -> float:
@@ -275,7 +283,7 @@ def _scan_brackets(terms: _Terms) -> list[tuple[float, float]]:
     grid = _grid()
     n = len(amounts)
     relative = 8 * (n + 4) * 2.0**-53
-    absolute = math.ldexp(sum(map(abs, amounts)) + n, -1070)
+    absolute = math.ldexp(_sum(map(abs, amounts)) + n, -1070)
     positive = ([a for a in amounts if a >= 0], [e for a, e in zip(*terms) if a >= 0])
     negative = ([-a for a in amounts if a < 0], [e for a, e in zip(*terms) if a < 0])
 
@@ -341,22 +349,21 @@ def _secant(terms: _Terms, tolerance: float) -> float | None:
     return None
 
 
-def _root_bound(terms: _Terms) -> int | None:
+def _root_bound(flows: Sequence[float]) -> int | None:
     """A bound on the number of NPV roots on r > -1, from running sums of the flows.
 
-    With x = 1/(1+r), NPV is p(x) = sum of a_k * x**k over the dense flows
-    a_0..a_n from the first listed year to the last. Rates r > 0 are x in
-    (0, 1), where p(x) / (1 - x)**2 = sum of c_k * x**k has the same roots,
-    and Descartes' rule for power series (Polya & Szego, *Problems and
-    Theorems in Analysis* II, part V) bounds them by the sign changes of
-    the c_k: the 2-fold running sums T_0..T_n of the flows, then
-    T_n + (k - n) * S_n for k > n, whose sign ends as that of the total
-    S_n. With one running sum in place of two this is Norstrom's
-    cumulative-cash-flow criterion (JFQA 7(3), 1972). Rates in (-1, 0) are
-    x > 1, where x**-n * p(x) is the same polynomial in 1/x with the flows
-    in reverse year order, so the same count on the reversed flows bounds
-    them. r = 0 is a root only when S_n is 0. The bound is the sum of the
-    two counts.
+    With x = 1/(1+r), NPV is p(x) = sum of a_k * x**k over the flows
+    a_0..a_n of years 0 to n. Rates r > 0 are x in (0, 1), where
+    p(x) / (1 - x)**2 = sum of c_k * x**k has the same roots, and
+    Descartes' rule for power series (Polya & Szego, *Problems and Theorems
+    in Analysis* II, part V) bounds them by the sign changes of the c_k:
+    the 2-fold running sums T_0..T_n of the flows, then T_n + (k - n) * S_n
+    for k > n, whose sign ends as that of the total S_n. With one running
+    sum in place of two this is Norstrom's cumulative-cash-flow criterion
+    (JFQA 7(3), 1972). Rates in (-1, 0) are x > 1, where x**-n * p(x) is
+    the same polynomial in 1/x with the flows in reverse year order, so the
+    same count on the reversed flows bounds them. r = 0 is a root only when
+    S_n is 0. The bound is the sum of the two counts.
 
     The sums are floats. Each addition errs by at most 2**-53 times its
     result, |S_j| <= sum |a| and |T_j| <= (j + 1) * sum |a|, so the computed
@@ -369,11 +376,7 @@ def _root_bound(terms: _Terms) -> int | None:
     so small or large that a sum or its bound leaves the normal float
     range, the result is None and the caller scans.
     """
-    amounts, exponents = terms
-    flows = [0.0] * (exponents[0] - exponents[-1] + 1)
-    for amount, exponent in zip(amounts, exponents):
-        flows[exponents[0] - exponent] = amount
-    unit = sum(map(abs, flows)) * 2.0**-53
+    unit = _sum(map(abs, flows)) * 2.0**-53
     bounds = [(k + 2) ** 2 * unit for k in range(len(flows) + 1)]
     if not (2.0**-1020 < unit and bounds[-1] < 2.0**960):
         return None
@@ -417,7 +420,7 @@ def irr(schedule: CashFlowSchedule) -> float:
     trial rate's NPV is exactly ``npv(schedule, DiscountSpec(rate))``; an
     NPV beyond float range counts as an infinity of its sign.
     """
-    terms = _discrete_terms(schedule)
+    terms = _terms(schedule)
     amounts = terms[0]
     signs = [a > 0 for a in amounts if a != 0]
     sign_changes = sum(a != b for a, b in zip(signs, signs[1:]))
@@ -427,7 +430,7 @@ def irr(schedule: CashFlowSchedule) -> float:
     bisect_tol = 1e-12 * scale
     no_root = f"no IRR in range [{IRR_BRACKET[0]}, {IRR_BRACKET[1]}]"
 
-    if sign_changes == 1 or _root_bound(terms) in (0, 1):
+    if sign_changes == 1 or _root_bound(amounts) in (0, 1):
         grid = _grid()
         low_positive = _npv_at_rate(terms, grid[0]) > 0
         if low_positive == (_npv_at_rate(terms, grid[-1]) > 0):
@@ -513,10 +516,10 @@ def break_even_power(
     """
     if len(per_turbine_expenditures) != len(hours):
         raise ValueError("expenditure and hours sequences must have equal length")
-    denominator = sum(hours) * tariff_gbp_per_mwh
+    denominator = _sum(hours) * tariff_gbp_per_mwh
     if denominator <= 0:
         raise ValueError("total tariff-weighted hours must be positive")
-    return sum(per_turbine_expenditures) / denominator
+    return _sum(per_turbine_expenditures) / denominator
 
 
 def default_break_even(

@@ -222,7 +222,7 @@ def test_criterion_06_break_even_identities():
         profitable = build_schedule(design, params, TariffScheme(1.5 * break_even_tariff))
         rate = irr(profitable)
         assert abs(npv(profitable, DiscountSpec(annual_rate=rate))) < 1e-6
-        assert rate == pytest.approx(irr_bisection_oracle(dict(profitable.flows)),
+        assert rate == pytest.approx(irr_bisection_oracle(dict(enumerate(profitable.flows))),
                                      abs=1e-6)
 
 
@@ -233,7 +233,7 @@ def test_criterion_07_zero_rate_equivalence():
     params = CostParameters(9.2, 3.3, 0.32, 0.15)
     spec = DiscountSpec(annual_rate=0.0)
     schedule = build_schedule(design, params, TariffScheme(150.0))
-    flows = dict(schedule.flows)
+    flows = dict(enumerate(schedule.flows))
 
     assert npv(schedule, spec) == pytest.approx(sum(flows.values()), rel=1e-12)
 

@@ -506,3 +506,27 @@ class TestCurveCommand:
         ])
         assert code == EXIT_INPUT_ERROR
         assert "line 3" in err
+
+    def test_integral_float_turbine_count_accepted(self, capsys, tmp_path):
+        config = self.config_with_bep(tmp_path, 0.4)
+        outputs = []
+        for n_t in ("3", "3.0"):
+            path = tmp_path / f"curve_{n_t}.csv"
+            path.write_text(f"n_t,p_avg_mw\n{n_t},1.4\n")
+            code, out, err = run(capsys, [
+                "curve", config, "--power-curve", str(path), "--format", "json",
+            ])
+            assert (code, err) == (EXIT_OK, "")
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[1])["rows"][0]["n_t"] == 3
+
+    def test_fractional_turbine_count_names_field_and_line(self, capsys, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("n_t,p_avg_mw\n4,3.2\n2.5,1.4\n")
+        code, _, err = run(capsys, [
+            "curve", self.config_with_bep(tmp_path, 0.4), "--power-curve", str(path),
+        ])
+        assert code == EXIT_INPUT_ERROR
+        assert "line 3" in err
+        assert "n_t must be a whole number, got 2.5" in err

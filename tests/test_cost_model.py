@@ -166,7 +166,7 @@ class TestBuildSchedule:
 
     def test_single_year_horizon(self):
         schedule = build_schedule(design(lifetime_years=1), TYPICAL, TariffScheme(150.0))
-        assert set(schedule.flows) == {0, 1}
+        assert set(dict(enumerate(schedule.flows))) == {0, 1}
 
     def test_opex_multipliers(self):
         d = design(lifetime_years=3)

@@ -10,7 +10,6 @@ from tidalecon.finance_core import (
     Compounding,
     DiscountSpec,
     _discounted_sum,
-    _discrete_terms,
     discount_factor,
     present_value,
 )
@@ -50,6 +49,33 @@ class TestCashFlowSchedule:
     def test_rejects_negative_horizon(self):
         with pytest.raises(ValueError):
             CashFlowSchedule(horizon=-1)
+
+    def test_dense_tuple_year_zero_first(self):
+        schedule = CashFlowSchedule(horizon=3, flows={0: -10, 2: 4.5})
+        assert schedule.flows == (-10.0, 0.0, 4.5, 0.0)
+        assert all(type(amount) is float for amount in schedule.flows)
+        assert CashFlowSchedule(3, [-10, 0.0, 4.5, 0.0]) == schedule
+        assert CashFlowSchedule(horizon=2).flows == (0.0, 0.0, 0.0)
+
+    def test_flow_is_zero_outside_the_horizon(self):
+        schedule = CashFlowSchedule(horizon=2, flows=[-1.0, 2.0, 3.0])
+        # -1 must not wrap round to the last year.
+        assert (schedule.flow(-1), schedule.flow(3)) == (0.0, 0.0)
+        assert [schedule.flow(year) for year in range(3)] == [-1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("flows, message", [
+        ({4: 1.0}, "flow year 4 outside [0, 3]"),
+        ({-1: 1.0}, "flow year -1 outside [0, 3]"),
+        ({1.0: 1.0}, "flow year 1.0 outside [0, 3]"),
+        ({0: 1.0, 2: math.inf}, "flow for year 2 is not finite: inf"),
+        ({1: math.nan, 9: 1.0}, "flow for year 1 is not finite: nan"),  # checked in order
+        ([0.0, 1.0, -math.inf, 0.0], "flow for year 2 is not finite: -inf"),
+        ([0.0, 1.0, 2.0], "need 4 yearly flows, got 3"),
+    ])
+    def test_rejects_bad_flows_with_a_message(self, flows, message):
+        with pytest.raises(ValueError) as err:
+            CashFlowSchedule(horizon=3, flows=flows)
+        assert str(err.value) == message
 
 
 class TestDiscountFactor:
@@ -188,10 +214,11 @@ class TestDiscountedSumKernel:
     def test_exactly_equals_present_value(self, periods, rate, flows):
         schedule = CashFlowSchedule(horizon=60, flows=flows)
         spec = DiscountSpec(annual_rate=rate, periods_per_year=periods)
-        kernel = _discounted_sum(*_discrete_terms(schedule, periods), 1.0 + rate / periods)
-        per_year = sum(
-            amount * discount_factor(spec, year) for year, amount in sorted(flows.items())
-        )
+        exponents = range(0, -61 * periods, -periods)
+        kernel = _discounted_sum(schedule.flows, exponents, 1.0 + rate / periods)
+        per_year = 0.0  # left to right, as the kernel adds on every Python version
+        for year, amount in sorted(flows.items()):
+            per_year += amount * discount_factor(spec, year)
         assert kernel == present_value(schedule, spec) == per_year
 
     @pytest.mark.parametrize("horizon", [155, 200])
@@ -210,6 +237,16 @@ class TestDiscountedSumKernel:
         schedule = CashFlowSchedule(150, flows)
         assert present_value(schedule, DiscountSpec(annual_rate=-0.99)) == -math.inf
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_zero_flows_past_the_overflow_add_nothing(self, sign):
+        # Years 2..200 are zero, but their factors at r = -0.99 overflow from
+        # year 155 on; the NPV is still -1 + 2 * 100, as on a 1-year horizon.
+        spec = DiscountSpec(annual_rate=-0.99)
+        expected = present_value(CashFlowSchedule(1, [-sign, 2 * sign]), spec)
+        assert expected == pytest.approx(199.0 * sign, rel=1e-12)
+        for flows in ({0: -sign, 1: 2 * sign}, {0: -sign, 1: 2 * sign, 200: 0.0}):
+            assert present_value(CashFlowSchedule(200, flows), spec) == expected
+
 
 class TestContinuousOverflow:
     """exp(0.9 * 789) is beyond float range; NPV there is an infinity of its sign."""
@@ -227,3 +264,8 @@ class TestContinuousOverflow:
         # products overflow to +inf and -inf. Year 781's outweighs year 780's.
         schedule = CashFlowSchedule(781, {0: -1.0, 780: 1e10, 781: -1e10})
         assert present_value(schedule, self.SPEC) == -math.inf
+
+    def test_zero_flows_past_the_overflow_add_nothing(self):
+        expected = present_value(CashFlowSchedule(1, [1.0, -2.0]), self.SPEC)
+        assert expected == pytest.approx(1.0 - 2.0 * math.exp(0.9), rel=1e-12)
+        assert present_value(CashFlowSchedule(800, {0: 1.0, 1: -2.0}), self.SPEC) == expected

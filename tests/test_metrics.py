@@ -14,7 +14,7 @@ from tidalecon.cost_model import (
     build_schedule,
     capex,
 )
-from tidalecon.finance_core import CashFlowSchedule, Compounding, DiscountSpec, _discrete_terms
+from tidalecon.finance_core import CashFlowSchedule, Compounding, DiscountSpec
 from tidalecon.metrics import (
     IRR_NPV_TOLERANCE,
     AmbiguousIrrWarning,
@@ -72,7 +72,7 @@ class TestNpv:
         d = design()
         spec = DiscountSpec(0.10)
         schedule = build_schedule(d, TYPICAL, TariffScheme(150.0))
-        expected = pv_oracle(dict(schedule.flows), 0.10)
+        expected = pv_oracle(dict(enumerate(schedule.flows)), 0.10)
         assert npv(schedule, spec) == pytest.approx(expected, rel=1e-9)
 
     def test_zero_rate_plain_sum(self):
@@ -223,7 +223,7 @@ class TestIrrRuleOfSigns:
 
     def test_typical_project_skips_scan(self, no_scan):
         schedule = build_schedule(design(), TYPICAL, TariffScheme(150.0))
-        expected = irr_bisection_oracle(dict(schedule.flows))
+        expected = irr_bisection_oracle(dict(enumerate(schedule.flows)))
         assert irr(schedule) == pytest.approx(expected, abs=1e-6)
 
     @pytest.mark.parametrize("flows, expected", [
@@ -245,7 +245,7 @@ class TestIrrRuleOfSigns:
 
         scan = metrics_module._scan_brackets
         monkeypatch.setattr(metrics_module, "_scan_brackets", spy)
-        assert metrics_module._root_bound(_discrete_terms(schedule_of(TWO_ROOT_FLOWS))) == 2
+        assert metrics_module._root_bound(schedule_of(TWO_ROOT_FLOWS).flows) == 2
         with pytest.warns(AmbiguousIrrWarning):
             result = irr(schedule_of(TWO_ROOT_FLOWS))
         assert len(calls) == 1
@@ -328,6 +328,80 @@ class TestIrrExactness:
         assert npv(schedule, DiscountSpec(rate)) == pytest.approx(0.0, abs=IRR_NPV_TOLERANCE)
 
 
+_PROFILE = tuple(round(0.97 - 0.004 * year, 3) for year in range(25))
+_OVERHAUL = tuple(6.0 if year % 6 == 0 else 1.0 for year in range(1, 26))  # 9 sign changes
+# (design, OPEX multipliers, tariff) behind each row of BUILT_SCHEDULE_BITS.
+BUILT_SCHEDULES = {
+    "scalar": (dict(), None, 150.0),
+    "per_year": (dict(availability=_PROFILE), None, 150.0),
+    "efficiency": (dict(electrical_efficiency=0.9), None, 170.0),
+    "overhaul": (dict(availability=_PROFILE, electrical_efficiency=0.93), _OVERHAUL, 160.0),
+    "long": (dict(lifetime_years=200), None, 150.0),
+}
+BUILT_SPECS = {
+    "annual": DiscountSpec(0.10),
+    "quarterly": DiscountSpec(0.08, periods_per_year=4),
+    "continuous": DiscountSpec(0.07, mode=Compounding.CONTINUOUS),
+    "annual_near_-1": DiscountSpec(-0.99),  # factors beyond float range
+    "continuous_-0.9": DiscountSpec(-0.9, mode=Compounding.CONTINUOUS),
+}
+# float.hex of npv, lcoe, payback_period and irr on ``build_schedule``
+# schedules, or the exception raised, recorded while the schedule was a
+# year -> amount dict built one year at a time. The dense tuple and the
+# one-pass arithmetic must not move a bit.
+BUILT_SCHEDULE_BITS = [
+    ("scalar", "annual", "0x1.6081807182215p+2", "0x1.fcdb5521d0c04p+6",
+     "0x1.b6254bef6cd38p+3", "0x1.0c212b5e0484fp-3"),
+    ("scalar", "quarterly", "0x1.37fd8e91bd9a8p+3", "0x1.cbf37c3d51e5cp+6",
+     "0x1.730cb11ff9986p+3", "0x1.0c212b5e0484fp-3"),
+    ("scalar", "continuous", "0x1.944d1cf7f606cp+3", "0x1.b17514136983cp+6",
+     "0x1.57afd10b2adb0p+3", "0x1.0c212b5e0484fp-3"),
+    ("per_year", "annual", "0x1.487d4c6b3aec7p+2", "0x1.0116cf56a18e1p+7",
+     "0x1.b5abfabfd0248p+3", "0x1.09a0902f527ecp-3"),
+    ("per_year", "quarterly", "0x1.26633b96da6f7p+3", "0x1.d216db20d6a83p+6",
+     "0x1.711ca9a9af26fp+3", "0x1.09a0902f527ecp-3"),
+    ("per_year", "continuous", "0x1.7ea17274df267p+3", "0x1.b800ee4c6d6d8p+6",
+     "0x1.55752b79ec1e9p+3", "0x1.09a0902f527ecp-3"),
+    ("efficiency", "annual", "0x1.8eeac771ea4f5p+2", "0x1.1ab2bd84906adp+7",
+     "0x1.9fbf88bb8872bp+3", "0x1.1434c750246fep-3"),
+    ("efficiency", "quarterly", "0x1.52b9211869fb7p+3", "0x1.ff0e8a0b3e8dap+6",
+     "0x1.63c6231f1e114p+3", "0x1.1434c750246fep-3"),
+    ("efficiency", "continuous", "0x1.b16ebdf1e04e7p+3", "0x1.e19e881591aecp+6",
+     "0x1.4aef2a2ca53abp+3", "0x1.1434c750246fep-3"),
+    ("overhaul", "annual", "-0x1.05ab0bdf86357p-1", "0x1.14709ce147dd8p+7",
+     "NoPaybackError", "0x1.8bf05cfff5de1p-4"),
+    ("overhaul", "quarterly", "0x1.383499058eb94p+1", "0x1.f52bd85a5d2e1p+6",
+     "0x1.0de3b8c0553e9p+4", "0x1.8bf05cfff5de1p-4"),
+    ("overhaul", "continuous", "0x1.1b65838fd571cp+2", "0x1.d91f47ce0d101p+6",
+     "0x1.e81933d23c329p+3", "0x1.8bf05cfff5de1p-4"),
+    ("long", "annual_near_-1", "inf", "0x1.146039180e460p+5",
+     "0x1.2a6b0110d6dcbp-4", "0x1.191a45dafa1d9p-3"),
+    ("long", "continuous_-0.9", "0x1.0a90512374faep+262", "0x1.146039180e45fp+5",
+     "0x1.cc381bce3fd44p+0", "0x1.191a45dafa1d9p-3"),
+]
+
+
+class TestBuiltScheduleBits:
+    @pytest.mark.parametrize("case, spec_name, npv_bits, lcoe_bits, payback_bits, irr_bits",
+                             BUILT_SCHEDULE_BITS)
+    def test_metrics_bits_unchanged(self, case, spec_name, npv_bits, lcoe_bits, payback_bits,
+                                    irr_bits):
+        design_args, multipliers, tariff = BUILT_SCHEDULES[case]
+        d = design(**design_args)
+        spec = BUILT_SPECS[spec_name]
+        schedule = build_schedule(d, TYPICAL, TariffScheme(tariff), multipliers)
+        got = []
+        for metric, args in ((npv, (schedule, spec)), (lcoe, (d, TYPICAL, spec)),
+                             (payback_period, (schedule, spec)), (irr, (schedule,))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    got.append(metric(*args).hex())
+                except ValueError as err:
+                    got.append(type(err).__name__)
+        assert got == [npv_bits, lcoe_bits, payback_bits, irr_bits]
+
+
 @st.composite
 def scan_schedules(draw) -> dict[int, float]:
     """Flows that reach the bracket scan, from five families."""
@@ -369,12 +443,12 @@ class TestCertifiedScan:
     @given(flows=scan_schedules())
     @settings(max_examples=100, deadline=None)
     def test_equals_exhaustive_scan(self, flows):
-        terms = _discrete_terms(schedule_of(flows))
+        terms = metrics_module._terms(schedule_of(flows))
         assert metrics_module._scan_brackets(terms) == scan_brackets_oracle(terms)
 
     def test_exact_zero_at_a_grid_point(self):
         schedule = schedule_of(ZERO_AT_GRID_POINT_FLOWS)
-        terms = _discrete_terms(schedule)
+        terms = metrics_module._terms(schedule)
         root = metrics_module._grid()[1234]
         assert metrics_module._npv_at_rate(terms, root) == 0.0
         brackets = metrics_module._scan_brackets(terms)
@@ -408,8 +482,8 @@ class TestRootCountBound:
     @given(flows=scan_schedules())
     @settings(max_examples=200, deadline=None)
     def test_never_below_the_exhaustive_scan(self, flows):
-        terms = _discrete_terms(schedule_of(flows))
-        bound = metrics_module._root_bound(terms)
+        terms = metrics_module._terms(schedule_of(flows))
+        bound = metrics_module._root_bound(terms[0])
         if bound is not None:  # None: a running sum too near zero to trust its sign
             assert bound >= len(scan_brackets_oracle(terms))
 
@@ -441,12 +515,19 @@ class TestRootCountBound:
         {0: 1e-300, 1: -2e-300, 2: 1e-300},  # beyond the normal float range
     ])
     def test_uncertain_sums_give_no_bound(self, flows):
-        assert metrics_module._root_bound(_discrete_terms(schedule_of(flows))) is None
+        assert metrics_module._root_bound(schedule_of(flows).flows) is None
 
 
 class TestLongHorizonOverflow:
     """At r = -0.99 the discount factor of year 155 is 100 ** 155, beyond float
     range; LCOE and payback must still come out right, not overflow."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_irr_ignores_zero_years_past_the_overflow(self, sign):
+        # Years 40..400 hold no flow, but their factors overflow at r = -0.99;
+        # NPV there must keep the sign the flows of years 0..39 give it.
+        flows = {0: -100.0 * sign, **_level(39, 12.0 * sign)}
+        assert irr(CashFlowSchedule(400, flows)) == irr(schedule_of(flows))
 
     # 153 years: the factors stay in range but the discounted amounts pass it
     # (they gave NaN); 200 years: the factors themselves overflow.
@@ -486,6 +567,17 @@ class TestLongHorizonOverflow:
         flows = {0: -50.0, **{year: -1.0 for year in range(1, 201)}}
         with pytest.raises(NoPaybackError):
             payback_period(schedule_of(flows), DiscountSpec(-0.99))
+
+    def test_zero_years_past_the_overflow_do_not_fake_a_payback(self):
+        # Years 183..400 hold no flow. Scaled by year 400's factor, every
+        # earlier term underflowed to zero, and payback read 155.0 on both.
+        paying = {0: -50.0, **{year: -1.0 for year in range(1, 181)}, 181: 2.0, 182: 5.0}
+        expected = payback_exact_oracle(paying, -0.99, 400)
+        result = payback_period(CashFlowSchedule(400, paying), DiscountSpec(-0.99))
+        assert result == pytest.approx(expected, rel=1e-12)
+        never = {0: -50.0, **{year: -1.0 for year in range(1, 181)}}
+        with pytest.raises(NoPaybackError, match="through year 400"):
+            payback_period(CashFlowSchedule(400, never), DiscountSpec(-0.99))
 
     def test_scan_does_not_read_a_nan_npv_as_a_root(self):
         # Near r = -0.99 the products of years 148 and 150 overflow to +inf and
