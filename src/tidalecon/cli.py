@@ -66,54 +66,58 @@ def _require(block: dict, key: str, context: str) -> Any:
     return block[key]
 
 
-def _observation_from_dict(entry: dict, context: str) -> CostObservation:
-    rate = float(entry.get("rate_to_gbp", 1.0))
-    if "total_gbp_m" in entry:
+def _observation(entry: dict, context: str) -> CostObservation:
+    """The cost observation in a config entry, a CSV row, an inline N_T=TOTAL or
+    the ratio flags, each handed over as a dict with a config entry's keys.
+
+    The entry gives ``n_t`` and either ``total_gbp_m`` or ``per_mw_gbp_m``
+    with ``capacity_mw``, not both costs; ``rate_to_gbp`` defaults to 1.0.
+    """
+    try:
+        costs = [key for key in ("total_gbp_m", "per_mw_gbp_m") if key in entry]
+        if len(costs) != 1:
+            both = ", not both" if costs else ""
+            raise ValueError(f"give 'total_gbp_m' or 'per_mw_gbp_m'{both}")
+        per_mw = costs == ["per_mw_gbp_m"]
         return CostObservation(
-            n_t=float(_require(entry, "n_t", context)),
-            cost=float(entry["total_gbp_m"]),
-            basis=CostBasis.TOTAL,
-            currency_rate=rate,
+            n_t=float(entry["n_t"]),
+            cost=float(entry[costs[0]]),
+            basis=CostBasis.PER_MW if per_mw else CostBasis.TOTAL,
+            capacity_mw=float(entry["capacity_mw"]) if per_mw else None,
+            currency_rate=float(entry.get("rate_to_gbp", 1.0)),
         )
-    if "per_mw_gbp_m" in entry:
-        return CostObservation(
-            n_t=float(_require(entry, "n_t", context)),
-            cost=float(entry["per_mw_gbp_m"]),
-            basis=CostBasis.PER_MW,
-            capacity_mw=float(_require(entry, "capacity_mw", context)),
-            currency_rate=rate,
-        )
-    raise ConfigError(f"{context} needs either 'total_gbp_m' or 'per_mw_gbp_m'")
+    except KeyError as err:
+        raise ConfigError(f"{context}: missing key {err}") from err
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{context}: {err}") from err
 
 
-def _estimate_costs(directive: dict) -> CostParameters:
-    method = _require(directive, "method", "costs.estimate")
-    if method == "two_points":
-        capex_points = _require(directive, "capex", "costs.estimate")
-        opex_points = _require(directive, "opex", "costs.estimate")
-        if len(capex_points) != 2 or len(opex_points) != 2:
-            raise ConfigError("two_points estimation needs exactly two capex and two opex observations")
-        ca = split_two_points(
-            _observation_from_dict(capex_points[0], "costs.estimate.capex[0]"),
-            _observation_from_dict(capex_points[1], "costs.estimate.capex[1]"),
-        )
-        op = split_two_points(
-            _observation_from_dict(opex_points[0], "costs.estimate.opex[0]"),
-            _observation_from_dict(opex_points[1], "costs.estimate.opex[1]"),
-        )
-    elif method == "ratio":
-        ratio = FixedToTurbineRatio(float(_require(directive, "ratio", "costs.estimate")))
-        ca = split_from_ratio(
-            _observation_from_dict(_require(directive, "capex", "costs.estimate"), "costs.estimate.capex"),
-            ratio,
-        )
-        op = split_from_ratio(
-            _observation_from_dict(_require(directive, "opex", "costs.estimate"), "costs.estimate.opex"),
-            ratio,
-        )
-    else:
+def _split_costs(
+    method: str,
+    capex: list[CostObservation],
+    opex: list[CostObservation] | None,
+    ratio: float | None,
+) -> tuple[CostSplit, CostSplit | None]:
+    """CAPEX and OPEX splits by ``method``: ``two_points`` from two observations
+    each, ``ratio`` from one each and the fixed-to-turbine ratio. The OPEX
+    split is None when ``opex`` is."""
+    if method == "ratio":
+        if ratio is None:
+            raise ConfigError("the ratio method needs a ratio (--ratio, or 'ratio' in costs.estimate)")
+        fixed_ratio = FixedToTurbineRatio(float(ratio))
+    elif method != "two_points":
         raise ConfigError(f"unknown estimation method {method!r}; expected 'two_points' or 'ratio'")
-    return CostParameters(ca_f=ca.fixed, ca_t=ca.per_turbine, o_f=op.fixed, o_t=op.per_turbine)
+    count = 2 if method == "two_points" else 1
+
+    def split(kind: str, observations: list[CostObservation]) -> CostSplit:
+        if len(observations) != count:
+            raise ConfigError(f"the {method} method needs exactly {count} {kind} "
+                              f"observation{'s' * (count > 1)}, got {len(observations)}")
+        if count == 2:
+            return split_two_points(*observations)
+        return split_from_ratio(observations[0], fixed_ratio)
+
+    return split("CAPEX", capex), None if opex is None else split("OPEX", opex)
 
 
 def _whole_number(value: Any, name: str) -> int:
@@ -151,7 +155,19 @@ def load_config(path: str) -> ProjectInputs:
     if "estimate" in costs and explicit:
         raise ConfigError("config must give either explicit costs or an estimate directive, not both")
     if "estimate" in costs:
-        params = _estimate_costs(costs["estimate"])
+        directive = costs["estimate"]
+        observations = []
+        for kind in ("capex", "opex"):
+            entries = _require(directive, kind, "costs.estimate")
+            if isinstance(entries, dict):
+                entries = [entries]
+            observations.append([
+                _observation(entry, f"costs.estimate.{kind}[{index}]")
+                for index, entry in enumerate(entries)
+            ])
+        method = _require(directive, "method", "costs.estimate")
+        ca, op = _split_costs(method, *observations, directive.get("ratio"))
+        params = CostParameters(ca_f=ca.fixed, ca_t=ca.per_turbine, o_f=op.fixed, o_t=op.per_turbine)
     elif len(explicit) == 4:
         params = CostParameters(
             ca_f=float(costs["ca_f"]),
@@ -282,60 +298,51 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 def _read_observation_csv(path: str, mw_t: float | None) -> list[CostObservation]:
     try:
         with open(path, encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(handle)
-            fields = reader.fieldnames or []
-            observations = []
-            for line_number, row in enumerate(reader, start=2):
-                try:
-                    if "total_gbp_m" in fields:
-                        observations.append(
-                            CostObservation(
-                                n_t=float(row["n_t"]),
-                                cost=float(row["total_gbp_m"]),
-                                basis=CostBasis.TOTAL,
-                                currency_rate=float(row.get("rate_to_gbp") or 1.0),
-                            )
-                        )
-                    elif "per_mw_gbp_m" in fields:
-                        capacity = float(row["capacity_mw"])
-                        if mw_t is None:
-                            raise ConfigError(
-                                "per-MW observation CSV needs --mw-t to derive turbine counts"
-                            )
-                        observations.append(
-                            CostObservation(
-                                n_t=capacity / mw_t,
-                                cost=float(row["per_mw_gbp_m"]),
-                                basis=CostBasis.PER_MW,
-                                capacity_mw=capacity,
-                                currency_rate=float(row.get("rate_to_gbp") or 1.0),
-                            )
-                        )
-                    else:
-                        raise ConfigError(
-                            f"{path}: header must contain 'n_t,total_gbp_m' or "
-                            "'capacity_mw,per_mw_gbp_m,rate_to_gbp'"
-                        )
-                except (KeyError, TypeError, ValueError) as err:
-                    if isinstance(err, ConfigError):
-                        raise
-                    raise ConfigError(f"{path}: malformed row at line {line_number}: {err}") from err
+            rows = [{key: value for key, value in row.items() if value}
+                    for row in csv.DictReader(handle)]
     except OSError as err:
         raise ConfigError(f"cannot read {path}: {err}") from err
-    if not observations:
+    if not rows:
         raise ConfigError(f"{path}: no observation rows found")
+    observations = []
+    for line_number, entry in enumerate(rows, start=2):
+        context = f"{path}: malformed row at line {line_number}"
+        if "per_mw_gbp_m" in entry and "total_gbp_m" not in entry:
+            if mw_t is None:
+                raise ConfigError(f"{path}: per-MW observations need --mw-t to derive turbine counts")
+            try:
+                entry["n_t"] = float(entry.get("capacity_mw", "")) / mw_t
+            except ValueError as err:
+                raise ConfigError(f"{context}: capacity_mw: {err}") from err
+        observations.append(_observation(entry, context))
     return observations
 
 
-def _parse_inline_observation(text: str, currency_rate: float) -> CostObservation:
-    try:
-        n_text, total_text = text.split("=", 1)
-        return CostObservation(
-            n_t=float(n_text), cost=float(total_text),
-            basis=CostBasis.TOTAL, currency_rate=currency_rate,
-        )
-    except ValueError as err:
-        raise ConfigError(f"bad observation {text!r}; expected N_T=TOTAL") from err
+def _inline_observation(text: str, kind: str, currency_rate: float) -> CostObservation:
+    n_t, equals, total = text.partition("=")
+    if not equals:
+        raise ConfigError(f"--{kind} {text!r}: expected N_T=TOTAL")
+    entry = {"n_t": n_t, "total_gbp_m": total, "rate_to_gbp": currency_rate}
+    return _observation(entry, f"--{kind} {text!r}")
+
+
+def _flag_observations(args: argparse.Namespace, kind: str) -> list[CostObservation]:
+    """The ratio method's observation from ``--KIND-total`` or ``--KIND-per-mw``, if any."""
+    total = getattr(args, f"{kind}_total")
+    per_mw = getattr(args, f"{kind}_per_mw")
+    if total is None and per_mw is None:
+        return []
+    entry = {"rate_to_gbp": args.currency_rate}
+    if total is not None:
+        if args.n_t is None:
+            raise ConfigError(f"--{kind}-total needs --n-t")
+        entry.update(n_t=args.n_t, total_gbp_m=total)
+    if per_mw is not None:
+        if args.capacity is None or args.mw_t is None:
+            raise ConfigError(f"--{kind}-per-mw needs --capacity and --mw-t")
+        entry.update(n_t=args.capacity / args.mw_t, per_mw_gbp_m=per_mw,
+                     capacity_mw=args.capacity)
+    return [_observation(entry, f"--{kind}-total/--{kind}-per-mw")]
 
 
 def _split_report(args: argparse.Namespace, method: str, inputs_echo: dict,
@@ -365,84 +372,37 @@ def _split_report(args: argparse.Namespace, method: str, inputs_echo: dict,
 
 
 def cmd_split(args: argparse.Namespace) -> int:
+    method = args.method.replace("-", "_")
+    if args.mw_t is not None and not args.mw_t > 0:
+        raise ConfigError(f"--mw-t must be positive, got {args.mw_t}")
+    observations = []
+    for kind in ("capex", "opex"):
+        path = getattr(args, f"{kind}_csv")
+        if method == "ratio":
+            observations.append(_flag_observations(args, kind))
+        elif path:
+            observations.append(_read_observation_csv(path, args.mw_t))
+        else:
+            observations.append([_inline_observation(text, kind, args.currency_rate)
+                                 for text in getattr(args, kind) or []])
+    capex, opex = observations
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if args.method == "two-points":
-            if args.capex_csv:
-                capex_obs = _read_observation_csv(args.capex_csv, args.mw_t)
-            else:
-                capex_obs = [
-                    _parse_inline_observation(text, args.currency_rate)
-                    for text in (args.capex or [])
-                ]
-            if len(capex_obs) != 2:
-                raise ConfigError("two-points needs exactly two CAPEX observations")
-            ca = split_two_points(capex_obs[0], capex_obs[1])
-
-            op = None
-            opex_obs: list[CostObservation] = []
-            if args.opex_csv:
-                opex_obs = _read_observation_csv(args.opex_csv, args.mw_t)
-            elif args.opex:
-                opex_obs = [
-                    _parse_inline_observation(text, args.currency_rate) for text in args.opex
-                ]
-            if opex_obs:
-                if len(opex_obs) != 2:
-                    raise ConfigError("two-points needs exactly two OPEX observations")
-                op = split_two_points(opex_obs[0], opex_obs[1])
-            inputs_echo = {
-                "capex_points": [(o.n_t, o.cost) for o in capex_obs],
-                "opex_points": [(o.n_t, o.cost) for o in opex_obs],
-                "currency_rate": args.currency_rate,
-            }
-            method = "two_points"
-        else:  # ratio
-            if args.ratio is None:
-                raise ConfigError("ratio method needs --ratio")
-            ratio = FixedToTurbineRatio(args.ratio)
-            capex_obs = _ratio_observation(args, "capex")
-            ca = split_from_ratio(capex_obs, ratio)
-            op = None
-            opex_obs_single = _ratio_observation(args, "opex", required=False)
-            if opex_obs_single is not None:
-                op = split_from_ratio(opex_obs_single, ratio)
-            inputs_echo = {
-                "ratio": args.ratio,
-                "capex_n_t": capex_obs.n_t,
-                "capex_total_gbp_m": capex_obs.cost
-                if capex_obs.basis is CostBasis.TOTAL
-                else capex_obs.cost * capex_obs.capacity_mw,
-            }
-            method = "ratio"
-        messages = [str(w.message) for w in caught]
+        ca, op = _split_costs(method, capex, opex or None, args.ratio)
+    messages = [str(w.message) for w in caught]
+    if method == "two_points":
+        inputs_echo = {
+            "capex_points": [(o.n_t, o.cost) for o in capex],
+            "opex_points": [(o.n_t, o.cost) for o in opex],
+            "currency_rate": args.currency_rate,
+        }
+    else:
+        inputs_echo = {
+            "ratio": args.ratio,
+            "capex_n_t": capex[0].n_t,
+            "capex_total_gbp_m": capex[0].cost * (capex[0].capacity_mw or 1.0),
+        }
     return _split_report(args, method, inputs_echo, ca, op, messages)
-
-
-def _ratio_observation(
-    args: argparse.Namespace, kind: str, required: bool = True
-) -> CostObservation | None:
-    total = getattr(args, f"{kind}_total")
-    per_mw = getattr(args, f"{kind}_per_mw")
-    if total is None and per_mw is None:
-        if required:
-            raise ConfigError(f"ratio method needs --{kind}-total or --{kind}-per-mw")
-        return None
-    if per_mw is not None:
-        if args.capacity is None or args.mw_t is None:
-            raise ConfigError(f"--{kind}-per-mw needs --capacity and --mw-t")
-        return CostObservation(
-            n_t=args.capacity / args.mw_t,
-            cost=per_mw,
-            basis=CostBasis.PER_MW,
-            capacity_mw=args.capacity,
-            currency_rate=args.currency_rate,
-        )
-    if args.n_t is None:
-        raise ConfigError(f"--{kind}-total needs --n-t")
-    return CostObservation(
-        n_t=args.n_t, cost=total, basis=CostBasis.TOTAL, currency_rate=args.currency_rate
-    )
 
 
 def cmd_scenarios(args: argparse.Namespace) -> int:
@@ -625,9 +585,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -15,13 +15,13 @@ from itertools import accumulate
 from typing import Sequence
 
 from .cost_model import (
-    HOURS_PER_YEAR,
     ArrayDesign,
     CostParameters,
     TariffScheme,
     _energy_by_year,
     build_schedule,
     capex,
+    hours_generating,
     opex_year,
 )
 from .finance_core import (
@@ -110,8 +110,11 @@ def lcoe(design: ArrayDesign, params: CostParameters, spec: DiscountSpec) -> flo
     """Levelised cost of energy, GBP per MWh.
 
     Discounted lifetime cost (CAPEX at year 0, OPEX over years 1..L)
-    divided by discounted lifetime net energy. This is the tariff at which
-    the project NPV is exactly zero.
+    divided by discounted lifetime net energy. With constant OPEX this is
+    the tariff at which the project NPV is zero. It takes no OPEX
+    multipliers, so for a schedule ``build_schedule`` builds with
+    ``opex_multipliers`` it is not: on the demo design at r = 0.10 with
+    OPEX x2.5 every sixth year, NPV at tariff = LCOE is -1.607 GBP m.
     """
     try:
         discounted_cost, discounted_energy = _discounted_cost_and_energy(design, params, spec, 0)
@@ -363,7 +366,9 @@ def _root_bound(flows: Sequence[float]) -> int | None:
     (JFQA 7(3), 1972). Rates in (-1, 0) are x > 1, where x**-n * p(x) is
     the same polynomial in 1/x with the flows in reverse year order, so the
     same count on the reversed flows bounds them. r = 0 is a root only when
-    S_n is 0. The bound is the sum of the two counts.
+    S_n is 0. The bound is the sum of the two counts. Leading and trailing
+    zero flows are dropped first: the leading ones multiply p by a power of
+    x and the trailing ones lower its degree, so neither moves a root.
 
     The sums are floats. Each addition errs by at most 2**-53 times its
     result, |S_j| <= sum |a| and |T_j| <= (j + 1) * sum |a|, so the computed
@@ -376,6 +381,8 @@ def _root_bound(flows: Sequence[float]) -> int | None:
     so small or large that a sum or its bound leaves the normal float
     range, the result is None and the caller scans.
     """
+    nonzero = [k for k, a in enumerate(flows) if a]
+    flows = flows[nonzero[0]:nonzero[-1] + 1] if nonzero else flows
     unit = _sum(map(abs, flows)) * 2.0**-53
     bounds = [(k + 2) ** 2 * unit for k in range(len(flows) + 1)]
     if not (2.0**-1020 < unit and bounds[-1] < 2.0**960):
@@ -534,8 +541,7 @@ def default_break_even(
     """
     expenditures = [params.ca_t * 1e6] + [params.o_t * 1e6] * design.lifetime_years
     hours = [0.0] + [
-        HOURS_PER_YEAR * design.availability_in_year(year)
-        for year in range(1, design.lifetime_years + 1)
+        hours_generating(design, year) for year in range(1, design.lifetime_years + 1)
     ]
     net = break_even_power(expenditures, hours, tariff.t_e)
     return net / design.electrical_efficiency

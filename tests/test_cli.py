@@ -302,6 +302,81 @@ class TestSplitCommand:
             assert exp_metrics[key] == pytest.approx(value, rel=1e-12)
 
 
+class TestCostObservationErrors:
+    """Each route into the cost split rejects a bad observation with exit 2,
+    no output and a message naming the problem."""
+
+    ESTIMATE = {
+        "method": "two_points",
+        "capex": [{"n_t": 2, "total_gbp_m": 16.8}, {"n_t": 60, "total_gbp_m": 297}],
+        "opex": [{"n_t": 2, "total_gbp_m": 1.2}, {"n_t": 60, "total_gbp_m": 8.1}],
+    }
+
+    def assert_input_error(self, capsys, argv, *fragments):
+        code, out, err = run(capsys, [*argv, "--format", "json"])
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        for fragment in fragments:
+            assert fragment in err
+
+    def estimate_config(self, config_path, **changes) -> str:
+        return config_path({"costs": {"estimate": dict(self.ESTIMATE, **changes)}})
+
+    @pytest.mark.parametrize("argv, fragment", [
+        (["two-points", "--capex", "2=16.8"], "exactly 2 CAPEX observations, got 1"),
+        (["two-points", "--capex", "2x16.8", "--capex", "60=297"],
+         "'2x16.8': expected N_T=TOTAL"),
+        (["two-points", "--capex", "0=16.8", "--capex", "60=297"], "n_t must be positive"),
+        (["ratio", "--ratio", "2.3", "--capex-total", "227"], "--capex-total needs --n-t"),
+        (["ratio", "--ratio", "2.3", "--capex-per-mw", "2.27", "--mw-t", "1.5"],
+         "--capex-per-mw needs --capacity"),
+        (["ratio", "--ratio", "2.3", "--capex-per-mw", "2.27", "--capacity", "100",
+          "--mw-t", "0"], "--mw-t must be positive"),
+        (["ratio", "--capex-total", "227", "--n-t", "66.67"], "--ratio"),
+    ])
+    def test_split_flags(self, capsys, argv, fragment):
+        self.assert_input_error(capsys, ["split", *argv], fragment)
+
+    def test_per_mw_csv_needs_turbine_rating(self, capsys, tmp_path):
+        path = tmp_path / "capex.csv"
+        path.write_text("capacity_mw,per_mw_gbp_m\n3,5.6\n90,3.3\n")
+        self.assert_input_error(capsys, ["split", "two-points", "--capex-csv", str(path)],
+                                "need --mw-t")
+
+    def test_bad_csv_row_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "capex.csv"
+        path.write_text("n_t,total_gbp_m\n2,13.272\nsixty,234.63\n")
+        self.assert_input_error(capsys, ["split", "two-points", "--capex-csv", str(path)],
+                                "malformed row at line 3", "'sixty'")
+
+    def test_estimate_with_one_opex_observation(self, capsys, config_path):
+        path = self.estimate_config(config_path, opex=self.ESTIMATE["opex"][:1])
+        self.assert_input_error(capsys, ["metrics", path], "exactly 2 OPEX observations, got 1")
+
+    # An observation gives a total or a per-MW cost, never both, on every route.
+    @pytest.mark.parametrize("kind", ["capex", "opex"])
+    def test_both_costs_in_ratio_flags(self, capsys, kind):
+        flags = {"capex": ["--capex-total", "227"],
+                 kind: [f"--{kind}-total", "227", f"--{kind}-per-mw", "2.27"]}
+        argv = ["split", "ratio", "--ratio", "2.3", "--n-t", "66.67", "--capacity", "100",
+                "--mw-t", "1.5", *flags["capex"], *flags.get("opex", [])]
+        self.assert_input_error(capsys, argv, f"--{kind}-total", f"--{kind}-per-mw",
+                                "'total_gbp_m'", "'per_mw_gbp_m'", "not both")
+
+    def test_both_costs_in_csv(self, capsys, tmp_path):
+        path = tmp_path / "capex.csv"
+        path.write_text("n_t,total_gbp_m,capacity_mw,per_mw_gbp_m\n"
+                        "2,16.8,3,5.6\n60,297,90,3.3\n")
+        argv = ["split", "two-points", "--capex-csv", str(path), "--mw-t", "1.5"]
+        self.assert_input_error(capsys, argv, "line 2", "'total_gbp_m'", "'per_mw_gbp_m'",
+                                "not both")
+
+    def test_both_costs_in_config_entry(self, capsys, config_path):
+        both = {"n_t": 60, "total_gbp_m": 297, "per_mw_gbp_m": 3.3, "capacity_mw": 90}
+        path = self.estimate_config(config_path, capex=[self.ESTIMATE["capex"][0], both])
+        self.assert_input_error(capsys, ["metrics", path], "costs.estimate.capex[1]",
+                                "'total_gbp_m'", "'per_mw_gbp_m'", "not both")
+
+
 class TestScenariosCommand:
     def test_grid_shape_and_ordering(self, capsys, config_path):
         code, out, _ = run(capsys, ["scenarios", config_path(), "--format", "json"])

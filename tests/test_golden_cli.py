@@ -1,7 +1,8 @@
-"""CLI machine output on the demo config, compared byte for byte.
+"""CLI machine output, compared byte for byte.
 
 The files in ``tests/golden/`` are the ``--plain`` stdout of each command
-below, in the format their extension names. A change that alters them on
+below, in the format their extension names. The commands run on the demo
+config and on the observation and power-curve CSVs in ``tests/data/``. A change that alters them on
 purpose regenerates them, for example::
 
     PYTHONPATH=src python -m tidalecon.cli metrics demos/example_config.json \\
@@ -19,13 +20,31 @@ from tidalecon.cli import EXIT_OK, main
 
 TESTS = Path(__file__).resolve().parent
 CONFIG = str(TESTS.parent / "demos" / "example_config.json")
+DATA = TESTS / "data"
 SWEEP = ["--param", "tariff", "--from", "60", "--to", "300", "--steps", "25", "--metric", "irr"]
+CURVE = ["curve", CONFIG, "--power-curve", str(DATA / "power_curve.csv")]
 
 COMMANDS = {
     "metrics.json": ["metrics", CONFIG],
     "scenarios.json": ["scenarios", CONFIG],
     "sweep_tariff_irr.csv": ["sweep", CONFIG, *SWEEP],
     "sweep_tariff_irr.json": ["sweep", CONFIG, *SWEEP],
+    # README's two split examples, and a two-point split of a total CSV
+    # (CAPEX) and a per-MW CSV (OPEX)
+    "split_two_points.json": [
+        "split", "two-points", "--capex", "2=16.8", "--capex", "60=297",
+        "--opex", "2=1.2", "--opex", "60=8.1", "--currency-rate", "0.79",
+    ],
+    "split_ratio_per_mw.json": [
+        "split", "ratio", "--ratio", "2.3", "--capex-per-mw", "2.27",
+        "--capacity", "100", "--mw-t", "1.5", "--opex-per-mw", "0.08",
+    ],
+    "split_two_points_csv.json": [
+        "split", "two-points", "--capex-csv", str(DATA / "capex_totals.csv"),
+        "--opex-csv", str(DATA / "opex_per_mw.csv"), "--mw-t", "1.5",
+    ],
+    "curve.csv": CURVE,
+    "curve.json": CURVE,
 }
 
 

@@ -511,11 +511,33 @@ class TestRootCountBound:
         assert 0 < len(calls) < 20
 
     @pytest.mark.parametrize("flows", [
-        {0: 0.0, 1: -1.0, 2: 2.2, 3: -1.2075},  # a listed zero: T_0 is 0
+        {0: -1.0, 1: 2.0, 2: -1.2, 3: 0.5},  # an interior zero: T_1 is 0
         {0: 1e-300, 1: -2e-300, 2: 1e-300},  # beyond the normal float range
     ])
     def test_uncertain_sums_give_no_bound(self, flows):
         assert metrics_module._root_bound(schedule_of(flows).flows) is None
+
+    @pytest.mark.parametrize("flows, bound", [
+        (SCAN_PATH_IRRS[0][0], 1),
+        ({0: -1.0, 1: 2.2, 2: -1.2075}, 2),
+    ])
+    def test_zero_end_years_leave_the_bound_unchanged(self, flows, bound):
+        # Leading zeros multiply NPV by a power of 1/(1+r) and trailing zeros
+        # lower its degree in 1/(1+r): no root moves.
+        amounts = schedule_of(flows).flows
+        assert metrics_module._root_bound(amounts) == bound
+        for padded in ((0.0, *amounts), (*amounts, 0.0), (0.0, 0.0, *amounts, 0.0)):
+            assert metrics_module._root_bound(padded) == bound
+
+    def test_schedule_starting_in_year_1_skips_the_scan(self, monkeypatch):
+        flows, expected = SCAN_PATH_IRRS[0]
+        late = {year + 1: amount for year, amount in flows.items()}
+
+        def fail(terms):
+            raise AssertionError("bracket scan run under a root bound of 1")
+
+        monkeypatch.setattr(metrics_module, "_scan_brackets", fail)
+        assert irr(schedule_of(late)) == pytest.approx(float.fromhex(expected), abs=1e-9)
 
 
 class TestLongHorizonOverflow:
