@@ -326,13 +326,14 @@ def _inline_observation(text: str, kind: str, currency_rate: float) -> CostObser
     return _observation(entry, f"--{kind} {text!r}")
 
 
-def _flag_observations(args: argparse.Namespace, kind: str) -> list[CostObservation]:
+def _flag_observations(args: argparse.Namespace, kind: str,
+                       currency_rate: float) -> list[CostObservation]:
     """The ratio method's observation from ``--KIND-total`` or ``--KIND-per-mw``, if any."""
     total = getattr(args, f"{kind}_total")
     per_mw = getattr(args, f"{kind}_per_mw")
     if total is None and per_mw is None:
         return []
-    entry = {"rate_to_gbp": args.currency_rate}
+    entry = {"rate_to_gbp": currency_rate}
     if total is not None:
         if args.n_t is None:
             raise ConfigError(f"--{kind}-total needs --n-t")
@@ -371,19 +372,48 @@ def _split_report(args: argparse.Namespace, method: str, inputs_echo: dict,
     return EXIT_OK
 
 
+# The ``split`` flags the ratio method reads. With two points, each of CAPEX
+# and OPEX is read from its CSV (with --mw-t) when given, else inline.
+_RATIO_FLAGS = {"ratio", "currency_rate", "capex_total", "opex_total", "capex_per_mw",
+                "opex_per_mw", "capacity", "n_t", "mw_t"}
+_SPLIT_FLAGS = _RATIO_FLAGS | {"capex", "opex", "capex_csv", "opex_csv"}
+
+
+def _reject_unread_split_flags(args: argparse.Namespace, method: str) -> None:
+    """Exit 2 on a ``split`` flag that the method and the routes given would not read."""
+    csv_kinds = [kind for kind in ("capex", "opex") if getattr(args, f"{kind}_csv")]
+    if method == "ratio":
+        read = _RATIO_FLAGS
+    elif csv_kinds and args.currency_rate is not None:
+        raise ConfigError("--currency-rate does not apply to --capex-csv/--opex-csv "
+                          "observations: each CSV row carries its own rate_to_gbp")
+    else:
+        read = {"currency_rate", *(f"{kind}_csv" if kind in csv_kinds else kind
+                                   for kind in ("capex", "opex"))}
+        if csv_kinds:
+            read.add("mw_t")
+    unread = [f"--{name.replace('_', '-')}" for name, value in vars(args).items()
+              if name in _SPLIT_FLAGS - read and value is not None]
+    if unread:
+        raise ConfigError(f"split {args.method} does not read {', '.join(unread)} "
+                          "with the other flags given")
+
+
 def cmd_split(args: argparse.Namespace) -> int:
     method = args.method.replace("-", "_")
+    _reject_unread_split_flags(args, method)
     if args.mw_t is not None and not args.mw_t > 0:
         raise ConfigError(f"--mw-t must be positive, got {args.mw_t}")
+    currency_rate = 1.0 if args.currency_rate is None else args.currency_rate
     observations = []
     for kind in ("capex", "opex"):
         path = getattr(args, f"{kind}_csv")
         if method == "ratio":
-            observations.append(_flag_observations(args, kind))
+            observations.append(_flag_observations(args, kind, currency_rate))
         elif path:
             observations.append(_read_observation_csv(path, args.mw_t))
         else:
-            observations.append([_inline_observation(text, kind, args.currency_rate)
+            observations.append([_inline_observation(text, kind, currency_rate)
                                  for text in getattr(args, kind) or []])
     capex, opex = observations
     with warnings.catch_warnings(record=True) as caught:
@@ -394,7 +424,7 @@ def cmd_split(args: argparse.Namespace) -> int:
         inputs_echo = {
             "capex_points": [(o.n_t, o.cost) for o in capex],
             "opex_points": [(o.n_t, o.cost) for o in opex],
-            "currency_rate": args.currency_rate,
+            "currency_rate": currency_rate,
         }
     else:
         inputs_echo = {
@@ -544,8 +574,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_split.add_argument("--opex", action="append", metavar="N_T=TOTAL")
     p_split.add_argument("--capex-csv", default=None)
     p_split.add_argument("--opex-csv", default=None)
-    p_split.add_argument("--currency-rate", type=float, default=1.0,
-                         help="multiplier converting inline totals to GBP")
+    p_split.add_argument("--currency-rate", type=float, default=None,
+                         help="multiplier converting inline and ratio-flag costs to GBP "
+                              "(default 1.0; CSV rows carry rate_to_gbp)")
     p_split.add_argument("--ratio", type=float, default=None,
                          help="fixed-to-turbine cost ratio (ratio method)")
     p_split.add_argument("--capex-total", type=float, default=None)

@@ -227,20 +227,6 @@ def _npv_at_rate(terms: _Terms, rate: float) -> float:
     return _discounted_sum(*terms, 1.0 + rate)
 
 
-def _bisect(terms: _Terms, low: float, high: float, tol: float = 1e-12) -> float:
-    f_low = _npv_at_rate(terms, low)
-    for _ in range(200):
-        mid = 0.5 * (low + high)
-        f_mid = _npv_at_rate(terms, mid)
-        if abs(f_mid) < tol or (high - low) < 1e-15:
-            return mid
-        if (f_mid > 0) == (f_low > 0):
-            low, f_low = mid, f_mid
-        else:
-            high = mid
-    return 0.5 * (low + high)
-
-
 @cache
 def _grid() -> tuple[float, ...]:
     # Uniform in log(1 + r) so the steep region near r = -1 is resolved as
@@ -319,37 +305,76 @@ def _scan_brackets(terms: _Terms) -> list[tuple[float, float]]:
     return brackets
 
 
-def _grid_cell(terms: _Terms, low_positive: bool) -> tuple[float, float]:
-    """The cell of the ``_scan_brackets`` grid where NPV's one sign change lies."""
-    grid = _grid()
-    lo, hi = 0, _GRID_CELLS
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if (_npv_at_rate(terms, grid[mid]) > 0) == low_positive:
-            lo = mid
+def _brent(terms: _Terms, low: float, high: float, f_low: float, f_high: float, tol: float) -> float:
+    """NPV's root in ``[low, high]``, where NPV is > 0 at one end and <= 0 at the other.
+
+    Brent's method (1973) in scipy's ``brentq`` form: a secant or inverse
+    quadratic step while it shrinks the bracket fast enough, else bisection,
+    until |NPV| < ``tol`` (so an exact-zero ``(r, r)`` bracket gives r) or the
+    bracket is about 1e-15 wide.
+    """
+    x_pre, f_pre, x_cur, f_cur = low, f_low, high, f_high
+    x_blk, f_blk = x_pre, f_pre  # the bracket's other end from x_cur
+    s_pre = s_cur = x_cur - x_pre  # the step before last and the last
+    for _ in range(_MAX_ITERATIONS):
+        if (f_pre > 0) != (f_cur > 0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = 0.5 * (1e-15 + 2.0**-50 * abs(x_cur))
+        s_bis = 0.5 * (x_blk - x_cur)
+        if abs(f_cur) < tol or abs(s_bis) < delta:
+            return x_cur
+        trial = math.nan  # fails the test below, so bisection
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:  # secant
+                trial = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:  # inverse quadratic
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                q = d_blk * d_pre * (f_blk - f_pre)
+                if q:
+                    trial = -f_cur * (f_blk * d_blk - f_pre * d_pre) / q
+        if 2 * abs(trial) < min(abs(s_pre), 3 * abs(s_bis) - delta):
+            s_pre, s_cur = s_cur, trial
         else:
-            hi = mid
-    return grid[lo], grid[hi]
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
+        f_cur = _npv_at_rate(terms, x_cur)
+    return x_cur
 
 
-def _secant(terms: _Terms, tolerance: float) -> float | None:
-    """Secant root from the discount-rate seeds, or None if it gives up."""
+def _secant(terms: _Terms, tolerance: float, low: float, high: float, f_low: float,
+            f_high: float, brent_tol: float) -> float:
+    """Secant root from the discount-rate seeds; if it gives up, ``_brent``'s on
+    the bracket ``[low, high]``, narrowed by every NPV the secant evaluated in it."""
     r_prev, r_curr = _SECANT_SEEDS
     f_prev = _npv_at_rate(terms, r_prev)
     f_curr = _npv_at_rate(terms, r_curr)
+    tried = [(r_prev, f_prev), (r_curr, f_curr)]
     for _ in range(_MAX_ITERATIONS):
         if abs(f_curr) < tolerance:
             if IRR_BRACKET[0] <= r_curr <= IRR_BRACKET[1]:
                 return r_curr
-            return None
+            break
         if f_curr == f_prev:
-            return None
+            break
         r_next = r_curr - f_curr * (r_curr - r_prev) / (f_curr - f_prev)
         if not math.isfinite(r_next) or r_next <= -1.0 or r_next > IRR_BRACKET[1]:
-            return None
+            break
         r_prev, f_prev = r_curr, f_curr
         r_curr, f_curr = r_next, _npv_at_rate(terms, r_next)
-    return None
+        tried.append((r_curr, f_curr))
+    for rate, value in tried:
+        if low < rate < high:
+            if (value > 0) == (f_low > 0):
+                low, f_low = rate, value
+            else:
+                high, f_high = rate, value
+    return _brent(terms, low, high, f_low, f_high, brent_tol)
 
 
 def _root_bound(flows: Sequence[float]) -> int | None:
@@ -419,13 +444,15 @@ def irr(schedule: CashFlowSchedule) -> float:
 
     On the first two paths, with at most one root, NPV at the two bracket
     ends tells whether it lies in range, and a secant iteration seeded
-    inside the usual tidal discount-rate range finds it, with bisection of
-    its cell of the scan grid as fallback. The scan path tries the same
-    secant when it finds one bracket. The NPV tolerance scales down with the
-    largest flow when that is below 1 GBP m. The scan, the secant and
-    bisection all evaluate NPV with the one kernel behind ``npv``, so each
-    trial rate's NPV is exactly ``npv(schedule, DiscountSpec(rate))``; an
-    NPV beyond float range counts as an infinity of its sign.
+    inside the usual tidal discount-rate range finds it; if it gives up,
+    Brent's method solves on the bracket its NPVs narrowed. The scan path
+    does the same on its bracket when it finds one, and runs Brent's method
+    alone on the smallest when it finds several. The NPV tolerance scales
+    down with the largest flow when that is below 1 GBP m. The scan, the
+    secant and Brent's method all evaluate NPV with the one kernel behind
+    ``npv``, so each trial rate's NPV is exactly ``npv(schedule,
+    DiscountSpec(rate))``; an NPV beyond float range counts as an infinity
+    of its sign.
     """
     terms = _terms(schedule)
     amounts = terms[0]
@@ -434,33 +461,26 @@ def irr(schedule: CashFlowSchedule) -> float:
     if sign_changes == 0:
         raise IrrUndefinedError("IRR undefined: cash flows never change sign")
     scale = min(1.0, max(abs(a) for a in amounts))
-    bisect_tol = 1e-12 * scale
+    brent_tol = 1e-12 * scale
     no_root = f"no IRR in range [{IRR_BRACKET[0]}, {IRR_BRACKET[1]}]"
 
     if sign_changes == 1 or _root_bound(amounts) in (0, 1):
         grid = _grid()
-        low_positive = _npv_at_rate(terms, grid[0]) > 0
-        if low_positive == (_npv_at_rate(terms, grid[-1]) > 0):
+        low, high = grid[0], grid[-1]
+        f_low, f_high = _npv_at_rate(terms, low), _npv_at_rate(terms, high)
+        if (f_low > 0) == (f_high > 0):
             raise NoIrrInRangeError(no_root)
-        rate = _secant(terms, IRR_NPV_TOLERANCE * scale)
-        if rate is not None:
-            return rate
-        return _bisect(terms, *_grid_cell(terms, low_positive), bisect_tol)
-
-    brackets = _scan_brackets(terms)
-    if not brackets:
-        raise NoIrrInRangeError(no_root)
-    if len(brackets) > 1:
-        warnings.warn(
-            f"{len(brackets)} NPV roots bracketed; returning the smallest",
-            AmbiguousIrrWarning,
-            stacklevel=2,
-        )
-        return _bisect(terms, *brackets[0], bisect_tol)
-    rate = _secant(terms, IRR_NPV_TOLERANCE * scale)
-    if rate is not None:
-        return rate
-    return _bisect(terms, *brackets[0], bisect_tol)
+    else:
+        brackets = _scan_brackets(terms)
+        if not brackets:
+            raise NoIrrInRangeError(no_root)
+        low, high = brackets[0]
+        f_low, f_high = _npv_at_rate(terms, low), _npv_at_rate(terms, high)
+        if len(brackets) > 1:
+            warnings.warn(f"{len(brackets)} NPV roots bracketed; returning the smallest",
+                          AmbiguousIrrWarning, stacklevel=2)
+            return _brent(terms, low, high, f_low, f_high, brent_tol)
+    return _secant(terms, IRR_NPV_TOLERANCE * scale, low, high, f_low, f_high, brent_tol)
 
 
 # What each metric raises when it is undefined for the inputs.

@@ -336,6 +336,28 @@ class TestCostObservationErrors:
     def test_split_flags(self, capsys, argv, fragment):
         self.assert_input_error(capsys, ["split", *argv], fragment)
 
+    # A flag the chosen method or route would not read exits 2 naming it.
+    @pytest.mark.parametrize("argv, fragment", [
+        (["ratio", "--ratio", "2.3", "--capex-total", "227", "--n-t", "4",
+          "--capex", "2=16.8"], "split ratio does not read --capex "),
+        (["two-points", "--capex", "2=16.8", "--capex", "60=297", "--ratio", "2.3",
+          "--n-t", "4"], "split two-points does not read --ratio, --n-t "),
+        (["two-points", "--capex", "2=16.8", "--capex", "60=297", "--mw-t", "1.5"],
+         "does not read --mw-t "),
+    ])
+    def test_unread_split_flags(self, capsys, argv, fragment):
+        self.assert_input_error(capsys, ["split", *argv], fragment)
+
+    @pytest.mark.parametrize("extra, fragment", [
+        (["--capex", "1=2"], "split two-points does not read --capex "),
+        (["--currency-rate", "0.5"], "each CSV row carries its own rate_to_gbp"),
+    ])
+    def test_csv_route_rejects_inline_flags(self, capsys, tmp_path, extra, fragment):
+        path = tmp_path / "capex.csv"
+        path.write_text("n_t,total_gbp_m\n2,13.272\n60,234.63\n")
+        self.assert_input_error(capsys, ["split", "two-points", "--capex-csv", str(path), *extra],
+                                fragment)
+
     def test_per_mw_csv_needs_turbine_rating(self, capsys, tmp_path):
         path = tmp_path / "capex.csv"
         path.write_text("capacity_mw,per_mw_gbp_m\n3,5.6\n90,3.3\n")

@@ -284,6 +284,20 @@ def _level(years: int, amount: float) -> dict[int, float]:
     return {year: amount for year in range(1, years + 1)}
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch) -> list:
+    """Every call ``metrics`` makes of the NPV kernel ``_discounted_sum``."""
+    calls = []
+    kernel = metrics_module._discounted_sum
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(metrics_module, "_discounted_sum", counting)
+    return calls
+
+
 # float.hex IRRs of schedules that change sign two or more times, recorded
 # before the root-finder switched to the shared NPV kernel. The kernel does
 # the same floating-point arithmetic as ``npv``, so they must not move a bit.
@@ -298,11 +312,12 @@ SCAN_PATH_IRRS = [
      "0x1.bf9a9ec21e491p-6"),
     ({0: -100.0, **_level(40, 9.0), 9: -30.0, 18: -30.0, 27: -30.0, 36: -30.0},
      "0x1.7cd5f1261f241p-5"),
-    # the secant gives up and bisection of the scan's bracket finds the root
-    ({0: -100.0, 20: 1e-3, 21: -1e-3, 40: 1.0}, "-0x1.bd6ff0fdf9dc4p-4"),
-    ({0: -100.0, 10: 1e-4, 11: -2e-4, 39: 1.0}, "-0x1.c8327d94a7c84p-4"),
+    # the secant gives up and Brent's method on the bracket it narrowed finds
+    # the root; these three moved by 1.1e-16 to 1.2e-16 when it replaced bisection
+    ({0: -100.0, 20: 1e-3, 21: -1e-3, 40: 1.0}, "-0x1.bd6ff0fdf9dccp-4"),
+    ({0: -100.0, 10: 1e-4, 11: -2e-4, 39: 1.0}, "-0x1.c8327d94a7c8dp-4"),
     ({0: -150.9395279595386, 17: 0.00029976223055331127, 18: -0.004661570317237272,
-      21: 2.4060613401405204}, "-0x1.6e6f262f8a0f7p-3"),
+      21: 2.4060613401405204}, "-0x1.6e6f262f8a0fbp-3"),
 ]
 
 
@@ -316,7 +331,7 @@ class TestIrrExactness:
     def test_two_roots_bits_and_warning_unchanged(self):
         with pytest.warns(AmbiguousIrrWarning, match="2 NPV roots bracketed"):
             result = irr(schedule_of(TWO_ROOT_FLOWS))
-        assert result == float.fromhex("0x1.99999999d6dc9p-5")
+        assert result == float.fromhex("0x1.9999999992e2ep-5")
 
     @pytest.mark.parametrize("horizon", [154, 155, 200])
     def test_long_annuity_does_not_overflow(self, horizon):
@@ -458,21 +473,13 @@ class TestCertifiedScan:
             assert irr(schedule) == root
 
     @pytest.mark.parametrize("flows", [TWO_ROOT_FLOWS, SCAN_PATH_IRRS[1][0]])
-    def test_one_irr_evaluates_far_fewer_npvs_than_the_grid(self, monkeypatch, flows):
+    def test_one_irr_evaluates_far_fewer_npvs_than_the_grid(self, kernel_calls, flows):
         # The exhaustive scan alone made 2001 kernel calls. This counts every
-        # call of the kernel during one irr: bounds, cells, secant, bisection.
-        calls = []
-        kernel = metrics_module._discounted_sum
-
-        def counting(*args):
-            calls.append(args)
-            return kernel(*args)
-
-        monkeypatch.setattr(metrics_module, "_discounted_sum", counting)
+        # call of the kernel during one irr: bounds, cells, secant, Brent.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AmbiguousIrrWarning)
             irr(schedule_of(flows))
-        assert 0 < len(calls) < 400
+        assert 0 < len(kernel_calls) < 400
 
 
 class TestRootCountBound:
@@ -497,18 +504,60 @@ class TestRootCountBound:
             warnings.simplefilter("error")
             assert irr(schedule_of(flows)) == float.fromhex(expected)
 
-    def test_overhaul_irr_needs_few_npvs(self, monkeypatch):
+    def test_overhaul_irr_needs_few_npvs(self, kernel_calls):
         # The certified scan made 79 kernel calls on this schedule.
-        calls = []
-        kernel = metrics_module._discounted_sum
-
-        def counting(*args):
-            calls.append(args)
-            return kernel(*args)
-
-        monkeypatch.setattr(metrics_module, "_discounted_sum", counting)
         irr(schedule_of(SCAN_PATH_IRRS[1][0]))
-        assert 0 < len(calls) < 20
+        assert 0 < len(kernel_calls) < 20
+
+    @pytest.mark.parametrize("flows", [{0: -100.0, 40: 1.0}, SCAN_PATH_IRRS[6][0]])
+    def test_secant_fallback_needs_few_npvs(self, kernel_calls, flows):
+        # The secant gives up on both. Bisecting a grid cell found afresh made
+        # 55 and 59 kernel calls; Brent's method on the bracket the secant
+        # narrowed needs no more than 25.
+        irr(schedule_of(flows))
+        assert 0 < len(kernel_calls) <= 25
+
+    @given(
+        upfront=st.floats(min_value=1.0, max_value=100.0),
+        level=st.floats(min_value=0.1, max_value=20.0),
+        hit=st.floats(min_value=0.0, max_value=50.0),
+        period=st.integers(min_value=2, max_value=10),
+        horizon=st.integers(min_value=5, max_value=40),
+    )
+    # The secant's next rate passes 10 on the first and -1 on the second.
+    @example(upfront=4.0, level=0.6, hit=27.1, period=8, horizon=18)
+    @example(upfront=52.3, level=11.3, hit=21.3, period=2, horizon=35)
+    @settings(max_examples=60, deadline=None)
+    def test_overhaul_under_a_bound_of_one_agrees_with_oracle(
+        self, upfront, level, hit, period, horizon
+    ):
+        flows = {0: -upfront}
+        flows.update((year, level - (hit if year % period == 0 else 0.0))
+                     for year in range(1, horizon + 1))
+        schedule = schedule_of(flows)
+        bound = metrics_module._root_bound(schedule.flows)
+        assume(bound is not None and bound <= 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AmbiguousIrrWarning)
+            try:
+                rate = irr(schedule)
+            except (IrrUndefinedError, NoIrrInRangeError):
+                with pytest.raises(AssertionError, match="no IRR bracket"):
+                    irr_bisection_oracle(flows)
+                return
+        # The secant stops at |NPV| < 1e-6, so where NPV is flat (slope -0.15
+        # at a root near r = 4.5) the rate may be off by 1e-6 / |slope|.
+        expected = irr_bisection_oracle(flows)
+        slope = (pv_oracle(flows, expected + 1e-6) - pv_oracle(flows, expected - 1e-6)) / 2e-6
+        assert rate == pytest.approx(expected, abs=1e-6 + IRR_NPV_TOLERANCE / abs(slope))
+        # Near r = -1 the discounted flows can reach 1e14 (the first example's
+        # root is r = -0.837), where no float rate gives |NPV| < 1e-6. There
+        # NPV must change sign within 1e-14 of the rate instead.
+        residual = npv(schedule, DiscountSpec(rate))
+        if abs(residual) >= IRR_NPV_TOLERANCE:
+            step = 1e-14 * (1.0 + abs(rate))
+            below, above = (npv(schedule, DiscountSpec(rate + d)) for d in (-step, step))
+            assert (below > 0) != (above > 0)
 
     @pytest.mark.parametrize("flows", [
         {0: -1.0, 1: 2.0, 2: -1.2, 3: 0.5},  # an interior zero: T_1 is 0
