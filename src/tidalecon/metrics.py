@@ -37,10 +37,9 @@ from .finance_core import (
 METRIC_NAMES = ("npv", "lcoe", "payback", "irr")
 # The key each metric is reported under in ``metrics`` and ``curve`` output.
 REPORT_KEYS = {"npv": "npv_gbp_m", "lcoe": "lcoe_gbp_per_mwh", "payback": "payback_years", "irr": "irr"}
-IRR_NPV_TOLERANCE = 1e-6  # GBP m; scaled by the largest flow when that is below 1
 IRR_BRACKET = (-0.99, 10.0)
 _GRID_CELLS = 2000  # log-spaced cells of the bracket scan
-_SECANT_SEEDS = (0.05, 0.15)  # spans the recommended discount-rate range
+_SEEDS = (0.05, 0.15)  # spans the recommended discount-rate range
 _MAX_ITERATIONS = 200
 
 
@@ -215,6 +214,8 @@ def _no_payback(schedule: CashFlowSchedule) -> NoPaybackError:
 # An IRR search works on ``_terms(schedule)``: the flows in year order and
 # their negated years, the discount exponents of annual compounding.
 _Terms = tuple[Sequence[float], Sequence[int]]
+# A bracket of an NPV root for ``_brent``: two rates, then the kernel's NPVs there.
+_Bracket = tuple[float, float, float, float]
 
 
 def _terms(schedule: CashFlowSchedule) -> _Terms:
@@ -239,15 +240,15 @@ def _grid() -> tuple[float, ...]:
     )
 
 
-def _scan_brackets(terms: _Terms) -> list[tuple[float, float]]:
+def _scan_brackets(terms: _Terms) -> list[_Bracket]:
     """NPV's sign changes on the scan grid, in grid order.
 
-    The result is what evaluating the kernel ``_npv_at_rate`` at all 2001
+    The rates are what evaluating the kernel ``_npv_at_rate`` at all 2001
     grid points gives: a cell ``(r[k], r[k + 1])`` whose NPVs differ in sign
     (> 0 against <= 0), or ``(r[k], r[k])`` when NPV at ``r[k]`` is exactly
-    0.0, for k < 2000. It is found from far fewer evaluations by certifying
-    the sign of whole ranges of grid points and evaluating the kernel only
-    in the cells no certificate covers.
+    0.0, for k < 2000, each followed by its two NPVs. It is found from far
+    fewer evaluations by certifying the sign of whole ranges of grid points
+    and evaluating the kernel only in the cells no certificate covers.
 
     Split the NPV into P(b) = sum of a * b**e over the amounts a >= 0 and
     N(b) = the same over |a| for a < 0, with b = 1 + r and every exponent
@@ -292,9 +293,9 @@ def _scan_brackets(terms: _Terms) -> list[tuple[float, float]]:
         if j - i == 1:
             f_i = value(i)
             if f_i == 0.0:
-                brackets.append((grid[i], grid[i]))
+                brackets.append((grid[i], grid[i], f_i, f_i))
             elif (f_i > 0) != (value(j) > 0):
-                brackets.append((grid[i], grid[j]))
+                brackets.append((grid[i], grid[j], f_i, value(j)))
             continue
         p_i, n_i = bound(i)
         p_j, n_j = bound(j)
@@ -305,15 +306,16 @@ def _scan_brackets(terms: _Terms) -> list[tuple[float, float]]:
     return brackets
 
 
-def _brent(terms: _Terms, low: float, high: float, f_low: float, f_high: float, tol: float) -> float:
-    """NPV's root in ``[low, high]``, where NPV is > 0 at one end and <= 0 at the other.
+def _brent(terms: _Terms, a: float, b: float, f_a: float, f_b: float, tol: float) -> float:
+    """NPV's root between ``a`` and ``b``, in either order, where its values
+    ``f_a`` and ``f_b`` are > 0 at one end and <= 0 at the other.
 
     Brent's method (1973) in scipy's ``brentq`` form: a secant or inverse
     quadratic step while it shrinks the bracket fast enough, else bisection,
     until |NPV| < ``tol`` (so an exact-zero ``(r, r)`` bracket gives r) or the
     bracket is about 1e-15 wide.
     """
-    x_pre, f_pre, x_cur, f_cur = low, f_low, high, f_high
+    x_pre, f_pre, x_cur, f_cur = a, f_a, b, f_b
     x_blk, f_blk = x_pre, f_pre  # the bracket's other end from x_cur
     s_pre = s_cur = x_cur - x_pre  # the step before last and the last
     for _ in range(_MAX_ITERATIONS):
@@ -347,34 +349,32 @@ def _brent(terms: _Terms, low: float, high: float, f_low: float, f_high: float, 
     return x_cur
 
 
-def _secant(terms: _Terms, tolerance: float, low: float, high: float, f_low: float,
-            f_high: float, brent_tol: float) -> float:
-    """Secant root from the discount-rate seeds; if it gives up, ``_brent``'s on
-    the bracket ``[low, high]``, narrowed by every NPV the secant evaluated in it."""
-    r_prev, r_curr = _SECANT_SEEDS
-    f_prev = _npv_at_rate(terms, r_prev)
-    f_curr = _npv_at_rate(terms, r_curr)
-    tried = [(r_prev, f_prev), (r_curr, f_curr)]
-    for _ in range(_MAX_ITERATIONS):
-        if abs(f_curr) < tolerance:
-            if IRR_BRACKET[0] <= r_curr <= IRR_BRACKET[1]:
-                return r_curr
-            break
-        if f_curr == f_prev:
-            break
-        r_next = r_curr - f_curr * (r_curr - r_prev) / (f_curr - f_prev)
-        if not math.isfinite(r_next) or r_next <= -1.0 or r_next > IRR_BRACKET[1]:
-            break
-        r_prev, f_prev = r_curr, f_curr
-        r_curr, f_curr = r_next, _npv_at_rate(terms, r_next)
-        tried.append((r_curr, f_curr))
-    for rate, value in tried:
-        if low < rate < high:
-            if (value > 0) == (f_low > 0):
-                low, f_low = rate, value
-            else:
-                high, f_high = rate, value
-    return _brent(terms, low, high, f_low, f_high, brent_tol)
+def _seed_bracket(terms: _Terms, positive_at_infinity: bool) -> _Bracket | None:
+    """A bracket of NPV's lone root on r > -1, or None if none lies in range.
+
+    The seeds bracket it when their NPVs differ in sign (> 0 against <= 0).
+    Otherwise the root lies below the seeds when they have NPV's sign as
+    r -> infinity, ``positive_at_infinity``, and above them if not. On that
+    side a probe, twice as far from the near seed as the zero of the line
+    through the seeds' NPVs, if it falls short of the grid end, and then the
+    grid end are tried in turn.
+    """
+    low, high = _SEEDS
+    f_low, f_high = _npv_at_rate(terms, low), _npv_at_rate(terms, high)
+    if (f_low > 0) != (f_high > 0):
+        return low, high, f_low, f_high
+    if (f_low > 0) == positive_at_infinity:
+        near, f_near, end = low, f_low, _grid()[0]
+    else:
+        near, f_near, end = high, f_high, _grid()[-1]
+    step = (high - low) / (f_high - f_low) if f_high != f_low else 0.0  # flat: no probe
+    probe = near - 2 * f_near * step
+    for far in (probe, end) if min(near, end) < probe < max(near, end) else (end,):
+        f_far = _npv_at_rate(terms, far)
+        if (f_far > 0) != (f_near > 0):
+            return near, far, f_near, f_far
+        near, f_near = far, f_far
+    return None
 
 
 def _root_bound(flows: Sequence[float]) -> int | None:
@@ -442,15 +442,15 @@ def irr(schedule: CashFlowSchedule) -> float:
       would give (see ``_scan_brackets``). If several roots are bracketed
       the smallest is returned and an ``AmbiguousIrrWarning`` is emitted.
 
-    On the first two paths, with at most one root, NPV at the two bracket
-    ends tells whether it lies in range, and a secant iteration seeded
-    inside the usual tidal discount-rate range finds it; if it gives up,
-    Brent's method solves on the bracket its NPVs narrowed. The scan path
-    does the same on its bracket when it finds one, and runs Brent's method
-    alone on the smallest when it finds several. The NPV tolerance scales
-    down with the largest flow when that is below 1 GBP m. The scan, the
-    secant and Brent's method all evaluate NPV with the one kernel behind
-    ``npv``, so each trial rate's NPV is exactly ``npv(schedule,
+    On the first two paths, with at most one root, NPV at the seeds 0.05
+    and 0.15, inside the usual tidal discount-rate range, brackets it when
+    their signs differ; otherwise one probe beyond the seeds, on the side
+    NPV's sign as r -> infinity points to, or the grid end there does, or
+    no root lies in range (see ``_seed_bracket``). Every path then runs
+    Brent's method on its bracket, the scan path on the smallest, down to
+    |NPV| < 1e-12, scaled down with the largest flow when that is below
+    1 GBP m. The scan and Brent's method evaluate NPV with the one kernel
+    behind ``npv``, so each trial rate's NPV is exactly ``npv(schedule,
     DiscountSpec(rate))``; an NPV beyond float range counts as an infinity
     of its sign.
     """
@@ -460,27 +460,20 @@ def irr(schedule: CashFlowSchedule) -> float:
     sign_changes = sum(a != b for a, b in zip(signs, signs[1:]))
     if sign_changes == 0:
         raise IrrUndefinedError("IRR undefined: cash flows never change sign")
-    scale = min(1.0, max(abs(a) for a in amounts))
-    brent_tol = 1e-12 * scale
     no_root = f"no IRR in range [{IRR_BRACKET[0]}, {IRR_BRACKET[1]}]"
-
     if sign_changes == 1 or _root_bound(amounts) in (0, 1):
-        grid = _grid()
-        low, high = grid[0], grid[-1]
-        f_low, f_high = _npv_at_rate(terms, low), _npv_at_rate(terms, high)
-        if (f_low > 0) == (f_high > 0):
+        bracket = _seed_bracket(terms, signs[0])
+        if bracket is None:
             raise NoIrrInRangeError(no_root)
     else:
         brackets = _scan_brackets(terms)
         if not brackets:
             raise NoIrrInRangeError(no_root)
-        low, high = brackets[0]
-        f_low, f_high = _npv_at_rate(terms, low), _npv_at_rate(terms, high)
         if len(brackets) > 1:
             warnings.warn(f"{len(brackets)} NPV roots bracketed; returning the smallest",
                           AmbiguousIrrWarning, stacklevel=2)
-            return _brent(terms, low, high, f_low, f_high, brent_tol)
-    return _secant(terms, IRR_NPV_TOLERANCE * scale, low, high, f_low, f_high, brent_tol)
+        bracket = brackets[0]
+    return _brent(terms, *bracket, 1e-12 * min(1.0, max(abs(a) for a in amounts)))
 
 
 # What each metric raises when it is undefined for the inputs.

@@ -13,6 +13,9 @@ import numpy as np
 
 from tidalecon.metrics import _grid, _npv_at_rate
 
+# GBP m: the NPV residual every IRR the library returns must stay below.
+IRR_NPV_TOLERANCE = 1e-6
+
 
 def pv_oracle(flows: dict[int, float], rate: float, periods: int = 1) -> float:
     """Spreadsheet-style present value: explicit per-year discounting."""

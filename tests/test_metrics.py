@@ -16,7 +16,6 @@ from tidalecon.cost_model import (
 )
 from tidalecon.finance_core import CashFlowSchedule, Compounding, DiscountSpec
 from tidalecon.metrics import (
-    IRR_NPV_TOLERANCE,
     AmbiguousIrrWarning,
     BreakEvenSpec,
     IrrUndefinedError,
@@ -38,6 +37,7 @@ from tidalecon.metrics import (
 )
 
 from conftest import (
+    IRR_NPV_TOLERANCE,
     exact_factor,
     irr_bisection_oracle,
     lcoe_oracle,
@@ -207,7 +207,7 @@ class TestIrr:
 
     def test_small_flows_not_mistaken_for_a_root(self):
         # Every NPV of these flows is below 1e-6 GBP m, so an absolute NPV
-        # tolerance would accept the first secant seed.
+        # tolerance would accept the first seed rate.
         assert irr(schedule_of({0: -1e-7, 1: 2e-7})) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -229,7 +229,7 @@ class TestIrrRuleOfSigns:
     @pytest.mark.parametrize("flows, expected", [
         ({0: -100.0, 1: 110.0}, 0.10),
         ({0: -100.0, 1: 60.0, 2: 60.0}, 0.13066),
-        ({0: -100.0, 40: 1.0}, 100.0 ** (-1 / 40) - 1),  # secant gives up
+        ({0: -100.0, 40: 1.0}, 100.0 ** (-1 / 40) - 1),  # root below the seeds
     ])
     def test_annuities_skip_scan(self, no_scan, flows, expected):
         rate = irr(schedule_of(flows))
@@ -259,7 +259,8 @@ class TestIrrRuleOfSigns:
             max_size=40,
         ),
     )
-    # The secant gives up on the first and last examples, forcing the fallback.
+    # Roots outside the seeds, bracketed by the grid end: below them on the
+    # first and last examples, above them on the second.
     @example(upfront=100.0, inflows=[0.0] * 39 + [1.0])
     @example(upfront=10.0, inflows=[0.0, 0.0, 500.0])
     @example(upfront=10.0, inflows=[0.0] * 10 + [1e-6])
@@ -298,27 +299,59 @@ def kernel_calls(monkeypatch) -> list:
     return calls
 
 
-# float.hex IRRs of schedules that change sign two or more times, recorded
-# before the root-finder switched to the shared NPV kernel. The kernel does
-# the same floating-point arithmetic as ``npv``, so they must not move a bit.
+# float.hex IRRs of schedules that change sign two or more times. The IRR
+# search evaluates NPV with the kernel behind ``npv``, so only a change of
+# its bracket or stop moves them. The first six moved by up to 8.4e-10 when
+# Brent's method from the seeds' bracket replaced a secant that stopped at
+# |NPV| < 1e-6; each new value is within 3.3e-10 of ``irr_bisection_oracle``.
 SCAN_PATH_IRRS = [
     # overhaul-style: CAPEX, level net revenue, large OPEX hits
-    ({0: -20.0, **_level(20, 3.0), 7: -4.0, 14: -4.0}, "0x1.9cfbeadb05cfdp-4"),
+    ({0: -20.0, **_level(20, 3.0), 7: -4.0, 14: -4.0}, "0x1.9cfbeadafc4f1p-4"),
     ({0: -38.5, **_level(25, 5.25), 5: -9.0, 10: -9.0, 15: -9.0, 20: -9.0},
-     "0x1.e282756eeea4fp-5"),
-    ({0: -12.0, **_level(30, 1.9), 8: -2.5, 16: -2.5, 24: -2.5}, "0x1.02f127fd69909p-3"),
-    ({0: -60.0, **_level(20, 4.4), 10: -25.0}, "-0x1.1e162c7984ae0p-9"),
+     "0x1.e282756e6aa5fp-5"),
+    ({0: -12.0, **_level(30, 1.9), 8: -2.5, 16: -2.5, 24: -2.5}, "0x1.02f1281a5c8dfp-3"),
+    ({0: -60.0, **_level(20, 4.4), 10: -25.0}, "-0x1.1e162ca33c214p-9"),
     ({0: -9.2, **_level(25, 0.8), 6: -1.1, 12: -1.1, 18: -1.1, 24: -1.1},
-     "0x1.bf9a9ec21e491p-6"),
+     "0x1.bf9a9f03ef5c7p-6"),
     ({0: -100.0, **_level(40, 9.0), 9: -30.0, 18: -30.0, 27: -30.0, 36: -30.0},
-     "0x1.7cd5f1261f241p-5"),
-    # the secant gives up and Brent's method on the bracket it narrowed finds
-    # the root; these three moved by 1.1e-16 to 1.2e-16 when it replaced bisection
+     "0x1.7cd5f124e9cecp-5"),
+    # roots below the seeds, already found by Brent's method before it
+    # replaced the secant: these three kept their bits
     ({0: -100.0, 20: 1e-3, 21: -1e-3, 40: 1.0}, "-0x1.bd6ff0fdf9dccp-4"),
     ({0: -100.0, 10: 1e-4, 11: -2e-4, 39: 1.0}, "-0x1.c8327d94a7c8dp-4"),
     ({0: -150.9395279595386, 17: 0.00029976223055331127, 18: -0.004661570317237272,
       21: 2.4060613401405204}, "-0x1.6e6f262f8a0fbp-3"),
 ]
+
+
+class TestIrrSeedBracket:
+    """With at most one root, NPV at the seeds 0.05 and 0.15 brackets it, or
+    else one probe beyond the seeds or the grid end on the root's side."""
+
+    @pytest.mark.parametrize("flows, root", [
+        ({0: -1.0, 1: 1.05}, 0.05),
+        ({0: -1.0, 1: 1.15}, 0.15),
+        ({0: 1.0, 1: -1.05}, 0.05),
+        ({0: 1.0, 1: -1.15}, 0.15),
+    ])
+    def test_exact_zero_at_a_seed_is_returned(self, flows, root):
+        schedule = schedule_of(flows)
+        assert metrics_module._npv_at_rate(metrics_module._terms(schedule), root) == 0.0
+        assert irr(schedule) == root
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("inflow, root", [(101.0, 0.01), (130.0, 0.30)])
+    def test_root_below_or_above_the_seeds_agrees_with_oracle(self, sign, inflow, root):
+        flows = {0: -100.0 * sign, 1: inflow * sign}
+        rate = irr(schedule_of(flows))
+        assert rate == pytest.approx(root, abs=1e-12)
+        assert rate == pytest.approx(irr_bisection_oracle(flows), abs=1e-9)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("inflow", [100.0, 0.005])  # roots at r = 99 and -0.995
+    def test_root_beyond_the_grid_end_raises(self, sign, inflow):
+        with pytest.raises(NoIrrInRangeError):
+            irr(schedule_of({0: -sign, 1: inflow * sign}))
 
 
 class TestIrrExactness:
@@ -363,36 +396,37 @@ BUILT_SPECS = {
 # float.hex of npv, lcoe, payback_period and irr on ``build_schedule``
 # schedules, or the exception raised, recorded while the schedule was a
 # year -> amount dict built one year at a time. The dense tuple and the
-# one-pass arithmetic must not move a bit.
+# one-pass arithmetic must not move a bit. The IRR column moved by at most
+# 8.3e-11 when Brent's method from the seeds' bracket replaced the secant.
 BUILT_SCHEDULE_BITS = [
     ("scalar", "annual", "0x1.6081807182215p+2", "0x1.fcdb5521d0c04p+6",
-     "0x1.b6254bef6cd38p+3", "0x1.0c212b5e0484fp-3"),
+     "0x1.b6254bef6cd38p+3", "0x1.0c212b602872fp-3"),
     ("scalar", "quarterly", "0x1.37fd8e91bd9a8p+3", "0x1.cbf37c3d51e5cp+6",
-     "0x1.730cb11ff9986p+3", "0x1.0c212b5e0484fp-3"),
+     "0x1.730cb11ff9986p+3", "0x1.0c212b602872fp-3"),
     ("scalar", "continuous", "0x1.944d1cf7f606cp+3", "0x1.b17514136983cp+6",
-     "0x1.57afd10b2adb0p+3", "0x1.0c212b5e0484fp-3"),
+     "0x1.57afd10b2adb0p+3", "0x1.0c212b602872fp-3"),
     ("per_year", "annual", "0x1.487d4c6b3aec7p+2", "0x1.0116cf56a18e1p+7",
-     "0x1.b5abfabfd0248p+3", "0x1.09a0902f527ecp-3"),
+     "0x1.b5abfabfd0248p+3", "0x1.09a090322c1f9p-3"),
     ("per_year", "quarterly", "0x1.26633b96da6f7p+3", "0x1.d216db20d6a83p+6",
-     "0x1.711ca9a9af26fp+3", "0x1.09a0902f527ecp-3"),
+     "0x1.711ca9a9af26fp+3", "0x1.09a090322c1f9p-3"),
     ("per_year", "continuous", "0x1.7ea17274df267p+3", "0x1.b800ee4c6d6d8p+6",
-     "0x1.55752b79ec1e9p+3", "0x1.09a0902f527ecp-3"),
+     "0x1.55752b79ec1e9p+3", "0x1.09a090322c1f9p-3"),
     ("efficiency", "annual", "0x1.8eeac771ea4f5p+2", "0x1.1ab2bd84906adp+7",
-     "0x1.9fbf88bb8872bp+3", "0x1.1434c750246fep-3"),
+     "0x1.9fbf88bb8872bp+3", "0x1.1434c7507cf15p-3"),
     ("efficiency", "quarterly", "0x1.52b9211869fb7p+3", "0x1.ff0e8a0b3e8dap+6",
-     "0x1.63c6231f1e114p+3", "0x1.1434c750246fep-3"),
+     "0x1.63c6231f1e114p+3", "0x1.1434c7507cf15p-3"),
     ("efficiency", "continuous", "0x1.b16ebdf1e04e7p+3", "0x1.e19e881591aecp+6",
-     "0x1.4aef2a2ca53abp+3", "0x1.1434c750246fep-3"),
+     "0x1.4aef2a2ca53abp+3", "0x1.1434c7507cf15p-3"),
     ("overhaul", "annual", "-0x1.05ab0bdf86357p-1", "0x1.14709ce147dd8p+7",
-     "NoPaybackError", "0x1.8bf05cfff5de1p-4"),
+     "NoPaybackError", "0x1.8bf05cff971d6p-4"),
     ("overhaul", "quarterly", "0x1.383499058eb94p+1", "0x1.f52bd85a5d2e1p+6",
-     "0x1.0de3b8c0553e9p+4", "0x1.8bf05cfff5de1p-4"),
+     "0x1.0de3b8c0553e9p+4", "0x1.8bf05cff971d6p-4"),
     ("overhaul", "continuous", "0x1.1b65838fd571cp+2", "0x1.d91f47ce0d101p+6",
-     "0x1.e81933d23c329p+3", "0x1.8bf05cfff5de1p-4"),
+     "0x1.e81933d23c329p+3", "0x1.8bf05cff971d6p-4"),
     ("long", "annual_near_-1", "inf", "0x1.146039180e460p+5",
-     "0x1.2a6b0110d6dcbp-4", "0x1.191a45dafa1d9p-3"),
+     "0x1.2a6b0110d6dcbp-4", "0x1.191a45ddadcacp-3"),
     ("long", "continuous_-0.9", "0x1.0a90512374faep+262", "0x1.146039180e45fp+5",
-     "0x1.cc381bce3fd44p+0", "0x1.191a45dafa1d9p-3"),
+     "0x1.cc381bce3fd44p+0", "0x1.191a45ddadcacp-3"),
 ]
 
 
@@ -450,6 +484,16 @@ def scan_schedules(draw) -> dict[int, float]:
 ZERO_AT_GRID_POINT_FLOWS = {0: -1.0, 1: 1.8813920104667285, 2: -0.8495126152915294}
 
 
+def _scan_rates(terms) -> list[tuple[float, float]]:
+    """The rates of ``_scan_brackets``, after checking that the NPVs each
+    bracket carries are the kernel's at its ends, bit for bit."""
+    brackets = metrics_module._scan_brackets(terms)
+    for low, high, f_low, f_high in brackets:
+        kernel = [metrics_module._npv_at_rate(terms, rate).hex() for rate in (low, high)]
+        assert [f_low.hex(), f_high.hex()] == kernel
+    return [(low, high) for low, high, _, _ in brackets]
+
+
 class TestCertifiedScan:
     """The scan certifies the NPV sign of whole grid ranges, evaluating the
     kernel only in cells no bound covers; its brackets must equal the
@@ -459,14 +503,14 @@ class TestCertifiedScan:
     @settings(max_examples=100, deadline=None)
     def test_equals_exhaustive_scan(self, flows):
         terms = metrics_module._terms(schedule_of(flows))
-        assert metrics_module._scan_brackets(terms) == scan_brackets_oracle(terms)
+        assert _scan_rates(terms) == scan_brackets_oracle(terms)
 
     def test_exact_zero_at_a_grid_point(self):
         schedule = schedule_of(ZERO_AT_GRID_POINT_FLOWS)
         terms = metrics_module._terms(schedule)
         root = metrics_module._grid()[1234]
         assert metrics_module._npv_at_rate(terms, root) == 0.0
-        brackets = metrics_module._scan_brackets(terms)
+        brackets = _scan_rates(terms)
         assert brackets == scan_brackets_oracle(terms)
         assert brackets[0] == (root, root) and len(brackets) == 2
         with pytest.warns(AmbiguousIrrWarning, match="2 NPV roots bracketed"):
@@ -475,7 +519,7 @@ class TestCertifiedScan:
     @pytest.mark.parametrize("flows", [TWO_ROOT_FLOWS, SCAN_PATH_IRRS[1][0]])
     def test_one_irr_evaluates_far_fewer_npvs_than_the_grid(self, kernel_calls, flows):
         # The exhaustive scan alone made 2001 kernel calls. This counts every
-        # call of the kernel during one irr: bounds, cells, secant, Brent.
+        # call of the kernel during one irr: bounds, cells, Brent.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AmbiguousIrrWarning)
             irr(schedule_of(flows))
@@ -511,11 +555,19 @@ class TestRootCountBound:
 
     @pytest.mark.parametrize("flows", [{0: -100.0, 40: 1.0}, SCAN_PATH_IRRS[6][0]])
     def test_secant_fallback_needs_few_npvs(self, kernel_calls, flows):
-        # The secant gives up on both. Bisecting a grid cell found afresh made
-        # 55 and 59 kernel calls; Brent's method on the bracket the secant
-        # narrowed needs no more than 25.
+        # Both roots lie near r = -0.11, below the seeds, where a secant that
+        # once ran first gave up. Bisecting a grid cell found afresh made 55
+        # and 59 kernel calls; Brent's method needs no more than 25.
         irr(schedule_of(flows))
         assert 0 < len(kernel_calls) <= 25
+
+    def test_loss_making_annuity_needs_few_npvs(self, kernel_calls):
+        # IRR about -0.0067. An unbracketed secant from the seeds wandered
+        # between -0.41 and 0.15 for all 200 of its iterations here, 214
+        # kernel calls in all, before Brent's method took over.
+        flows = {0: -100.0, **_level(30, 3.0)}
+        assert irr(schedule_of(flows)) == pytest.approx(irr_bisection_oracle(flows), abs=1e-9)
+        assert 0 < len(kernel_calls) <= 15
 
     @given(
         upfront=st.floats(min_value=1.0, max_value=100.0),
@@ -524,7 +576,7 @@ class TestRootCountBound:
         period=st.integers(min_value=2, max_value=10),
         horizon=st.integers(min_value=5, max_value=40),
     )
-    # The secant's next rate passes 10 on the first and -1 on the second.
+    # Roots below the seeds: r = -0.837 on the first and -0.022 on the second.
     @example(upfront=4.0, level=0.6, hit=27.1, period=8, horizon=18)
     @example(upfront=52.3, level=11.3, hit=21.3, period=2, horizon=35)
     @settings(max_examples=60, deadline=None)
@@ -545,7 +597,7 @@ class TestRootCountBound:
                 with pytest.raises(AssertionError, match="no IRR bracket"):
                     irr_bisection_oracle(flows)
                 return
-        # The secant stops at |NPV| < 1e-6, so where NPV is flat (slope -0.15
+        # An IRR is held to |NPV| < 1e-6, so where NPV is flat (slope -0.15
         # at a root near r = 4.5) the rate may be off by 1e-6 / |slope|.
         expected = irr_bisection_oracle(flows)
         slope = (pv_oracle(flows, expected + 1e-6) - pv_oracle(flows, expected - 1e-6)) / 2e-6

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import IRR_NPV_TOLERANCE
 from tidalecon.cost_model import ArrayDesign
-from tidalecon.metrics import IRR_NPV_TOLERANCE
 from tidalecon.scenarios import builtin_parameters, compute_metrics
 
 
