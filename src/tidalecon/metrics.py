@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cache
-from itertools import accumulate
+from functools import cache, partial
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Sequence
 
 from .cost_model import (
@@ -38,7 +39,9 @@ METRIC_NAMES = ("npv", "lcoe", "payback", "irr")
 # The key each metric is reported under in ``metrics`` and ``curve`` output.
 REPORT_KEYS = {"npv": "npv_gbp_m", "lcoe": "lcoe_gbp_per_mwh", "payback": "payback_years", "irr": "irr"}
 IRR_BRACKET = (-0.99, 10.0)
-_GRID_CELLS = 2000  # log-spaced cells of the bracket scan
+_TOP_RATE = math.expm1(math.log1p(IRR_BRACKET[1]))  # the top rate searched, a hair above 10
+# Root isolation splits no piece this narrow in log(1 + r): a cell of a 2001-point grid.
+_CELL = (math.log1p(IRR_BRACKET[1]) - math.log1p(IRR_BRACKET[0])) / 2000
 _SEEDS = (0.05, 0.15)  # spans the recommended discount-rate range
 _MAX_ITERATIONS = 200
 
@@ -228,82 +231,95 @@ def _npv_at_rate(terms: _Terms, rate: float) -> float:
     return _discounted_sum(*terms, 1.0 + rate)
 
 
-@cache
-def _grid() -> tuple[float, ...]:
-    # Uniform in log(1 + r) so the steep region near r = -1 is resolved as
-    # finely as the long tail toward r = 10. A constant table, built on
-    # first use so that importing the package does not pay for it.
-    low, high = IRR_BRACKET
-    span = math.log1p(high) - math.log1p(low)
-    return tuple(
-        math.expm1(math.log1p(low) + k * span / _GRID_CELLS) for k in range(_GRID_CELLS + 1)
-    )
+def _dyadic(t: float) -> float:
+    # t rounded down to a multiple of 2**-53: two such in (0, 1] differ exactly.
+    return math.ldexp(math.floor(math.ldexp(t, 53)), -53)
 
 
-def _scan_brackets(terms: _Terms) -> list[_Bracket]:
-    """NPV's sign changes on the scan grid, in grid order.
+def _taylor_shift(descending: list) -> list:
+    # p(1 + v), lowest degree first, from p, highest first: synthetic division.
+    shifted = []
+    for _ in range(len(descending)):
+        descending = list(accumulate(descending))
+        shifted.append(descending.pop())
+    return shifted
 
-    The rates are what evaluating the kernel ``_npv_at_rate`` at all 2001
-    grid points gives: a cell ``(r[k], r[k + 1])`` whose NPVs differ in sign
-    (> 0 against <= 0), or ``(r[k], r[k])`` when NPV at ``r[k]`` is exactly
-    0.0, for k < 2000, each followed by its two NPVs. It is found from far
-    fewer evaluations by certifying the sign of whole ranges of grid points
-    and evaluating the kernel only in the cells no certificate covers.
 
-    Split the NPV into P(b) = sum of a * b**e over the amounts a >= 0 and
-    N(b) = the same over |a| for a < 0, with b = 1 + r and every exponent
-    e <= 0. Each term is non-increasing in b, so at grid points i <= k <= j
-    the exact NPV P(b_k) - N(b_k) lies in [P(b_j) - N(b_i), P(b_i) - N(b_j)].
-    Both bounds are computed by ``_discounted_sum``, as the kernel computes
-    NPV. Each of these three computed sums is within (n + 2) * 2**-53 of the
-    exact one relative to the sum of the |terms| (pow within 1 ulp, one
-    product, Higham's gamma(n - 1) for n-term recursive summation), which is
-    at most P(b_i) + N(b_i); factors that underflow add at most
-    (sum |a| + n) * 2**-1073 each. The margin, 8 * (n + 4) * 2**-53 times
-    P + N at both ends plus (sum |a| + n) * 2**-1070, covers all three
-    errors, so when P(b_j) - N(b_i) exceeds it the kernel's NPV is > 0 at
-    every point of the range, and when P(b_i) - N(b_j) is below minus it the
-    kernel's NPV is < 0 there: the range holds neither a sign change nor an
-    exact zero. An infinite bound (a factor or a sum beyond float range,
-    where the kernel takes its overflow path) makes the margin infinite and
-    both tests fail. A range that fails is halved; a single cell is decided
-    by the kernel, exactly as the exhaustive scan decides it.
+def _sign_changes(flows: Sequence[float], lo: float, hi: float) -> int | None:
+    """Sign changes of the coefficients of (1 + y)**n * p((lo + hi*y) / (1 + y))
+    for p(t) = sum of flows[k] * t**k of degree n, lo < hi in (0, 1] being
+    multiples of 2**-53 so that w = hi - lo is exact; None if a sign is
+    uncertain. By Descartes' rule 0 means no root of p in (lo, hi), 1 one.
+
+    The Taylor shift by lo is a scaling by lo**k, a shift by 1 and a scaling
+    by (w / lo)**k; a reversal and a shift by 1 follow. Each step adds or
+    multiplies by positive numbers, so a coefficient is a sum of terms
+    rounded at most 7n + 2 times, and the same steps on |flows| bound the
+    sum of |terms|: a coefficient beyond 8 * (n + 1) * 2**-53 times that has
+    an exact sign. Underflow adds 2**-1075 per product at most, grown by at
+    most 4**n * max(1, w / lo)**n; the margin adds twice all of it. Value
+    and bound ride as the real and imaginary parts of a complex number,
+    which adding and multiplying by positive floats keep apart. A value or
+    bound beyond float range is inf or NaN and fails.
     """
-    amounts = terms[0]
-    grid = _grid()
-    n = len(amounts)
-    relative = 8 * (n + 4) * 2.0**-53
-    absolute = math.ldexp(_sum(map(abs, amounts)) + n, -1070)
-    positive = ([a for a in amounts if a >= 0], [e for a, e in zip(*terms) if a >= 0])
-    negative = ([-a for a in amounts if a < 0], [e for a, e in zip(*terms) if a < 0])
+    n = len(flows) - 1
+    ratio = (hi - lo) / lo
+    exponent = (2 * n - 1073 + n * math.log2(max(1.0, ratio))
+                + math.log2((n + 1) ** 2 * (1 + _sum(map(abs, flows)))))
+    absolute = 2.0**exponent if exponent < 1024 else math.inf  # inf: no float clears it
+    packed = map(complex, flows, map(abs, flows))
+    scaled = list(map(mul, packed, accumulate(repeat(lo, n), mul, initial=1.0)))
+    shifted = _taylor_shift(scaled[::-1])  # p(lo * (1 + v))
+    piece = map(mul, shifted, accumulate(repeat(ratio, n), mul, initial=1.0))  # p(lo + w * s)
+    coefficients = _taylor_shift(list(piece))  # read highest degree first: the reversal
+    if all(abs(c.real) > 8 * (n + 1) * 2.0**-53 * c.imag + absolute for c in coefficients):
+        signs = [c.real > 0 for c in coefficients]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    return None
 
-    @cache
-    def bound(k: int) -> tuple[float, float]:
-        b = 1.0 + grid[k]
-        return _discounted_sum(*positive, b), _discounted_sum(*negative, b)
 
-    @cache
-    def value(k: int) -> float:
-        return _npv_at_rate(terms, grid[k])
+def _isolate(terms: _Terms) -> list[_Bracket]:
+    """A bracket of each NPV root in the search bracket, in rate order, by
+    Descartes' rule on pieces (Vincent, Collins and Akritas).
 
-    brackets = []
-    ranges = [(0, _GRID_CELLS)]
-    while ranges:
-        i, j = ranges.pop()  # leftmost first, so brackets come in grid order
-        if j - i == 1:
-            f_i = value(i)
-            if f_i == 0.0:
-                brackets.append((grid[i], grid[i], f_i, f_i))
-            elif (f_i > 0) != (value(j) > 0):
-                brackets.append((grid[i], grid[j], f_i, value(j)))
-            continue
-        p_i, n_i = bound(i)
-        p_j, n_j = bound(j)
-        margin = relative * (p_i + n_i + p_j + n_j) + absolute
-        if not (p_j - n_i > margin or p_i - n_j < -margin):
-            mid = (i + j) // 2
-            ranges += [(mid, j), (i, mid)]
-    return brackets
+    NPV is p(x) = sum of a_k * x**k in x = 1/(1 + r), in (1/11, 1) for r in
+    (0, 10], and z**-n times the reversed flows' polynomial in z = 1 + r, in
+    (0.01, 1) for r in (-0.99, 0). A piece of either that ``_sign_changes``
+    does not show to hold no root or one is split at its geometric midpoint,
+    the midpoint in log(1 + r); one no wider than ``_CELL`` is decided by
+    NPV's signs at its ends. A piece holds a root, bracketed by its end
+    rates, when the kernel's NPVs there are nonzero and of opposite signs.
+    An NPV of exactly 0.0 at r = 0 or a split point is a root there.
+    """
+    nonzero = [k for k, a in enumerate(terms[0]) if a]
+    flows = terms[0][nonzero[0]:nonzero[-1] + 1]  # zeros at the ends move no root
+
+    value = cache(partial(_npv_at_rate, terms))
+
+    def keep(low: float, high: float) -> None:
+        f_low, f_high = value(low), value(high)
+        if f_low and f_high and (f_low > 0) != (f_high > 0):
+            brackets.append((low, high, f_low, f_high))
+
+    brackets = [(0.0, 0.0, 0.0, 0.0)] if value(0.0) == 0.0 else []
+    for coefficients, rate, ends in (
+        (flows[::-1], lambda z: z - 1.0, (_dyadic(1.0 + IRR_BRACKET[0]), 1.0)),
+        (flows, lambda x: 1.0 / x - 1.0, (1.0, _dyadic(1.0 / (1.0 + _TOP_RATE)))),
+    ):
+        pieces = [ends]  # each (a, b) with a the end of lower rate
+        while pieces:
+            a, b = pieces.pop()
+            lo, hi = min(a, b), max(a, b)
+            narrow = math.log(hi / lo) <= _CELL  # kept if its NPV signs differ
+            count = 1 if narrow else _sign_changes(coefficients, lo, hi)
+            if count == 1:
+                keep(rate(a), rate(b))
+            elif count != 0:
+                middle = _dyadic(math.sqrt(lo * hi))
+                if value(rate(middle)) == 0.0:
+                    brackets.append((rate(middle), rate(middle), 0.0, 0.0))
+                pieces += [(middle, b), (a, middle)]
+    return sorted(brackets)
 
 
 def _brent(terms: _Terms, a: float, b: float, f_a: float, f_b: float, tol: float) -> float:
@@ -356,17 +372,17 @@ def _seed_bracket(terms: _Terms, positive_at_infinity: bool) -> _Bracket | None:
     Otherwise the root lies below the seeds when they have NPV's sign as
     r -> infinity, ``positive_at_infinity``, and above them if not. On that
     side a probe, twice as far from the near seed as the zero of the line
-    through the seeds' NPVs, if it falls short of the grid end, and then the
-    grid end are tried in turn.
+    through the seeds' NPVs, if it falls short of the bracket's end, and then
+    that end are tried in turn.
     """
     low, high = _SEEDS
     f_low, f_high = _npv_at_rate(terms, low), _npv_at_rate(terms, high)
     if (f_low > 0) != (f_high > 0):
         return low, high, f_low, f_high
     if (f_low > 0) == positive_at_infinity:
-        near, f_near, end = low, f_low, _grid()[0]
+        near, f_near, end = low, f_low, IRR_BRACKET[0]
     else:
-        near, f_near, end = high, f_high, _grid()[-1]
+        near, f_near, end = high, f_high, _TOP_RATE
     step = (high - low) / (f_high - f_low) if f_high != f_low else 0.0  # flat: no probe
     probe = near - 2 * f_near * step
     for far in (probe, end) if min(near, end) < probe < max(near, end) else (end,):
@@ -386,25 +402,22 @@ def _root_bound(flows: Sequence[float]) -> int | None:
     Descartes' rule for power series (Polya & Szego, *Problems and Theorems
     in Analysis* II, part V) bounds them by the sign changes of the c_k:
     the 2-fold running sums T_0..T_n of the flows, then T_n + (k - n) * S_n
-    for k > n, whose sign ends as that of the total S_n. With one running
-    sum in place of two this is Norstrom's cumulative-cash-flow criterion
-    (JFQA 7(3), 1972). Rates in (-1, 0) are x > 1, where x**-n * p(x) is
-    the same polynomial in 1/x with the flows in reverse year order, so the
-    same count on the reversed flows bounds them. r = 0 is a root only when
-    S_n is 0. The bound is the sum of the two counts. Leading and trailing
-    zero flows are dropped first: the leading ones multiply p by a power of
-    x and the trailing ones lower its degree, so neither moves a root.
+    for k > n, ending with the sign of the total S_n (one running sum gives
+    Norstrom's cumulative-cash-flow criterion, JFQA 7(3), 1972). Rates in
+    (-1, 0) are x > 1, where x**-n * p(x) is the same polynomial in 1/x with
+    the flows reversed, so the same count on them bounds those roots. r = 0
+    is a root only when S_n is 0, and the bound is the sum of the two
+    counts. Leading and trailing zero flows move no root and are dropped.
 
-    The sums are floats. Each addition errs by at most 2**-53 times its
-    result, |S_j| <= sum |a| and |T_j| <= (j + 1) * sum |a|, so the computed
-    T_k is within (k**2 + 2k) * 2**-53 * sum |a| of the exact one, to first
-    order, and S_n within n * 2**-53 * sum |a|. Each of the n + 2 signs
-    counted, the total last, is taken only from a sum whose magnitude
-    exceeds (k + 2)**2 * 2**-53 * sum |a| at its place k in the sequence,
-    whose slack covers the second-order terms for n below 10**7. Then
-    every sign is exact and the total is not 0; otherwise, and for flows
-    so small or large that a sum or its bound leaves the normal float
-    range, the result is None and the caller scans.
+    Each float addition errs by at most 2**-53 times its result, and
+    |T_j| <= (j + 1) * sum |a|, so the computed T_k is within
+    (k**2 + 2k) * 2**-53 * sum |a| of the exact one, to first order, and S_n
+    within n * 2**-53 * sum |a|. Each of the n + 2 signs, the total last,
+    counts only when its sum exceeds (k + 2)**2 * 2**-53 * sum |a| at its
+    place k, whose slack covers the second-order terms for n below 10**7.
+    Otherwise, and for flows so small or large that a sum or its bound
+    leaves the normal float range, the result is None and the caller
+    isolates the roots.
     """
     nonzero = [k for k, a in enumerate(flows) if a]
     flows = flows[nonzero[0]:nonzero[-1] + 1] if nonzero else flows
@@ -426,33 +439,20 @@ def _root_bound(flows: Sequence[float]) -> int | None:
 def irr(schedule: CashFlowSchedule) -> float:
     """Internal rate of return: the discount rate at which NPV is zero.
 
-    Searches the bracket [-0.99, 10] by one of three paths.
+    Searches the bracket [-0.99, 10] by one of three paths: one sign change
+    in the nonzero flows means exactly one root on r > -1 (Descartes' rule
+    of signs in x = 1/(1+r)); otherwise a bound from the flows' running sums
+    (``_root_bound``) is at most 1 on most overhaul-style schedules; failing
+    that the roots are isolated (``_isolate``), and if there are several the
+    smallest is returned and an ``AmbiguousIrrWarning`` gives their number.
 
-    - One sign change. When the nonzero flows change sign exactly once,
-      Descartes' rule of signs in x = 1/(1+r) gives exactly one root on
-      r > -1.
-    - Root-count bound. With two or more sign changes, the running sums of
-      the flows bound the roots on r > -1 (see ``_root_bound``); most
-      overhaul-style schedules have a certified bound of at most 1.
-    - Certified scan. Otherwise NPV's sign changes on a 2001-point grid are
-      bracketed first: bounds from the discounted positive and negative
-      flows certify the sign of whole ranges of grid points, with a margin
-      for rounding, so NPV itself is evaluated only in the few cells no
-      bound covers, and the brackets are those an evaluation at every point
-      would give (see ``_scan_brackets``). If several roots are bracketed
-      the smallest is returned and an ``AmbiguousIrrWarning`` is emitted.
-
-    On the first two paths, with at most one root, NPV at the seeds 0.05
-    and 0.15, inside the usual tidal discount-rate range, brackets it when
-    their signs differ; otherwise one probe beyond the seeds, on the side
-    NPV's sign as r -> infinity points to, or the grid end there does, or
-    no root lies in range (see ``_seed_bracket``). Every path then runs
-    Brent's method on its bracket, the scan path on the smallest, down to
-    |NPV| < 1e-12, scaled down with the largest flow when that is below
-    1 GBP m. The scan and Brent's method evaluate NPV with the one kernel
-    behind ``npv``, so each trial rate's NPV is exactly ``npv(schedule,
-    DiscountSpec(rate))``; an NPV beyond float range counts as an infinity
-    of its sign.
+    With at most one root, NPV at the seeds 0.05 and 0.15 brackets it, or
+    else one probe beyond them or the bracket's end does, or no root lies in
+    range (``_seed_bracket``). Brent's method then runs on the bracket down
+    to |NPV| < 1e-12, scaled down with the largest flow when that is below
+    1 GBP m. Every NPV comes from the one kernel behind ``npv``, so each
+    trial rate's NPV is exactly ``npv(schedule, DiscountSpec(rate))``; an
+    NPV beyond float range counts as an infinity of its sign.
     """
     terms = _terms(schedule)
     amounts = terms[0]
@@ -466,7 +466,7 @@ def irr(schedule: CashFlowSchedule) -> float:
         if bracket is None:
             raise NoIrrInRangeError(no_root)
     else:
-        brackets = _scan_brackets(terms)
+        brackets = _isolate(terms)
         if not brackets:
             raise NoIrrInRangeError(no_root)
         if len(brackets) > 1:

@@ -7,11 +7,12 @@ fractional scans) so agreement is meaningful.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
 
-from tidalecon.metrics import _grid, _npv_at_rate
+from tidalecon.metrics import _npv_at_rate
 
 # GBP m: the NPV residual every IRR the library returns must stay below.
 IRR_NPV_TOLERANCE = 1e-6
@@ -85,6 +86,14 @@ def payback_exact_oracle(flows: dict[int, float], rate: float, horizon: int) -> 
     return None
 
 
+def log_grid(low: float = -0.99, high: float = 10.0, cells: int = 2000) -> list[float]:
+    """``cells + 1`` rates from ``low`` to ``high``, uniform in log(1 + r), so
+    the steep region near r = -1 is resolved as finely as the long tail."""
+    start = math.log1p(low)
+    span = math.log1p(high) - start
+    return [math.expm1(start + k * span / cells) for k in range(cells + 1)]
+
+
 def irr_bisection_oracle(
     flows: dict[int, float],
     low: float = -0.99,
@@ -92,11 +101,10 @@ def irr_bisection_oracle(
     tol: float = 1e-9,
 ) -> float:
     """Smallest NPV root in [low, high] via grid bracketing plus bisection."""
-    n = 4000
-    grid = [low + k * (high - low) / n for k in range(n + 1)]
+    grid = log_grid(low, high)
     values = [pv_oracle(flows, r) for r in grid]
     bracket = None
-    for k in range(n):
+    for k in range(len(grid) - 1):
         if values[k] == 0.0:
             return grid[k]
         if (values[k] > 0) != (values[k + 1] > 0):
@@ -123,9 +131,8 @@ def scan_brackets_oracle(terms: tuple[list[float], list[int]]) -> list[tuple[flo
 
     A cell whose NPVs differ in sign (> 0 against <= 0) is a bracket, and so
     is ``(r, r)`` for a point other than the last where NPV is exactly 0.0.
-    ``metrics._scan_brackets`` must return this list element for element.
     """
-    grid = _grid()
+    grid = log_grid()
     values = [_npv_at_rate(terms, rate) for rate in grid]
     brackets = []
     for k in range(len(grid) - 1):
@@ -134,6 +141,37 @@ def scan_brackets_oracle(terms: tuple[list[float], list[int]]) -> list[tuple[flo
         elif (values[k] > 0) != (values[k + 1] > 0):
             brackets.append((grid[k], grid[k + 1]))
     return brackets
+
+
+def _shifted(coefficients: list[int], t: int) -> list[int]:
+    """Coefficients of p(x + t), lowest degree first, in exact integers."""
+    c = list(coefficients)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += t * c[j + 1]
+    return c
+
+
+def descartes_count_oracle(flows: Sequence[float], lo: float, hi: float) -> int:
+    """Sign changes of the coefficients of (1 + y)**n * p((lo + hi*y) / (1 + y)),
+    p(t) = sum of flows[k] * t**k, in exact integer arithmetic (zeros skipped).
+
+    Every float is an integer over a power of two. With lo = L / D, hi = H / D
+    and the flows A_k / F, the coefficients times F * D**n > 0 are those of
+    (1 + y)**n * Q((L + H*y) / (1 + y)) for Q(X) = sum of A_k * X**k * D**(n - k):
+    a Taylor shift by L, a scaling by (H - L)**k, a reversal and a Taylor
+    shift by 1, all in Python ints.
+    """
+    n = len(flows) - 1
+    ratios = [a.as_integer_ratio() for a in flows]
+    scale = max(den for _, den in ratios)
+    (l_num, l_den), (h_num, h_den) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    d = max(l_den, h_den)
+    low, high = l_num * (d // l_den), h_num * (d // h_den)
+    q = [num * (scale // den) * d ** (n - k) for k, (num, den) in enumerate(ratios)]
+    piece = [c * (high - low) ** k for k, c in enumerate(_shifted(q, low))]
+    signs = [c > 0 for c in _shifted(piece[::-1], 1) if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def lcoe_oracle(

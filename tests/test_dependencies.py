@@ -14,11 +14,14 @@ MODULES = sorted((SRC / "tidalecon").glob("*.py"))
 
 
 def test_cli_import_leaves_numpy_unloaded():
+    # Nor exact arithmetic: the CLI's cold start pays for no module it does
+    # not use, and no IRR helper reaches for fractions or decimal.
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    probe = "import sys, tidalecon.cli; print('numpy' in sys.modules)"
+    probe = ("import sys, tidalecon.cli; "
+             "print(sorted({'numpy', 'fractions', 'decimal'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from tidalecon.metrics import (
 
 from conftest import (
     IRR_NPV_TOLERANCE,
+    descartes_count_oracle,
     exact_factor,
     irr_bisection_oracle,
     lcoe_oracle,
@@ -212,16 +214,16 @@ class TestIrr:
 
 
 class TestIrrRuleOfSigns:
-    """One sign change means one root on r > -1, so no bracket scan is needed."""
+    """One sign change means one root on r > -1, so no root isolation is needed."""
 
     @pytest.fixture
-    def no_scan(self, monkeypatch):
-        def fail(schedule):
-            raise AssertionError("bracket scan run for a single sign change")
+    def no_isolation(self, monkeypatch):
+        def fail(terms):
+            raise AssertionError("root isolation run for a single sign change")
 
-        monkeypatch.setattr(metrics_module, "_scan_brackets", fail)
+        monkeypatch.setattr(metrics_module, "_isolate", fail)
 
-    def test_typical_project_skips_scan(self, no_scan):
+    def test_typical_project_skips_scan(self, no_isolation):
         schedule = build_schedule(design(), TYPICAL, TariffScheme(150.0))
         expected = irr_bisection_oracle(dict(enumerate(schedule.flows)))
         assert irr(schedule) == pytest.approx(expected, abs=1e-6)
@@ -231,7 +233,7 @@ class TestIrrRuleOfSigns:
         ({0: -100.0, 1: 60.0, 2: 60.0}, 0.13066),
         ({0: -100.0, 40: 1.0}, 100.0 ** (-1 / 40) - 1),  # root below the seeds
     ])
-    def test_annuities_skip_scan(self, no_scan, flows, expected):
+    def test_annuities_skip_scan(self, no_isolation, flows, expected):
         rate = irr(schedule_of(flows))
         assert rate == pytest.approx(expected, abs=1e-5)
         assert rate == pytest.approx(irr_bisection_oracle(flows), abs=1e-6)
@@ -239,12 +241,12 @@ class TestIrrRuleOfSigns:
     def test_two_roots_still_scan(self, monkeypatch):
         calls = []
 
-        def spy(schedule):
-            calls.append(schedule)
-            return scan(schedule)
+        def spy(terms):
+            calls.append(terms)
+            return isolate(terms)
 
-        scan = metrics_module._scan_brackets
-        monkeypatch.setattr(metrics_module, "_scan_brackets", spy)
+        isolate = metrics_module._isolate
+        monkeypatch.setattr(metrics_module, "_isolate", spy)
         assert metrics_module._root_bound(schedule_of(TWO_ROOT_FLOWS).flows) == 2
         with pytest.warns(AmbiguousIrrWarning):
             result = irr(schedule_of(TWO_ROOT_FLOWS))
@@ -362,9 +364,11 @@ class TestIrrExactness:
             assert irr(schedule_of(flows)) == float.fromhex(expected)
 
     def test_two_roots_bits_and_warning_unchanged(self):
+        # The root is r = 0.05; Brent's method on the isolated piece
+        # (0, 0.078) stops 2.9e-15 below it.
         with pytest.warns(AmbiguousIrrWarning, match="2 NPV roots bracketed"):
             result = irr(schedule_of(TWO_ROOT_FLOWS))
-        assert result == float.fromhex("0x1.9999999992e2ep-5")
+        assert result == float.fromhex("0x1.99999999997f3p-5")
 
     @pytest.mark.parametrize("horizon", [154, 155, 200])
     def test_long_annuity_does_not_overflow(self, horizon):
@@ -479,51 +483,126 @@ def scan_schedules(draw) -> dict[int, float]:
     return {year: scale * rng.uniform(-10.0, 10.0) for year in range(rng.randint(1, 40) + 1)}
 
 
-# NPV at the scan grid's point 1234 is exactly 0.0 (found by adjusting the
-# last bits of the flows); the other root lies near r = 0.13.
-ZERO_AT_GRID_POINT_FLOWS = {0: -1.0, 1: 1.8813920104667285, 2: -0.8495126152915294}
+# NPV at r = -0.9 is exactly 0.0 (found by adjusting the last bit of the
+# year-2 flow). z = 1 + r = 0.1 is the geometric midpoint of 0.01 and 1, so
+# r = -0.9 is the first split point of (-0.99, 0), which holds the other
+# root, r = -0.5, too.
+ZERO_AT_SPLIT_POINT_FLOWS = {0: -1.0, 1: 0.6, 2: -0.04999999999999999}
+# Width in log(1 + r) of a cell of the exhaustive scan's grid.
+GRID_CELL = math.log(1100.0) / 2000
 
 
-def _scan_rates(terms) -> list[tuple[float, float]]:
-    """The rates of ``_scan_brackets``, after checking that the NPVs each
+def _isolated_rates(terms) -> list[tuple[float, float]]:
+    """The rates of ``_isolate``'s brackets, after checking that the NPVs each
     bracket carries are the kernel's at its ends, bit for bit."""
-    brackets = metrics_module._scan_brackets(terms)
+    brackets = metrics_module._isolate(terms)
     for low, high, f_low, f_high in brackets:
         kernel = [metrics_module._npv_at_rate(terms, rate).hex() for rate in (low, high)]
         assert [f_low.hex(), f_high.hex()] == kernel
     return [(low, high) for low, high, _, _ in brackets]
 
 
-class TestCertifiedScan:
-    """The scan certifies the NPV sign of whole grid ranges, evaluating the
-    kernel only in cells no bound covers; its brackets must equal the
-    exhaustive scan's element for element."""
+def _record_counts(patch: pytest.MonkeyPatch) -> list:
+    """Every ``_sign_changes`` call made while ``patch`` holds: its arguments,
+    then its result."""
+    calls = []
+    count = metrics_module._sign_changes
+
+    def recording(*args):
+        calls.append((*args, count(*args)))
+        return calls[-1][-1]
+
+    patch.setattr(metrics_module, "_sign_changes", recording)
+    return calls
+
+
+def _apart(roots: list[float]) -> bool:
+    """Whether consecutive roots lie more than two grid cells apart in log(1 + r)."""
+    logs = [math.log1p(root) for root in roots]
+    return all(b - a > 2 * GRID_CELL for a, b in zip(logs, logs[1:]))
+
+
+class TestRootIsolation:
+    """Descartes' rule on pieces of the bracket certifies that a piece holds no
+    root or exactly one. Every count it certifies must be the exact count, and
+    its roots must be the exhaustive scan's wherever they lie apart."""
 
     @given(flows=scan_schedules())
     @settings(max_examples=100, deadline=None)
-    def test_equals_exhaustive_scan(self, flows):
+    def test_counts_are_exact_and_roots_match_the_exhaustive_scan(self, flows):
+        assume(len({a > 0 for a in flows.values() if a}) == 2)  # as irr isolates only then
         terms = metrics_module._terms(schedule_of(flows))
-        assert _scan_rates(terms) == scan_brackets_oracle(terms)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _record_counts(patch)
+            brackets = metrics_module._isolate(terms)
+        for coefficients, lo, hi, result in calls:
+            if result is not None:
+                assert result == descartes_count_oracle(coefficients, lo, hi)
+        assert [bracket[:2] for bracket in brackets] == _isolated_rates(terms)
+        # Each call that does not settle its piece splits it in two. When
+        # every leaf piece is settled, none was left to the kernel's signs at
+        # the ends of a narrow piece, and the roots are all there are.
+        settled = sum(result in (0, 1) for *_, result in calls)
+        roots = [metrics_module._brent(terms, *bracket, 0.0) for bracket in brackets]
+        if settled == len(calls) - settled + 2 and _apart(roots):
+            assert len(roots) == len(scan_brackets_oracle(terms))
 
-    def test_exact_zero_at_a_grid_point(self):
-        schedule = schedule_of(ZERO_AT_GRID_POINT_FLOWS)
+    @given(rng=st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_counts_stay_exact_where_products_underflow(self, rng):
+        # Flows of 1e-320 to 1e-300: the transform's products leave the
+        # normal float range, which the margin's absolute term covers.
+        scale = 10.0 ** rng.uniform(-320.0, -300.0)
+        flows = [scale * rng.uniform(-10.0, 10.0) for _ in range(rng.randint(10, 50))]
+        lo = metrics_module._dyadic(rng.uniform(0.01, 0.9))
+        hi = metrics_module._dyadic(min(1.0, lo * math.exp(rng.uniform(0.004, 3.0))))
+        count = metrics_module._sign_changes(flows, lo, hi)
+        if count is not None:
+            assert count == descartes_count_oracle(flows, lo, hi)
+
+    @pytest.mark.parametrize("flows", [
+        {0: -1.0, 1: 2.2, 2: -1.2},  # NPV at r = 0 is 2.2e-16; the other root r = 0.2
+        {0: -1.0, 1: 2.25, 2: -1.25},  # NPV at r = 0 is exactly 0.0; the other root r = 0.25
+    ], ids=["near_zero", "exact_zero"])
+    def test_root_at_the_zero_rate_split(self, flows):
+        with pytest.warns(AmbiguousIrrWarning, match="2 NPV roots"):
+            assert irr(schedule_of(flows)) == 0.0
+
+    def test_exact_zero_at_a_split_point(self):
+        schedule = schedule_of(ZERO_AT_SPLIT_POINT_FLOWS)
         terms = metrics_module._terms(schedule)
-        root = metrics_module._grid()[1234]
-        assert metrics_module._npv_at_rate(terms, root) == 0.0
-        brackets = _scan_rates(terms)
-        assert brackets == scan_brackets_oracle(terms)
-        assert brackets[0] == (root, root) and len(brackets) == 2
+        assert metrics_module._npv_at_rate(terms, -0.9) == 0.0
+        rates = _isolated_rates(terms)
+        assert len(rates) == len(scan_brackets_oracle(terms)) == 2
+        assert rates[0] == (-0.9, -0.9) and rates[1][0] < -0.5 < rates[1][1]
         with pytest.warns(AmbiguousIrrWarning, match="2 NPV roots bracketed"):
-            assert irr(schedule) == root
+            assert irr(schedule) == -0.9
 
-    @pytest.mark.parametrize("flows", [TWO_ROOT_FLOWS, SCAN_PATH_IRRS[1][0]])
-    def test_one_irr_evaluates_far_fewer_npvs_than_the_grid(self, kernel_calls, flows):
-        # The exhaustive scan alone made 2001 kernel calls. This counts every
-        # call of the kernel during one irr: bounds, cells, Brent.
+    def test_long_horizon_needs_few_transforms(self, monkeypatch):
+        # 200 years: a flow of 1e8 a year, -3e7 every seventh year, and a
+        # -5e11 hit in year 150. The two whole pieces fail their certificate,
+        # whose underflow margin grows as (4 * w / lo)**200; their halves
+        # pass it. The one root is near r = -0.12; the oracle's own powers of
+        # 1 + r underflow near r = -0.99, so it searches from r = -0.5.
+        flows = {0: -5e9, **{y: 1e8 * (1.0 if y % 7 else -0.3) for y in range(1, 201)},
+                 150: -5e11}
+        calls = _record_counts(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AmbiguousIrrWarning)
+            rate = irr(schedule_of(flows))
+        assert rate == pytest.approx(irr_bisection_oracle(flows, low=-0.5), abs=1e-9)
+        assert len(calls) <= 8
+
+    @pytest.mark.parametrize("flows", [TWO_ROOT_FLOWS, SCAN_PATH_IRRS[1][0]],
+                             ids=["two_roots", "overhaul"])
+    def test_one_irr_needs_few_npvs(self, kernel_calls, flows):
+        # The exhaustive scan of the 2001-point grid makes 2001 kernel calls.
+        # This counts every call of the kernel during one irr: isolation and
+        # Brent's method.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AmbiguousIrrWarning)
             irr(schedule_of(flows))
-        assert 0 < len(kernel_calls) < 400
+        assert 0 < len(kernel_calls) <= 16
 
 
 class TestRootCountBound:
@@ -541,9 +620,9 @@ class TestRootCountBound:
     @pytest.mark.parametrize("flows, expected", SCAN_PATH_IRRS)
     def test_one_root_schedules_skip_the_scan(self, monkeypatch, flows, expected):
         def fail(terms):
-            raise AssertionError("bracket scan run under a root bound of 1")
+            raise AssertionError("root isolation run under a root bound of 1")
 
-        monkeypatch.setattr(metrics_module, "_scan_brackets", fail)
+        monkeypatch.setattr(metrics_module, "_isolate", fail)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert irr(schedule_of(flows)) == float.fromhex(expected)
@@ -635,9 +714,9 @@ class TestRootCountBound:
         late = {year + 1: amount for year, amount in flows.items()}
 
         def fail(terms):
-            raise AssertionError("bracket scan run under a root bound of 1")
+            raise AssertionError("root isolation run under a root bound of 1")
 
-        monkeypatch.setattr(metrics_module, "_scan_brackets", fail)
+        monkeypatch.setattr(metrics_module, "_isolate", fail)
         assert irr(schedule_of(late)) == pytest.approx(float.fromhex(expected), abs=1e-9)
 
 
