@@ -129,6 +129,10 @@ def lcoe(design: ArrayDesign, params: CostParameters, spec: DiscountSpec) -> flo
         discounted_cost, discounted_energy = _discounted_cost_and_energy(
             design, params, spec, design.lifetime_years
         )
+    return _cost_per_mwh(discounted_cost, discounted_energy)
+
+
+def _cost_per_mwh(discounted_cost: float, discounted_energy: float) -> float:
     if discounted_energy <= 0:
         raise ValueError("discounted energy is zero; LCOE is undefined")
     return discounted_cost * 1e6 / discounted_energy
@@ -170,7 +174,7 @@ def payback_period(schedule: CashFlowSchedule, spec: DiscountSpec) -> float:
             return _scaled_payback(schedule, spec)
     if cumulative == -math.inf:
         return _scaled_payback(schedule, spec)
-    raise _no_payback(schedule)
+    raise _no_payback(schedule.horizon)
 
 
 def _scaled_payback(schedule: CashFlowSchedule, spec: DiscountSpec) -> float:
@@ -198,7 +202,7 @@ def _scaled_payback(schedule: CashFlowSchedule, spec: DiscountSpec) -> float:
                 testing = True
         if testing and cumulative >= 0:
             return _crossing(year, previous, cumulative)
-    raise _no_payback(schedule)
+    raise _no_payback(schedule.horizon)
 
 
 def _crossing(year: int, previous: float, cumulative: float) -> float:
@@ -208,10 +212,8 @@ def _crossing(year: int, previous: float, cumulative: float) -> float:
     return (year - 1) + previous / (previous - cumulative)
 
 
-def _no_payback(schedule: CashFlowSchedule) -> NoPaybackError:
-    return NoPaybackError(
-        f"cumulative discounted flow stays negative through year {schedule.horizon}"
-    )
+def _no_payback(horizon: int) -> NoPaybackError:
+    return NoPaybackError(f"cumulative discounted flow stays negative through year {horizon}")
 
 
 # An IRR search works on ``_terms(schedule)``: the flows in year order and
@@ -494,29 +496,115 @@ def evaluate(
 ) -> tuple[dict[str, float | None], dict[str, str]]:
     """The named metrics of one design, in ``METRIC_NAMES`` order.
 
-    Builds the schedule once and computes only the metrics in ``names``.
-    Returns ``(values, notes)``: a metric undefined for these inputs (an
-    NPV beyond float range, no energy for LCOE, no payback, no IRR) is None
-    in ``values``, and ``notes`` maps its name to the reason.
+    One pass over years 0..L draws each year's discount factor once and
+    sums NPV, the cumulative flow behind payback and LCOE's discounted cost
+    and energy together; only IRR builds a schedule, and only when named.
+    Each value is bit for bit what ``reported_npv``, ``lcoe``,
+    ``payback_period`` and ``irr`` return. Returns ``(values, notes)``: a
+    metric undefined for these inputs (an NPV beyond float range, no energy
+    for LCOE, no payback, no IRR) is None in ``values``, and ``notes`` maps
+    its name to the reason.
     """
     for name in names:
         if name not in METRIC_NAMES:
             raise ValueError(f"unknown metric {name!r}; valid names: {', '.join(METRIC_NAMES)}")
+    return _evaluate(design, params, tariff, spec, names, _year_factors(spec, design.lifetime_years))
+
+
+def _year_factors(spec: DiscountSpec, lifetime: int) -> tuple[float, ...] | None:
+    """The discount factors of years 0..``lifetime``, or None if one passes float range."""
+    try:
+        return tuple(_factors(spec, range(lifetime + 1)))
+    except OverflowError:
+        return None
+
+
+def _evaluate(
+    design: ArrayDesign,
+    params: CostParameters,
+    tariff: TariffScheme,
+    spec: DiscountSpec,
+    names: Sequence[str],
+    factors: tuple[float, ...] | None,
+) -> tuple[dict[str, float | None], dict[str, str]]:
+    """``evaluate`` given ``_year_factors(spec, design.lifetime_years)``.
+
+    The pass adds each sum left to right in the order the metric functions
+    add it: NPV as ``present_value``, whose running total is payback's
+    cumulative flow, and LCOE's cost and energy as
+    ``_discounted_cost_and_energy(..., 0)``. The flows are ``build_schedule``'s.
+    Where a factor passes float range (``factors`` is None) or the NPV or
+    LCOE sums do, the metric functions run one by one: they are the
+    reference, with the scaled passes and the schedule's flow checks (a
+    non-finite flow makes the NPV non-finite).
+    """
+    if factors is None:
+        return _evaluate_each(design, params, tariff, spec, names)
+    capital = capex(params, design.n_t)
+    annual_opex = opex_year(params, design.n_t)
+    t_e = tariff.t_e
+    flows = [-capital]
+    total = 0.0 - capital * factors[0]  # as present_value adds it to 0.0
+    payback = 0.0 if not total < 0 else None
+    cost, energy_sum = capital, 0.0
+    for year, factor, energy in zip(range(1, len(factors)), factors[1:], _energy_by_year(design)):
+        flow = energy * t_e / 1e6 - annual_opex
+        flows.append(flow)
+        previous = total
+        total += flow * factor
+        if payback is None and not total < 0:
+            payback = _crossing(year, previous, total)
+        cost += annual_opex * factor
+        energy_sum += energy * factor
+    if not (math.isfinite(total) and math.isfinite(cost * 1e6 + energy_sum)):
+        return _evaluate_each(design, params, tariff, spec, names)
+
+    def compute(name: str) -> float:
+        if name == "npv":
+            return total
+        if name == "lcoe":
+            return _cost_per_mwh(cost, energy_sum)
+        if name == "payback":
+            if payback is None:
+                raise _no_payback(design.lifetime_years)
+            return payback
+        return irr(CashFlowSchedule(horizon=design.lifetime_years, flows=flows))
+
+    return _bundle(names, compute)
+
+
+def _evaluate_each(
+    design: ArrayDesign,
+    params: CostParameters,
+    tariff: TariffScheme,
+    spec: DiscountSpec,
+    names: Sequence[str],
+) -> tuple[dict[str, float | None], dict[str, str]]:
+    """``evaluate`` by the metric functions, one at a time on one schedule."""
     schedule = build_schedule(design, params, tariff)
+
+    def compute(name: str) -> float:
+        if name == "npv":
+            return reported_npv(schedule, spec)
+        if name == "lcoe":
+            return lcoe(design, params, spec)
+        if name == "payback":
+            return payback_period(schedule, spec)
+        return irr(schedule)
+
+    return _bundle(names, compute)
+
+
+def _bundle(names: Sequence[str], compute) -> tuple[dict[str, float | None], dict[str, str]]:
+    """``compute`` of each metric in ``names``, in ``METRIC_NAMES`` order, with
+    a metric that raises its ``_UNDEFINED`` error reported as None and a note."""
     values: dict[str, float | None] = {}
     notes: dict[str, str] = {}
     for name in METRIC_NAMES:
         if name not in names:
             continue
         try:
-            if name == "npv":
-                values[name] = reported_npv(schedule, spec)
-            elif name == "lcoe":
-                values[name] = lcoe(design, params, spec)
-            elif name == "payback":
-                values[name] = payback_period(schedule, spec)
-            else:
-                values[name] = irr(schedule)
+            values[name] = compute(name)
         except _UNDEFINED[name] as err:
             values[name] = None
             notes[name] = str(err)
@@ -607,7 +695,7 @@ def functional_sweep(
     spec: DiscountSpec,
     bep: BreakEvenSpec,
 ) -> list[dict]:
-    """Evaluate every metric along a turbine-count / power curve.
+    """NPV and LCOE along a turbine-count / power curve, with both P_BE scores.
 
     Each (n_t, P_avg) sample is substituted into ``design_template``
     (availability, efficiency, rating and lifetime are kept); n_t must be a
@@ -625,10 +713,11 @@ def functional_sweep(
     if len(set(counts)) != len(counts):
         raise ValueError("power-curve samples must have distinct n_t values")
 
+    factors = _year_factors(spec, design_template.lifetime_years)  # every row's lifetime
     rows = []
     for n_t, p_avg in power_curve:
         design = replace(design_template, n_t=int(n_t), p_avg_mw=float(p_avg))
-        values, notes = evaluate(design, params, tariff, spec, ("npv", "lcoe"))
+        values, notes = _evaluate(design, params, tariff, spec, ("npv", "lcoe"), factors)
         row = {
             "n_t": int(n_t),
             "p_avg_mw": float(p_avg),

@@ -141,7 +141,8 @@ def sensitivity_sweep(
 
     ``base_scenario`` is a scenario label or a full parameter mapping.
     Returns (value, metric) pairs in grid order; None marks grid points
-    where the metric is undefined. Only the swept metric is computed.
+    where the metric is undefined. Only the swept metric is reported, and
+    IRR is computed only for an ``irr`` sweep.
     """
     if metric not in METRIC_NAMES:
         raise ValueError(f"unknown metric {metric!r}; valid names: {', '.join(METRIC_NAMES)}")

@@ -454,6 +454,25 @@ class TestBuiltScheduleBits:
                     got.append(type(err).__name__)
         assert got == [npv_bits, lcoe_bits, payback_bits, irr_bits]
 
+    @pytest.mark.parametrize("case, spec_name, npv_bits, lcoe_bits, payback_bits, irr_bits", [
+        pytest.param(*row, id=f"{row[0]}-{row[1]}")
+        for row in BUILT_SCHEDULE_BITS if BUILT_SCHEDULES[row[0]][1] is None
+    ])
+    def test_evaluate_reports_the_pinned_bits(self, case, spec_name, npv_bits, lcoe_bits,
+                                              payback_bits, irr_bits):
+        # ``evaluate`` takes no OPEX multipliers. The "inf" NPV row takes its
+        # per-metric fallback, every other row the one pass.
+        design_args, _, tariff = BUILT_SCHEDULES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, notes = evaluate(design(**design_args), TYPICAL, TariffScheme(tariff),
+                                     BUILT_SPECS[spec_name])
+        pins = dict(zip(values, (npv_bits, lcoe_bits, payback_bits, irr_bits)))
+        assert {name: value.hex() for name, value in values.items() if value is not None} == {
+            name: pin for name, pin in pins.items() if pin != "inf"}
+        assert notes == {name: "NPV is beyond float range (+inf)"
+                         for name, pin in pins.items() if pin == "inf"}
+
 
 @st.composite
 def scan_schedules(draw) -> dict[int, float]:
@@ -952,6 +971,32 @@ class TestFunctionalSweep:
         assert [type(row["n_t"]) for row in rows] == [int, int]
 
 
+@st.composite
+def evaluate_inputs(draw) -> tuple[ArrayDesign, CostParameters, TariffScheme, DiscountSpec]:
+    """Designs, costs and discounting for ``evaluate``, including zero CAPEX, zero
+    power, per-year availability, and long horizons at rates near -1 whose
+    factors or sums pass float range."""
+    if draw(st.booleans()):
+        lifetime, rate = draw(st.integers(1, 40)), draw(st.floats(-0.5, 0.5))
+    else:
+        lifetime, rate = draw(st.sampled_from([200, 400])), draw(st.floats(-0.99, -0.9))
+    n_t, mw_t = draw(st.integers(1, 40)), draw(st.floats(0.5, 2.0))
+    availability = draw(st.one_of(
+        st.floats(0.5, 1.0), st.lists(st.floats(0.5, 1.0), min_size=lifetime, max_size=lifetime)))
+    d = ArrayDesign(n_t=n_t, mw_t=mw_t, lifetime_years=lifetime, availability=availability,
+                    p_avg_mw=draw(st.one_of(st.just(0.0), st.floats(0.0, n_t * mw_t))),
+                    electrical_efficiency=draw(st.floats(0.8, 1.0)))
+    capital = draw(st.sampled_from([0.0, 1.0]))
+    params = CostParameters(ca_f=capital * draw(st.floats(5.0, 15.0)),
+                            ca_t=capital * draw(st.floats(2.0, 5.0)),
+                            o_f=draw(st.floats(0.0, 1.0)), o_t=draw(st.floats(0.0, 0.3)))
+    spec = draw(st.one_of(
+        st.sampled_from([1, 4, 12]).map(lambda p: DiscountSpec(rate, periods_per_year=p)),
+        st.just(DiscountSpec(rate, mode=Compounding.CONTINUOUS)),
+    ))
+    return d, params, TariffScheme(draw(st.floats(20.0, 400.0))), spec
+
+
 class TestEvaluate:
     def test_unknown_name_rejected_listing_valid_ones(self):
         with pytest.raises(ValueError, match="'bogus'; valid names: npv, lcoe, payback, irr"):
@@ -970,6 +1015,37 @@ class TestEvaluate:
         with pytest.raises(NoPaybackError) as err:
             payback_period(schedule, spec)
         assert notes == {"payback": str(err.value)}
+
+    @given(inputs=evaluate_inputs())
+    @example(inputs=(design(lifetime_years=400), TYPICAL, TariffScheme(150.0),
+                     DiscountSpec(-0.99)))  # factors beyond float range
+    @example(inputs=(design(lifetime_years=200), TYPICAL, TariffScheme(150.0),
+                     DiscountSpec(-0.9711)))  # factors in range, NPV and LCOE sums beyond
+    @example(inputs=(design(lifetime_years=200), TYPICAL, TariffScheme(150.0),
+                     DiscountSpec(-0.97)))  # NPV in range, LCOE sums beyond
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_equals_the_metric_functions(self, inputs):
+        d, params, tariff, spec = inputs
+        schedule = build_schedule(d, params, tariff)
+        expected_values, expected_notes = {}, {}
+        for name, function, args in (
+            ("npv", metrics_module.reported_npv, (schedule, spec)),
+            ("lcoe", lcoe, (d, params, spec)),
+            ("payback", payback_period, (schedule, spec)),
+            ("irr", irr, (schedule,)),
+        ):
+            try:
+                expected_values[name] = function(*args)
+            except ValueError as err:
+                expected_values[name] = None
+                expected_notes[name] = str(err)
+        values, notes = evaluate(d, params, tariff, spec)
+        assert repr(values) == repr(expected_values)
+        assert notes == expected_notes
+
+    def test_non_finite_flow_rejected_as_build_schedule_rejects_it(self):
+        with pytest.raises(ValueError, match="flow for year 1 is not finite: inf"):
+            evaluate(design(), TYPICAL, TariffScheme(1e305), DiscountSpec(0.10), ("lcoe",))
 
     def test_default_break_even_is_break_even_power_over_efficiency(self):
         d = design(electrical_efficiency=0.8, lifetime_years=3)

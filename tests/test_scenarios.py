@@ -5,7 +5,7 @@ import pytest
 from tidalecon import metrics as metrics_module
 from tidalecon.cost_model import ArrayDesign, CostParameters, TariffScheme, build_schedule
 from tidalecon.finance_core import DiscountSpec
-from tidalecon.metrics import lcoe, npv
+from tidalecon.metrics import irr, lcoe, npv
 from tidalecon.scenarios import (
     METRIC_NAMES,
     SCENARIO_LABELS,
@@ -156,8 +156,6 @@ class TestSensitivitySweep:
 
 
 TYPICAL_VALUES = {entry.name: entry.typical for entry in builtin_parameters()}
-# The function behind each metric, as ``metrics.evaluate`` calls it.
-METRIC_FUNCTIONS = {"npv": "reported_npv", "lcoe": "lcoe", "payback": "payback_period", "irr": "irr"}
 # Sweeps through points where a metric is undefined: (design, base, parameter, grid).
 UNDEFINED_GRIDS = [
     (design(p_avg_mw=0.0), {}, "tariff", [40.0, 290.0]),  # zero power: no LCOE, payback, IRR
@@ -187,17 +185,22 @@ class TestMetricBundle:
 
     @pytest.mark.parametrize("metric", METRIC_NAMES)
     def test_sweep_computes_only_its_metric(self, monkeypatch, metric):
+        # NPV, payback and LCOE come from one pass over the years, which
+        # builds no schedule; only an IRR sweep computes IRR.
         def refuse(*args):
             raise MetricNotWanted
 
-        for other in METRIC_NAMES:
-            if other != metric:
-                monkeypatch.setattr(metrics_module, METRIC_FUNCTIONS[other], refuse)
+        irr_calls = []
+
+        def counting_irr(schedule):
+            irr_calls.append(schedule)
+            return irr(schedule)
+
+        monkeypatch.setattr(metrics_module, "build_schedule", refuse)
+        monkeypatch.setattr(metrics_module, "irr", counting_irr)
         curve = sensitivity_sweep(design(), "typical", "r", [0.05, 0.10], metric)
         assert [value for value, _ in curve] == [0.05, 0.10]
-        other = "npv" if metric != "npv" else "irr"
-        with pytest.raises(MetricNotWanted):
-            sensitivity_sweep(design(), "typical", "r", [0.10], other)
+        assert len(irr_calls) == (2 if metric == "irr" else 0)
 
     @pytest.mark.parametrize("metric", METRIC_NAMES)
     @pytest.mark.parametrize("d, base, parameter, grid", UNDEFINED_GRIDS)
