@@ -2,9 +2,9 @@
 
 Subcommands:
   metrics    full metric report (NPV, LCOE, payback, IRR, break-even power)
-  split      decompose cost observations into fixed / per-turbine components
+  split      split cost observations into fixed / per-turbine parts (two-points, ratio)
   scenarios  optimistic / typical / pessimistic metric grid
-  sweep      one-at-a-time sensitivity sweep, emitted as CSV
+  sweep      one-at-a-time sensitivity sweep, as CSV or JSON
   curve      evaluate the functionals along a turbine-count / power curve
 
 Exit codes: 0 success, 2 input error, 3 internal numerical failure.
@@ -372,42 +372,21 @@ def _split_report(args: argparse.Namespace, method: str, inputs_echo: dict,
     return EXIT_OK
 
 
-# The ``split`` flags the ratio method reads. With two points, each of CAPEX
-# and OPEX is read from its CSV (with --mw-t) when given, else inline.
-_RATIO_FLAGS = {"ratio", "currency_rate", "capex_total", "opex_total", "capex_per_mw",
-                "opex_per_mw", "capacity", "n_t", "mw_t"}
-_SPLIT_FLAGS = _RATIO_FLAGS | {"capex", "opex", "capex_csv", "opex_csv"}
-
-
-def _reject_unread_split_flags(args: argparse.Namespace, method: str) -> None:
-    """Exit 2 on a ``split`` flag that the method and the routes given would not read."""
-    csv_kinds = [kind for kind in ("capex", "opex") if getattr(args, f"{kind}_csv")]
-    if method == "ratio":
-        read = _RATIO_FLAGS
-    elif csv_kinds and args.currency_rate is not None:
-        raise ConfigError("--currency-rate does not apply to --capex-csv/--opex-csv "
-                          "observations: each CSV row carries its own rate_to_gbp")
-    else:
-        read = {"currency_rate", *(f"{kind}_csv" if kind in csv_kinds else kind
-                                   for kind in ("capex", "opex"))}
-        if csv_kinds:
-            read.add("mw_t")
-    unread = [f"--{name.replace('_', '-')}" for name, value in vars(args).items()
-              if name in _SPLIT_FLAGS - read and value is not None]
-    if unread:
-        raise ConfigError(f"split {args.method} does not read {', '.join(unread)} "
-                          "with the other flags given")
-
-
 def cmd_split(args: argparse.Namespace) -> int:
     method = args.method.replace("-", "_")
-    _reject_unread_split_flags(args, method)
+    if method == "two_points":
+        csv_given = bool(args.capex_csv or args.opex_csv)
+        if csv_given and args.currency_rate is not None:
+            raise ConfigError("--currency-rate does not apply to --capex-csv/--opex-csv "
+                              "observations: each CSV row carries its own rate_to_gbp")
+        if not csv_given and args.mw_t is not None:
+            raise ConfigError("split two-points does not read --mw-t with the other flags given")
     if args.mw_t is not None and not args.mw_t > 0:
         raise ConfigError(f"--mw-t must be positive, got {args.mw_t}")
     currency_rate = 1.0 if args.currency_rate is None else args.currency_rate
     observations = []
     for kind in ("capex", "opex"):
-        path = getattr(args, f"{kind}_csv")
+        path = getattr(args, f"{kind}_csv", None)
         if method == "ratio":
             observations.append(_flag_observations(args, kind, currency_rate))
         elif path:
@@ -418,7 +397,7 @@ def cmd_split(args: argparse.Namespace) -> int:
     capex, opex = observations
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        ca, op = _split_costs(method, capex, opex or None, args.ratio)
+        ca, op = _split_costs(method, capex, opex or None, getattr(args, "ratio", None))
     messages = [str(w.message) for w in caught]
     if method == "two_points":
         inputs_echo = {
@@ -567,26 +546,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument("config")
     p_metrics.set_defaults(func=cmd_metrics)
 
-    p_split = sub.add_parser("split", parents=[common], help="cost decomposition")
-    p_split.add_argument("method", choices=("two-points", "ratio"))
-    p_split.add_argument("--capex", action="append", metavar="N_T=TOTAL",
-                         help="inline CAPEX observation (repeat twice for two-points)")
-    p_split.add_argument("--opex", action="append", metavar="N_T=TOTAL")
-    p_split.add_argument("--capex-csv", default=None)
-    p_split.add_argument("--opex-csv", default=None)
-    p_split.add_argument("--currency-rate", type=float, default=None,
-                         help="multiplier converting inline and ratio-flag costs to GBP "
-                              "(default 1.0; CSV rows carry rate_to_gbp)")
-    p_split.add_argument("--ratio", type=float, default=None,
-                         help="fixed-to-turbine cost ratio (ratio method)")
-    p_split.add_argument("--capex-total", type=float, default=None)
-    p_split.add_argument("--opex-total", type=float, default=None)
-    p_split.add_argument("--capex-per-mw", type=float, default=None)
-    p_split.add_argument("--opex-per-mw", type=float, default=None)
-    p_split.add_argument("--capacity", type=float, default=None, help="array capacity, MW")
-    p_split.add_argument("--n-t", type=float, default=None, help="turbine count (may be fractional)")
-    p_split.add_argument("--mw-t", type=float, default=None, help="turbine rating, MW")
+    # Only the methods take the common flags: their defaults would overwrite split's.
+    p_split = sub.add_parser("split", help="cost decomposition")
     p_split.set_defaults(func=cmd_split)
+    methods = p_split.add_subparsers(dest="method", required=True)
+    split_common = argparse.ArgumentParser(add_help=False, parents=[common])
+    split_common.add_argument("--currency-rate", type=float,
+                              help="multiplier converting inline and ratio-flag costs to GBP "
+                                   "(default 1.0; CSV rows carry rate_to_gbp)")
+    split_common.add_argument("--mw-t", type=float, help="turbine rating, MW")
+
+    p_two = methods.add_parser("two-points", parents=[split_common],
+                               help="fixed and per-turbine costs from two observations each")
+    for kind in ("capex", "opex"):
+        source = p_two.add_mutually_exclusive_group()
+        source.add_argument(f"--{kind}", action="append", metavar="N_T=TOTAL",
+                            help=f"inline {kind.upper()} observation (give twice)")
+        source.add_argument(f"--{kind}-csv", help=f"CSV of {kind.upper()} observations")
+
+    p_ratio = methods.add_parser("ratio", parents=[split_common],
+                                 help="fixed and per-turbine costs from one observation each")
+    p_ratio.add_argument("--ratio", type=float, help="fixed-to-turbine cost ratio")
+    for kind in ("capex", "opex"):
+        p_ratio.add_argument(f"--{kind}-total", type=float, help="with --n-t")
+        p_ratio.add_argument(f"--{kind}-per-mw", type=float, help="with --capacity and --mw-t")
+    p_ratio.add_argument("--capacity", type=float, help="array capacity, MW")
+    p_ratio.add_argument("--n-t", type=float, help="turbine count (may be fractional)")
 
     p_scen = sub.add_parser("scenarios", parents=[common],
                             help="optimistic/typical/pessimistic grid")

@@ -532,7 +532,8 @@ def _evaluate(
     The pass adds each sum left to right in the order the metric functions
     add it: NPV as ``present_value``, whose running total is payback's
     cumulative flow, and LCOE's cost and energy as
-    ``_discounted_cost_and_energy(..., 0)``. The flows are ``build_schedule``'s.
+    ``_discounted_cost_and_energy(..., 0)``. Each flow is formed as
+    ``build_schedule`` forms it, and IRR runs on ``build_schedule``'s schedule.
     Where a factor passes float range (``factors`` is None) or the NPV or
     LCOE sums do, the metric functions run one by one: they are the
     reference, with the scaled passes and the schedule's flow checks (a
@@ -543,13 +544,11 @@ def _evaluate(
     capital = capex(params, design.n_t)
     annual_opex = opex_year(params, design.n_t)
     t_e = tariff.t_e
-    flows = [-capital]
     total = 0.0 - capital * factors[0]  # as present_value adds it to 0.0
     payback = 0.0 if not total < 0 else None
     cost, energy_sum = capital, 0.0
     for year, factor, energy in zip(range(1, len(factors)), factors[1:], _energy_by_year(design)):
         flow = energy * t_e / 1e6 - annual_opex
-        flows.append(flow)
         previous = total
         total += flow * factor
         if payback is None and not total < 0:
@@ -568,7 +567,7 @@ def _evaluate(
             if payback is None:
                 raise _no_payback(design.lifetime_years)
             return payback
-        return irr(CashFlowSchedule(horizon=design.lifetime_years, flows=flows))
+        return irr(build_schedule(design, params, tariff))
 
     return _bundle(names, compute)
 

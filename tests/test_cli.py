@@ -37,7 +37,11 @@ def config_path(tmp_path):
 
 
 def run(capsys, argv: list[str]) -> tuple[int, str, str]:
-    code = main(argv)
+    """Exit code, stdout and stderr of the CLI; argparse's usage errors exit 2."""
+    try:
+        code = main(argv)
+    except SystemExit as exit_:
+        code = exit_.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -339,17 +343,20 @@ class TestCostObservationErrors:
     # A flag the chosen method or route would not read exits 2 naming it.
     @pytest.mark.parametrize("argv, fragment", [
         (["ratio", "--ratio", "2.3", "--capex-total", "227", "--n-t", "4",
-          "--capex", "2=16.8"], "split ratio does not read --capex "),
+          "--capex", "2=16.8"], "ambiguous option: --capex could match"),
         (["two-points", "--capex", "2=16.8", "--capex", "60=297", "--ratio", "2.3",
-          "--n-t", "4"], "split two-points does not read --ratio, --n-t "),
+          "--n-t", "4"], "unrecognized arguments: --ratio 2.3 --n-t 4"),
         (["two-points", "--capex", "2=16.8", "--capex", "60=297", "--mw-t", "1.5"],
          "does not read --mw-t "),
+        # common flags follow the method
+        (["--plain", "two-points", "--capex", "2=16.8", "--capex", "60=297"],
+         "unrecognized arguments: --plain"),
     ])
     def test_unread_split_flags(self, capsys, argv, fragment):
         self.assert_input_error(capsys, ["split", *argv], fragment)
 
     @pytest.mark.parametrize("extra, fragment", [
-        (["--capex", "1=2"], "split two-points does not read --capex "),
+        (["--capex", "1=2"], "argument --capex: not allowed with argument --capex-csv"),
         (["--currency-rate", "0.5"], "each CSV row carries its own rate_to_gbp"),
     ])
     def test_csv_route_rejects_inline_flags(self, capsys, tmp_path, extra, fragment):

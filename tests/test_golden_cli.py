@@ -1,9 +1,10 @@
 """CLI machine output, compared byte for byte.
 
 The files in ``tests/golden/`` are the ``--plain`` stdout of each command
-below, in the format their extension names (``.txt`` is ``--format human``). The commands run on the demo
-config and on the observation and power-curve CSVs in ``tests/data/``. A change that alters them on
-purpose regenerates them, for example::
+below, in the format their extension names (``.txt`` is ``--format human``).
+The commands run on the demo config and on the observation and power-curve
+CSVs in ``tests/data/``. A change that alters them on purpose regenerates
+them, for example::
 
     PYTHONPATH=src python -m tidalecon.cli metrics demos/example_config.json \\
         --format json --plain > tests/golden/metrics.json

@@ -566,6 +566,15 @@ class TestRootIsolation:
         if settled == len(calls) - settled + 2 and _apart(roots):
             assert len(roots) == len(scan_brackets_oracle(terms))
 
+    def test_roots_above_the_bracket_raise(self):
+        # NPV is 1/(1+r)**2 - 0.13/(1+r) + 0.004, with roots at r = 11.5 and
+        # 19: the root bound of 2 sends it to isolation, which brackets none.
+        schedule = CashFlowSchedule(2, [0.004, -0.13, 1.0])
+        assert metrics_module._root_bound(schedule.flows) == 2
+        assert metrics_module._isolate(metrics_module._terms(schedule)) == []
+        with pytest.raises(NoIrrInRangeError):
+            irr(schedule)
+
     @given(rng=st.randoms(use_true_random=False))
     @settings(max_examples=200, deadline=None)
     def test_counts_stay_exact_where_products_underflow(self, rng):
@@ -788,6 +797,17 @@ class TestLongHorizonOverflow:
         flows = {0: -50.0, **{year: -1.0 for year in range(1, 201)}}
         with pytest.raises(NoPaybackError):
             payback_period(schedule_of(flows), DiscountSpec(-0.99))
+
+    def test_cumulative_flow_down_to_minus_inf_is_reported_not_overflowed(self, monkeypatch):
+        # Year 150's factor, 1e300, is in range, but times -1e10 the term is
+        # -inf: the unscaled pass ends at -inf and hands over to the scaled one.
+        scaled, original = [], metrics_module._scaled_payback
+        monkeypatch.setattr(metrics_module, "_scaled_payback",
+                            lambda *args: scaled.append(args) or original(*args))
+        schedule = CashFlowSchedule(150, {0: -1.0, 150: -1e10})
+        with pytest.raises(NoPaybackError, match="through year 150"):
+            payback_period(schedule, DiscountSpec(-0.99))
+        assert len(scaled) == 1
 
     def test_zero_years_past_the_overflow_do_not_fake_a_payback(self):
         # Years 183..400 hold no flow. Scaled by year 400's factor, every

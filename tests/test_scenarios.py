@@ -186,7 +186,7 @@ class TestMetricBundle:
     @pytest.mark.parametrize("metric", METRIC_NAMES)
     def test_sweep_computes_only_its_metric(self, monkeypatch, metric):
         # NPV, payback and LCOE come from one pass over the years, which
-        # builds no schedule; only an IRR sweep computes IRR.
+        # builds no schedule; only an IRR sweep builds one and computes IRR.
         def refuse(*args):
             raise MetricNotWanted
 
@@ -196,7 +196,8 @@ class TestMetricBundle:
             irr_calls.append(schedule)
             return irr(schedule)
 
-        monkeypatch.setattr(metrics_module, "build_schedule", refuse)
+        if metric != "irr":
+            monkeypatch.setattr(metrics_module, "build_schedule", refuse)
         monkeypatch.setattr(metrics_module, "irr", counting_irr)
         curve = sensitivity_sweep(design(), "typical", "r", [0.05, 0.10], metric)
         assert [value for value, _ in curve] == [0.05, 0.10]
