@@ -1,7 +1,8 @@
 """CLI machine output, compared byte for byte.
 
 The files in ``tests/golden/`` are the ``--plain`` stdout of each command
-below, in the format their extension names (``.txt`` is ``--format human``).
+below, in the format their extension names (``.txt`` is ``--format human``),
+and what ``--out FILE`` writes for it.
 The commands run on the demo config and on the observation and power-curve
 CSVs in ``tests/data/``. A change that alters them on purpose regenerates
 them, for example::
@@ -31,9 +32,13 @@ SPLIT_TWO_POINTS = [
 
 COMMANDS = {
     "metrics.json": ["metrics", CONFIG],
+    "metrics.txt": ["metrics", CONFIG],
     "scenarios.json": ["scenarios", CONFIG],
+    "scenarios.txt": ["scenarios", CONFIG],
     "sweep_tariff_irr.csv": ["sweep", CONFIG, *SWEEP],
     "sweep_tariff_irr.json": ["sweep", CONFIG, *SWEEP],
+    # sweep has no human table: its human output is the CSV
+    "sweep_tariff_irr.txt": ["sweep", CONFIG, *SWEEP],
     # README's two split examples (the two-point one in every format), the
     # ratio method's total route, and a two-point split of a total CSV (CAPEX)
     # and a per-MW CSV (OPEX)
@@ -54,12 +59,25 @@ COMMANDS = {
     ],
     "curve.csv": CURVE,
     "curve.json": CURVE,
+    "curve.txt": CURVE,
 }
+
+
+def golden_argv(golden: str) -> list[str]:
+    extension = Path(golden).suffix[1:]
+    output_format = "human" if extension == "txt" else extension
+    return [*COMMANDS[golden], "--format", output_format, "--plain"]
 
 
 @pytest.mark.parametrize("golden", sorted(COMMANDS))
 def test_output_matches_golden_file(capsys, golden):
-    extension = Path(golden).suffix[1:]
-    output_format = "human" if extension == "txt" else extension
-    assert main([*COMMANDS[golden], "--format", output_format, "--plain"]) == EXIT_OK
+    assert main(golden_argv(golden)) == EXIT_OK
     assert capsys.readouterr().out.encode("utf-8") == (TESTS / "golden" / golden).read_bytes()
+
+
+@pytest.mark.parametrize("golden", sorted(COMMANDS))
+def test_out_file_gets_the_golden_bytes(capsys, tmp_path, golden):
+    target = tmp_path / golden
+    assert main([*golden_argv(golden), "--out", str(target)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == (TESTS / "golden" / golden).read_bytes()
