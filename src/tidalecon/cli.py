@@ -8,8 +8,11 @@ Subcommands:
   curve      evaluate the functionals along a turbine-count / power curve
 
 Exit codes: 0 success, 2 input error, 3 internal numerical failure.
-Machine output (``--format json|csv``) is byte-identical for identical
-inputs; human output carries a version banner unless ``--plain`` is given.
+Every report is written by ``_report`` to stdout, or with the same bytes to
+``--out FILE``, as ``--format json``, ``csv`` (floats as repr) or ``human``
+(three significant figures after a version banner, which ``--plain`` drops).
+``sweep`` has no human table and writes its CSV instead. JSON and CSV output
+is byte-identical for identical inputs.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ import json
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import __version__
 from .cost_estimation import (
@@ -204,49 +207,49 @@ def load_config(path: str) -> ProjectInputs:
 
 
 # ---------------------------------------------------------------------------
-# Output helpers
+# Output
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+_THREE_FIGURES = "{:.3g}".format
 
 
 def _json_dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buffer.getvalue()
-
-
-def _cell(value: Any) -> str:
+def _cell(value: Any, fmt: Callable[[float], str]) -> str:
+    """``value`` as a table cell: a float through ``fmt``, None as "undefined"."""
     if value is None:
         return "undefined"
     if isinstance(value, float):
-        return repr(value)
+        return fmt(value)
     return str(value)
 
 
-def _sig3(value: Any) -> str:
-    if value is None:
-        return "undefined"
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.3g}"
-    return str(value)
+def _report(args: argparse.Namespace, payload: dict, header: Sequence[str],
+            rows: Sequence[Sequence[Any]], lines: Sequence[str] | None = None) -> int:
+    """Write one report to ``--out`` or stdout in the chosen ``--format``.
 
-
-def _banner(args: argparse.Namespace) -> str:
-    return "" if args.plain else f"tidalecon v{__version__}\n"
+    JSON is ``payload``; CSV is ``header`` and ``rows`` with floats as repr;
+    human is the version banner (unless ``--plain``) and ``lines``, or the CSV
+    when the report has no ``lines``.
+    """
+    if args.format == "json":
+        text = _json_dump(payload)
+    elif args.format == "csv" or lines is None:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(value, repr) for value in row] for row in rows)
+        text = buffer.getvalue()
+    else:
+        banner = [] if args.plain else [f"tidalecon v{__version__}"]
+        text = "".join(f"{line}\n" for line in [*banner, *lines])
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -279,20 +282,12 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         "tariff_gbp_per_mwh": tariff.t_e,
     }
 
-    if args.format == "json":
-        _emit(_json_dump({"command": "metrics", "inputs": inputs_echo,
-                          "metrics": report, "notes": notes}), args.out)
-    elif args.format == "csv":
-        rows = [(name, _cell(value)) for name, value in report.items()]
-        _emit(_csv_text(("metric", "value"), rows), args.out)
-    else:
-        lines = [_banner(args)]
-        lines.append("Project metrics\n")
-        for name, value in report.items():
-            suffix = f"  ({notes[name]})" if name in notes else ""
-            lines.append(f"  {name:22s} {_sig3(value)}{suffix}\n")
-        _emit("".join(lines), args.out)
-    return EXIT_OK
+    lines = ["Project metrics"]
+    lines += [f"  {name:22s} {_cell(value, _THREE_FIGURES)}"
+              + (f"  ({notes[name]})" if name in notes else "") for name, value in report.items()]
+    return _report(args, {"command": "metrics", "inputs": inputs_echo,
+                          "metrics": report, "notes": notes},
+                   ("metric", "value"), list(report.items()), lines)
 
 
 def _read_observation_csv(path: str, mw_t: float | None) -> list[CostObservation]:
@@ -346,32 +341,6 @@ def _flag_observations(args: argparse.Namespace, kind: str,
     return [_observation(entry, f"--{kind}-total/--{kind}-per-mw")]
 
 
-def _split_report(args: argparse.Namespace, method: str, inputs_echo: dict,
-                  ca: CostSplit, op: CostSplit | None,
-                  warning_messages: list[str]) -> int:
-    costs = {"ca_f": ca.fixed, "ca_t": ca.per_turbine}
-    if op is not None:
-        costs["o_f"] = op.fixed
-        costs["o_t"] = op.per_turbine
-
-    if args.format == "json":
-        _emit(_json_dump({"command": "split", "method": method, "inputs": inputs_echo,
-                          "costs": costs, "warnings": warning_messages}), args.out)
-    elif args.format == "csv":
-        rows = [(name, _cell(value)) for name, value in costs.items()]
-        _emit(_csv_text(("component", "gbp_m"), rows), args.out)
-    else:
-        lines = [_banner(args)]
-        lines.append(f"Cost split ({method})\n")
-        lines.append("  inputs: " + ", ".join(f"{k}={_sig3(v)}" for k, v in inputs_echo.items()) + "\n")
-        for name, value in costs.items():
-            lines.append(f"  {name:6s} {_sig3(value)}\n")
-        for message in warning_messages:
-            lines.append(f"  warning: {message}\n")
-        _emit("".join(lines), args.out)
-    return EXIT_OK
-
-
 def cmd_split(args: argparse.Namespace) -> int:
     method = args.method.replace("-", "_")
     if method == "two_points":
@@ -411,44 +380,44 @@ def cmd_split(args: argparse.Namespace) -> int:
             "capex_n_t": capex[0].n_t,
             "capex_total_gbp_m": capex[0].cost * (capex[0].capacity_mw or 1.0),
         }
-    return _split_report(args, method, inputs_echo, ca, op, messages)
+    costs = {"ca_f": ca.fixed, "ca_t": ca.per_turbine}
+    if op is not None:
+        costs.update(o_f=op.fixed, o_t=op.per_turbine)
+    lines = [f"Cost split ({method})",
+             "  inputs: " + ", ".join(f"{k}={_cell(v, _THREE_FIGURES)}"
+                                      for k, v in inputs_echo.items())]
+    lines += [f"  {name:6s} {_cell(value, _THREE_FIGURES)}" for name, value in costs.items()]
+    lines += [f"  warning: {message}" for message in messages]
+    return _report(args, {"command": "split", "method": method, "inputs": inputs_echo,
+                          "costs": costs, "warnings": messages},
+                   ("component", "gbp_m"), list(costs.items()), lines)
 
 
 def cmd_scenarios(args: argparse.Namespace) -> int:
     inputs = load_config(args.config)
     results = _scenarios.evaluate_scenarios(inputs.design, inputs.overrides or None)
 
-    if args.format == "json":
-        payload = {
-            "command": "scenarios",
-            "scenarios": [
-                {
-                    "label": res.label,
-                    "parameters": res.parameters,
-                    "metrics": res.metrics,
-                    "notes": res.notes,
-                }
-                for res in results
-            ],
-        }
-        _emit(_json_dump(payload), args.out)
-    elif args.format == "csv":
-        rows = [
-            (metric, *(_cell(res.metrics[metric]) for res in results))
-            for metric in _scenarios.METRIC_NAMES
-        ]
-        _emit(_csv_text(("metric", *(res.label for res in results)), rows), args.out)
-    else:
-        lines = [_banner(args)]
-        lines.append(f"{'metric':10s} {'optimistic':>12s} {'typical':>12s} {'pessimistic':>12s}\n")
-        for metric in _scenarios.METRIC_NAMES:
-            cells = " ".join(f"{_sig3(res.metrics[metric]):>12s}" for res in results)
-            lines.append(f"{metric:10s} {cells}\n")
-        for res in results:
-            for metric, note in res.notes.items():
-                lines.append(f"  note [{res.label}/{metric}]: {note}\n")
-        _emit("".join(lines), args.out)
-    return EXIT_OK
+    payload = {
+        "command": "scenarios",
+        "scenarios": [
+            {
+                "label": res.label,
+                "parameters": res.parameters,
+                "metrics": res.metrics,
+                "notes": res.notes,
+            }
+            for res in results
+        ],
+    }
+    rows = [(metric, *(res.metrics[metric] for res in results))
+            for metric in _scenarios.METRIC_NAMES]
+    lines = [f"{'metric':10s} {'optimistic':>12s} {'typical':>12s} {'pessimistic':>12s}"]
+    for metric, *values in rows:
+        cells = " ".join(f"{_cell(value, _THREE_FIGURES):>12s}" for value in values)
+        lines.append(f"{metric:10s} {cells}")
+    lines += [f"  note [{res.label}/{metric}]: {note}"
+              for res in results for metric, note in res.notes.items()]
+    return _report(args, payload, ("metric", *(res.label for res in results)), rows, lines)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -464,14 +433,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     curve = _scenarios.sensitivity_sweep(
         inputs.design, base if base else "typical", args.param, grid, args.metric
     )
-    if args.format == "json":
-        points = [{"value": value, args.metric: result} for value, result in curve]
-        _emit(_json_dump({"command": "sweep", "param": args.param, "metric": args.metric,
-                          "points": points}), args.out)
-    else:
-        rows = [(repr(value), _cell(result)) for value, result in curve]
-        _emit(_csv_text(("value", args.metric), rows), args.out)
-    return EXIT_OK
+    points = [{"value": value, args.metric: result} for value, result in curve]
+    return _report(args, {"command": "sweep", "param": args.param, "metric": args.metric,
+                          "points": points}, ("value", args.metric), curve)
 
 
 def _read_power_curve(path: str) -> list[tuple[int, float]]:
@@ -510,21 +474,13 @@ def cmd_curve(args: argparse.Namespace) -> int:
         "n_t", "p_avg_mw", "power_per_device_mw", "j_bep_mw", "j_bep_ev_mw",
         "npv_gbp_m", "lcoe_gbp_per_mwh", "max_power", "max_j_bep",
     )
-    if args.format == "json":
-        _emit(_json_dump({"command": "curve", "rows": rows}), args.out)
-    elif args.format == "csv":
-        csv_rows = [tuple(_cell(row[col]) for col in columns) for row in rows]
-        _emit(_csv_text(columns, csv_rows), args.out)
-    else:
-        lines = [_banner(args)]
-        lines.append(" ".join(f"{col:>20s}" for col in columns) + "\n")
-        for row in rows:
-            lines.append(" ".join(f"{_sig3(row[col]):>20s}" for col in columns) + "\n")
-        for row in rows:
-            for column, note in row.get("notes", {}).items():
-                lines.append(f"  note [n_t={row['n_t']}/{column}]: {note}\n")
-        _emit("".join(lines), args.out)
-    return EXIT_OK
+    table = [tuple(row[col] for col in columns) for row in rows]
+    lines = [" ".join(f"{col:>20s}" for col in columns)]
+    for cells in table:
+        lines.append(" ".join(f"{_cell(value, _THREE_FIGURES):>20s}" for value in cells))
+    lines += [f"  note [n_t={row['n_t']}/{column}]: {note}"
+              for row in rows for column, note in row.get("notes", {}).items()]
+    return _report(args, {"command": "curve", "rows": rows}, columns, table, lines)
 
 
 # ---------------------------------------------------------------------------
