@@ -31,6 +31,7 @@ from .cost_estimation import (
     CostObservation,
     CostSplit,
     FixedToTurbineRatio,
+    normalize_observation,
     split_from_ratio,
     split_two_points,
 )
@@ -378,7 +379,7 @@ def cmd_split(args: argparse.Namespace) -> int:
         inputs_echo = {
             "ratio": args.ratio,
             "capex_n_t": capex[0].n_t,
-            "capex_total_gbp_m": capex[0].cost * (capex[0].capacity_mw or 1.0),
+            "capex_total_gbp_m": normalize_observation(capex[0]),
         }
     costs = {"ca_f": ca.fixed, "ca_t": ca.per_turbine}
     if op is not None:

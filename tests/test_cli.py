@@ -227,6 +227,19 @@ class TestSplitCommand:
         assert costs["o_f"] == pytest.approx(0.267, abs=1e-3)
         assert costs["o_t"] == pytest.approx(0.116, abs=5e-4)
 
+    @pytest.mark.parametrize("route", [
+        ["--capex-total", "227", "--n-t", "66.67", "--currency-rate", "0.79"],
+        ["--capex-per-mw", "2.27", "--capacity", "100", "--mw-t", "1.5", "--currency-rate", "1.3"],
+    ])
+    def test_ratio_echo_is_the_split_total_in_gbp(self, capsys, route):
+        code, out, _ = run(capsys, ["split", "ratio", "--ratio", "2.3", *route,
+                                    "--format", "json"])
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        echo, costs = payload["inputs"], payload["costs"]
+        assert echo["capex_total_gbp_m"] == pytest.approx(
+            costs["ca_f"] + costs["ca_t"] * echo["capex_n_t"], rel=1e-12)
+
     def test_ratio_outside_window_warns_but_succeeds(self, capsys):
         code, out, _ = run(capsys, [
             "split", "ratio", "--ratio", "8.4",
