@@ -435,8 +435,9 @@ BUILT_SCHEDULE_BITS = [
 
 
 class TestBuiltScheduleBits:
-    @pytest.mark.parametrize("case, spec_name, npv_bits, lcoe_bits, payback_bits, irr_bits",
-                             BUILT_SCHEDULE_BITS)
+    @pytest.mark.parametrize("case, spec_name, npv_bits, lcoe_bits, payback_bits, irr_bits", [
+        pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in BUILT_SCHEDULE_BITS
+    ])
     def test_metrics_bits_unchanged(self, case, spec_name, npv_bits, lcoe_bits, payback_bits,
                                     irr_bits):
         design_args, multipliers, tariff = BUILT_SCHEDULES[case]
