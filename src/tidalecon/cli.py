@@ -125,7 +125,8 @@ def _split_costs(
 
 
 def _whole_number(value: Any, name: str) -> int:
-    if isinstance(value, float) and not value.is_integer():
+    # JSON true and false would pass ``int`` as 1 and 0.
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .finance_core import CashFlowSchedule
+from .finance_core import MAX_AMOUNT, MAX_YEARS, CashFlowSchedule
 
 HOURS_PER_YEAR = 8760  # no leap-year handling; beyond the precision of the inputs
 
@@ -57,12 +57,15 @@ class ArrayDesign:
     electrical_efficiency: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_t, int) or self.n_t < 1:
-            raise ValueError(f"n_t must be a positive integer, got {self.n_t}")
+        # A count beyond the window could not be converted to a float to rate it.
+        if not isinstance(self.n_t, int) or not 1 <= self.n_t <= MAX_AMOUNT:
+            raise ValueError(f"n_t must be an integer in [1, {MAX_AMOUNT:g}], got {self.n_t}")
         if not math.isfinite(self.mw_t) or self.mw_t <= 0:
             raise ValueError(f"mw_t must be finite and positive, got {self.mw_t}")
-        if not isinstance(self.lifetime_years, int) or self.lifetime_years < 1:
-            raise ValueError(f"lifetime_years must be a positive integer, got {self.lifetime_years}")
+        if not isinstance(self.lifetime_years, int) or not 1 <= self.lifetime_years <= MAX_YEARS:
+            raise ValueError(
+                f"lifetime_years must be an integer in [1, {MAX_YEARS}], got {self.lifetime_years}"
+            )
         if not 0 <= self.p_avg_mw <= self.n_t * self.mw_t:  # also rejects NaN and inf
             raise ValueError(
                 f"p_avg_mw {self.p_avg_mw} must lie in [0, rated capacity "

@@ -16,6 +16,7 @@ from operator import mul
 from typing import Sequence
 
 from .cost_model import (
+    HOURS_PER_YEAR,
     ArrayDesign,
     CostParameters,
     TariffScheme,
@@ -26,10 +27,11 @@ from .cost_model import (
     opex_year,
 )
 from .finance_core import (
+    MAX_AMOUNT,
+    MIN_RATE,
     CashFlowSchedule,
     DiscountSpec,
     _discounted_sum,
-    _factor,
     _factors,
     _sum,
     present_value,
@@ -38,16 +40,12 @@ from .finance_core import (
 METRIC_NAMES = ("npv", "lcoe", "payback", "irr")
 # The key each metric is reported under in ``metrics`` and ``curve`` output.
 REPORT_KEYS = {"npv": "npv_gbp_m", "lcoe": "lcoe_gbp_per_mwh", "payback": "payback_years", "irr": "irr"}
-IRR_BRACKET = (-0.99, 10.0)
+IRR_BRACKET = (MIN_RATE, 10.0)
 _TOP_RATE = math.expm1(math.log1p(IRR_BRACKET[1]))  # the top rate searched, a hair above 10
 # Root isolation splits no piece this narrow in log(1 + r): a cell of a 2001-point grid.
 _CELL = (math.log1p(IRR_BRACKET[1]) - math.log1p(IRR_BRACKET[0])) / 2000
 _SEEDS = (0.05, 0.15)  # spans the recommended discount-rate range
 _MAX_ITERATIONS = 200
-
-
-class NpvOutOfRangeError(ValueError):
-    """NPV lies beyond float range: a long horizon at a rate near -1."""
 
 
 class NoPaybackError(ValueError):
@@ -97,17 +95,6 @@ def npv(schedule: CashFlowSchedule, spec: DiscountSpec) -> float:
     return present_value(schedule, spec)
 
 
-def reported_npv(schedule: CashFlowSchedule, spec: DiscountSpec) -> float:
-    """``npv`` for a report, which states an infinite NPV as undefined.
-
-    Raises ``NpvOutOfRangeError`` where ``npv`` returns an infinity.
-    """
-    value = npv(schedule, spec)
-    if math.isinf(value):
-        raise NpvOutOfRangeError(f"NPV is beyond float range ({value:+})")
-    return value
-
-
 def lcoe(design: ArrayDesign, params: CostParameters, spec: DiscountSpec) -> float:
     """Levelised cost of energy, GBP per MWh.
 
@@ -118,40 +105,41 @@ def lcoe(design: ArrayDesign, params: CostParameters, spec: DiscountSpec) -> flo
     ``opex_multipliers`` it is not: on the demo design at r = 0.10 with
     OPEX x2.5 every sixth year, NPV at tariff = LCOE is -1.607 GBP m.
     """
-    try:
-        discounted_cost, discounted_energy = _discounted_cost_and_energy(design, params, spec, 0)
-    except OverflowError:
-        discounted_cost = discounted_energy = math.inf
-    if discounted_cost * 1e6 + discounted_energy == math.inf:
-        # A long horizon at a negative rate: the factors, or the discounted
-        # amounts, pass float range. Dividing every factor by the largest,
-        # year L's, leaves the ratio as is.
-        discounted_cost, discounted_energy = _discounted_cost_and_energy(
-            design, params, spec, design.lifetime_years
-        )
+    discounted_cost, annual_opex = _checked_costs(design, params)
+    discounted_energy = 0.0
+    factors = _factors(spec, range(1, design.lifetime_years + 1))
+    for factor, energy in zip(factors, _energy_by_year(design)):
+        discounted_cost += annual_opex * factor
+        discounted_energy += energy * factor
     return _cost_per_mwh(discounted_cost, discounted_energy)
+
+
+def _checked_costs(
+    design: ArrayDesign, params: CostParameters, tariff: TariffScheme | None = None
+) -> tuple[float, float]:
+    """CAPEX and a year's OPEX of ``design``, GBP m, after the one window check
+    of a design evaluation, made before its year loop: each of them, peak
+    energy and, given a tariff, peak revenue must be at most ``MAX_AMOUNT``.
+    """
+    capital, annual_opex = capex(params, design.n_t), opex_year(params, design.n_t)
+    peak_energy = design.p_avg_mw * HOURS_PER_YEAR
+    peak_revenue = 0.0 if tariff is None else peak_energy * tariff.t_e / 1e6
+    if max(capital, annual_opex, peak_energy, peak_revenue) > MAX_AMOUNT:  # none is NaN
+        for name, amount, unit in (
+            ("CAPEX", capital, "GBP m"),
+            ("OPEX per year", annual_opex, "GBP m"),
+            (f"peak energy p_avg_mw * {HOURS_PER_YEAR}", peak_energy, "MWh"),
+            ("peak revenue", peak_revenue, "GBP m"),
+        ):
+            if amount > MAX_AMOUNT:
+                raise ValueError(f"{name} must be <= {MAX_AMOUNT:g} {unit}, got {amount}")
+    return capital, annual_opex
 
 
 def _cost_per_mwh(discounted_cost: float, discounted_energy: float) -> float:
     if discounted_energy <= 0:
         raise ValueError("discounted energy is zero; LCOE is undefined")
     return discounted_cost * 1e6 / discounted_energy
-
-
-def _discounted_cost_and_energy(
-    design: ArrayDesign, params: CostParameters, spec: DiscountSpec, shift: int
-) -> tuple[float, float]:
-    """LCOE's numerator and denominator, each factor divided by year ``shift``'s."""
-    factors = _factors(spec, range(1 - shift, design.lifetime_years + 1 - shift))
-    discounted_cost = capex(params, design.n_t)  # year 0: factor 1 unless shifted
-    if shift:
-        discounted_cost *= _factor(spec, -shift)
-    discounted_energy = 0.0
-    annual_opex = opex_year(params, design.n_t)
-    for factor, energy in zip(factors, _energy_by_year(design)):
-        discounted_cost += annual_opex * factor
-        discounted_energy += energy * factor
-    return discounted_cost, discounted_energy
 
 
 def payback_period(schedule: CashFlowSchedule, spec: DiscountSpec) -> float:
@@ -161,46 +149,11 @@ def payback_period(schedule: CashFlowSchedule, spec: DiscountSpec) -> float:
     boundary; interpolates linearly within the break-even year otherwise.
     """
     cumulative = 0.0
-    factors = _factors(spec, range(schedule.horizon + 1))
-    for year, amount in enumerate(schedule.flows):
+    years = range(schedule.horizon + 1)
+    for year, amount, factor in zip(years, schedule.flows, _factors(spec, years)):
         previous = cumulative
-        try:
-            cumulative += amount * next(factors)
-        except OverflowError:
-            return _scaled_payback(schedule, spec)
-        if not cumulative < 0:  # zero reached, or +inf or NaN
-            if math.isfinite(cumulative):
-                return _crossing(year, previous, cumulative)
-            return _scaled_payback(schedule, spec)
-    if cumulative == -math.inf:
-        return _scaled_payback(schedule, spec)
-    raise _no_payback(schedule.horizon)
-
-
-def _scaled_payback(schedule: CashFlowSchedule, spec: DiscountSpec) -> float:
-    """``payback_period`` for a schedule whose discounted sums pass float range.
-
-    That takes a long horizon at a negative rate, so the factor of the last
-    year with a flow is the largest that counts; the zero years after it
-    leave the cumulative flow as it is. Dividing every factor by it changes
-    neither the sign of the cumulative flow nor the interpolation fraction.
-    The years before the sums left float range were found negative; scaled,
-    their terms can underflow to zero, so they are summed but not tested
-    again.
-    """
-    last = max((year for year, amount in enumerate(schedule.flows) if amount), default=0)
-    unscaled = cumulative = 0.0
-    testing = False
-    for year, amount in enumerate(schedule.flows[: last + 1]):
-        previous = cumulative
-        cumulative += amount * _factor(spec, year - last)
-        if not testing:
-            try:
-                unscaled += amount * _factor(spec, year)
-                testing = not math.isfinite(unscaled)
-            except OverflowError:
-                testing = True
-        if testing and cumulative >= 0:
+        cumulative += amount * factor
+        if cumulative >= 0:
             return _crossing(year, previous, cumulative)
     raise _no_payback(schedule.horizon)
 
@@ -453,8 +406,7 @@ def irr(schedule: CashFlowSchedule) -> float:
     range (``_seed_bracket``). Brent's method then runs on the bracket down
     to |NPV| < 1e-12, scaled down with the largest flow when that is below
     1 GBP m. Every NPV comes from the one kernel behind ``npv``, so each
-    trial rate's NPV is exactly ``npv(schedule, DiscountSpec(rate))``; an
-    NPV beyond float range counts as an infinity of its sign.
+    trial rate's NPV is exactly ``npv(schedule, DiscountSpec(rate))``.
     """
     terms = _terms(schedule)
     amounts = terms[0]
@@ -480,7 +432,7 @@ def irr(schedule: CashFlowSchedule) -> float:
 
 # What each metric raises when it is undefined for the inputs.
 _UNDEFINED = {
-    "npv": NpvOutOfRangeError,
+    "npv": (),  # always defined inside the input window
     "lcoe": ValueError,  # zero-power design: no energy
     "payback": NoPaybackError,
     "irr": (IrrUndefinedError, NoIrrInRangeError),
@@ -499,24 +451,16 @@ def evaluate(
     One pass over years 0..L draws each year's discount factor once and
     sums NPV, the cumulative flow behind payback and LCOE's discounted cost
     and energy together; only IRR builds a schedule, and only when named.
-    Each value is bit for bit what ``reported_npv``, ``lcoe``,
-    ``payback_period`` and ``irr`` return. Returns ``(values, notes)``: a
-    metric undefined for these inputs (an NPV beyond float range, no energy
-    for LCOE, no payback, no IRR) is None in ``values``, and ``notes`` maps
-    its name to the reason.
+    Each value is bit for bit what ``npv``, ``lcoe``, ``payback_period`` and
+    ``irr`` return. Returns ``(values, notes)``: a metric undefined for these
+    inputs (no energy for LCOE, no payback, no IRR) is None in ``values``,
+    and ``notes`` maps its name to the reason.
     """
     for name in names:
         if name not in METRIC_NAMES:
             raise ValueError(f"unknown metric {name!r}; valid names: {', '.join(METRIC_NAMES)}")
-    return _evaluate(design, params, tariff, spec, names, _year_factors(spec, design.lifetime_years))
-
-
-def _year_factors(spec: DiscountSpec, lifetime: int) -> tuple[float, ...] | None:
-    """The discount factors of years 0..``lifetime``, or None if one passes float range."""
-    try:
-        return tuple(_factors(spec, range(lifetime + 1)))
-    except OverflowError:
-        return None
+    factors = tuple(_factors(spec, range(design.lifetime_years + 1)))
+    return _evaluate(design, params, tariff, spec, names, factors)
 
 
 def _evaluate(
@@ -525,38 +469,29 @@ def _evaluate(
     tariff: TariffScheme,
     spec: DiscountSpec,
     names: Sequence[str],
-    factors: tuple[float, ...] | None,
+    factors: tuple[float, ...],
 ) -> tuple[dict[str, float | None], dict[str, str]]:
-    """``evaluate`` given ``_year_factors(spec, design.lifetime_years)``.
+    """``evaluate`` given the discount factors of years 0..L.
 
     The pass adds each sum left to right in the order the metric functions
     add it: NPV as ``present_value``, whose running total is payback's
-    cumulative flow, and LCOE's cost and energy as
-    ``_discounted_cost_and_energy(..., 0)``. Each flow is formed as
-    ``build_schedule`` forms it, and IRR runs on ``build_schedule``'s schedule.
-    Where a factor passes float range (``factors`` is None) or the NPV or
-    LCOE sums do, the metric functions run one by one: they are the
-    reference, with the scaled passes and the schedule's flow checks (a
-    non-finite flow makes the NPV non-finite).
+    cumulative flow, and LCOE's cost and energy as ``lcoe``. Each flow is
+    formed as ``build_schedule`` forms it, and IRR runs on
+    ``build_schedule``'s schedule.
     """
-    if factors is None:
-        return _evaluate_each(design, params, tariff, spec, names)
-    capital = capex(params, design.n_t)
-    annual_opex = opex_year(params, design.n_t)
+    capital, annual_opex = _checked_costs(design, params, tariff)
     t_e = tariff.t_e
     total = 0.0 - capital * factors[0]  # as present_value adds it to 0.0
-    payback = 0.0 if not total < 0 else None
+    payback = 0.0 if total >= 0 else None
     cost, energy_sum = capital, 0.0
     for year, factor, energy in zip(range(1, len(factors)), factors[1:], _energy_by_year(design)):
         flow = energy * t_e / 1e6 - annual_opex
         previous = total
         total += flow * factor
-        if payback is None and not total < 0:
+        if payback is None and total >= 0:
             payback = _crossing(year, previous, total)
         cost += annual_opex * factor
         energy_sum += energy * factor
-    if not (math.isfinite(total) and math.isfinite(cost * 1e6 + energy_sum)):
-        return _evaluate_each(design, params, tariff, spec, names)
 
     def compute(name: str) -> float:
         if name == "npv":
@@ -569,34 +504,6 @@ def _evaluate(
             return payback
         return irr(build_schedule(design, params, tariff))
 
-    return _bundle(names, compute)
-
-
-def _evaluate_each(
-    design: ArrayDesign,
-    params: CostParameters,
-    tariff: TariffScheme,
-    spec: DiscountSpec,
-    names: Sequence[str],
-) -> tuple[dict[str, float | None], dict[str, str]]:
-    """``evaluate`` by the metric functions, one at a time on one schedule."""
-    schedule = build_schedule(design, params, tariff)
-
-    def compute(name: str) -> float:
-        if name == "npv":
-            return reported_npv(schedule, spec)
-        if name == "lcoe":
-            return lcoe(design, params, spec)
-        if name == "payback":
-            return payback_period(schedule, spec)
-        return irr(schedule)
-
-    return _bundle(names, compute)
-
-
-def _bundle(names: Sequence[str], compute) -> tuple[dict[str, float | None], dict[str, str]]:
-    """``compute`` of each metric in ``names``, in ``METRIC_NAMES`` order, with
-    a metric that raises its ``_UNDEFINED`` error reported as None and a note."""
     values: dict[str, float | None] = {}
     notes: dict[str, str] = {}
     for name in METRIC_NAMES:
@@ -604,7 +511,7 @@ def _bundle(names: Sequence[str], compute) -> tuple[dict[str, float | None], dic
             continue
         try:
             values[name] = compute(name)
-        except _UNDEFINED[name] as err:
+        except _UNDEFINED[name] as err:  # reported as None, with the reason
             values[name] = None
             notes[name] = str(err)
     return values, notes
@@ -712,7 +619,8 @@ def functional_sweep(
     if len(set(counts)) != len(counts):
         raise ValueError("power-curve samples must have distinct n_t values")
 
-    factors = _year_factors(spec, design_template.lifetime_years)  # every row's lifetime
+    # Every row keeps the template's lifetime, so one set of factors serves them all.
+    factors = tuple(_factors(spec, range(design_template.lifetime_years + 1)))
     rows = []
     for n_t, p_avg in power_curve:
         design = replace(design_template, n_t=int(n_t), p_avg_mw=float(p_avg))

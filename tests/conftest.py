@@ -7,7 +7,8 @@ fractional scans) so agreement is meaningful.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -63,22 +64,30 @@ def payback_scan_oracle(
     return None
 
 
-def exact_factor(rate: float, year: int) -> Fraction:
-    """Annual discount factor of ``year`` in exact rational arithmetic.
+def exact_factor(rate: float, year: int, periods: int = 1) -> Fraction:
+    """Discrete discount factor of ``year`` in exact rational arithmetic.
 
-    The base is the float ``1 + rate``, as the library forms it, so this is
-    the exact value its float power approximates; it never overflows.
+    The base is the float ``1 + rate / periods``, as the library forms it, so
+    this is the exact value its float power approximates.
     """
-    return Fraction(1.0 + rate) ** -year
+    return Fraction(1.0 + rate / periods) ** -(periods * year)
 
 
-def payback_exact_oracle(flows: dict[int, float], rate: float, horizon: int) -> float | None:
-    """Payback with exact rational cumulative sums, for horizons whose
-    discount factors are beyond float range."""
+def exact_continuous_factor(rate: float, year: int) -> Fraction:
+    """exp(-rate * year) to 40 significant digits, as a rational."""
+    with localcontext() as context:
+        context.prec = 40
+        return Fraction((Decimal(-rate) * year).exp())
+
+
+def payback_exact_oracle(flows: dict[int, float], factor: Callable[[int], Fraction],
+                         horizon: int) -> float | None:
+    """Payback with exact rational cumulative sums, each year's flow times
+    ``factor(year)``, an exact discount factor."""
     running = Fraction(0)
     for year in range(horizon + 1):
         previous = running
-        running += Fraction(flows.get(year, 0.0)) * exact_factor(rate, year)
+        running += Fraction(flows.get(year, 0.0)) * factor(year)
         if running >= 0:
             if year == 0 or running == 0:
                 return float(year)

@@ -104,38 +104,27 @@ class TestMetricsCommand:
         assert "LCOE is undefined" in payload["notes"]["lcoe_gbp_per_mwh"]
 
     @pytest.mark.parametrize("fmt", ["human", "csv"])
-    def test_200_years_at_minus_99_percent_exits_0(self, capsys, config_path, fmt):
-        # The discount factors pass float range in year 155; LCOE and payback
-        # are still reported; NPV, beyond float range, is reported undefined.
+    def test_200_years_at_minus_99_percent_exits_2(self, capsys, config_path, fmt):
+        # 200 years lie beyond the input window's 100, whatever the rate.
         array = dict(BASE_CONFIG["array"], lifetime_years=200)
         finance = dict(BASE_CONFIG["finance"], r=-0.99)
         path = config_path({"array": array, "finance": finance})
         code, out, err = run(capsys, ["metrics", path, "--format", fmt])
-        assert (code, err) == (EXIT_OK, "")
-        design = ArrayDesign(n_t=4, mw_t=1.5, p_avg_mw=3.2, lifetime_years=200,
-                             availability=0.95)
-        expected = lcoe(design, CostParameters(9.2, 3.3, 0.32, 0.15), DiscountSpec(-0.99))
-        assert 34 < expected < 35
-        if fmt == "csv":
-            assert f"lcoe_gbp_per_mwh,{expected!r}\n" in out
-            assert "npv_gbp_m,undefined\n" in out
-        else:
-            assert f"  {'lcoe_gbp_per_mwh':22s} {expected:.3g}\n" in out
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert err == "error: lifetime_years must be an integer in [1, 100], got 200\n"
 
-    @pytest.mark.parametrize("lifetime, finance", [
-        (200, {"r": -0.99}),
-        (800, {"r": -0.9, "mode": "continuous"}),  # exp(0.9 * 789) overflows
-    ])
-    def test_npv_beyond_float_range_is_undefined_with_note(self, capsys, config_path,
-                                                            lifetime, finance):
-        array = dict(BASE_CONFIG["array"], lifetime_years=lifetime)
-        path = config_path({"array": array, "finance": dict(BASE_CONFIG["finance"], **finance)})
+    @pytest.mark.parametrize("block, key, value, message", [
+        ("array", "lifetime_years", 101, "lifetime_years must be an integer in [1, 100], got 101"),
+        ("finance", "r", -0.995, "annual_rate must be finite and >= -0.99, got -0.995"),
+        ("costs", "ca_f", 1e101, "CAPEX must be <= 1e+100 GBP m, got 1e+101"),
+        ("finance", "tariff_gbp_per_mwh", 1e300,
+         "peak revenue must be <= 1e+100 GBP m, got 2.8032e+298"),
+    ], ids=["lifetime_years", "r", "ca_f", "tariff"])
+    def test_input_beyond_the_window_exits_2_naming_the_field(self, capsys, config_path,
+                                                              block, key, value, message):
+        path = config_path({block: dict(BASE_CONFIG[block], **{key: value})})
         code, out, err = run(capsys, ["metrics", path, "--format", "json"])
-        assert (code, err) == (EXIT_OK, "")
-        payload = json.loads(out)
-        assert payload["metrics"]["npv_gbp_m"] is None
-        assert payload["notes"] == {"npv_gbp_m": "NPV is beyond float range (+inf)"}
-        assert 34 < payload["metrics"]["lcoe_gbp_per_mwh"] < 35
+        assert (code, out, err) == (EXIT_INPUT_ERROR, "", f"error: {message}\n")
 
     def test_default_break_even_power_is_gross_of_efficiency(self, capsys, config_path):
         # J = P_avg - P_BE * n_t compares P_BE with gross power, and energy_year
@@ -184,6 +173,24 @@ class TestConfigValidation:
         code, _, err = run(capsys, ["metrics", path])
         assert code == EXIT_INPUT_ERROR
         assert f"{block}.{key} must be a whole number, got {value!r}" in err
+
+    @pytest.mark.parametrize("block, key", [
+        ("array", "n_t"), ("array", "lifetime_years"), ("finance", "periods_per_year"),
+    ])
+    def test_boolean_count_exits_2_naming_field(self, capsys, config_path, block, key):
+        # JSON true is not the count 1.
+        path = config_path({block: dict(BASE_CONFIG[block], **{key: True})})
+        code, out, err = run(capsys, ["metrics", path, "--format", "json"])
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert err == f"error: {block}.{key} must be a whole number, got True\n"
+
+    def test_huge_turbine_count_exits_2_naming_n_t(self, capsys, config_path):
+        # A 401-digit count once overflowed the rated-capacity check (exit 3).
+        n_t = 10**400
+        path = config_path({"array": dict(BASE_CONFIG["array"], n_t=n_t)})
+        code, out, err = run(capsys, ["metrics", path, "--format", "json"])
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert err == f"error: n_t must be an integer in [1, 1e+100], got {n_t}\n"
 
     def test_integral_float_counts_accepted(self, capsys, config_path):
         array = dict(BASE_CONFIG["array"], n_t=4.0, lifetime_years=25.0)
@@ -440,13 +447,11 @@ class TestScenariosCommand:
         assert over[1]["metrics"] == base[1]["metrics"]
         assert over[0]["metrics"]["npv"] != base[0]["metrics"]["npv"]
 
-    def test_npv_beyond_float_range_is_undefined_with_note(self, capsys, config_path):
+    def test_lifetime_override_beyond_the_window_exits_2(self, capsys, config_path):
         path = config_path({"scenario_overrides": {"lifetime": 200, "r": -0.99}})
         code, out, err = run(capsys, ["scenarios", path, "--format", "json"])
-        assert (code, err) == (EXIT_OK, "")
-        for scenario in json.loads(out)["scenarios"]:
-            assert scenario["metrics"]["npv"] is None
-            assert scenario["notes"]["npv"].startswith("NPV is beyond float range")
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert err == "error: lifetime_years must be an integer in [1, 100], got 200\n"
 
     def test_non_integral_lifetime_override_exits_2(self, capsys, config_path):
         path = config_path({"scenario_overrides": {"lifetime": 25.5}})
@@ -602,18 +607,13 @@ class TestCurveCommand:
         rows = json.loads(out)["rows"]
         assert rows[0]["max_power"] and rows[0]["max_j_bep"]
 
-    def test_npv_beyond_float_range_is_undefined_with_note(self, capsys, config_path,
-                                                            tmp_path):
+    def test_lifetime_beyond_the_window_exits_2(self, capsys, config_path, tmp_path):
         array = dict(BASE_CONFIG["array"], lifetime_years=200)
         path = config_path({"array": array, "finance": dict(BASE_CONFIG["finance"], r=-0.99)})
         argv = ["curve", path, "--power-curve", self.write_curve(tmp_path, [(4, 3.2)])]
         code, out, err = run(capsys, argv + ["--format", "json"])
-        assert (code, err) == (EXIT_OK, "")
-        row = json.loads(out)["rows"][0]
-        assert row["npv_gbp_m"] is None
-        assert row["notes"] == {"npv_gbp_m": "NPV is beyond float range (+inf)"}
-        _, out, _ = run(capsys, argv)
-        assert "  note [n_t=4/npv_gbp_m]: NPV is beyond float range (+inf)\n" in out
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert err == "error: lifetime_years must be an integer in [1, 100], got 200\n"
 
     def test_malformed_csv_reports_line(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

@@ -11,7 +11,6 @@ from tidalecon import cost_estimation, metrics
     (metrics, "AmbiguousIrrWarning"),
     (metrics, "ValidityWindowWarning"),
     (cost_estimation, "RatioWindowWarning"),
-    (metrics, "NpvOutOfRangeError"),
 ])
 def test_root_export_is_the_module_class(module, name):
     assert name in tidalecon.__all__

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tidalecon.finance_core import (
+    MAX_AMOUNT,
+    MAX_YEARS,
+    MIN_RATE,
     CashFlowSchedule,
     Compounding,
     DiscountSpec,
@@ -13,6 +17,7 @@ from tidalecon.finance_core import (
     discount_factor,
     present_value,
 )
+from tidalecon.metrics import IRR_BRACKET
 
 from conftest import pv_oracle
 
@@ -67,9 +72,9 @@ class TestCashFlowSchedule:
         ({4: 1.0}, "flow year 4 outside [0, 3]"),
         ({-1: 1.0}, "flow year -1 outside [0, 3]"),
         ({1.0: 1.0}, "flow year 1.0 outside [0, 3]"),
-        ({0: 1.0, 2: math.inf}, "flow for year 2 is not finite: inf"),
-        ({1: math.nan, 9: 1.0}, "flow for year 1 is not finite: nan"),  # checked in order
-        ([0.0, 1.0, -math.inf, 0.0], "flow for year 2 is not finite: -inf"),
+        ({0: 1.0, 2: math.inf}, "flow for year 2 must have |flow| <= 1e+100, got inf"),
+        ({1: math.nan, 9: 1.0}, "flow for year 1 must have |flow| <= 1e+100, got nan"),  # in order
+        ([0.0, 1.0, -math.inf, 0.0], "flow for year 2 must have |flow| <= 1e+100, got -inf"),
         ([0.0, 1.0, 2.0], "need 4 yearly flows, got 3"),
     ])
     def test_rejects_bad_flows_with_a_message(self, flows, message):
@@ -221,51 +226,48 @@ class TestDiscountedSumKernel:
             per_year += amount * discount_factor(spec, year)
         assert kernel == present_value(schedule, spec) == per_year
 
-    @pytest.mark.parametrize("horizon", [155, 200])
-    def test_overflow_gives_infinity_of_the_npv_sign(self, horizon):
-        # 0.01 ** -155 is beyond float range, so the factors at r = -0.99 overflow.
-        spec = DiscountSpec(annual_rate=-0.99)
-        flows = {0: -100.0, **{year: 12.0 for year in range(1, horizon + 1)}}
-        assert present_value(CashFlowSchedule(horizon, flows), spec) == math.inf
-        flows[horizon] = -1e6
-        assert present_value(CashFlowSchedule(horizon, flows), spec) == -math.inf
 
-    def test_opposite_overflowed_products_give_infinity_not_nan(self):
-        # 0.01 ** -150 = 1e300 is in range, but the products of years 149 and
-        # 150 overflow to +inf and -inf, whose plain sum is NaN.
-        flows = {0: -5e11, **{year: 1e11 for year in range(1, 150)}, 150: -1e13}
-        schedule = CashFlowSchedule(150, flows)
-        assert present_value(schedule, DiscountSpec(annual_rate=-0.99)) == -math.inf
+class TestInputWindow:
+    """The window checked where inputs enter: at most MAX_YEARS years, rates
+    of at least MIN_RATE and amounts of at most MAX_AMOUNT."""
 
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_zero_flows_past_the_overflow_add_nothing(self, sign):
-        # Years 2..200 are zero, but their factors at r = -0.99 overflow from
-        # year 155 on; the NPV is still -1 + 2 * 100, as on a 1-year horizon.
-        spec = DiscountSpec(annual_rate=-0.99)
-        expected = present_value(CashFlowSchedule(1, [-sign, 2 * sign]), spec)
-        assert expected == pytest.approx(199.0 * sign, rel=1e-12)
-        for flows in ({0: -sign, 1: 2 * sign}, {0: -sign, 1: 2 * sign, 200: 0.0}):
-            assert present_value(CashFlowSchedule(200, flows), spec) == expected
+    def test_constants(self):
+        assert (MAX_YEARS, MIN_RATE, MAX_AMOUNT) == (100, -0.99, 1e100)
+        assert IRR_BRACKET[0] is MIN_RATE
 
+    def test_rate_at_the_bound_accepted_below_rejected(self):
+        assert DiscountSpec(MIN_RATE).annual_rate == -0.99
+        below = math.nextafter(MIN_RATE, -math.inf)
+        message = f"annual_rate must be finite and >= -0.99, got {below}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DiscountSpec(below)
 
-class TestContinuousOverflow:
-    """exp(0.9 * 789) is beyond float range; NPV there is an infinity of its sign."""
+    def test_horizon_at_the_bound_accepted_beyond_rejected(self):
+        assert len(CashFlowSchedule(MAX_YEARS).flows) == 101
+        with pytest.raises(ValueError, match=r"horizon must be an integer in \[0, 100\], got 101"):
+            CashFlowSchedule(MAX_YEARS + 1)
 
-    SPEC = DiscountSpec(annual_rate=-0.9, mode=Compounding.CONTINUOUS)
+    @pytest.mark.parametrize("flows", [
+        [0.0, math.nextafter(MAX_AMOUNT, math.inf)], {1: -1e101},
+    ])
+    def test_flow_beyond_the_bound_rejected(self, flows):
+        with pytest.raises(ValueError, match=r"flow for year 1 must have \|flow\| <= 1e\+100"):
+            CashFlowSchedule(1, flows)
 
-    def test_overflowed_factor_gives_infinity_of_the_npv_sign(self):
-        flows = {0: -100.0, **{year: 12.0 for year in range(1, 801)}}
-        assert present_value(CashFlowSchedule(800, flows), self.SPEC) == math.inf
-        flows[800] = -1e6
-        assert present_value(CashFlowSchedule(800, flows), self.SPEC) == -math.inf
+    @pytest.mark.parametrize("years", [-1, 100.5, math.nan])
+    def test_discount_time_outside_the_window_rejected(self, years):
+        with pytest.raises(ValueError, match=r"years must lie in \[0, 100\]"):
+            discount_factor(DiscountSpec(0.1), years)
 
-    def test_opposite_overflowed_products_give_infinity_not_nan(self):
-        # The factors of years 780 and 781, about 1e305, are in range; the
-        # products overflow to +inf and -inf. Year 781's outweighs year 780's.
-        schedule = CashFlowSchedule(781, {0: -1.0, 780: 1e10, 781: -1e10})
-        assert present_value(schedule, self.SPEC) == -math.inf
-
-    def test_zero_flows_past_the_overflow_add_nothing(self):
-        expected = present_value(CashFlowSchedule(1, [1.0, -2.0]), self.SPEC)
-        assert expected == pytest.approx(1.0 - 2.0 * math.exp(0.9), rel=1e-12)
-        assert present_value(CashFlowSchedule(800, {0: 1.0, 1: -2.0}), self.SPEC) == expected
+    @pytest.mark.parametrize("spec", [
+        DiscountSpec(MIN_RATE),
+        DiscountSpec(MIN_RATE, periods_per_year=2),
+        DiscountSpec(MIN_RATE, mode=Compounding.CONTINUOUS),
+    ], ids=["annual", "half-yearly", "continuous"])
+    def test_largest_amounts_stay_in_float_range(self, spec):
+        # The largest factor is 0.01 ** -100 = 1e200 (annual), so the largest
+        # NPV of 101 flows of MAX_AMOUNT is about 1.01e300.
+        largest = discount_factor(spec, MAX_YEARS)
+        assert largest <= 1.000001e200
+        schedule = CashFlowSchedule(MAX_YEARS, [MAX_AMOUNT] * (MAX_YEARS + 1))
+        assert 0 < present_value(schedule, spec) < 1.02e300

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import re
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -14,8 +17,16 @@ from tidalecon.cost_model import (
     TariffScheme,
     build_schedule,
     capex,
+    energy_year,
 )
-from tidalecon.finance_core import CashFlowSchedule, Compounding, DiscountSpec
+from tidalecon.finance_core import (
+    MAX_AMOUNT,
+    MAX_YEARS,
+    MIN_RATE,
+    CashFlowSchedule,
+    Compounding,
+    DiscountSpec,
+)
 from tidalecon.metrics import (
     AmbiguousIrrWarning,
     BreakEvenSpec,
@@ -40,6 +51,7 @@ from tidalecon.metrics import (
 from conftest import (
     IRR_NPV_TOLERANCE,
     descartes_count_oracle,
+    exact_continuous_factor,
     exact_factor,
     irr_bisection_oracle,
     lcoe_oracle,
@@ -370,15 +382,6 @@ class TestIrrExactness:
             result = irr(schedule_of(TWO_ROOT_FLOWS))
         assert result == float.fromhex("0x1.99999999997f3p-5")
 
-    @pytest.mark.parametrize("horizon", [154, 155, 200])
-    def test_long_annuity_does_not_overflow(self, horizon):
-        # At r = -0.99 the discount factor of year 155 is 100 ** 155, beyond
-        # float range; NPV there counts as +inf and the root is still found.
-        schedule = schedule_of({0: -100.0, **_level(horizon, 12.0)})
-        rate = irr(schedule)
-        assert rate == pytest.approx(0.12, abs=1e-6)
-        assert npv(schedule, DiscountSpec(rate)) == pytest.approx(0.0, abs=IRR_NPV_TOLERANCE)
-
 
 _PROFILE = tuple(round(0.97 - 0.004 * year, 3) for year in range(25))
 _OVERHAUL = tuple(6.0 if year % 6 == 0 else 1.0 for year in range(1, 26))  # 9 sign changes
@@ -388,13 +391,13 @@ BUILT_SCHEDULES = {
     "per_year": (dict(availability=_PROFILE), None, 150.0),
     "efficiency": (dict(electrical_efficiency=0.9), None, 170.0),
     "overhaul": (dict(availability=_PROFILE, electrical_efficiency=0.93), _OVERHAUL, 160.0),
-    "long": (dict(lifetime_years=200), None, 150.0),
+    "long": (dict(lifetime_years=100), None, 150.0),
 }
 BUILT_SPECS = {
     "annual": DiscountSpec(0.10),
     "quarterly": DiscountSpec(0.08, periods_per_year=4),
     "continuous": DiscountSpec(0.07, mode=Compounding.CONTINUOUS),
-    "annual_near_-1": DiscountSpec(-0.99),  # factors beyond float range
+    "annual_near_-1": DiscountSpec(-0.99),  # the window's largest factors, up to 1e200
     "continuous_-0.9": DiscountSpec(-0.9, mode=Compounding.CONTINUOUS),
 }
 # float.hex of npv, lcoe, payback_period and irr on ``build_schedule``
@@ -402,6 +405,8 @@ BUILT_SPECS = {
 # year -> amount dict built one year at a time. The dense tuple and the
 # one-pass arithmetic must not move a bit. The IRR column moved by at most
 # 8.3e-11 when Brent's method from the seeds' bracket replaced the secant.
+# The "long" rows sit at the window's edge, 100 years near r = -1, where
+# TestLongHorizonOverflow checks each metric against an exact oracle.
 BUILT_SCHEDULE_BITS = [
     ("scalar", "annual", "0x1.6081807182215p+2", "0x1.fcdb5521d0c04p+6",
      "0x1.b6254bef6cd38p+3", "0x1.0c212b602872fp-3"),
@@ -427,10 +432,10 @@ BUILT_SCHEDULE_BITS = [
      "0x1.0de3b8c0553e9p+4", "0x1.8bf05cff971d6p-4"),
     ("overhaul", "continuous", "0x1.1b65838fd571cp+2", "0x1.d91f47ce0d101p+6",
      "0x1.e81933d23c329p+3", "0x1.8bf05cff971d6p-4"),
-    ("long", "annual_near_-1", "inf", "0x1.146039180e460p+5",
-     "0x1.2a6b0110d6dcbp-4", "0x1.191a45ddadcacp-3"),
-    ("long", "continuous_-0.9", "0x1.0a90512374faep+262", "0x1.146039180e45fp+5",
-     "0x1.cc381bce3fd44p+0", "0x1.191a45ddadcacp-3"),
+    ("long", "annual_near_-1", "0x1.03a9d057f9a87p+666", "0x1.146039180e460p+5",
+     "0x1.2a6b0110d6dcbp-4", "0x1.191a160f2110dp-3"),
+    ("long", "continuous_-0.9", "0x1.294d30a7fbc6cp+132", "0x1.146039180e45fp+5",
+     "0x1.cc381bce3fd44p+0", "0x1.191a160f2110dp-3"),
 ]
 
 
@@ -461,18 +466,15 @@ class TestBuiltScheduleBits:
     ])
     def test_evaluate_reports_the_pinned_bits(self, case, spec_name, npv_bits, lcoe_bits,
                                               payback_bits, irr_bits):
-        # ``evaluate`` takes no OPEX multipliers. The "inf" NPV row takes its
-        # per-metric fallback, every other row the one pass.
+        # ``evaluate`` takes no OPEX multipliers.
         design_args, _, tariff = BUILT_SCHEDULES[case]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values, notes = evaluate(design(**design_args), TYPICAL, TariffScheme(tariff),
                                      BUILT_SPECS[spec_name])
-        pins = dict(zip(values, (npv_bits, lcoe_bits, payback_bits, irr_bits)))
-        assert {name: value.hex() for name, value in values.items() if value is not None} == {
-            name: pin for name, pin in pins.items() if pin != "inf"}
-        assert notes == {name: "NPV is beyond float range (+inf)"
-                         for name, pin in pins.items() if pin == "inf"}
+        assert [value.hex() for value in values.values()] == [npv_bits, lcoe_bits, payback_bits,
+                                                              irr_bits]
+        assert notes == {}
 
 
 @st.composite
@@ -492,12 +494,12 @@ def scan_schedules(draw) -> dict[int, float]:
         b2 = b1 * (1.0 + draw(st.sampled_from([1e-9, 1e-6, 1e-3, 1e-2])))
         c = rng.uniform(0.1, 100.0)
         return {0: -c, 1: c * (b1 + b2), 2: -c * b1 * b2}
-    if kind == "long":  # 100-240 years, flows up to 1e13: factors leave float range
-        horizon, big = rng.randint(100, 240), 10.0 ** rng.uniform(0.0, 13.0)
+    if kind == "long":  # 60-100 years, flows up to 1e13: factors up to 1e200 near r = -0.99
+        horizon, big = rng.randint(60, 100), 10.0 ** rng.uniform(0.0, 13.0)
         flows = {0: -big * rng.uniform(1.0, 10.0)}
         for year in range(1, horizon + 1):
             flows[year] = rng.uniform(-0.3, 1.0) * big / 10
-        flows[rng.randint(100, horizon)] = -big * rng.uniform(1.0, 1e3)
+        flows[rng.randint(60, horizon)] = -big * rng.uniform(1.0, 1e3)
         return flows
     scale = 10.0 ** rng.uniform(-12.0, -4.0) if kind == "tiny" else 1.0
     return {year: scale * rng.uniform(-10.0, 10.0) for year in range(rng.randint(1, 40) + 1)}
@@ -608,18 +610,17 @@ class TestRootIsolation:
             assert irr(schedule) == -0.9
 
     def test_long_horizon_needs_few_transforms(self, monkeypatch):
-        # 200 years: a flow of 1e8 a year, -3e7 every seventh year, and a
-        # -5e11 hit in year 150. The two whole pieces fail their certificate,
-        # whose underflow margin grows as (4 * w / lo)**200; their halves
-        # pass it. The one root is near r = -0.12; the oracle's own powers of
-        # 1 + r underflow near r = -0.99, so it searches from r = -0.5.
-        flows = {0: -5e9, **{y: 1e8 * (1.0 if y % 7 else -0.3) for y in range(1, 201)},
-                 150: -5e11}
+        # 100 years, the window's longest: a flow of 1e8 a year, -3e7 every
+        # seventh year, and a -5e11 hit in year 50. The root bound is 3, so
+        # the roots are isolated; the one root is near r = -0.12.
+        flows = {0: -5e8, **{y: 1e8 * (1.0 if y % 7 else -0.3) for y in range(1, 101)},
+                 50: -5e11}
+        assert metrics_module._root_bound(schedule_of(flows).flows) == 3
         calls = _record_counts(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error", AmbiguousIrrWarning)
             rate = irr(schedule_of(flows))
-        assert rate == pytest.approx(irr_bisection_oracle(flows, low=-0.5), abs=1e-9)
+        assert rate == pytest.approx(irr_bisection_oracle(flows), abs=1e-9)
         assert len(calls) <= 8
 
     @pytest.mark.parametrize("flows", [TWO_ROOT_FLOWS, SCAN_PATH_IRRS[1][0]],
@@ -749,88 +750,102 @@ class TestRootCountBound:
         assert irr(schedule_of(late)) == pytest.approx(float.fromhex(expected), abs=1e-9)
 
 
+# The window's corner: 100 years, CAPEX at MAX_AMOUNT, the other amounts
+# near it, and availability that keeps the flows negative until year 100,
+# whose factor is the largest, so payback falls in that year.
+EDGE_DESIGN = ArrayDesign(n_t=4, mw_t=1e96, p_avg_mw=1e96, lifetime_years=MAX_YEARS,
+                          availability=[0.5] * (MAX_YEARS - 1) + [1.0])
+EDGE_COSTS = CostParameters(ca_f=MAX_AMOUNT, ca_t=0.0, o_f=6e99, o_t=0.0)
+EDGE_TARIFF = TariffScheme(1e6)  # revenue in GBP m is energy in MWh: up to 8.76e99
+# Each spec with the exact discount factor of a year under it.
+EDGE_SPECS = {
+    "annual": (DiscountSpec(MIN_RATE), partial(exact_factor, MIN_RATE)),
+    "quarterly": (DiscountSpec(MIN_RATE, periods_per_year=4),
+                  partial(exact_factor, MIN_RATE, periods=4)),
+    "monthly": (DiscountSpec(MIN_RATE, periods_per_year=12),
+                partial(exact_factor, MIN_RATE, periods=12)),
+    "continuous": (DiscountSpec(-0.9, mode=Compounding.CONTINUOUS),
+                   partial(exact_continuous_factor, -0.9)),
+}
+
+
 class TestLongHorizonOverflow:
-    """At r = -0.99 the discount factor of year 155 is 100 ** 155, beyond float
-    range; LCOE and payback must still come out right, not overflow."""
+    """At the window's edge, 100 years at r = -0.99, the discount factors reach
+    1e200 and the discounted sums 1e300: no metric may overflow, and each must
+    match its exact oracle. Inside the window no fallback path is needed."""
 
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_irr_ignores_zero_years_past_the_overflow(self, sign):
-        # Years 40..400 hold no flow, but their factors overflow at r = -0.99;
-        # NPV there must keep the sign the flows of years 0..39 give it.
-        flows = {0: -100.0 * sign, **_level(39, 12.0 * sign)}
-        assert irr(CashFlowSchedule(400, flows)) == irr(schedule_of(flows))
+    @pytest.mark.parametrize("spec_name", list(EDGE_SPECS))
+    def test_metrics_at_the_window_edge_match_exact_oracles(self, spec_name):
+        spec, factor = EDGE_SPECS[spec_name]
+        schedule = build_schedule(EDGE_DESIGN, EDGE_COSTS, EDGE_TARIFF)
+        flows = dict(enumerate(schedule.flows))
+        factors = [factor(year) for year in range(MAX_YEARS + 1)]
+        exact_npv = sum(Fraction(amount) * f for amount, f in zip(schedule.flows, factors))
+        cost = Fraction(EDGE_COSTS.ca_f) + sum(Fraction(EDGE_COSTS.o_f) * f for f in factors[1:])
+        energy = sum(Fraction(energy_year(EDGE_DESIGN, year)) * factors[year]
+                     for year in range(1, MAX_YEARS + 1))
+        expected_payback = payback_exact_oracle(flows, factor, MAX_YEARS)
+        assert 99 < expected_payback < 100
 
-    # 153 years: the factors stay in range but the discounted amounts pass it
-    # (they gave NaN); 200 years: the factors themselves overflow.
-    @pytest.mark.parametrize("horizon", [153, 200])
-    def test_lcoe_matches_exact_oracle(self, horizon):
-        d = design(lifetime_years=horizon)
-        energy = 3.2 * 8760.0 * 0.95
-        cost = Fraction(9.2 + 3.3 * 4)
-        discounted_energy = Fraction(0)
-        for year in range(1, horizon + 1):
-            cost += Fraction(0.32 + 0.15 * 4) * exact_factor(-0.99, year)
-            discounted_energy += Fraction(energy) * exact_factor(-0.99, year)
-        expected = float(cost * 10**6 / discounted_energy)
-        assert lcoe(d, TYPICAL, DiscountSpec(-0.99)) == pytest.approx(expected, rel=1e-12)
+        values = {
+            "npv": npv(schedule, spec),
+            "lcoe": lcoe(EDGE_DESIGN, EDGE_COSTS, spec),
+            "payback": payback_period(schedule, spec),
+            "irr": irr(schedule),
+        }
+        assert values["npv"] == pytest.approx(float(exact_npv), rel=1e-12)
+        assert values["lcoe"] == pytest.approx(float(cost * 10**6 / energy), rel=1e-12)
+        assert values["payback"] == pytest.approx(expected_payback, rel=1e-12)
+        assert values["irr"] == pytest.approx(irr_bisection_oracle(flows), abs=1e-9)
+        # The one pass takes no fallback, and gives the same bits.
+        assert repr(evaluate(EDGE_DESIGN, EDGE_COSTS, EDGE_TARIFF, spec)) == repr((values, {}))
 
-    def test_continuous_lcoe_beyond_exp_range(self):
-        # exp(0.9 * 800) overflows; so much weight on the last years leaves
-        # LCOE at one year's OPEX over one year's energy.
-        d = design(lifetime_years=800)
-        spec = DiscountSpec(-0.9, mode=Compounding.CONTINUOUS)
-        expected = (0.32 + 0.15 * 4) * 1e6 / (3.2 * 8760.0 * 0.95)
-        assert lcoe(d, TYPICAL, spec) == pytest.approx(expected, rel=1e-12)
-
-    @pytest.mark.parametrize("flows, low", [
-        # negative until year 181, past the factor overflow at year 155
-        ({0: -50.0, **{year: -1.0 for year in range(1, 181)}, 181: 2.0, 182: 5.0}, 180),
-        # year 154's factor, 1e308, is in range but times 10 is not (gave 153.0)
-        ({0: -1.0, **{year: -1.0 for year in range(1, 154)}, 154: 10.0}, 153),
-    ])
-    def test_payback_beyond_float_range_matches_exact_oracle(self, flows, low):
-        expected = payback_exact_oracle(flows, -0.99, max(flows))
-        assert low < expected < low + 0.01
-        result = payback_period(schedule_of(flows), DiscountSpec(-0.99))
-        assert result == pytest.approx(expected, rel=1e-12)
+    def test_longest_annuity_irr_matches_oracle(self):
+        # NPV at r = -0.99 is about 12 * 1e200; the root is still found.
+        flows = {0: -100.0, **_level(MAX_YEARS, 12.0)}
+        rate = irr(schedule_of(flows))
+        assert rate == pytest.approx(irr_bisection_oracle(flows), abs=1e-9)
+        assert npv(schedule_of(flows), DiscountSpec(rate)) == pytest.approx(
+            0.0, abs=IRR_NPV_TOLERANCE)
 
     def test_never_paying_back_is_reported_not_overflowed(self):
-        flows = {0: -50.0, **{year: -1.0 for year in range(1, 201)}}
-        with pytest.raises(NoPaybackError):
-            payback_period(schedule_of(flows), DiscountSpec(-0.99))
+        flows = {0: -50.0, **_level(MAX_YEARS, -1.0)}
+        with pytest.raises(NoPaybackError, match="through year 100"):
+            payback_period(schedule_of(flows), DiscountSpec(MIN_RATE))
 
-    def test_cumulative_flow_down_to_minus_inf_is_reported_not_overflowed(self, monkeypatch):
-        # Year 150's factor, 1e300, is in range, but times -1e10 the term is
-        # -inf: the unscaled pass ends at -inf and hands over to the scaled one.
-        scaled, original = [], metrics_module._scaled_payback
-        monkeypatch.setattr(metrics_module, "_scaled_payback",
-                            lambda *args: scaled.append(args) or original(*args))
-        schedule = CashFlowSchedule(150, {0: -1.0, 150: -1e10})
-        with pytest.raises(NoPaybackError, match="through year 150"):
-            payback_period(schedule, DiscountSpec(-0.99))
-        assert len(scaled) == 1
 
-    def test_zero_years_past_the_overflow_do_not_fake_a_payback(self):
-        # Years 183..400 hold no flow. Scaled by year 400's factor, every
-        # earlier term underflowed to zero, and payback read 155.0 on both.
-        paying = {0: -50.0, **{year: -1.0 for year in range(1, 181)}, 181: 2.0, 182: 5.0}
-        expected = payback_exact_oracle(paying, -0.99, 400)
-        result = payback_period(CashFlowSchedule(400, paying), DiscountSpec(-0.99))
-        assert result == pytest.approx(expected, rel=1e-12)
-        never = {0: -50.0, **{year: -1.0 for year in range(1, 181)}}
-        with pytest.raises(NoPaybackError, match="through year 400"):
-            payback_period(CashFlowSchedule(400, never), DiscountSpec(-0.99))
+class TestDesignWindow:
+    """One check per design evaluation, before its year loop, bounds CAPEX, a
+    year's OPEX, peak energy and peak revenue by MAX_AMOUNT."""
 
-    def test_scan_does_not_read_a_nan_npv_as_a_root(self):
-        # Near r = -0.99 the products of years 148 and 150 overflow to +inf and
-        # -inf. The true NPV there is positive; read as NaN, it once gave a
-        # spurious root at -0.9899 with an AmbiguousIrrWarning.
-        schedule = schedule_of({0: -1.0, 148: 2e13, 150: -1e9})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rate = irr(schedule)
-        assert 0.2 < rate < 0.3
-        assert npv(schedule, DiscountSpec(rate)) == pytest.approx(0.0, abs=IRR_NPV_TOLERANCE)
+    BEYOND = math.nextafter(MAX_AMOUNT, math.inf)
+
+    @pytest.mark.parametrize("costs, p_avg, tariff, message", [
+        (dict(ca_f=BEYOND), 3.2, 150.0, "CAPEX must be <= 1e+100 GBP m"),
+        (dict(o_f=BEYOND), 3.2, 150.0, "OPEX per year must be <= 1e+100 GBP m"),
+        ({}, 2e97, 150.0, "peak energy p_avg_mw * 8760 must be <= 1e+100 MWh"),
+        ({}, 3.2, 1e102, "peak revenue must be <= 1e+100 GBP m"),
+    ], ids=["capex", "opex", "energy", "revenue"])
+    def test_amount_beyond_the_window_is_rejected_naming_it(self, costs, p_avg, tariff,
+                                                            message):
+        params = dataclasses.replace(TYPICAL, **costs)
+        d = design(mw_t=1e97, p_avg_mw=p_avg)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate(d, params, TariffScheme(tariff), DiscountSpec(0.10))
+        if "revenue" not in message:  # lcoe takes no tariff
+            with pytest.raises(ValueError, match=re.escape(message)):
+                lcoe(d, params, DiscountSpec(0.10))
+
+    def test_energy_beyond_float_range_is_rejected_not_lcoe_zero(self):
+        # p_avg_mw * 8760 is inf here; lcoe once returned a silent 0.0 and
+        # evaluate a message about the flow of year 1.
+        d = ArrayDesign(n_t=1, mw_t=1e306, p_avg_mw=1e306, lifetime_years=20)
+        message = "peak energy p_avg_mw * 8760 must be <= 1e+100 MWh, got inf"
+        with pytest.raises(ValueError) as by_lcoe:
+            lcoe(d, TYPICAL, DiscountSpec(0.10))
+        with pytest.raises(ValueError) as by_evaluate:
+            evaluate(d, TYPICAL, TariffScheme(150.0), DiscountSpec(0.10), ("lcoe",))
+        assert str(by_lcoe.value) == str(by_evaluate.value) == message
 
 
 class TestBreakEvenPower:
@@ -960,15 +975,15 @@ class TestFunctionalSweep:
         assert all(row["lcoe_gbp_per_mwh"] is None for row in rows)
 
     def test_undefined_values_are_none_with_notes(self):
-        rows = functional_sweep(
-            [(4, 3.2), (5, 0.0)], design(mw_t=5.0, lifetime_years=200), TYPICAL,
-            TariffScheme(150.0), DiscountSpec(-0.99), BreakEvenSpec(p_be_mw=0.4),
-        )
-        assert rows[0]["npv_gbp_m"] is None
-        assert rows[0]["notes"] == {"npv_gbp_m": "NPV is beyond float range (+inf)"}
-        assert rows[1]["npv_gbp_m"] is rows[1]["lcoe_gbp_per_mwh"] is None
+        # At the window's edge every NPV is defined; zero power leaves LCOE undefined.
+        template, spec = design(mw_t=5.0, lifetime_years=MAX_YEARS), DiscountSpec(MIN_RATE)
+        rows = functional_sweep([(4, 3.2), (5, 0.0)], template, TYPICAL, TariffScheme(150.0),
+                                spec, BreakEvenSpec(p_be_mw=0.4))
+        assert "notes" not in rows[0]
+        assert rows[0]["npv_gbp_m"] == npv(build_schedule(template, TYPICAL, TariffScheme(150.0)),
+                                           spec)
+        assert rows[1]["lcoe_gbp_per_mwh"] is None
         assert rows[1]["notes"] == {
-            "npv_gbp_m": "NPV is beyond float range (-inf)",
             "lcoe_gbp_per_mwh": "discounted energy is zero; LCOE is undefined",
         }
         assert "notes" not in self.sweep([(4, 3.2)], BreakEvenSpec(p_be_mw=0.4))[0]
@@ -996,11 +1011,11 @@ class TestFunctionalSweep:
 def evaluate_inputs(draw) -> tuple[ArrayDesign, CostParameters, TariffScheme, DiscountSpec]:
     """Designs, costs and discounting for ``evaluate``, including zero CAPEX, zero
     power, per-year availability, and long horizons at rates near -1 whose
-    factors or sums pass float range."""
+    factors reach the window's largest, 1e200."""
     if draw(st.booleans()):
         lifetime, rate = draw(st.integers(1, 40)), draw(st.floats(-0.5, 0.5))
     else:
-        lifetime, rate = draw(st.sampled_from([200, 400])), draw(st.floats(-0.99, -0.9))
+        lifetime, rate = draw(st.integers(60, MAX_YEARS)), draw(st.floats(MIN_RATE, -0.9))
     n_t, mw_t = draw(st.integers(1, 40)), draw(st.floats(0.5, 2.0))
     availability = draw(st.one_of(
         st.floats(0.5, 1.0), st.lists(st.floats(0.5, 1.0), min_size=lifetime, max_size=lifetime)))
@@ -1038,19 +1053,19 @@ class TestEvaluate:
         assert notes == {"payback": str(err.value)}
 
     @given(inputs=evaluate_inputs())
-    @example(inputs=(design(lifetime_years=400), TYPICAL, TariffScheme(150.0),
-                     DiscountSpec(-0.99)))  # factors beyond float range
-    @example(inputs=(design(lifetime_years=200), TYPICAL, TariffScheme(150.0),
-                     DiscountSpec(-0.9711)))  # factors in range, NPV and LCOE sums beyond
-    @example(inputs=(design(lifetime_years=200), TYPICAL, TariffScheme(150.0),
-                     DiscountSpec(-0.97)))  # NPV in range, LCOE sums beyond
+    @example(inputs=(design(lifetime_years=100), TYPICAL, TariffScheme(150.0),
+                     DiscountSpec(-0.99)))  # the window's edge: factors up to 1e200
+    @example(inputs=(design(lifetime_years=100), TYPICAL, TariffScheme(150.0),
+                     DiscountSpec(-0.99, periods_per_year=12)))
+    @example(inputs=(design(lifetime_years=60), TYPICAL, TariffScheme(150.0),
+                     DiscountSpec(-0.97)))
     @settings(max_examples=300, deadline=None)
     def test_one_pass_equals_the_metric_functions(self, inputs):
         d, params, tariff, spec = inputs
         schedule = build_schedule(d, params, tariff)
         expected_values, expected_notes = {}, {}
         for name, function, args in (
-            ("npv", metrics_module.reported_npv, (schedule, spec)),
+            ("npv", npv, (schedule, spec)),
             ("lcoe", lcoe, (d, params, spec)),
             ("payback", payback_period, (schedule, spec)),
             ("irr", irr, (schedule,)),
@@ -1065,8 +1080,12 @@ class TestEvaluate:
         assert notes == expected_notes
 
     def test_non_finite_flow_rejected_as_build_schedule_rejects_it(self):
-        with pytest.raises(ValueError, match="flow for year 1 is not finite: inf"):
+        # Year 1's revenue is inf: evaluate rejects the peak revenue before its
+        # year loop, build_schedule the flow.
+        with pytest.raises(ValueError, match=r"peak revenue must be <= 1e\+100 GBP m, got inf"):
             evaluate(design(), TYPICAL, TariffScheme(1e305), DiscountSpec(0.10), ("lcoe",))
+        with pytest.raises(ValueError, match=r"flow for year 1 must have \|flow\| <= 1e\+100"):
+            build_schedule(design(), TYPICAL, TariffScheme(1e305))
 
     def test_default_break_even_is_break_even_power_over_efficiency(self):
         d = design(electrical_efficiency=0.8, lifetime_years=3)

@@ -162,7 +162,7 @@ UNDEFINED_GRIDS = [
     (design(), {}, "tariff", [10.0, 40.0, 150.0]),  # no IRR sign change, no payback
     (design(), {}, "r", [0.05, 0.10, 0.15]),  # no payback at 15%
     (design(), {"ca_t": 0.01}, "ca_f", [0.01, 9.2]),  # IRR above the bracket
-    (design(), {"r": -0.99}, "lifetime", [25.0, 200.0]),  # NPV beyond float range
+    (design(), {"r": -0.99}, "lifetime", [25.0, 100.0]),  # the window's edge: all defined
 ]
 
 
@@ -218,7 +218,6 @@ class TestMetricBundle:
                 values = dict(TYPICAL_VALUES, **base, **{parameter: value})
                 notes.update(compute_metrics(d, values)[1].values())
         assert notes == {
-            "NPV is beyond float range (+inf)",
             "discounted energy is zero; LCOE is undefined",
             "cumulative discounted flow stays negative through year 25",
             "IRR undefined: cash flows never change sign",
