@@ -22,7 +22,6 @@ import io
 import json
 import sys
 import warnings
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from . import __version__
@@ -45,55 +44,68 @@ EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
 
 
-class ConfigError(ValueError):
-    """The configuration file is missing, malformed or inconsistent."""
-
-
-@dataclass(frozen=True)
-class ProjectInputs:
-    """Everything the engine needs, resolved from one config file."""
-
-    design: ArrayDesign
-    params: CostParameters
-    tariff: TariffScheme
-    spec: DiscountSpec
-    bep: _metrics.BreakEvenSpec
-    overrides: dict[str, float]
-
-
 # ---------------------------------------------------------------------------
 # Config handling
 
-def _require(block: dict, key: str, context: str) -> Any:
-    if key not in block:
-        raise ConfigError(f"missing key {key!r} in {context}")
-    return block[key]
+def _number(value: Any, name: str, whole: bool = False) -> float | int:
+    """``value``, a JSON number or numeric text, as a float, or as an int with
+    ``whole``; anything else raises a ``ValueError`` naming ``name``. Range
+    checks stay with the records, so a JSON integer count is not made a float."""
+    if isinstance(value, str):
+        try:
+            value = float(value)
+        except ValueError:
+            pass
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or whole and isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be {'a whole' if whole else 'a'} number, got {value!r}")
+    try:
+        return int(value) if whole else float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be within float range, got {value!r}") from None
 
 
-def _observation(entry: dict, context: str) -> CostObservation:
+def _object(value: Any, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{context} must be an object, got {value!r}")
+    return value
+
+
+def _field(block: Any, key: str, context: str, default: Any = None) -> Any:
+    """``block[key]``, or ``default`` if given and the JSON object lacks ``key``."""
+    if key in _object(block, context):
+        return block[key]
+    if default is None:
+        raise ValueError(f"missing key {key!r} in {context}")
+    return default
+
+
+def _observation(entry: Any, context: str) -> CostObservation:
     """The cost observation in a config entry, a CSV row, an inline N_T=TOTAL or
     the ratio flags, each handed over as a dict with a config entry's keys.
 
     The entry gives ``n_t`` and either ``total_gbp_m`` or ``per_mw_gbp_m``
     with ``capacity_mw``, not both costs; ``rate_to_gbp`` defaults to 1.0.
     """
+    def number(key: str, default: Any = None) -> float:
+        return _number(_field(entry, key, "the observation", default), key)
+
     try:
-        costs = [key for key in ("total_gbp_m", "per_mw_gbp_m") if key in entry]
+        costs = [key for key in ("total_gbp_m", "per_mw_gbp_m")
+                 if key in _object(entry, "the observation")]
         if len(costs) != 1:
             both = ", not both" if costs else ""
             raise ValueError(f"give 'total_gbp_m' or 'per_mw_gbp_m'{both}")
         per_mw = costs == ["per_mw_gbp_m"]
         return CostObservation(
-            n_t=float(entry["n_t"]),
-            cost=float(entry[costs[0]]),
+            n_t=number("n_t"),
+            cost=number(costs[0]),
             basis=CostBasis.PER_MW if per_mw else CostBasis.TOTAL,
-            capacity_mw=float(entry["capacity_mw"]) if per_mw else None,
-            currency_rate=float(entry.get("rate_to_gbp", 1.0)),
+            capacity_mw=number("capacity_mw") if per_mw else None,
+            currency_rate=number("rate_to_gbp", 1.0),
         )
-    except KeyError as err:
-        raise ConfigError(f"{context}: missing key {err}") from err
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{context}: {err}") from err
+    except ValueError as err:
+        raise ValueError(f"{context}: {err}") from err
 
 
 def _split_costs(
@@ -107,16 +119,16 @@ def _split_costs(
     split is None when ``opex`` is."""
     if method == "ratio":
         if ratio is None:
-            raise ConfigError("the ratio method needs a ratio (--ratio, or 'ratio' in costs.estimate)")
-        fixed_ratio = FixedToTurbineRatio(float(ratio))
+            raise ValueError("the ratio method needs a ratio (--ratio, or 'ratio' in costs.estimate)")
+        fixed_ratio = FixedToTurbineRatio(ratio)
     elif method != "two_points":
-        raise ConfigError(f"unknown estimation method {method!r}; expected 'two_points' or 'ratio'")
+        raise ValueError(f"unknown estimation method {method!r}; expected 'two_points' or 'ratio'")
     count = 2 if method == "two_points" else 1
 
     def split(kind: str, observations: list[CostObservation]) -> CostSplit:
         if len(observations) != count:
-            raise ConfigError(f"the {method} method needs exactly {count} {kind} "
-                              f"observation{'s' * (count > 1)}, got {len(observations)}")
+            raise ValueError(f"the {method} method needs exactly {count} {kind} "
+                             f"observation{'s' * (count > 1)}, got {len(observations)}")
         if count == 2:
             return split_two_points(*observations)
         return split_from_ratio(observations[0], fixed_ratio)
@@ -124,88 +136,84 @@ def _split_costs(
     return split("CAPEX", capex), None if opex is None else split("OPEX", opex)
 
 
-def _whole_number(value: Any, name: str) -> int:
-    # JSON true and false would pass ``int`` as 1 and 0.
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
-
-
-def load_config(path: str) -> ProjectInputs:
+def load_config(path: str) -> tuple[ArrayDesign, CostParameters, TariffScheme, DiscountSpec,
+                                    _metrics.BreakEvenSpec, dict[str, float]]:
     def reject_non_finite(literal: str) -> float:
-        raise ConfigError(f"config {path} holds {literal}; every number must be finite")
+        raise ValueError(f"config {path} holds {literal}; every number must be finite")
 
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle, parse_constant=reject_non_finite)
     except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
+        raise ValueError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:
-        raise ConfigError(f"config {path} is not valid JSON: {err}") from err
+        raise ValueError(f"config {path} is not valid JSON: {err}") from err
 
-    array = _require(raw, "array", "config")
+    def number(block: Any, key: str, context: str, default: Any = None,
+               whole: bool = False) -> float | int:
+        return _number(_field(block, key, context, default), f"{context}.{key}", whole)
+
+    array = _field(raw, "array", "config")
+    availability = _field(array, "availability", "array", 1.0)
+    if isinstance(availability, list):
+        availability = [_number(value, f"array.availability[{index}]")
+                        for index, value in enumerate(availability)]
+    else:
+        availability = _number(availability, "array.availability")
     design = ArrayDesign(
-        n_t=_whole_number(_require(array, "n_t", "array"), "array.n_t"),
-        mw_t=float(_require(array, "mw_t", "array")),
-        p_avg_mw=float(_require(array, "p_avg_mw", "array")),
-        lifetime_years=_whole_number(
-            _require(array, "lifetime_years", "array"), "array.lifetime_years"
-        ),
-        availability=array.get("availability", 1.0),
-        electrical_efficiency=float(array.get("electrical_efficiency", 1.0)),
+        n_t=number(array, "n_t", "array", whole=True),
+        mw_t=number(array, "mw_t", "array"),
+        p_avg_mw=number(array, "p_avg_mw", "array"),
+        lifetime_years=number(array, "lifetime_years", "array", whole=True),
+        availability=availability,
+        electrical_efficiency=number(array, "electrical_efficiency", "array", 1.0),
     )
 
-    costs = _require(raw, "costs", "config")
+    costs = _object(_field(raw, "costs", "config"), "costs")
     explicit = {"ca_f", "ca_t", "o_f", "o_t"} & set(costs)
     if "estimate" in costs and explicit:
-        raise ConfigError("config must give either explicit costs or an estimate directive, not both")
+        raise ValueError("config must give either explicit costs or an estimate directive, not both")
     if "estimate" in costs:
         directive = costs["estimate"]
         observations = []
         for kind in ("capex", "opex"):
-            entries = _require(directive, kind, "costs.estimate")
-            if isinstance(entries, dict):
+            entries = _field(directive, kind, "costs.estimate")
+            if not isinstance(entries, list):
                 entries = [entries]
             observations.append([
                 _observation(entry, f"costs.estimate.{kind}[{index}]")
                 for index, entry in enumerate(entries)
             ])
-        method = _require(directive, "method", "costs.estimate")
-        ca, op = _split_costs(method, *observations, directive.get("ratio"))
+        method = _field(directive, "method", "costs.estimate")
+        ratio = number(directive, "ratio", "costs.estimate") if "ratio" in directive else None
+        ca, op = _split_costs(method, *observations, ratio)
         params = CostParameters(ca_f=ca.fixed, ca_t=ca.per_turbine, o_f=op.fixed, o_t=op.per_turbine)
     elif len(explicit) == 4:
-        params = CostParameters(
-            ca_f=float(costs["ca_f"]),
-            ca_t=float(costs["ca_t"]),
-            o_f=float(costs["o_f"]),
-            o_t=float(costs["o_t"]),
-        )
+        params = CostParameters(**{key: number(costs, key, "costs") for key in sorted(explicit)})
     else:
-        raise ConfigError("costs block needs all of ca_f/ca_t/o_f/o_t, or an 'estimate' directive")
+        raise ValueError("costs block needs all of ca_f/ca_t/o_f/o_t, or an 'estimate' directive")
 
-    finance = _require(raw, "finance", "config")
+    finance = _field(raw, "finance", "config")
     spec = DiscountSpec(
-        annual_rate=float(_require(finance, "r", "finance")),
-        mode=Compounding(finance.get("mode", "discrete")),
-        periods_per_year=_whole_number(
-            finance.get("periods_per_year", 1), "finance.periods_per_year"
-        ),
+        annual_rate=number(finance, "r", "finance"),
+        mode=Compounding(_field(finance, "mode", "finance", "discrete")),
+        periods_per_year=number(finance, "periods_per_year", "finance", 1, whole=True),
     )
-    tariff = TariffScheme(t_e=float(_require(finance, "tariff_gbp_per_mwh", "finance")))
+    tariff = TariffScheme(t_e=number(finance, "tariff_gbp_per_mwh", "finance"))
 
-    bep_block = raw.get("break_even")
-    if bep_block is not None:
+    if "break_even" in raw:
+        bep_block = raw["break_even"]
         bep = _metrics.BreakEvenSpec(
-            p_be_mw=float(_require(bep_block, "p_be_mw", "break_even")),
-            ev_mw_per_turbine=float(bep_block.get("ev_mw_per_turbine", 0.0)),
+            p_be_mw=number(bep_block, "p_be_mw", "break_even"),
+            ev_mw_per_turbine=number(bep_block, "ev_mw_per_turbine", "break_even", 0.0),
         )
     else:
         bep = _metrics.BreakEvenSpec(p_be_mw=_metrics.default_break_even(design, params, tariff))
 
-    overrides = {str(k): float(v) for k, v in raw.get("scenario_overrides", {}).items()}
-    return ProjectInputs(
-        design=design, params=params, tariff=tariff, spec=spec, bep=bep, overrides=overrides
-    )
+    overrides = _object(_field(raw, "scenario_overrides", "config", {}), "scenario_overrides")
+    overrides = {name: _number(value, f"scenario_overrides.{name}")
+                 for name, value in overrides.items()}
+    return design, params, tariff, spec, bep, overrides
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +266,17 @@ def _report(args: argparse.Namespace, payload: dict, header: Sequence[str],
 # Subcommands
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    inputs = load_config(args.config)
-    design, params, tariff, spec = inputs.design, inputs.params, inputs.tariff, inputs.spec
+    design, params, tariff, spec, bep, _ = load_config(args.config)
     values, undefined = _metrics.evaluate(design, params, tariff, spec)
     keys = _metrics.REPORT_KEYS
     report = {keys[name]: value for name, value in values.items()}
     notes = {keys[name]: note for name, note in undefined.items()}
 
-    p_be = inputs.bep.p_be_mw
+    p_be = bep.p_be_mw
     report["break_even_power_mw"] = p_be
     report["bep_capacity_factor"] = p_be / design.mw_t
-    report["j_bep_mw"] = _metrics.bep_functional(design.p_avg_mw, inputs.bep, design.n_t)
-    report["j_bep_ev_mw"] = _metrics.bep_ev_functional(design.p_avg_mw, inputs.bep, design.n_t)
+    report["j_bep_mw"] = _metrics.bep_functional(design.p_avg_mw, bep, design.n_t)
+    report["j_bep_ev_mw"] = _metrics.bep_ev_functional(design.p_avg_mw, bep, design.n_t)
 
     inputs_echo = {
         "n_t": design.n_t,
@@ -292,25 +299,26 @@ def cmd_metrics(args: argparse.Namespace) -> int:
                    ("metric", "value"), list(report.items()), lines)
 
 
-def _read_observation_csv(path: str, mw_t: float | None) -> list[CostObservation]:
+def _csv_rows(path: str, kind: str) -> list[tuple[str, dict[str, str]]]:
+    """Each row of the CSV file at ``path``, without empty cells, after a context naming it."""
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             rows = [{key: value for key, value in row.items() if value}
                     for row in csv.DictReader(handle)]
     except OSError as err:
-        raise ConfigError(f"cannot read {path}: {err}") from err
+        raise ValueError(f"cannot read {path}: {err}") from err
     if not rows:
-        raise ConfigError(f"{path}: no observation rows found")
+        raise ValueError(f"{path}: no {kind} rows found")
+    return [(f"{path}: malformed row at line {line}", row) for line, row in enumerate(rows, 2)]
+
+
+def _read_observation_csv(path: str, mw_t: float | None) -> list[CostObservation]:
     observations = []
-    for line_number, entry in enumerate(rows, start=2):
-        context = f"{path}: malformed row at line {line_number}"
+    for context, entry in _csv_rows(path, "observation"):
         if "per_mw_gbp_m" in entry and "total_gbp_m" not in entry:
             if mw_t is None:
-                raise ConfigError(f"{path}: per-MW observations need --mw-t to derive turbine counts")
-            try:
-                entry["n_t"] = float(entry.get("capacity_mw", "")) / mw_t
-            except ValueError as err:
-                raise ConfigError(f"{context}: capacity_mw: {err}") from err
+                raise ValueError(f"{path}: per-MW observations need --mw-t to derive turbine counts")
+            entry["n_t"] = _number(entry.get("capacity_mw"), f"{context}: capacity_mw") / mw_t
         observations.append(_observation(entry, context))
     return observations
 
@@ -318,7 +326,7 @@ def _read_observation_csv(path: str, mw_t: float | None) -> list[CostObservation
 def _inline_observation(text: str, kind: str, currency_rate: float) -> CostObservation:
     n_t, equals, total = text.partition("=")
     if not equals:
-        raise ConfigError(f"--{kind} {text!r}: expected N_T=TOTAL")
+        raise ValueError(f"--{kind} {text!r}: expected N_T=TOTAL")
     entry = {"n_t": n_t, "total_gbp_m": total, "rate_to_gbp": currency_rate}
     return _observation(entry, f"--{kind} {text!r}")
 
@@ -333,11 +341,11 @@ def _flag_observations(args: argparse.Namespace, kind: str,
     entry = {"rate_to_gbp": currency_rate}
     if total is not None:
         if args.n_t is None:
-            raise ConfigError(f"--{kind}-total needs --n-t")
+            raise ValueError(f"--{kind}-total needs --n-t")
         entry.update(n_t=args.n_t, total_gbp_m=total)
     if per_mw is not None:
         if args.capacity is None or args.mw_t is None:
-            raise ConfigError(f"--{kind}-per-mw needs --capacity and --mw-t")
+            raise ValueError(f"--{kind}-per-mw needs --capacity and --mw-t")
         entry.update(n_t=args.capacity / args.mw_t, per_mw_gbp_m=per_mw,
                      capacity_mw=args.capacity)
     return [_observation(entry, f"--{kind}-total/--{kind}-per-mw")]
@@ -348,12 +356,12 @@ def cmd_split(args: argparse.Namespace) -> int:
     if method == "two_points":
         csv_given = bool(args.capex_csv or args.opex_csv)
         if csv_given and args.currency_rate is not None:
-            raise ConfigError("--currency-rate does not apply to --capex-csv/--opex-csv "
-                              "observations: each CSV row carries its own rate_to_gbp")
+            raise ValueError("--currency-rate does not apply to --capex-csv/--opex-csv "
+                             "observations: each CSV row carries its own rate_to_gbp")
         if not csv_given and args.mw_t is not None:
-            raise ConfigError("split two-points does not read --mw-t with the other flags given")
+            raise ValueError("split two-points does not read --mw-t with the other flags given")
     if args.mw_t is not None and not args.mw_t > 0:
-        raise ConfigError(f"--mw-t must be positive, got {args.mw_t}")
+        raise ValueError(f"--mw-t must be positive, got {args.mw_t}")
     currency_rate = 1.0 if args.currency_rate is None else args.currency_rate
     observations = []
     for kind in ("capex", "opex"):
@@ -396,8 +404,8 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_scenarios(args: argparse.Namespace) -> int:
-    inputs = load_config(args.config)
-    results = _scenarios.evaluate_scenarios(inputs.design, inputs.overrides or None)
+    design, *_, overrides = load_config(args.config)
+    results = _scenarios.evaluate_scenarios(design, overrides or None)
 
     payload = {
         "command": "scenarios",
@@ -423,49 +431,31 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    inputs = load_config(args.config)
+    design, *_, overrides = load_config(args.config)
     if args.steps < 1:
-        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
+        raise ValueError(f"--steps must be >= 1, got {args.steps}")
     if args.steps == 1:
         grid = [args.start]
     else:
         step = (args.stop - args.start) / (args.steps - 1)
         grid = [args.start + k * step for k in range(args.steps)]
-    base = dict(inputs.overrides)
-    curve = _scenarios.sensitivity_sweep(
-        inputs.design, base if base else "typical", args.param, grid, args.metric
-    )
+    curve = _scenarios.sensitivity_sweep(design, overrides or "typical", args.param, grid,
+                                         args.metric)
     points = [{"value": value, args.metric: result} for value, result in curve]
     return _report(args, {"command": "sweep", "param": args.param, "metric": args.metric,
                           "points": points}, ("value", args.metric), curve)
 
 
 def _read_power_curve(path: str) -> list[tuple[int, float]]:
-    try:
-        with open(path, encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames is None or not {"n_t", "p_avg_mw"} <= set(reader.fieldnames):
-                raise ConfigError(f"{path}: power-curve CSV needs header 'n_t,p_avg_mw'")
-            samples = []
-            for line_number, row in enumerate(reader, start=2):
-                try:
-                    n_t = _whole_number(float(row["n_t"]), "n_t")
-                    samples.append((n_t, float(row["p_avg_mw"])))
-                except (TypeError, ValueError) as err:
-                    raise ConfigError(f"{path}: malformed row at line {line_number}: {err}") from err
-    except OSError as err:
-        raise ConfigError(f"cannot read {path}: {err}") from err
-    if not samples:
-        raise ConfigError(f"{path}: no power-curve rows found")
-    return samples
+    return [(_number(row.get("n_t"), f"{context}: n_t", whole=True),
+             _number(row.get("p_avg_mw"), f"{context}: p_avg_mw"))
+            for context, row in _csv_rows(path, "power-curve")]
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    inputs = load_config(args.config)
+    design, params, tariff, spec, bep, _ = load_config(args.config)
     samples = _read_power_curve(args.power_curve)
-    rows = _metrics.functional_sweep(
-        samples, inputs.design, inputs.params, inputs.tariff, inputs.spec, inputs.bep
-    )
+    rows = _metrics.functional_sweep(samples, design, params, tariff, spec, bep)
     best_power = max(rows, key=lambda row: row["p_avg_mw"])["n_t"]
     best_j = max(rows, key=lambda row: row["j_bep_mw"])["n_t"]
     for row in rows:

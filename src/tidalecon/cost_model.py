@@ -58,15 +58,19 @@ class ArrayDesign:
 
     def __post_init__(self) -> None:
         # A count beyond the window could not be converted to a float to rate it.
-        if not isinstance(self.n_t, int) or not 1 <= self.n_t <= MAX_AMOUNT:
+        # ``type``, not ``isinstance``: True is an int, but not a count.
+        if type(self.n_t) is not int or not 1 <= self.n_t <= MAX_AMOUNT:
             raise ValueError(f"n_t must be an integer in [1, {MAX_AMOUNT:g}], got {self.n_t}")
         if not math.isfinite(self.mw_t) or self.mw_t <= 0:
             raise ValueError(f"mw_t must be finite and positive, got {self.mw_t}")
-        if not isinstance(self.lifetime_years, int) or not 1 <= self.lifetime_years <= MAX_YEARS:
+        if type(self.lifetime_years) is not int or not 1 <= self.lifetime_years <= MAX_YEARS:
             raise ValueError(
                 f"lifetime_years must be an integer in [1, {MAX_YEARS}], got {self.lifetime_years}"
             )
-        if not 0 <= self.p_avg_mw <= self.n_t * self.mw_t:  # also rejects NaN and inf
+        # Checked apart from the capacity, which is inf when n_t * mw_t overflows.
+        if not 0 <= self.p_avg_mw < math.inf:  # also rejects NaN
+            raise ValueError(f"p_avg_mw must be finite and >= 0, got {self.p_avg_mw}")
+        if self.p_avg_mw > self.n_t * self.mw_t:
             raise ValueError(
                 f"p_avg_mw {self.p_avg_mw} must lie in [0, rated capacity "
                 f"{self.n_t * self.mw_t}]"

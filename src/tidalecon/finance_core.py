@@ -45,11 +45,11 @@ class DiscountSpec:
             raise ValueError(
                 f"annual_rate must be finite and >= {MIN_RATE}, got {self.annual_rate}"
             )
-        if self.mode is Compounding.DISCRETE:
-            if not isinstance(self.periods_per_year, int) or self.periods_per_year < 1:
-                raise ValueError(
-                    f"periods_per_year must be a positive integer, got {self.periods_per_year}"
-                )
+        # ``type``, not ``isinstance``: True is an int. Within [1, MAX_AMOUNT] periods
+        # 1.0 + rate / p cannot overflow and no discount factor exceeds 1e200.
+        p = self.periods_per_year
+        if self.mode is Compounding.DISCRETE and (type(p) is not int or not 1 <= p <= MAX_AMOUNT):
+            raise ValueError(f"periods_per_year must be an integer in [1, {MAX_AMOUNT:g}], got {p}")
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class CashFlowSchedule:
     flows: tuple[float, ...] = field(default_factory=dict)  # empty mapping: all zero
 
     def __post_init__(self) -> None:
-        if not isinstance(self.horizon, int) or not 0 <= self.horizon <= MAX_YEARS:
+        if type(self.horizon) is not int or not 0 <= self.horizon <= MAX_YEARS:  # rejects True
             raise ValueError(f"horizon must be an integer in [0, {MAX_YEARS}], got {self.horizon}")
         flows = self.flows
         if isinstance(flows, Mapping):

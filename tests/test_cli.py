@@ -23,6 +23,47 @@ BASE_CONFIG = {
 }
 
 
+# Every numeric config key, as (path to the key, the name its error gives,
+# whole number). Each is read from FULL_CONFIG, or from RATIO_CONFIG under
+# costs.estimate, and availability[0] from a per-year list.
+NUMERIC_KEYS = [
+    *((("array", key), f"array.{key}", key in ("n_t", "lifetime_years"))
+      for key in ("n_t", "mw_t", "p_avg_mw", "lifetime_years", "availability",
+                  "electrical_efficiency")),
+    (("array", "availability", 0), "array.availability[0]", False),
+    *((("costs", key), f"costs.{key}", False) for key in ("ca_f", "ca_t", "o_f", "o_t")),
+    *((("finance", key), f"finance.{key}", key == "periods_per_year")
+      for key in ("r", "periods_per_year", "tariff_gbp_per_mwh")),
+    *((("break_even", key), f"break_even.{key}", False)
+      for key in ("p_be_mw", "ev_mw_per_turbine")),
+    (("costs", "estimate", "ratio"), "costs.estimate.ratio", False),
+    (("costs", "estimate", "capex", 0, "total_gbp_m"), "costs.estimate.capex[0]: total_gbp_m",
+     False),
+    (("scenario_overrides", "r"), "scenario_overrides.r", False),
+]
+FULL_CONFIG = dict(
+    BASE_CONFIG,
+    array=dict(BASE_CONFIG["array"], electrical_efficiency=1.0),
+    finance=dict(BASE_CONFIG["finance"], periods_per_year=1),
+    break_even={"p_be_mw": 0.4, "ev_mw_per_turbine": 0.0},
+    scenario_overrides={"r": 0.1},
+)
+RATIO_CONFIG = dict(FULL_CONFIG, costs={"estimate": {
+    "method": "ratio", "ratio": 2.3,
+    "capex": [{"n_t": 4, "total_gbp_m": 22.4}], "opex": [{"n_t": 4, "total_gbp_m": 0.92}],
+}})
+HUGE = 10**400  # a JSON integer literal beyond float range
+# True, lists, objects, null and non-numeric text are not numbers; a float key
+# also rejects HUGE, and a whole number past its bound is its record's range error.
+NUMERIC_KEY_CASES = [
+    pytest.param(path, name, whole, value, id=f"{'.'.join(map(str, path))}-{value_id}")
+    for path, name, whole in NUMERIC_KEYS
+    for value, value_id in ((True, "true"), ([1], "list"), ({"a": 1}, "object"),
+                            (None, "null"), ("x", "text"), (HUGE, "huge"))
+    if not (whole and value is HUGE)
+]
+
+
 @pytest.fixture
 def config_path(tmp_path):
     def write(overrides: dict | None = None, name: str = "config.json") -> str:
@@ -197,6 +238,55 @@ class TestConfigValidation:
         code, out, _ = run(capsys, ["metrics", config_path({"array": array}), "--format", "json"])
         assert code == EXIT_OK
         assert json.loads(out)["inputs"]["n_t"] == 4
+
+    def metrics_error(self, capsys, tmp_path, path, value) -> str:
+        """The one stderr line of ``metrics`` on a config with ``value`` at ``path``."""
+        config = json.loads(json.dumps(RATIO_CONFIG if "estimate" in path else FULL_CONFIG))
+        if path[:3] == ("array", "availability", 0):
+            config["array"]["availability"] = [0.95] * 25
+        block = config
+        for key in path[:-1]:
+            block = block[key]
+        if path:
+            block[path[-1]] = value
+        else:
+            config = value
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config))
+        code, out, err = run(capsys, ["metrics", str(config_file), "--format", "json"])
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("path, name, whole, value", NUMERIC_KEY_CASES)
+    def test_every_numeric_key_takes_only_a_number(self, capsys, tmp_path, path, name, whole,
+                                                   value):
+        err = self.metrics_error(capsys, tmp_path, path, value)
+        if value is HUGE:
+            assert err == f"error: {name} must be within float range, got {value}\n"
+        elif name == "array.availability" and value == [1]:  # a per-year list, too short
+            assert err == "error: per-year availability needs 25 entries, got 1\n"
+        else:
+            kind = "a whole number" if whole else "a number"
+            assert err == f"error: {name} must be {kind}, got {value!r}\n"
+
+    @pytest.mark.parametrize("path", [
+        (), ("array",), ("costs",), ("costs", "estimate"), ("finance",), ("break_even",),
+        ("scenario_overrides",),
+    ], ids=lambda path: ".".join(path) or "config")
+    @pytest.mark.parametrize("value", [[1], None, "x"], ids=["list", "null", "text"])
+    def test_every_block_must_be_an_object(self, capsys, tmp_path, path, value):
+        err = self.metrics_error(capsys, tmp_path, path, value)
+        assert err == f"error: {'.'.join(path) or 'config'} must be an object, got {value!r}\n"
+
+    def test_numeric_text_reads_as_its_number(self, capsys, config_path):
+        # CSV cells and inline observations are text, so config values may be too.
+        text = {"array": dict(BASE_CONFIG["array"], n_t="4.0", mw_t="1.5", lifetime_years="25"),
+                "finance": dict(BASE_CONFIG["finance"], r="0.1")}
+        outputs = [run(capsys, ["metrics", path, "--format", "json"])
+                   for path in (config_path(), config_path(text, name="text.json"))]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == EXIT_OK
 
     def test_json_output_never_holds_nan(self):
         with pytest.raises(ValueError):

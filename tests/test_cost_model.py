@@ -47,6 +47,11 @@ class TestTypes:
         with pytest.raises(ValueError, match=field):
             design(**{field: value})
 
+    def test_design_rejects_infinite_power_beside_an_overflowed_capacity(self):
+        # n_t * mw_t is inf here, so the capacity bound alone let inf through.
+        with pytest.raises(ValueError, match="p_avg_mw must be finite and >= 0, got inf"):
+            ArrayDesign(n_t=10, mw_t=1e308, p_avg_mw=math.inf, lifetime_years=20)
+
     def test_per_year_availability_lookup(self):
         d = design(lifetime_years=3, availability=[0.98, 0.95, 0.90])
         assert d.availability_in_year(1) == 0.98

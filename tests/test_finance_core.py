@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tidalecon.cost_model import ArrayDesign
 from tidalecon.finance_core import (
     MAX_AMOUNT,
     MAX_YEARS,
@@ -254,6 +255,27 @@ class TestInputWindow:
         with pytest.raises(ValueError, match=r"flow for year 1 must have \|flow\| <= 1e\+100"):
             CashFlowSchedule(1, flows)
 
+    # True is an int in Python, but no count; a count of periods past MAX_AMOUNT
+    # once raised OverflowError at its first use.
+    @pytest.mark.parametrize("record, fields, message", [
+        (DiscountSpec, dict(annual_rate=0.1, periods_per_year=True),
+         "periods_per_year must be an integer in [1, 1e+100], got True"),
+        (DiscountSpec, dict(annual_rate=0.1, periods_per_year=int(MAX_AMOUNT) + 1),
+         f"periods_per_year must be an integer in [1, 1e+100], got {int(MAX_AMOUNT) + 1}"),
+        (DiscountSpec, dict(annual_rate=0.1, periods_per_year=10**400),
+         f"periods_per_year must be an integer in [1, 1e+100], got {10**400}"),
+        (CashFlowSchedule, dict(horizon=True), "horizon must be an integer in [0, 100], got True"),
+        (ArrayDesign, dict(n_t=True, mw_t=1.5, p_avg_mw=1.0, lifetime_years=20),
+         "n_t must be an integer in [1, 1e+100], got True"),
+        (ArrayDesign, dict(n_t=4, mw_t=1.5, p_avg_mw=1.0, lifetime_years=True),
+         "lifetime_years must be an integer in [1, 100], got True"),
+    ], ids=["periods-true", "periods-beyond", "periods-401-digits", "horizon-true",
+            "n_t-true", "lifetime-true"])
+    def test_boolean_count_or_periods_beyond_the_window_rejected(self, record, fields,
+                                                                 message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            record(**fields)
+
     @pytest.mark.parametrize("years", [-1, 100.5, math.nan])
     def test_discount_time_outside_the_window_rejected(self, years):
         with pytest.raises(ValueError, match=r"years must lie in \[0, 100\]"):
@@ -263,7 +285,8 @@ class TestInputWindow:
         DiscountSpec(MIN_RATE),
         DiscountSpec(MIN_RATE, periods_per_year=2),
         DiscountSpec(MIN_RATE, mode=Compounding.CONTINUOUS),
-    ], ids=["annual", "half-yearly", "continuous"])
+        DiscountSpec(MIN_RATE, periods_per_year=int(MAX_AMOUNT)),
+    ], ids=["annual", "half-yearly", "continuous", "most-periods"])
     def test_largest_amounts_stay_in_float_range(self, spec):
         # The largest factor is 0.01 ** -100 = 1e200 (annual), so the largest
         # NPV of 101 flows of MAX_AMOUNT is about 1.01e300.

@@ -318,24 +318,26 @@ def kernel_calls(monkeypatch) -> list:
 # its bracket or stop moves them. The first six moved by up to 8.4e-10 when
 # Brent's method from the seeds' bracket replaced a secant that stopped at
 # |NPV| < 1e-6; each new value is within 3.3e-10 of ``irr_bisection_oracle``.
-SCAN_PATH_IRRS = [
+SCAN_PATH_IRRS = {
     # overhaul-style: CAPEX, level net revenue, large OPEX hits
-    ({0: -20.0, **_level(20, 3.0), 7: -4.0, 14: -4.0}, "0x1.9cfbeadafc4f1p-4"),
-    ({0: -38.5, **_level(25, 5.25), 5: -9.0, 10: -9.0, 15: -9.0, 20: -9.0},
-     "0x1.e282756e6aa5fp-5"),
-    ({0: -12.0, **_level(30, 1.9), 8: -2.5, 16: -2.5, 24: -2.5}, "0x1.02f1281a5c8dfp-3"),
-    ({0: -60.0, **_level(20, 4.4), 10: -25.0}, "-0x1.1e162ca33c214p-9"),
-    ({0: -9.2, **_level(25, 0.8), 6: -1.1, 12: -1.1, 18: -1.1, 24: -1.1},
-     "0x1.bf9a9f03ef5c7p-6"),
-    ({0: -100.0, **_level(40, 9.0), 9: -30.0, 18: -30.0, 27: -30.0, 36: -30.0},
-     "0x1.7cd5f124e9cecp-5"),
+    "overhaul1": ({0: -20.0, **_level(20, 3.0), 7: -4.0, 14: -4.0}, "0x1.9cfbeadafc4f1p-4"),
+    "overhaul2": ({0: -38.5, **_level(25, 5.25), 5: -9.0, 10: -9.0, 15: -9.0, 20: -9.0},
+                  "0x1.e282756e6aa5fp-5"),
+    "overhaul3": ({0: -12.0, **_level(30, 1.9), 8: -2.5, 16: -2.5, 24: -2.5},
+                  "0x1.02f1281a5c8dfp-3"),
+    "overhaul4": ({0: -60.0, **_level(20, 4.4), 10: -25.0}, "-0x1.1e162ca33c214p-9"),
+    "overhaul5": ({0: -9.2, **_level(25, 0.8), 6: -1.1, 12: -1.1, 18: -1.1, 24: -1.1},
+                  "0x1.bf9a9f03ef5c7p-6"),
+    "overhaul6": ({0: -100.0, **_level(40, 9.0), 9: -30.0, 18: -30.0, 27: -30.0, 36: -30.0},
+                  "0x1.7cd5f124e9cecp-5"),
     # roots below the seeds, already found by Brent's method before it
     # replaced the secant: these three kept their bits
-    ({0: -100.0, 20: 1e-3, 21: -1e-3, 40: 1.0}, "-0x1.bd6ff0fdf9dccp-4"),
-    ({0: -100.0, 10: 1e-4, 11: -2e-4, 39: 1.0}, "-0x1.c8327d94a7c8dp-4"),
-    ({0: -150.9395279595386, 17: 0.00029976223055331127, 18: -0.004661570317237272,
-      21: 2.4060613401405204}, "-0x1.6e6f262f8a0fbp-3"),
-]
+    "below_seeds1": ({0: -100.0, 20: 1e-3, 21: -1e-3, 40: 1.0}, "-0x1.bd6ff0fdf9dccp-4"),
+    "below_seeds2": ({0: -100.0, 10: 1e-4, 11: -2e-4, 39: 1.0}, "-0x1.c8327d94a7c8dp-4"),
+    "below_seeds3": ({0: -150.9395279595386, 17: 0.00029976223055331127,
+                      18: -0.004661570317237272, 21: 2.4060613401405204},
+                     "-0x1.6e6f262f8a0fbp-3"),
+}
 
 
 class TestIrrSeedBracket:
@@ -369,7 +371,8 @@ class TestIrrSeedBracket:
 
 
 class TestIrrExactness:
-    @pytest.mark.parametrize("flows, expected", SCAN_PATH_IRRS)
+    @pytest.mark.parametrize("flows, expected", list(SCAN_PATH_IRRS.values()),
+                             ids=list(SCAN_PATH_IRRS))
     def test_scan_path_bits_unchanged(self, flows, expected):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -623,7 +626,7 @@ class TestRootIsolation:
         assert rate == pytest.approx(irr_bisection_oracle(flows), abs=1e-9)
         assert len(calls) <= 8
 
-    @pytest.mark.parametrize("flows", [TWO_ROOT_FLOWS, SCAN_PATH_IRRS[1][0]],
+    @pytest.mark.parametrize("flows", [TWO_ROOT_FLOWS, SCAN_PATH_IRRS["overhaul2"][0]],
                              ids=["two_roots", "overhaul"])
     def test_one_irr_needs_few_npvs(self, kernel_calls, flows):
         # The exhaustive scan of the 2001-point grid makes 2001 kernel calls.
@@ -647,7 +650,8 @@ class TestRootCountBound:
         if bound is not None:  # None: a running sum too near zero to trust its sign
             assert bound >= len(scan_brackets_oracle(terms))
 
-    @pytest.mark.parametrize("flows, expected", SCAN_PATH_IRRS)
+    @pytest.mark.parametrize("flows, expected", list(SCAN_PATH_IRRS.values()),
+                             ids=list(SCAN_PATH_IRRS))
     def test_one_root_schedules_skip_the_scan(self, monkeypatch, flows, expected):
         def fail(terms):
             raise AssertionError("root isolation run under a root bound of 1")
@@ -659,10 +663,11 @@ class TestRootCountBound:
 
     def test_overhaul_irr_needs_few_npvs(self, kernel_calls):
         # The certified scan made 79 kernel calls on this schedule.
-        irr(schedule_of(SCAN_PATH_IRRS[1][0]))
+        irr(schedule_of(SCAN_PATH_IRRS["overhaul2"][0]))
         assert 0 < len(kernel_calls) < 20
 
-    @pytest.mark.parametrize("flows", [{0: -100.0, 40: 1.0}, SCAN_PATH_IRRS[6][0]])
+    @pytest.mark.parametrize("flows", [{0: -100.0, 40: 1.0},
+                                       SCAN_PATH_IRRS["below_seeds1"][0]])
     def test_secant_fallback_needs_few_npvs(self, kernel_calls, flows):
         # Both roots lie near r = -0.11, below the seeds, where a secant that
         # once ran first gave up. Bisecting a grid cell found afresh made 55
@@ -728,7 +733,7 @@ class TestRootCountBound:
         assert metrics_module._root_bound(schedule_of(flows).flows) is None
 
     @pytest.mark.parametrize("flows, bound", [
-        (SCAN_PATH_IRRS[0][0], 1),
+        (SCAN_PATH_IRRS["overhaul1"][0], 1),
         ({0: -1.0, 1: 2.2, 2: -1.2075}, 2),
     ])
     def test_zero_end_years_leave_the_bound_unchanged(self, flows, bound):
@@ -740,7 +745,7 @@ class TestRootCountBound:
             assert metrics_module._root_bound(padded) == bound
 
     def test_schedule_starting_in_year_1_skips_the_scan(self, monkeypatch):
-        flows, expected = SCAN_PATH_IRRS[0]
+        flows, expected = SCAN_PATH_IRRS["overhaul1"]
         late = {year + 1: amount for year, amount in flows.items()}
 
         def fail(terms):
