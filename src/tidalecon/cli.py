@@ -22,7 +22,7 @@ import io
 import json
 import sys
 import warnings
-from typing import Any, Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from . import __version__
 from .cost_estimation import (
@@ -47,7 +47,7 @@ EXIT_NUMERICAL_ERROR = 3
 # ---------------------------------------------------------------------------
 # Config handling
 
-def _number(value: Any, name: str, whole: bool = False) -> float | int:
+def _number(value: object, name: str, whole: bool = False) -> float | int:
     """``value``, a JSON number or numeric text, as a float, or as an int with
     ``whole``; anything else raises a ``ValueError`` naming ``name``. Range
     checks stay with the records, so a JSON integer count is not made a float."""
@@ -65,13 +65,13 @@ def _number(value: Any, name: str, whole: bool = False) -> float | int:
         raise ValueError(f"{name} must be within float range, got {value!r}") from None
 
 
-def _object(value: Any, context: str) -> dict:
+def _object(value: object, context: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{context} must be an object, got {value!r}")
     return value
 
 
-def _field(block: Any, key: str, context: str, default: Any = None) -> Any:
+def _field(block: object, key: str, context: str, default: object = None) -> object:
     """``block[key]``, or ``default`` if given and the JSON object lacks ``key``."""
     if key in _object(block, context):
         return block[key]
@@ -80,14 +80,14 @@ def _field(block: Any, key: str, context: str, default: Any = None) -> Any:
     return default
 
 
-def _observation(entry: Any, context: str) -> CostObservation:
+def _observation(entry: object, context: str) -> CostObservation:
     """The cost observation in a config entry, a CSV row, an inline N_T=TOTAL or
     the ratio flags, each handed over as a dict with a config entry's keys.
 
     The entry gives ``n_t`` and either ``total_gbp_m`` or ``per_mw_gbp_m``
     with ``capacity_mw``, not both costs; ``rate_to_gbp`` defaults to 1.0.
     """
-    def number(key: str, default: Any = None) -> float:
+    def number(key: str, default: object = None) -> float:
         return _number(_field(entry, key, "the observation", default), key)
 
     try:
@@ -149,7 +149,7 @@ def load_config(path: str) -> tuple[ArrayDesign, CostParameters, TariffScheme, D
     except json.JSONDecodeError as err:
         raise ValueError(f"config {path} is not valid JSON: {err}") from err
 
-    def number(block: Any, key: str, context: str, default: Any = None,
+    def number(block: object, key: str, context: str, default: object = None,
                whole: bool = False) -> float | int:
         return _number(_field(block, key, context, default), f"{context}.{key}", whole)
 
@@ -194,9 +194,12 @@ def load_config(path: str) -> tuple[ArrayDesign, CostParameters, TariffScheme, D
         raise ValueError("costs block needs all of ca_f/ca_t/o_f/o_t, or an 'estimate' directive")
 
     finance = _field(raw, "finance", "config")
+    mode = _field(finance, "mode", "finance", "discrete")
+    if mode not in ("discrete", "continuous"):
+        raise ValueError(f"finance.mode must be 'discrete' or 'continuous', got {mode!r}")
     spec = DiscountSpec(
         annual_rate=number(finance, "r", "finance"),
-        mode=Compounding(_field(finance, "mode", "finance", "discrete")),
+        mode=Compounding(mode),
         periods_per_year=number(finance, "periods_per_year", "finance", 1, whole=True),
     )
     tariff = TariffScheme(t_e=number(finance, "tariff_gbp_per_mwh", "finance"))
@@ -226,7 +229,7 @@ def _json_dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _cell(value: Any, fmt: Callable[[float], str]) -> str:
+def _cell(value: object, fmt: Callable[[float], str]) -> str:
     """``value`` as a table cell: a float through ``fmt``, None as "undefined"."""
     if value is None:
         return "undefined"
@@ -236,7 +239,7 @@ def _cell(value: Any, fmt: Callable[[float], str]) -> str:
 
 
 def _report(args: argparse.Namespace, payload: dict, header: Sequence[str],
-            rows: Sequence[Sequence[Any]], lines: Sequence[str] | None = None) -> int:
+            rows: Sequence[Sequence[object]], lines: Sequence[str] | None = None) -> int:
     """Write one report to ``--out`` or stdout in the chosen ``--format``.
 
     JSON is ``payload``; CSV is ``header`` and ``rows`` with floats as repr;

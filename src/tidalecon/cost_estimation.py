@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from enum import Enum
-from typing import NamedTuple, Sequence
+
+from .finance_core import Record
 
 RATIO_WINDOW = (2.3, 3.9)  # range supported by offshore-wind cost data
 
@@ -33,8 +35,7 @@ class RatioWindowWarning(UserWarning):
     """Fixed-to-turbine cost ratio outside the empirically supported window."""
 
 
-@dataclass(frozen=True)
-class CostObservation:
+class CostObservation(Record):
     """A published cost figure for an array of a known size.
 
     ``cost`` is either the total in GBP m (basis TOTAL) or GBP m per MW
@@ -42,50 +43,48 @@ class CostObservation:
     ``currency_rate`` converts to GBP (1.0 if already GBP).
     """
 
-    n_t: float
-    cost: float
-    basis: CostBasis = CostBasis.TOTAL
-    capacity_mw: float | None = None
-    currency_rate: float = 1.0
+    __slots__ = ("n_t", "cost", "basis", "capacity_mw", "currency_rate")
 
-    def __post_init__(self) -> None:
-        for name in ("n_t", "cost", "capacity_mw", "currency_rate"):
-            value = getattr(self, name)
+    def __init__(self, n_t: float, cost: float, basis: CostBasis = CostBasis.TOTAL,
+                 capacity_mw: float | None = None, currency_rate: float = 1.0) -> None:
+        for name, value in (("n_t", n_t), ("cost", cost), ("capacity_mw", capacity_mw),
+                            ("currency_rate", currency_rate)):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.n_t <= 0:
-            raise ValueError(f"n_t must be positive, got {self.n_t}")
-        if self.cost < 0:
-            raise ValueError(f"cost must be >= 0, got {self.cost}")
-        if self.currency_rate <= 0:
-            raise ValueError(f"currency_rate must be positive, got {self.currency_rate}")
-        if self.basis is CostBasis.PER_MW and (
-            self.capacity_mw is None or self.capacity_mw <= 0
-        ):
+        if n_t <= 0:
+            raise ValueError(f"n_t must be positive, got {n_t}")
+        if cost < 0:
+            raise ValueError(f"cost must be >= 0, got {cost}")
+        if currency_rate <= 0:
+            raise ValueError(f"currency_rate must be positive, got {currency_rate}")
+        if basis is CostBasis.PER_MW and (capacity_mw is None or capacity_mw <= 0):
             raise ValueError("per-MW observations need a positive capacity_mw")
+        object.__setattr__(self, "n_t", n_t)
+        object.__setattr__(self, "cost", cost)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "capacity_mw", capacity_mw)
+        object.__setattr__(self, "currency_rate", currency_rate)
 
 
-@dataclass(frozen=True)
-class FixedToTurbineRatio:
+class FixedToTurbineRatio(Record):
     """Ratio of the fixed cost component to the per-turbine component."""
 
-    ratio: float
+    __slots__ = ("ratio",)
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.ratio) or self.ratio < 0:
-            raise ValueError(f"ratio must be finite and >= 0, got {self.ratio}")
+    def __init__(self, ratio: float) -> None:
+        if not math.isfinite(ratio) or ratio < 0:
+            raise ValueError(f"ratio must be finite and >= 0, got {ratio}")
         low, high = RATIO_WINDOW
-        if not low <= self.ratio <= high:
+        if not low <= ratio <= high:
             warnings.warn(
-                f"ratio {self.ratio:g} outside the supported window [{low}, {high}]",
+                f"ratio {ratio:g} outside the supported window [{low}, {high}]",
                 RatioWindowWarning,
                 stacklevel=2,
             )
+        object.__setattr__(self, "ratio", ratio)
 
 
-class CostSplit(NamedTuple):
-    fixed: float
-    per_turbine: float
+CostSplit = namedtuple("CostSplit", "fixed per_turbine")
 
 
 def normalize_observation(obs: CostObservation) -> float:

@@ -9,16 +9,14 @@ production runs over years 1..L.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
-from .finance_core import MAX_AMOUNT, MAX_YEARS, CashFlowSchedule
+from .finance_core import MAX_AMOUNT, MAX_YEARS, CashFlowSchedule, Record
 
 HOURS_PER_YEAR = 8760  # no leap-year handling; beyond the precision of the inputs
 
 
-@dataclass(frozen=True)
-class CostParameters:
+class CostParameters(Record):
     """Fixed and turbine-dependent CAPEX/OPEX components.
 
     ca_f: fixed CAPEX, GBP m
@@ -27,20 +25,19 @@ class CostParameters:
     o_t:  turbine-dependent OPEX, GBP m per year per turbine
     """
 
-    ca_f: float
-    ca_t: float
-    o_f: float
-    o_t: float
+    __slots__ = ("ca_f", "ca_t", "o_f", "o_t")
 
-    def __post_init__(self) -> None:
-        for name in ("ca_f", "ca_t", "o_f", "o_t"):
-            value = getattr(self, name)
+    def __init__(self, ca_f: float, ca_t: float, o_f: float, o_t: float) -> None:
+        for name, value in (("ca_f", ca_f), ("ca_t", ca_t), ("o_f", o_f), ("o_t", o_t)):
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        object.__setattr__(self, "ca_f", ca_f)
+        object.__setattr__(self, "ca_t", ca_t)
+        object.__setattr__(self, "o_f", o_f)
+        object.__setattr__(self, "o_t", o_t)
 
 
-@dataclass(frozen=True)
-class ArrayDesign:
+class ArrayDesign(Record):
     """Turbine array sized for economic evaluation.
 
     ``availability`` may be a scalar applied to every year or a per-year
@@ -49,49 +46,45 @@ class ArrayDesign:
     net energy output.
     """
 
-    n_t: int
-    mw_t: float
-    p_avg_mw: float
-    lifetime_years: int
-    availability: float | Sequence[float] = 1.0
-    electrical_efficiency: float = 1.0
+    __slots__ = ("n_t", "mw_t", "p_avg_mw", "lifetime_years", "availability",
+                 "electrical_efficiency")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n_t: int, mw_t: float, p_avg_mw: float, lifetime_years: int,
+                 availability: float | Sequence[float] = 1.0,
+                 electrical_efficiency: float = 1.0) -> None:
         # A count beyond the window could not be converted to a float to rate it.
         # ``type``, not ``isinstance``: True is an int, but not a count.
-        if type(self.n_t) is not int or not 1 <= self.n_t <= MAX_AMOUNT:
-            raise ValueError(f"n_t must be an integer in [1, {MAX_AMOUNT:g}], got {self.n_t}")
-        if not math.isfinite(self.mw_t) or self.mw_t <= 0:
-            raise ValueError(f"mw_t must be finite and positive, got {self.mw_t}")
-        if type(self.lifetime_years) is not int or not 1 <= self.lifetime_years <= MAX_YEARS:
-            raise ValueError(
-                f"lifetime_years must be an integer in [1, {MAX_YEARS}], got {self.lifetime_years}"
-            )
+        if type(n_t) is not int or not 1 <= n_t <= MAX_AMOUNT:
+            raise ValueError(f"n_t must be an integer in [1, {MAX_AMOUNT:g}], got {n_t}")
+        if not math.isfinite(mw_t) or mw_t <= 0:
+            raise ValueError(f"mw_t must be finite and positive, got {mw_t}")
+        if type(lifetime_years) is not int or not 1 <= lifetime_years <= MAX_YEARS:
+            raise ValueError(f"lifetime_years must be an integer in [1, {MAX_YEARS}], "
+                             f"got {lifetime_years}")
         # Checked apart from the capacity, which is inf when n_t * mw_t overflows.
-        if not 0 <= self.p_avg_mw < math.inf:  # also rejects NaN
-            raise ValueError(f"p_avg_mw must be finite and >= 0, got {self.p_avg_mw}")
-        if self.p_avg_mw > self.n_t * self.mw_t:
-            raise ValueError(
-                f"p_avg_mw {self.p_avg_mw} must lie in [0, rated capacity "
-                f"{self.n_t * self.mw_t}]"
-            )
-        if not 0 < self.electrical_efficiency <= 1:
-            raise ValueError(
-                f"electrical_efficiency must be in (0, 1], got {self.electrical_efficiency}"
-            )
-        if isinstance(self.availability, (int, float)):
-            if not 0 < self.availability <= 1:
-                raise ValueError(f"availability must be in (0, 1], got {self.availability}")
+        if not 0 <= p_avg_mw < math.inf:  # also rejects NaN
+            raise ValueError(f"p_avg_mw must be finite and >= 0, got {p_avg_mw}")
+        if p_avg_mw > n_t * mw_t:
+            raise ValueError(f"p_avg_mw {p_avg_mw} must lie in [0, rated capacity {n_t * mw_t}]")
+        if not 0 < electrical_efficiency <= 1:
+            raise ValueError("electrical_efficiency must be in (0, 1], "
+                             f"got {electrical_efficiency}")
+        if isinstance(availability, (int, float)):
+            if not 0 < availability <= 1:
+                raise ValueError(f"availability must be in (0, 1], got {availability}")
         else:
-            values = tuple(float(a) for a in self.availability)
-            if len(values) != self.lifetime_years:
-                raise ValueError(
-                    f"per-year availability needs {self.lifetime_years} entries, "
-                    f"got {len(values)}"
-                )
-            if any(not 0 < a <= 1 for a in values):
+            availability = tuple(float(a) for a in availability)
+            if len(availability) != lifetime_years:
+                raise ValueError(f"per-year availability needs {lifetime_years} entries, "
+                                 f"got {len(availability)}")
+            if any(not 0 < a <= 1 for a in availability):
                 raise ValueError("every availability entry must be in (0, 1]")
-            object.__setattr__(self, "availability", values)
+        object.__setattr__(self, "n_t", n_t)
+        object.__setattr__(self, "mw_t", mw_t)
+        object.__setattr__(self, "p_avg_mw", p_avg_mw)
+        object.__setattr__(self, "lifetime_years", lifetime_years)
+        object.__setattr__(self, "availability", availability)
+        object.__setattr__(self, "electrical_efficiency", electrical_efficiency)
 
     def availability_in_year(self, year: int) -> float:
         _check_operating_year(self, year)
@@ -100,15 +93,15 @@ class ArrayDesign:
         return float(self.availability)
 
 
-@dataclass(frozen=True)
-class TariffScheme:
+class TariffScheme(Record):
     """Effective fixed electricity tariff in GBP per MWh."""
 
-    t_e: float
+    __slots__ = ("t_e",)
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.t_e) or self.t_e <= 0:
-            raise ValueError(f"tariff must be finite and positive, got {self.t_e}")
+    def __init__(self, t_e: float) -> None:
+        if not math.isfinite(t_e) or t_e <= 0:
+            raise ValueError(f"tariff must be finite and positive, got {t_e}")
+        object.__setattr__(self, "t_e", t_e)
 
 
 def _check_operating_year(design: ArrayDesign, year: int) -> None:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
 from operator import mul
@@ -19,6 +18,9 @@ from operator import mul
 MAX_YEARS = 100
 MIN_RATE = -0.99
 MAX_AMOUNT = 1e100  # GBP m, or MWh for energy
+# Minute compounding is 525,600 periods a year. The base 1 + r / p rounds to 1.0 near
+# 1e16 periods; up to 1e6 its one rounding grows to ~1e-8 relative over MAX_YEARS.
+MAX_PERIODS = 10**6
 
 
 class Compounding(Enum):
@@ -26,34 +28,71 @@ class Compounding(Enum):
     CONTINUOUS = "continuous"
 
 
-@dataclass(frozen=True)
-class DiscountSpec:
+class Record:
+    """Immutable record. A subclass names its fields in ``__slots__``, in order; its
+    ``__init__`` checks the arguments, then sets each field once with
+    ``object.__setattr__``. Equality, hash, repr and pickling go by the fields."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+def replace(record: Record, /, **changes: object) -> Record:
+    """A copy of ``record`` with ``changes``, built (and so checked) by its ``__init__``."""
+    for name in record.__slots__:
+        if name not in changes:
+            changes[name] = getattr(record, name)
+    return type(record)(**changes)
+
+
+class DiscountSpec(Record):
     """Discounting convention: annual rate plus compounding mode.
 
     ``periods_per_year`` is only meaningful for discrete compounding
-    (1 = annual, 4 = quarterly, ...). Defaults to annual discrete, which
-    is sufficient for array design studies where the exact timing of
-    costs within a year is not known.
+    (1 = annual, 4 = quarterly, ...), and at most ``MAX_PERIODS``. Defaults
+    to annual discrete, which is sufficient for array design studies where
+    the exact timing of costs within a year is not known.
     """
 
-    annual_rate: float
-    mode: Compounding = Compounding.DISCRETE
-    periods_per_year: int = 1
+    __slots__ = ("annual_rate", "mode", "periods_per_year")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.annual_rate) and self.annual_rate >= MIN_RATE):
-            raise ValueError(
-                f"annual_rate must be finite and >= {MIN_RATE}, got {self.annual_rate}"
-            )
-        # ``type``, not ``isinstance``: True is an int. Within [1, MAX_AMOUNT] periods
-        # 1.0 + rate / p cannot overflow and no discount factor exceeds 1e200.
-        p = self.periods_per_year
-        if self.mode is Compounding.DISCRETE and (type(p) is not int or not 1 <= p <= MAX_AMOUNT):
-            raise ValueError(f"periods_per_year must be an integer in [1, {MAX_AMOUNT:g}], got {p}")
+    def __init__(self, annual_rate: float, mode: Compounding = Compounding.DISCRETE,
+                 periods_per_year: int = 1) -> None:
+        if not (math.isfinite(annual_rate) and annual_rate >= MIN_RATE):
+            raise ValueError(f"annual_rate must be finite and >= {MIN_RATE}, got {annual_rate}")
+        # ``type``, not ``isinstance``: True is an int.
+        p = periods_per_year
+        if mode is Compounding.DISCRETE and (type(p) is not int or not 1 <= p <= MAX_PERIODS):
+            raise ValueError(f"periods_per_year must be an integer in [1, {MAX_PERIODS}], got {p}")
+        object.__setattr__(self, "annual_rate", annual_rate)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "periods_per_year", periods_per_year)
 
 
-@dataclass(frozen=True)
-class CashFlowSchedule:
+class CashFlowSchedule(Record):
     """Net cash flow per project year, in GBP m (positive = inflow).
 
     ``flows`` is a tuple of the ``horizon + 1`` yearly flows, year 0 first.
@@ -62,26 +101,26 @@ class CashFlowSchedule:
     flow.
     """
 
-    horizon: int
-    flows: tuple[float, ...] = field(default_factory=dict)  # empty mapping: all zero
+    __slots__ = ("horizon", "flows")
 
-    def __post_init__(self) -> None:
-        if type(self.horizon) is not int or not 0 <= self.horizon <= MAX_YEARS:  # rejects True
-            raise ValueError(f"horizon must be an integer in [0, {MAX_YEARS}], got {self.horizon}")
-        flows = self.flows
+    def __init__(self, horizon: int,
+                 flows: Sequence[float] | Mapping[int, float] = {}) -> None:  # {}: all zero
+        if type(horizon) is not int or not 0 <= horizon <= MAX_YEARS:  # rejects True
+            raise ValueError(f"horizon must be an integer in [0, {MAX_YEARS}], got {horizon}")
         if isinstance(flows, Mapping):
-            dense = [0.0] * (self.horizon + 1)
+            dense = [0.0] * (horizon + 1)
             for year, amount in flows.items():
-                if not isinstance(year, int) or not (0 <= year <= self.horizon):
-                    raise ValueError(f"flow year {year} outside [0, {self.horizon}]")
+                if not isinstance(year, int) or not (0 <= year <= horizon):
+                    raise ValueError(f"flow year {year} outside [0, {horizon}]")
                 _check_flow(year, amount)
                 dense[year] = amount
             flows = dense
-        elif len(flows) != self.horizon + 1:
-            raise ValueError(f"need {self.horizon + 1} yearly flows, got {len(flows)}")
+        elif len(flows) != horizon + 1:
+            raise ValueError(f"need {horizon + 1} yearly flows, got {len(flows)}")
         elif not all(abs(amount) <= MAX_AMOUNT for amount in flows):
             for year, amount in enumerate(flows):
                 _check_flow(year, amount)
+        object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "flows", tuple(map(float, flows)))
 
     def flow(self, year: int) -> float:

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
 from functools import cache, partial
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Sequence
 
 from .cost_model import (
     HOURS_PER_YEAR,
@@ -31,10 +30,12 @@ from .finance_core import (
     MIN_RATE,
     CashFlowSchedule,
     DiscountSpec,
+    Record,
     _discounted_sum,
     _factors,
     _sum,
     present_value,
+    replace,
 )
 
 METRIC_NAMES = ("npv", "lcoe", "payback", "irr")
@@ -68,8 +69,7 @@ class ValidityWindowWarning(UserWarning):
     """An input lies outside the range the model was calibrated for."""
 
 
-@dataclass(frozen=True)
-class BreakEvenSpec:
+class BreakEvenSpec(Record):
     """Break-even power per device plus an economies-of-volume coefficient.
 
     ``ev_mw_per_turbine`` linearly reduces the break-even power as turbines
@@ -77,17 +77,16 @@ class BreakEvenSpec:
     evaluated for the quadratic correction to be meaningful.
     """
 
-    p_be_mw: float
-    ev_mw_per_turbine: float = 0.0
+    __slots__ = ("p_be_mw", "ev_mw_per_turbine")
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.p_be_mw) or self.p_be_mw <= 0:
-            raise ValueError(f"break-even power must be positive and finite, got {self.p_be_mw}")
-        if not math.isfinite(self.ev_mw_per_turbine) or self.ev_mw_per_turbine < 0:
-            raise ValueError(
-                "economies-of-volume coefficient must be >= 0 and finite, "
-                f"got {self.ev_mw_per_turbine}"
-            )
+    def __init__(self, p_be_mw: float, ev_mw_per_turbine: float = 0.0) -> None:
+        if not math.isfinite(p_be_mw) or p_be_mw <= 0:
+            raise ValueError(f"break-even power must be positive and finite, got {p_be_mw}")
+        if not math.isfinite(ev_mw_per_turbine) or ev_mw_per_turbine < 0:
+            raise ValueError("economies-of-volume coefficient must be >= 0 and finite, "
+                             f"got {ev_mw_per_turbine}")
+        object.__setattr__(self, "p_be_mw", p_be_mw)
+        object.__setattr__(self, "ev_mw_per_turbine", ev_mw_per_turbine)
 
 
 def npv(schedule: CashFlowSchedule, spec: DiscountSpec) -> float:

@@ -7,26 +7,28 @@ added from the same sources' revenue discussion.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .cost_model import ArrayDesign, CostParameters, TariffScheme
-from .finance_core import DiscountSpec
+from .finance_core import DiscountSpec, Record, replace
 from . import metrics as _metrics
 
 SCENARIO_LABELS = ("optimistic", "typical", "pessimistic")
 METRIC_NAMES = _metrics.METRIC_NAMES
 
 
-@dataclass(frozen=True)
-class ParameterRange:
+class ParameterRange(Record):
     """Optimistic / typical / pessimistic values for one model input."""
 
-    name: str
-    optimistic: float
-    typical: float
-    pessimistic: float
-    units: str
+    __slots__ = ("name", "optimistic", "typical", "pessimistic", "units")
+
+    def __init__(self, name: str, optimistic: float, typical: float, pessimistic: float,
+                 units: str) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "optimistic", optimistic)
+        object.__setattr__(self, "typical", typical)
+        object.__setattr__(self, "pessimistic", pessimistic)
+        object.__setattr__(self, "units", units)
 
     def value(self, label: str) -> float:
         if label not in SCENARIO_LABELS:
@@ -48,18 +50,21 @@ _PARAMETER_TABLE = (
 )
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(Record):
     """Metrics for one scenario, with every resolved input echoed.
 
     ``metrics`` maps metric name to value, or to None when the metric is
     undefined for these inputs (the reason then appears in ``notes``).
     """
 
-    label: str
-    parameters: dict[str, float]
-    metrics: dict[str, float | None]
-    notes: dict[str, str]
+    __slots__ = ("label", "parameters", "metrics", "notes")
+
+    def __init__(self, label: str, parameters: dict[str, float],
+                 metrics: dict[str, float | None], notes: dict[str, str]) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "metrics", metrics)
+        object.__setattr__(self, "notes", notes)
 
 
 def builtin_parameters() -> tuple[ParameterRange, ...]:

@@ -160,7 +160,10 @@ class TestMetricsCommand:
         ("costs", "ca_f", 1e101, "CAPEX must be <= 1e+100 GBP m, got 1e+101"),
         ("finance", "tariff_gbp_per_mwh", 1e300,
          "peak revenue must be <= 1e+100 GBP m, got 2.8032e+298"),
-    ], ids=["lifetime_years", "r", "ca_f", "tariff"])
+        # Past about 1e16 periods 1 + r / p rounds to 1.0: no discounting at all.
+        ("finance", "periods_per_year", 10**17,
+         "periods_per_year must be an integer in [1, 1000000], got 100000000000000000"),
+    ], ids=["lifetime_years", "r", "ca_f", "tariff", "periods_per_year"])
     def test_input_beyond_the_window_exits_2_naming_the_field(self, capsys, config_path,
                                                               block, key, value, message):
         path = config_path({block: dict(BASE_CONFIG[block], **{key: value})})
@@ -202,6 +205,14 @@ class TestConfigValidation:
         code, _, err = run(capsys, ["metrics", path])
         assert code == EXIT_INPUT_ERROR
         assert "-Infinity" in err
+
+    @pytest.mark.parametrize("mode", ["monthly", 1, None, ["discrete"]],
+                             ids=["text", "number", "null", "list"])
+    def test_unknown_compounding_mode_exits_2_naming_field(self, capsys, config_path, mode):
+        path = config_path({"finance": dict(BASE_CONFIG["finance"], mode=mode)})
+        code, out, err = run(capsys, ["metrics", path, "--format", "json"])
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert err == f"error: finance.mode must be 'discrete' or 'continuous', got {mode!r}\n"
 
     @pytest.mark.parametrize("block, key, value", [
         ("array", "n_t", 4.7),

@@ -14,12 +14,13 @@ MODULES = sorted((SRC / "tidalecon").glob("*.py"))
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # Nor exact arithmetic: the CLI's cold start pays for no module it does
-    # not use, and no IRR helper reaches for fractions or decimal.
+    # Nor exact arithmetic, nor the machinery of dataclasses and typing: the
+    # CLI's cold start pays for no module it does not use. ``-S`` keeps
+    # ``site`` from loading any of them first.
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    probe = ("import sys, tidalecon.cli; "
-             "print(sorted({'numpy', 'fractions', 'decimal'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    unused = {"numpy", "fractions", "decimal", "dataclasses", "inspect", "typing"}
+    probe = f"import sys, tidalecon.cli; print(sorted({unused!r} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
     assert done.stdout.strip() == "[]"
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tidalecon.cost_model import ArrayDesign
 from tidalecon.finance_core import (
     MAX_AMOUNT,
+    MAX_PERIODS,
     MAX_YEARS,
     MIN_RATE,
     CashFlowSchedule,
@@ -255,15 +256,15 @@ class TestInputWindow:
         with pytest.raises(ValueError, match=r"flow for year 1 must have \|flow\| <= 1e\+100"):
             CashFlowSchedule(1, flows)
 
-    # True is an int in Python, but no count; a count of periods past MAX_AMOUNT
-    # once raised OverflowError at its first use.
+    # True is an int in Python, but no count; past about 1e16 periods the base
+    # 1 + r / p rounds to 1.0 and the discounting silently vanishes.
     @pytest.mark.parametrize("record, fields, message", [
         (DiscountSpec, dict(annual_rate=0.1, periods_per_year=True),
-         "periods_per_year must be an integer in [1, 1e+100], got True"),
-        (DiscountSpec, dict(annual_rate=0.1, periods_per_year=int(MAX_AMOUNT) + 1),
-         f"periods_per_year must be an integer in [1, 1e+100], got {int(MAX_AMOUNT) + 1}"),
+         "periods_per_year must be an integer in [1, 1000000], got True"),
+        (DiscountSpec, dict(annual_rate=0.1, periods_per_year=MAX_PERIODS + 1),
+         "periods_per_year must be an integer in [1, 1000000], got 1000001"),
         (DiscountSpec, dict(annual_rate=0.1, periods_per_year=10**400),
-         f"periods_per_year must be an integer in [1, 1e+100], got {10**400}"),
+         f"periods_per_year must be an integer in [1, 1000000], got {10**400}"),
         (CashFlowSchedule, dict(horizon=True), "horizon must be an integer in [0, 100], got True"),
         (ArrayDesign, dict(n_t=True, mw_t=1.5, p_avg_mw=1.0, lifetime_years=20),
          "n_t must be an integer in [1, 1e+100], got True"),
@@ -285,7 +286,7 @@ class TestInputWindow:
         DiscountSpec(MIN_RATE),
         DiscountSpec(MIN_RATE, periods_per_year=2),
         DiscountSpec(MIN_RATE, mode=Compounding.CONTINUOUS),
-        DiscountSpec(MIN_RATE, periods_per_year=int(MAX_AMOUNT)),
+        DiscountSpec(MIN_RATE, periods_per_year=MAX_PERIODS),
     ], ids=["annual", "half-yearly", "continuous", "most-periods"])
     def test_largest_amounts_stay_in_float_range(self, spec):
         # The largest factor is 0.01 ** -100 = 1e200 (annual), so the largest
@@ -294,3 +295,12 @@ class TestInputWindow:
         assert largest <= 1.000001e200
         schedule = CashFlowSchedule(MAX_YEARS, [MAX_AMOUNT] * (MAX_YEARS + 1))
         assert 0 < present_value(schedule, spec) < 1.02e300
+
+    @pytest.mark.parametrize("rate", [MIN_RATE, -0.5, 0.05, 0.1, 1.0])
+    @pytest.mark.parametrize("years", [1, 30, MAX_YEARS])
+    def test_most_periods_keep_the_discounting(self, rate, years):
+        # The one rounding of the base 1 + r / p grows to about p * years * 2**-53.
+        p = MAX_PERIODS
+        exact = math.exp(-p * years * math.log1p(rate / p))
+        spec = DiscountSpec(rate, periods_per_year=p)
+        assert discount_factor(spec, years) == pytest.approx(exact, rel=1e-7, abs=0)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 import warnings
@@ -26,6 +25,7 @@ from tidalecon.finance_core import (
     CashFlowSchedule,
     Compounding,
     DiscountSpec,
+    replace,
 )
 from tidalecon.metrics import (
     AmbiguousIrrWarning,
@@ -833,7 +833,7 @@ class TestDesignWindow:
     ], ids=["capex", "opex", "energy", "revenue"])
     def test_amount_beyond_the_window_is_rejected_naming_it(self, costs, p_avg, tariff,
                                                             message):
-        params = dataclasses.replace(TYPICAL, **costs)
+        params = replace(TYPICAL, **costs)
         d = design(mw_t=1e97, p_avg_mw=p_avg)
         with pytest.raises(ValueError, match=re.escape(message)):
             evaluate(d, params, TariffScheme(tariff), DiscountSpec(0.10))

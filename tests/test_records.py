@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import copy
 import pickle
-from dataclasses import replace
+import sys
 
 import pytest
 
@@ -23,6 +23,8 @@ from tidalecon import (
     ScenarioResult,
     TariffScheme,
 )
+from tidalecon.cost_estimation import RatioWindowWarning
+from tidalecon.finance_core import replace
 
 # Each record with every field given in field order, one field to change and
 # a valid new value for it, and the record's exact repr.
@@ -155,6 +157,13 @@ def test_replace_runs_the_checks_again():
 ], ids=["DiscountSpec", "CashFlowSchedule", "ArrayDesign", "CostObservation", "BreakEvenSpec"])
 def test_defaults(cls, required, spelled):
     assert cls(*required) == cls(*spelled)
+
+
+def test_ratio_warning_names_the_caller():
+    line = sys._getframe().f_lineno + 2
+    with pytest.warns(RatioWindowWarning) as caught:
+        FixedToTurbineRatio(5.0)
+    assert (caught[0].filename, caught[0].lineno) == (__file__, line)
 
 
 def test_cost_split_is_a_named_pair():
