@@ -1011,6 +1011,49 @@ class TestFunctionalSweep:
         assert rows == self.sweep([(3, 2.4), (5, 3.5)], bep)
         assert [type(row["n_t"]) for row in rows] == [int, int]
 
+    @pytest.mark.parametrize("availability", [
+        0.95, [0.9 + 0.003 * year for year in range(25)],
+    ], ids=["scalar", "per-year"])
+    @pytest.mark.parametrize("spec", [
+        DiscountSpec(0.10), DiscountSpec(0.08, periods_per_year=4),
+        DiscountSpec(0.12, mode=Compounding.CONTINUOUS), DiscountSpec(MIN_RATE),
+    ], ids=["annual", "quarterly", "continuous", "window-edge"])
+    def test_rows_equal_evaluate_on_the_substituted_design(self, availability, spec):
+        template = design(mw_t=5.0, availability=availability, electrical_efficiency=0.9)
+        tariff, bep = TariffScheme(150.0), BreakEvenSpec(p_be_mw=0.4, ev_mw_per_turbine=0.01)
+        curve = [(1, 0.0), (3.0, 2.4), (4, 3.2), (12, 41.5), (7, 35.0)]
+        rows = functional_sweep(curve, template, TYPICAL, tariff, spec, bep)
+        assert len(rows) == len(curve)
+        for (n_t, p_avg), row in zip(curve, rows):
+            substituted = replace(template, n_t=int(n_t), p_avg_mw=float(p_avg))
+            values, notes = evaluate(substituted, TYPICAL, tariff, spec, ("npv", "lcoe"))
+            expected = {
+                "n_t": int(n_t),
+                "p_avg_mw": float(p_avg),
+                "power_per_device_mw": float(p_avg) / n_t,
+                "j_bep_mw": bep_functional(p_avg, bep, n_t),
+                "j_bep_ev_mw": bep_ev_functional(p_avg, bep, n_t),
+                "npv_gbp_m": values["npv"],
+                "lcoe_gbp_per_mwh": values["lcoe"],
+            }
+            if notes:  # only LCOE can be undefined: zero power
+                expected["notes"] = {"lcoe_gbp_per_mwh": notes.pop("lcoe")}
+            assert notes == {} and repr(row) == repr(expected)
+        assert "notes" in rows[0] and "notes" not in rows[1]
+
+    @pytest.mark.parametrize("sample, message", [
+        ((4, 20.5), "p_avg_mw 20.5 must lie in [0, rated capacity 20.0]"),
+        ((4, math.nan), "p_avg_mw must be finite and >= 0, got nan"),
+        ((4, math.inf), "p_avg_mw must be finite and >= 0, got inf"),
+        ((4, -1.0), "p_avg_mw must be finite and >= 0, got -1.0"),
+        ((0, 0.0), "n_t must be an integer in [1, 1e+100], got 0"),
+    ], ids=["above-capacity", "nan", "inf", "negative", "no-turbines"])
+    def test_row_outside_the_design_window_raises_array_designs_message(self, sample, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            design(mw_t=5.0, n_t=sample[0], p_avg_mw=sample[1])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.sweep([(2, 1.0), sample], BreakEvenSpec(p_be_mw=0.4))
+
 
 @st.composite
 def evaluate_inputs(draw) -> tuple[ArrayDesign, CostParameters, TariffScheme, DiscountSpec]:

@@ -225,6 +225,39 @@ class TestMetricBundle:
         }
 
 
+# One grid per built-in parameter. Most leave the rate and lifetime alone, so a
+# sweep may reuse one point's discount factors at the next; the rate and
+# lifetime grids leave a value, come back to it and repeat it.
+PIN_GRIDS = {
+    "ca_f": [5.6, 9.2, 9.2, 14.4],
+    "ca_t": [2.4, 3.3, 4.4],
+    "o_f": [0.27, 0.32, 0.87],
+    "o_t": [0.094, 0.15, 0.26],
+    "r": [0.05, 0.10, 0.05, 0.05, -0.0, 0.0],
+    "lifetime": [20, 25, 20, 20.0, 100],
+    "tariff": [40.0, 150.0, 290.0, 10.0],
+    "availability": [0.90, 0.95, 0.98],
+}
+PIN_BASES = ["optimistic", "pessimistic", {"r": -0.99, "lifetime": 60}]
+
+
+class TestSweepPins:
+    @pytest.mark.parametrize("metric", METRIC_NAMES)
+    @pytest.mark.parametrize("parameter", list(PIN_GRIDS))
+    @pytest.mark.parametrize("base", PIN_BASES, ids=["optimistic", "pessimistic", "window-edge"])
+    def test_every_point_equals_compute_metrics(self, base, parameter, metric):
+        grid = PIN_GRIDS[parameter]
+        if isinstance(base, str):
+            values = {entry.name: entry.value(base) for entry in builtin_parameters()}
+        else:
+            values = dict(TYPICAL_VALUES, **base)
+        curve = sensitivity_sweep(design(), base, parameter, grid, metric)
+        assert [value for value, _ in curve] == grid
+        for value, got in curve:
+            expected = compute_metrics(design(), dict(values, **{parameter: value}))[0]
+            assert repr(got) == repr(expected[metric])
+
+
 class TestLcoeRateElasticity:
     def test_band_for_typical_design(self):
         value = lcoe_rate_elasticity(design(), TYPICAL, 0.061, 0.071)
