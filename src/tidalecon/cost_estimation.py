@@ -83,6 +83,11 @@ class FixedToTurbineRatio(Record):
             )
         object.__setattr__(self, "ratio", ratio)
 
+    def __copy__(self, memo: dict | None = None) -> FixedToTurbineRatio:
+        return self  # one float field: a copy is the record itself, and warns no second time
+
+    __deepcopy__ = __copy__
+
 
 CostSplit = namedtuple("CostSplit", "fixed per_turbine")
 

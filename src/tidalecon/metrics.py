@@ -35,7 +35,6 @@ from .finance_core import (
     _factors,
     _sum,
     present_value,
-    replace,
 )
 
 METRIC_NAMES = ("npv", "lcoe", "payback", "irr")
@@ -458,8 +457,12 @@ def evaluate(
     for name in names:
         if name not in METRIC_NAMES:
             raise ValueError(f"unknown metric {name!r}; valid names: {', '.join(METRIC_NAMES)}")
-    factors = tuple(_factors(spec, range(design.lifetime_years + 1)))
+    factors = _year_factors(spec, design.lifetime_years)
     return _evaluate(design, params, tariff, spec, names, factors)
+
+
+def _year_factors(spec: DiscountSpec, lifetime: int) -> tuple[float, ...]:
+    return tuple(_factors(spec, range(lifetime + 1)))  # years 0..lifetime, for ``_evaluate``
 
 
 def _evaluate(
@@ -602,9 +605,10 @@ def functional_sweep(
 ) -> list[dict]:
     """NPV and LCOE along a turbine-count / power curve, with both P_BE scores.
 
-    Each (n_t, P_avg) sample is substituted into ``design_template``
-    (availability, efficiency, rating and lifetime are kept); n_t must be a
-    whole number, though an integral float such as 3.0 is accepted.
+    Each (n_t, P_avg) sample is substituted into ``design_template`` as a
+    new ``ArrayDesign``, so every check runs, keeping its rating, lifetime,
+    availability and efficiency; n_t must be a whole number, though an
+    integral float such as 3.0 is accepted.
     Returns one row per sample, in input order. An undefined NPV or LCOE is
     None, and the row then carries a ``notes`` mapping from its key to the
     reason.
@@ -618,11 +622,12 @@ def functional_sweep(
     if len(set(counts)) != len(counts):
         raise ValueError("power-curve samples must have distinct n_t values")
 
-    # Every row keeps the template's lifetime, so one set of factors serves them all.
-    factors = tuple(_factors(spec, range(design_template.lifetime_years + 1)))
+    t = design_template  # every row keeps its lifetime, so one set of factors serves them all
+    factors = _year_factors(spec, t.lifetime_years)
     rows = []
     for n_t, p_avg in power_curve:
-        design = replace(design_template, n_t=int(n_t), p_avg_mw=float(p_avg))
+        design = ArrayDesign(int(n_t), t.mw_t, float(p_avg), t.lifetime_years, t.availability,
+                             t.electrical_efficiency)
         values, notes = _evaluate(design, params, tariff, spec, ("npv", "lcoe"), factors)
         row = {
             "n_t": int(n_t),
@@ -630,8 +635,9 @@ def functional_sweep(
             "power_per_device_mw": float(p_avg) / n_t,
             "j_bep_mw": bep_functional(p_avg, bep, n_t),
             "j_bep_ev_mw": bep_ev_functional(p_avg, bep, n_t),
+            "npv_gbp_m": values["npv"],
+            "lcoe_gbp_per_mwh": values["lcoe"],
         }
-        row.update((REPORT_KEYS[name], value) for name, value in values.items())
         if notes:
             row["notes"] = {REPORT_KEYS[name]: note for name, note in notes.items()}
         rows.append(row)

@@ -82,10 +82,9 @@ def parameter_range(name: str) -> ParameterRange:
 
 def _resolve(label: str, overrides: Mapping[str, float] | None) -> dict[str, float]:
     values = {entry.name: entry.value(label) for entry in _PARAMETER_TABLE}
-    if overrides:
-        for name, value in overrides.items():
-            parameter_range(name)  # reject unknown names
-            values[name] = value
+    for name, value in (overrides or {}).items():
+        parameter_range(name)  # reject unknown names
+        values[name] = value
     return values
 
 
@@ -93,17 +92,11 @@ def _apply(design: ArrayDesign, values: Mapping[str, float]):
     lifetime = values["lifetime"]
     if not float(lifetime).is_integer():
         raise ValueError(f"lifetime must be a whole number of years, got {lifetime!r}")
-    params = CostParameters(
-        ca_f=values["ca_f"], ca_t=values["ca_t"], o_f=values["o_f"], o_t=values["o_t"]
-    )
-    tariff = TariffScheme(t_e=values["tariff"])
-    spec = DiscountSpec(annual_rate=values["r"])
-    bound_design = replace(
-        design,
-        lifetime_years=int(lifetime),
-        availability=values["availability"],
-    )
-    return bound_design, params, tariff, spec
+    params = CostParameters(values["ca_f"], values["ca_t"], values["o_f"], values["o_t"])
+    tariff = TariffScheme(values["tariff"])
+    spec = DiscountSpec(values["r"])
+    bound = replace(design, lifetime_years=int(lifetime), availability=values["availability"])
+    return bound, params, tariff, spec
 
 
 def compute_metrics(
@@ -129,9 +122,7 @@ def evaluate_scenarios(
     for label in SCENARIO_LABELS:
         values = _resolve(label, overrides)
         metric_values, notes = compute_metrics(design, values)
-        results.append(
-            ScenarioResult(label=label, parameters=values, metrics=metric_values, notes=notes)
-        )
+        results.append(ScenarioResult(label, values, metric_values, notes))
     return tuple(results)
 
 
@@ -147,7 +138,8 @@ def sensitivity_sweep(
     ``base_scenario`` is a scenario label or a full parameter mapping.
     Returns (value, metric) pairs in grid order; None marks grid points
     where the metric is undefined. Only the swept metric is reported, and
-    IRR is computed only for an ``irr`` sweep.
+    IRR is computed only for an ``irr`` sweep. A point whose rate and
+    lifetime equal the previous point's reuses its discount factors.
     """
     if metric not in METRIC_NAMES:
         raise ValueError(f"unknown metric {metric!r}; valid names: {', '.join(METRIC_NAMES)}")
@@ -159,11 +151,13 @@ def sensitivity_sweep(
     else:
         base = _resolve("typical", base_scenario)
 
-    curve = []
+    curve, drawn = [], None  # ``drawn``: the (spec, lifetime) of ``factors``
     for value in grid:
-        values = dict(base)
-        values[parameter] = value
-        metric_values, _ = compute_metrics(design, values, (metric,))
+        bound, params, tariff, spec = _apply(design, {**base, parameter: value})
+        if drawn != (spec, bound.lifetime_years):
+            drawn = (spec, bound.lifetime_years)
+            factors = _metrics._year_factors(*drawn)
+        metric_values, _ = _metrics._evaluate(bound, params, tariff, spec, (metric,), factors)
         curve.append((value, metric_values[metric]))
     return curve
 

@@ -1107,25 +1107,36 @@ class TestEvaluate:
                      DiscountSpec(-0.99, periods_per_year=12)))
     @example(inputs=(design(lifetime_years=60), TYPICAL, TariffScheme(150.0),
                      DiscountSpec(-0.97)))
+    @example(inputs=(design(n_t=1, mw_t=2.0, p_avg_mw=2.0, lifetime_years=3,
+                            availability=(1.0, 0.1, 1.0)),
+                     CostParameters(0.0, 0.0, 1.0, 0.3), TariffScheme(100.0),
+                     DiscountSpec(0.10)))  # flows 0, +, -, +: two IRRs, and a warning
     @settings(max_examples=300, deadline=None)
     def test_one_pass_equals_the_metric_functions(self, inputs):
         d, params, tariff, spec = inputs
         schedule = build_schedule(d, params, tariff)
         expected_values, expected_notes = {}, {}
-        for name, function, args in (
-            ("npv", npv, (schedule, spec)),
-            ("lcoe", lcoe, (d, params, spec)),
-            ("payback", payback_period, (schedule, spec)),
-            ("irr", irr, (schedule,)),
-        ):
-            try:
-                expected_values[name] = function(*args)
-            except ValueError as err:
-                expected_values[name] = None
-                expected_notes[name] = str(err)
-        values, notes = evaluate(d, params, tariff, spec)
+        # Both sides record their warnings (several IRR roots warn), so none escapes.
+        with warnings.catch_warnings(record=True) as expected_warnings:
+            warnings.simplefilter("always")
+            for name, function, args in (
+                ("npv", npv, (schedule, spec)),
+                ("lcoe", lcoe, (d, params, spec)),
+                ("payback", payback_period, (schedule, spec)),
+                ("irr", irr, (schedule,)),
+            ):
+                try:
+                    expected_values[name] = function(*args)
+                except ValueError as err:
+                    expected_values[name] = None
+                    expected_notes[name] = str(err)
+        with warnings.catch_warnings(record=True) as got_warnings:
+            warnings.simplefilter("always")
+            values, notes = evaluate(d, params, tariff, spec)
         assert repr(values) == repr(expected_values)
         assert notes == expected_notes
+        assert [(w.category, str(w.message)) for w in got_warnings] == [
+            (w.category, str(w.message)) for w in expected_warnings]
 
     def test_non_finite_flow_rejected_as_build_schedule_rejects_it(self):
         # Year 1's revenue is inf: evaluate rejects the peak revenue before its

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 import sys
+import warnings
 
 import pytest
 
@@ -164,6 +165,24 @@ def test_ratio_warning_names_the_caller():
     with pytest.warns(RatioWindowWarning) as caught:
         FixedToTurbineRatio(5.0)
     assert (caught[0].filename, caught[0].lineno) == (__file__, line)
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy], ids=["copy", "deepcopy"])
+def test_copying_an_out_of_window_ratio_warns_no_second_time(duplicate):
+    with pytest.warns(RatioWindowWarning):
+        ratio = FixedToTurbineRatio(5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert duplicate(ratio) is ratio
+        assert duplicate([ratio])[0] is ratio
+
+
+def test_unpickling_an_out_of_window_ratio_checks_it_again():
+    with pytest.warns(RatioWindowWarning):
+        pickled = pickle.dumps(FixedToTurbineRatio(5.0))
+    with pytest.warns(RatioWindowWarning, match="ratio 5 outside the supported window"):
+        twin = pickle.loads(pickled)
+    assert type(twin) is FixedToTurbineRatio and twin.ratio == 5.0
 
 
 def test_cost_split_is_a_named_pair():
