@@ -622,8 +622,8 @@ def functional_sweep(
     if len(set(counts)) != len(counts):
         raise ValueError("power-curve samples must have distinct n_t values")
 
-    t = design_template  # every row keeps its lifetime, so one set of factors serves them all
-    factors = _year_factors(spec, t.lifetime_years)
+    t = design_template
+    factors = _year_factors(spec, t.lifetime_years)  # every row keeps the template's lifetime
     rows = []
     for n_t, p_avg in power_curve:
         design = ArrayDesign(int(n_t), t.mw_t, float(p_avg), t.lifetime_years, t.availability,
