@@ -126,10 +126,7 @@ def split_two_points(obs1: CostObservation, obs2: CostObservation) -> CostSplit:
 
 def split_from_ratio(obs: CostObservation, ratio: FixedToTurbineRatio) -> CostSplit:
     """Fixed and per-turbine components from one total plus the cost ratio."""
-    denominator = ratio.ratio + obs.n_t
-    if denominator == 0:
-        raise ValueError("ratio + n_t must be non-zero")
-    per_turbine = normalize_observation(obs) / denominator
+    per_turbine = normalize_observation(obs) / (ratio.ratio + obs.n_t)  # n_t > 0, ratio >= 0
     return CostSplit(fixed=ratio.ratio * per_turbine, per_turbine=per_turbine)
 
 

@@ -87,7 +87,8 @@ class ArrayDesign(Record):
         object.__setattr__(self, "electrical_efficiency", electrical_efficiency)
 
     def availability_in_year(self, year: int) -> float:
-        _check_operating_year(self, year)
+        if not 1 <= year <= self.lifetime_years:
+            raise ValueError(f"year {year} outside operating window [1, {self.lifetime_years}]")
         if isinstance(self.availability, tuple):
             return self.availability[year - 1]
         return float(self.availability)
@@ -104,13 +105,6 @@ class TariffScheme(Record):
         object.__setattr__(self, "t_e", t_e)
 
 
-def _check_operating_year(design: ArrayDesign, year: int) -> None:
-    if not 1 <= year <= design.lifetime_years:
-        raise ValueError(
-            f"year {year} outside operating window [1, {design.lifetime_years}]"
-        )
-
-
 def capex(params: CostParameters, n_t: int | float) -> float:
     """Total capital expenditure for ``n_t`` turbines, GBP m."""
     if n_t < 0:
@@ -123,6 +117,28 @@ def opex_year(params: CostParameters, n_t: int | float) -> float:
     if n_t < 0:
         raise ValueError(f"n_t must be >= 0, got {n_t}")
     return params.o_f + params.o_t * n_t
+
+
+def _checked_costs(
+    design: ArrayDesign, params: CostParameters, tariff: TariffScheme | None = None
+) -> tuple[float, float]:
+    """CAPEX and a year's OPEX of ``design``, GBP m, after the one window check
+    of a design evaluation, made before its year loop: each of them, peak
+    energy and, given a tariff, peak revenue must be at most ``MAX_AMOUNT``.
+    """
+    capital, annual_opex = capex(params, design.n_t), opex_year(params, design.n_t)
+    peak_energy = design.p_avg_mw * HOURS_PER_YEAR
+    peak_revenue = 0.0 if tariff is None else peak_energy * tariff.t_e / 1e6
+    if max(capital, annual_opex, peak_energy, peak_revenue) > MAX_AMOUNT:  # none is NaN
+        for name, amount, unit in (
+            ("CAPEX", capital, "GBP m"),
+            ("OPEX per year", annual_opex, "GBP m"),
+            (f"peak energy p_avg_mw * {HOURS_PER_YEAR}", peak_energy, "MWh"),
+            ("peak revenue", peak_revenue, "GBP m"),
+        ):
+            if amount > MAX_AMOUNT:
+                raise ValueError(f"{name} must be <= {MAX_AMOUNT:g} {unit}, got {amount}")
+    return capital, annual_opex
 
 
 def hours_generating(design: ArrayDesign, year: int) -> float:

@@ -136,8 +136,8 @@ def _check_flow(year: int, amount: float) -> None:
 def discount_factor(spec: DiscountSpec, years: float) -> float:
     """Factor converting a flow ``years`` into the future to present value.
 
-    ``years`` may be fractional (used for payback interpolation). Equals 1
-    at year 0, and lies in (0, 1] for non-negative rates.
+    ``years`` may be fractional. Equals 1 at year 0, and lies in (0, 1] for
+    non-negative rates.
     """
     if not 0 <= years <= MAX_YEARS:
         raise ValueError(f"years must lie in [0, {MAX_YEARS}], got {years}")

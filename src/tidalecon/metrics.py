@@ -15,18 +15,15 @@ from itertools import accumulate, repeat
 from operator import mul
 
 from .cost_model import (
-    HOURS_PER_YEAR,
     ArrayDesign,
     CostParameters,
     TariffScheme,
+    _checked_costs,
     _energy_by_year,
     build_schedule,
-    capex,
     hours_generating,
-    opex_year,
 )
 from .finance_core import (
-    MAX_AMOUNT,
     MIN_RATE,
     CashFlowSchedule,
     DiscountSpec,
@@ -110,28 +107,6 @@ def lcoe(design: ArrayDesign, params: CostParameters, spec: DiscountSpec) -> flo
         discounted_cost += annual_opex * factor
         discounted_energy += energy * factor
     return _cost_per_mwh(discounted_cost, discounted_energy)
-
-
-def _checked_costs(
-    design: ArrayDesign, params: CostParameters, tariff: TariffScheme | None = None
-) -> tuple[float, float]:
-    """CAPEX and a year's OPEX of ``design``, GBP m, after the one window check
-    of a design evaluation, made before its year loop: each of them, peak
-    energy and, given a tariff, peak revenue must be at most ``MAX_AMOUNT``.
-    """
-    capital, annual_opex = capex(params, design.n_t), opex_year(params, design.n_t)
-    peak_energy = design.p_avg_mw * HOURS_PER_YEAR
-    peak_revenue = 0.0 if tariff is None else peak_energy * tariff.t_e / 1e6
-    if max(capital, annual_opex, peak_energy, peak_revenue) > MAX_AMOUNT:  # none is NaN
-        for name, amount, unit in (
-            ("CAPEX", capital, "GBP m"),
-            ("OPEX per year", annual_opex, "GBP m"),
-            (f"peak energy p_avg_mw * {HOURS_PER_YEAR}", peak_energy, "MWh"),
-            ("peak revenue", peak_revenue, "GBP m"),
-        ):
-            if amount > MAX_AMOUNT:
-                raise ValueError(f"{name} must be <= {MAX_AMOUNT:g} {unit}, got {amount}")
-    return capital, annual_opex
 
 
 def _cost_per_mwh(discounted_cost: float, discounted_energy: float) -> float:
@@ -617,7 +592,7 @@ def functional_sweep(
         raise ValueError("power curve is empty")
     counts = [n for n, _ in power_curve]
     for n_t in counts:
-        if not float(n_t).is_integer():
+        if isinstance(n_t, bool) or not float(n_t).is_integer():
             raise ValueError(f"n_t must be a whole number of turbines, got {n_t!r}")
     if len(set(counts)) != len(counts):
         raise ValueError("power-curve samples must have distinct n_t values")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 
 from .cost_model import ArrayDesign, CostParameters, TariffScheme
-from .finance_core import DiscountSpec, Record, replace
+from .finance_core import DiscountSpec, Record
 from . import metrics as _metrics
 
 SCENARIO_LABELS = ("optimistic", "typical", "pessimistic")
@@ -90,12 +90,13 @@ def _resolve(label: str, overrides: Mapping[str, float] | None) -> dict[str, flo
 
 def _apply(design: ArrayDesign, values: Mapping[str, float]):
     lifetime = values["lifetime"]
-    if not float(lifetime).is_integer():
+    if isinstance(lifetime, bool) or not float(lifetime).is_integer():
         raise ValueError(f"lifetime must be a whole number of years, got {lifetime!r}")
     params = CostParameters(values["ca_f"], values["ca_t"], values["o_f"], values["o_t"])
     tariff = TariffScheme(values["tariff"])
     spec = DiscountSpec(values["r"])
-    bound = replace(design, lifetime_years=int(lifetime), availability=values["availability"])
+    bound = ArrayDesign(design.n_t, design.mw_t, design.p_avg_mw, int(lifetime),
+                        values["availability"], design.electrical_efficiency)
     return bound, params, tariff, spec
 
 
@@ -174,5 +175,7 @@ def lcoe_rate_elasticity(
         raise ValueError(f"need r_low < r_high, got {r_low} >= {r_high}")
     lcoe_low = _metrics.lcoe(design, params, DiscountSpec(annual_rate=r_low))
     lcoe_high = _metrics.lcoe(design, params, DiscountSpec(annual_rate=r_high))
+    if lcoe_high == 0:  # a zero-cost design
+        raise ValueError(f"LCOE elasticity is undefined: LCOE at r_high = {r_high} is zero")
     points = (r_high - r_low) * 100.0
     return (lcoe_high - lcoe_low) / lcoe_high / points

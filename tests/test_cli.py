@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
 
 import pytest
 
@@ -299,6 +301,21 @@ class TestConfigValidation:
         assert outputs[0] == outputs[1]
         assert outputs[0][0] == EXIT_OK
 
+    @pytest.mark.parametrize("change, message", [
+        ({"array": None}, "missing key 'array' in config"),
+        ({"costs": {"ca_f": 9.2, "ca_t": 3.3}},
+         "costs block needs all of ca_f/ca_t/o_f/o_t, or an 'estimate' directive"),
+        ({"costs": dict(BASE_CONFIG["costs"], estimate=RATIO_CONFIG["costs"]["estimate"])},
+         "config must give either explicit costs or an estimate directive, not both"),
+    ], ids=["no-array", "incomplete-costs", "costs-and-estimate"])
+    def test_config_layout_error_exits_2(self, capsys, tmp_path, change, message):
+        config = {key: value for key, value in dict(BASE_CONFIG, **change).items()
+                  if value is not None}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(capsys, ["metrics", str(path), "--format", "json"])
+        assert (code, out, err) == (EXIT_INPUT_ERROR, "", f"error: {message}\n")
+
     def test_json_output_never_holds_nan(self):
         with pytest.raises(ValueError):
             _json_dump({"value": math.nan})
@@ -502,6 +519,37 @@ class TestCostObservationErrors:
         path = self.estimate_config(config_path, opex=self.ESTIMATE["opex"][:1])
         self.assert_input_error(capsys, ["metrics", path], "exactly 2 OPEX observations, got 1")
 
+    def test_unknown_estimation_method(self, capsys, config_path):
+        path = self.estimate_config(config_path, method="higgins")
+        message = "unknown estimation method 'higgins'; expected 'two_points' or 'ratio'"
+        code, out, err = run(capsys, ["metrics", path, "--format", "json"])
+        assert (code, out, err) == (EXIT_INPUT_ERROR, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("exists", [False, True], ids=["missing", "header-only"])
+    def test_unreadable_or_empty_csv(self, capsys, tmp_path, exists):
+        path = tmp_path / "capex.csv"
+        if exists:
+            path.write_text("n_t,total_gbp_m\n")
+            message = f"{path}: no observation rows found"
+        else:
+            reason = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+            message = f"cannot read {path}: {reason}"
+        code, out, err = run(capsys, ["split", "two-points", "--capex-csv", str(path),
+                                      "--format", "json"])
+        assert (code, out, err) == (EXIT_INPUT_ERROR, "", f"error: {message}\n")
+
+    def test_bare_estimate_entry_reads_as_a_one_entry_list(self, capsys, tmp_path):
+        # A one-observation method may give each entry as an object, not a list.
+        estimate = RATIO_CONFIG["costs"]["estimate"]
+        bare = dict(estimate, capex=estimate["capex"][0], opex=estimate["opex"][0])
+        outputs = []
+        for name, directive in (("list.json", estimate), ("bare.json", bare)):
+            path = tmp_path / name
+            path.write_text(json.dumps(dict(RATIO_CONFIG, costs={"estimate": directive})))
+            outputs.append(run(capsys, ["metrics", str(path), "--format", "json"]))
+        assert outputs[0] == outputs[1]
+        assert (outputs[0][0], outputs[0][2]) == (EXIT_OK, "")
+
     # An observation gives a total or a per-MW cost, never both, on every route.
     @pytest.mark.parametrize("kind", ["capex", "opex"])
     def test_both_costs_in_ratio_flags(self, capsys, kind):
@@ -646,6 +694,13 @@ class TestSweepCommand:
             "undefined" if point["payback"] is None else repr(point["payback"])
             for point in points
         ]
+
+    def test_zero_steps_exits_2(self, capsys, config_path):
+        code, out, err = run(capsys, [
+            "sweep", config_path(), "--param", "r", "--from", "0.05", "--to", "0.15",
+            "--steps", "0", "--metric", "lcoe",
+        ])
+        assert (code, out, err) == (EXIT_INPUT_ERROR, "", "error: --steps must be >= 1, got 0\n")
 
     def test_unknown_param_exits_2_listing_names(self, capsys, config_path):
         code, _, err = run(capsys, [

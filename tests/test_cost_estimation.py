@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -50,6 +51,14 @@ class TestNormalizeObservation:
         fields = dict(n_t=5.0, cost=2.0, basis=CostBasis.PER_MW, capacity_mw=7.5)
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             CostObservation(**{**fields, field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("cost", -1.0, "cost must be >= 0, got -1.0"),
+        ("currency_rate", 0.0, "currency_rate must be positive, got 0.0"),
+    ])
+    def test_out_of_range_field_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CostObservation(**{"n_t": 5.0, "cost": 2.0, field: value})
 
 
 class TestSplitTwoPoints:
@@ -196,6 +205,10 @@ class TestFitHigginsRatio:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             fit_higgins_ratio([(4.0, 20.0)])
+
+    def test_one_distinct_count_rejected(self):
+        with pytest.raises(ValueError, match="^need at least two distinct n_t values$"):
+            fit_higgins_ratio([(4.0, 20.0), (4.0, 22.0)])
 
     def test_non_positive_slope_rejected(self):
         with pytest.raises(ValueError):

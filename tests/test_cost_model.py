@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -52,6 +53,14 @@ class TestTypes:
         with pytest.raises(ValueError, match="p_avg_mw must be finite and >= 0, got inf"):
             ArrayDesign(n_t=10, mw_t=1e308, p_avg_mw=math.inf, lifetime_years=20)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("electrical_efficiency", 0, "electrical_efficiency must be in (0, 1], got 0"),
+        ("availability", [0.95] * 24 + [1.5], "every availability entry must be in (0, 1]"),
+    ])
+    def test_design_rejects_out_of_range_fraction(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            design(**{field: value})
+
     def test_per_year_availability_lookup(self):
         d = design(lifetime_years=3, availability=[0.98, 0.95, 0.90])
         assert d.availability_in_year(1) == 0.98
@@ -90,6 +99,10 @@ class TestCapexOpex:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             capex(TYPICAL, -1)
+
+    def test_negative_count_rejected_by_opex(self):
+        with pytest.raises(ValueError, match="^n_t must be >= 0, got -1$"):
+            opex_year(TYPICAL, -1)
 
     @given(n=st.integers(min_value=0, max_value=500))
     def test_affine_increments(self, n):

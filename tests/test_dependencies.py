@@ -11,6 +11,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted((SRC / "tidalecon").glob("*.py"))
+# The package's lines may only go down: a change that cuts them lowers the cap.
+SRC_LINE_CAP = 2041
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -39,3 +41,8 @@ def test_every_import_is_stdlib_or_intra_package(path):
             assert top in sys.stdlib_module_names or top == "tidalecon", (
                 f"{path.name}:{node.lineno} imports {name}"
             )
+
+
+def test_package_lines_stay_within_the_cap():
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in MODULES)
+    assert lines <= SRC_LINE_CAP, f"src/tidalecon has {lines} lines, above {SRC_LINE_CAP}"

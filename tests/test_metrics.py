@@ -907,6 +907,11 @@ class TestBepHelpers:
     def test_functional_no_turbines(self):
         assert bep_functional(6.0, BreakEvenSpec(p_be_mw=0.452), 0) == 6.0
 
+    @pytest.mark.parametrize("functional", [bep_functional, bep_ev_functional])
+    def test_negative_count_rejected(self, functional):
+        with pytest.raises(ValueError, match="^n_t must be >= 0, got -1$"):
+            functional(6.0, BreakEvenSpec(p_be_mw=0.452), -1)
+
     def test_ev_functional_reduces_to_plain(self):
         spec = BreakEvenSpec(p_be_mw=0.4, ev_mw_per_turbine=0.0)
         for n in range(0, 10):
@@ -1004,6 +1009,11 @@ class TestFunctionalSweep:
     def test_non_integral_count_rejected_naming_n_t(self):
         with pytest.raises(ValueError, match="n_t must be a whole number.*2.5"):
             self.sweep([(2.5, 1.0)], BreakEvenSpec(p_be_mw=0.4))
+
+    def test_boolean_count_rejected_naming_n_t(self):
+        # True is an int equal to 1, but not a turbine count.
+        with pytest.raises(ValueError, match="^n_t must be a whole number of turbines, got True$"):
+            self.sweep([(True, 1.0)], BreakEvenSpec(p_be_mw=0.4))
 
     def test_integral_float_count_accepted(self):
         bep = BreakEvenSpec(p_be_mw=0.4, ev_mw_per_turbine=0.01)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from tidalecon import metrics as metrics_module
@@ -136,6 +138,25 @@ class TestSensitivitySweep:
         with pytest.raises(ValueError):
             sensitivity_sweep(design(), "typical", "r", [0.1], "bogus")
 
+    def test_unknown_scenario_label_rejected(self):
+        message = ("unknown scenario 'best'; "
+                   "expected one of ('optimistic', 'typical', 'pessimistic')")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sensitivity_sweep(design(), "best", "r", [0.1], "npv")
+
+    @pytest.mark.parametrize("base, parameter, grid", [
+        ("typical", "lifetime", [True]), ({"lifetime": True}, "r", [0.1]),
+    ], ids=["swept", "base"])
+    def test_boolean_lifetime_rejected(self, base, parameter, grid):
+        # True is an int equal to 1, but not a lifetime: it once gave a 1-year project.
+        message = "^lifetime must be a whole number of years, got True$"
+        with pytest.raises(ValueError, match=message):
+            sensitivity_sweep(design(), base, parameter, grid, "npv")
+
+    def test_integral_float_lifetime_accepted(self):
+        as_float = sensitivity_sweep(design(), "typical", "lifetime", [20.0], "npv")
+        assert as_float == sensitivity_sweep(design(), "typical", "lifetime", [20], "npv")
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sensitivity_sweep(design(), "typical", "r", [], "lcoe")
@@ -269,3 +290,9 @@ class TestLcoeRateElasticity:
 
     def test_positive_for_upfront_capex_projects(self):
         assert lcoe_rate_elasticity(design(), TYPICAL, 0.05, 0.15) > 0
+
+    def test_zero_cost_design_rejected(self):
+        # LCOE is zero at both rates, so its relative change is undefined.
+        message = "LCOE elasticity is undefined: LCOE at r_high = 0.15 is zero"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lcoe_rate_elasticity(design(), CostParameters(0, 0, 0, 0), 0.05, 0.15)
