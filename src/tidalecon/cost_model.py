@@ -163,11 +163,6 @@ def _energy_by_year(design: ArrayDesign) -> list[float]:
     return [energy] * design.lifetime_years
 
 
-def revenue_year(design: ArrayDesign, tariff: TariffScheme, year: int) -> float:
-    """Revenue in an operating year, GBP m."""
-    return energy_year(design, year) * tariff.t_e / 1e6
-
-
 def build_schedule(
     design: ArrayDesign,
     params: CostParameters,

@@ -165,7 +165,7 @@ def _sum(values: Iterable[float]) -> float:
     return total
 
 
-def _discounted_sum(amounts: Sequence[float], exponents: Sequence[int], base: float) -> float:
+def _discounted_sum(amounts: Sequence[float], exponents: Sequence[float], base: float) -> float:
     """``sum(a * base ** e)`` over the terms in order: discrete-compounding NPV.
 
     This is the one place that does the discrete discounting arithmetic, so

@@ -12,7 +12,7 @@ import warnings
 from collections.abc import Sequence
 from functools import cache, partial
 from itertools import accumulate, repeat
-from operator import mul
+from operator import mul, ne
 
 from .cost_model import (
     ArrayDesign,
@@ -24,6 +24,7 @@ from .cost_model import (
     hours_generating,
 )
 from .finance_core import (
+    MAX_YEARS,
     MIN_RATE,
     CashFlowSchedule,
     DiscountSpec,
@@ -43,6 +44,7 @@ _TOP_RATE = math.expm1(math.log1p(IRR_BRACKET[1]))  # the top rate searched, a h
 _CELL = (math.log1p(IRR_BRACKET[1]) - math.log1p(IRR_BRACKET[0])) / 2000
 _SEEDS = (0.05, 0.15)  # spans the recommended discount-rate range
 _MAX_ITERATIONS = 200
+_NO_ROOT = f"no IRR in range [{IRR_BRACKET[0]}, {IRR_BRACKET[1]}]"
 
 
 class NoPaybackError(ValueError):
@@ -142,21 +144,19 @@ def _no_payback(horizon: int) -> NoPaybackError:
     return NoPaybackError(f"cumulative discounted flow stays negative through year {horizon}")
 
 
-# An IRR search works on ``_terms(schedule)``: the flows in year order and
-# their negated years, the discount exponents of annual compounding.
-_Terms = tuple[Sequence[float], Sequence[int]]
+# An IRR search works on a schedule's flows, year 0 first. The exponent of
+# year k under annual compounding is -k, made a float here once: ``base ** -k``
+# converts an int exponent to the same double, so the NPVs keep their bits,
+# and ``zip`` in the kernel stops at the last flow.
+_NEGATED_YEARS = tuple(-float(year) for year in range(MAX_YEARS + 1))
 # A bracket of an NPV root for ``_brent``: two rates, then the kernel's NPVs there.
 _Bracket = tuple[float, float, float, float]
 
 
-def _terms(schedule: CashFlowSchedule) -> _Terms:
-    return schedule.flows, range(0, -len(schedule.flows), -1)
-
-
-def _npv_at_rate(terms: _Terms, rate: float) -> float:
+def _npv_at_rate(flows: Sequence[float], rate: float) -> float:
     # Annual discrete NPV, as ``npv(schedule, DiscountSpec(rate))`` computes
     # it. Callers keep the rate in (-1, 10], so no DiscountSpec is checked.
-    return _discounted_sum(*terms, 1.0 + rate)
+    return _discounted_sum(flows, _NEGATED_YEARS, 1.0 + rate)
 
 
 def _dyadic(t: float) -> float:
@@ -206,7 +206,7 @@ def _sign_changes(flows: Sequence[float], lo: float, hi: float) -> int | None:
     return None
 
 
-def _isolate(terms: _Terms) -> list[_Bracket]:
+def _isolate(flows: Sequence[float]) -> list[_Bracket]:
     """A bracket of each NPV root in the search bracket, in rate order, by
     Descartes' rule on pieces (Vincent, Collins and Akritas).
 
@@ -219,10 +219,10 @@ def _isolate(terms: _Terms) -> list[_Bracket]:
     rates, when the kernel's NPVs there are nonzero and of opposite signs.
     An NPV of exactly 0.0 at r = 0 or a split point is a root there.
     """
-    nonzero = [k for k, a in enumerate(terms[0]) if a]
-    flows = terms[0][nonzero[0]:nonzero[-1] + 1]  # zeros at the ends move no root
+    nonzero = [k for k, a in enumerate(flows) if a]
+    inner = flows[nonzero[0]:nonzero[-1] + 1]  # zeros at the ends move no root
 
-    value = cache(partial(_npv_at_rate, terms))
+    value = cache(partial(_npv_at_rate, flows))
 
     def keep(low: float, high: float) -> None:
         f_low, f_high = value(low), value(high)
@@ -231,8 +231,8 @@ def _isolate(terms: _Terms) -> list[_Bracket]:
 
     brackets = [(0.0, 0.0, 0.0, 0.0)] if value(0.0) == 0.0 else []
     for coefficients, rate, ends in (
-        (flows[::-1], lambda z: z - 1.0, (_dyadic(1.0 + IRR_BRACKET[0]), 1.0)),
-        (flows, lambda x: 1.0 / x - 1.0, (1.0, _dyadic(1.0 / (1.0 + _TOP_RATE)))),
+        (inner[::-1], lambda z: z - 1.0, (_dyadic(1.0 + IRR_BRACKET[0]), 1.0)),
+        (inner, lambda x: 1.0 / x - 1.0, (1.0, _dyadic(1.0 / (1.0 + _TOP_RATE)))),
     ):
         pieces = [ends]  # each (a, b) with a the end of lower rate
         while pieces:
@@ -250,7 +250,7 @@ def _isolate(terms: _Terms) -> list[_Bracket]:
     return sorted(brackets)
 
 
-def _brent(terms: _Terms, a: float, b: float, f_a: float, f_b: float, tol: float) -> float:
+def _brent(flows: Sequence[float], a: float, b: float, f_a: float, f_b: float, tol: float) -> float:
     """NPV's root between ``a`` and ``b``, in either order, where its values
     ``f_a`` and ``f_b`` are > 0 at one end and <= 0 at the other.
 
@@ -289,11 +289,11 @@ def _brent(terms: _Terms, a: float, b: float, f_a: float, f_b: float, tol: float
             s_pre = s_cur = s_bis
         x_pre, f_pre = x_cur, f_cur
         x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
-        f_cur = _npv_at_rate(terms, x_cur)
+        f_cur = _npv_at_rate(flows, x_cur)
     return x_cur
 
 
-def _seed_bracket(terms: _Terms, positive_at_infinity: bool) -> _Bracket | None:
+def _seed_bracket(flows: Sequence[float], positive_at_infinity: bool) -> _Bracket | None:
     """A bracket of NPV's lone root on r > -1, or None if none lies in range.
 
     The seeds bracket it when their NPVs differ in sign (> 0 against <= 0).
@@ -304,7 +304,7 @@ def _seed_bracket(terms: _Terms, positive_at_infinity: bool) -> _Bracket | None:
     that end are tried in turn.
     """
     low, high = _SEEDS
-    f_low, f_high = _npv_at_rate(terms, low), _npv_at_rate(terms, high)
+    f_low, f_high = _npv_at_rate(flows, low), _npv_at_rate(flows, high)
     if (f_low > 0) != (f_high > 0):
         return low, high, f_low, f_high
     if (f_low > 0) == positive_at_infinity:
@@ -314,7 +314,7 @@ def _seed_bracket(terms: _Terms, positive_at_infinity: bool) -> _Bracket | None:
     step = (high - low) / (f_high - f_low) if f_high != f_low else 0.0  # flat: no probe
     probe = near - 2 * f_near * step
     for far in (probe, end) if min(near, end) < probe < max(near, end) else (end,):
-        f_far = _npv_at_rate(terms, far)
+        f_far = _npv_at_rate(flows, far)
         if (f_far > 0) != (f_near > 0):
             return near, far, f_near, f_far
         near, f_near = far, f_far
@@ -381,26 +381,24 @@ def irr(schedule: CashFlowSchedule) -> float:
     1 GBP m. Every NPV comes from the one kernel behind ``npv``, so each
     trial rate's NPV is exactly ``npv(schedule, DiscountSpec(rate))``.
     """
-    terms = _terms(schedule)
-    amounts = terms[0]
-    signs = [a > 0 for a in amounts if a != 0]
-    sign_changes = sum(a != b for a, b in zip(signs, signs[1:]))
+    amounts = schedule.flows
+    signs = [a > 0 for a in filter(None, amounts)]  # of the nonzero flows
+    sign_changes = sum(map(ne, signs, signs[1:]))
     if sign_changes == 0:
         raise IrrUndefinedError("IRR undefined: cash flows never change sign")
-    no_root = f"no IRR in range [{IRR_BRACKET[0]}, {IRR_BRACKET[1]}]"
     if sign_changes == 1 or _root_bound(amounts) in (0, 1):
-        bracket = _seed_bracket(terms, signs[0])
+        bracket = _seed_bracket(amounts, signs[0])
         if bracket is None:
-            raise NoIrrInRangeError(no_root)
+            raise NoIrrInRangeError(_NO_ROOT)
     else:
-        brackets = _isolate(terms)
+        brackets = _isolate(amounts)
         if not brackets:
-            raise NoIrrInRangeError(no_root)
+            raise NoIrrInRangeError(_NO_ROOT)
         if len(brackets) > 1:
             warnings.warn(f"{len(brackets)} NPV roots bracketed; returning the smallest",
                           AmbiguousIrrWarning, stacklevel=2)
         bracket = brackets[0]
-    return _brent(terms, *bracket, 1e-12 * min(1.0, max(abs(a) for a in amounts)))
+    return _brent(amounts, *bracket, 1e-12 * min(1.0, max(map(abs, amounts))))
 
 
 # What each metric raises when it is undefined for the inputs.
@@ -563,13 +561,6 @@ def bep_ev_functional(p_avg_mw: float, bep: BreakEvenSpec, n_t: int | float) -> 
     return p_avg_mw - (bep.p_be_mw - bep.ev_mw_per_turbine * n_t) * n_t
 
 
-def profit_margin(revenue: float, cost: float) -> float:
-    """(revenue - cost) / revenue, as a fraction."""
-    if revenue <= 0:
-        raise ValueError(f"revenue must be positive, got {revenue}")
-    return (revenue - cost) / revenue
-
-
 def functional_sweep(
     power_curve: Sequence[tuple[int, float]],
     design_template: ArrayDesign,
@@ -591,8 +582,8 @@ def functional_sweep(
     if not power_curve:
         raise ValueError("power curve is empty")
     counts = [n for n, _ in power_curve]
-    for n_t in counts:
-        if isinstance(n_t, bool) or not float(n_t).is_integer():
+    for n_t in counts:  # an int skips float(), which overflows past float range
+        if isinstance(n_t, bool) or not (type(n_t) is int or float(n_t).is_integer()):
             raise ValueError(f"n_t must be a whole number of turbines, got {n_t!r}")
     if len(set(counts)) != len(counts):
         raise ValueError("power-curve samples must have distinct n_t values")

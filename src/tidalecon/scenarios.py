@@ -89,8 +89,8 @@ def _resolve(label: str, overrides: Mapping[str, float] | None) -> dict[str, flo
 
 
 def _apply(design: ArrayDesign, values: Mapping[str, float]):
-    lifetime = values["lifetime"]
-    if isinstance(lifetime, bool) or not float(lifetime).is_integer():
+    lifetime = values["lifetime"]  # an int skips float(), which overflows past float range
+    if isinstance(lifetime, bool) or not (type(lifetime) is int or float(lifetime).is_integer()):
         raise ValueError(f"lifetime must be a whole number of years, got {lifetime!r}")
     params = CostParameters(values["ca_f"], values["ca_t"], values["o_f"], values["o_t"])
     tariff = TariffScheme(values["tariff"])

@@ -135,14 +135,14 @@ def irr_bisection_oracle(
     return 0.5 * (a + b)
 
 
-def scan_brackets_oracle(terms: tuple[list[float], list[int]]) -> list[tuple[float, float]]:
+def scan_brackets_oracle(flows: Sequence[float]) -> list[tuple[float, float]]:
     """The exhaustive IRR bracket scan: the NPV kernel at all 2001 grid points.
 
     A cell whose NPVs differ in sign (> 0 against <= 0) is a bracket, and so
     is ``(r, r)`` for a point other than the last where NPV is exactly 0.0.
     """
     grid = log_grid()
-    values = [_npv_at_rate(terms, rate) for rate in grid]
+    values = [_npv_at_rate(flows, rate) for rate in grid]
     brackets = []
     for k in range(len(grid) - 1):
         if values[k] == 0.0:

@@ -15,7 +15,6 @@ from tidalecon.cost_model import (
     energy_year,
     hours_generating,
     opex_year,
-    revenue_year,
 )
 
 TYPICAL = CostParameters(ca_f=9.2, ca_t=3.3, o_f=0.32, o_t=0.15)
@@ -148,23 +147,6 @@ class TestEnergyRevenue:
                    electrical_efficiency=0.5)
         assert energy_year(d, 1) == pytest.approx(4380.0)
 
-    def test_revenue_at_strike_price(self):
-        d = design(n_t=4, mw_t=1.5, p_avg_mw=6.0, availability=0.95)
-        assert revenue_year(d, TariffScheme(150.0), 1) == pytest.approx(7.4898, rel=1e-6)
-        assert revenue_year(d, TariffScheme(40.0), 1) == pytest.approx(1.99728, rel=1e-6)
-
-    def test_revenue_zero_power(self):
-        assert revenue_year(design(p_avg_mw=0.0), TariffScheme(150.0), 1) == 0.0
-
-    @given(scale=st.floats(min_value=0.1, max_value=2.0))
-    def test_revenue_linear_in_tariff(self, scale):
-        d = design()
-        base = revenue_year(d, TariffScheme(150.0), 1)
-        assert revenue_year(d, TariffScheme(150.0 * scale), 1) == pytest.approx(
-            base * scale, rel=1e-12
-        )
-
-
 class TestBuildSchedule:
     def test_typical_schedule_shape(self):
         d = design()
@@ -172,7 +154,7 @@ class TestBuildSchedule:
         assert schedule.horizon == 25
         assert len(schedule.flows) == 26
         assert schedule.flow(0) == pytest.approx(-22.4)
-        expected_operating = revenue_year(d, TariffScheme(150.0), 1) - 0.92
+        expected_operating = energy_year(d, 1) * 150.0 / 1e6 - 0.92
         for year in range(1, 26):
             assert schedule.flow(year) == pytest.approx(expected_operating)
 
@@ -191,7 +173,7 @@ class TestBuildSchedule:
         schedule = build_schedule(
             d, TYPICAL, TariffScheme(150.0), opex_multipliers=[1.0, 2.0, 1.0]
         )
-        revenue = revenue_year(d, TariffScheme(150.0), 1)
+        revenue = energy_year(d, 1) * 150.0 / 1e6
         assert schedule.flow(2) == pytest.approx(revenue - 2 * 0.92)
 
     def test_opex_multiplier_length_checked(self):

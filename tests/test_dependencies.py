@@ -12,7 +12,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted((SRC / "tidalecon").glob("*.py"))
 # The package's lines may only go down: a change that cuts them lowers the cap.
-SRC_LINE_CAP = 2041
+SRC_LINE_CAP = 2023
 
 
 def test_cli_import_leaves_numpy_unloaded():

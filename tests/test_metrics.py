@@ -45,7 +45,6 @@ from tidalecon.metrics import (
     lcoe,
     npv,
     payback_period,
-    profit_margin,
 )
 
 from conftest import (
@@ -230,7 +229,7 @@ class TestIrrRuleOfSigns:
 
     @pytest.fixture
     def no_isolation(self, monkeypatch):
-        def fail(terms):
+        def fail(flows):
             raise AssertionError("root isolation run for a single sign change")
 
         monkeypatch.setattr(metrics_module, "_isolate", fail)
@@ -253,9 +252,9 @@ class TestIrrRuleOfSigns:
     def test_two_roots_still_scan(self, monkeypatch):
         calls = []
 
-        def spy(terms):
-            calls.append(terms)
-            return isolate(terms)
+        def spy(flows):
+            calls.append(flows)
+            return isolate(flows)
 
         isolate = metrics_module._isolate
         monkeypatch.setattr(metrics_module, "_isolate", spy)
@@ -352,7 +351,7 @@ class TestIrrSeedBracket:
     ])
     def test_exact_zero_at_a_seed_is_returned(self, flows, root):
         schedule = schedule_of(flows)
-        assert metrics_module._npv_at_rate(metrics_module._terms(schedule), root) == 0.0
+        assert metrics_module._npv_at_rate(schedule.flows, root) == 0.0
         assert irr(schedule) == root
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -517,12 +516,12 @@ ZERO_AT_SPLIT_POINT_FLOWS = {0: -1.0, 1: 0.6, 2: -0.04999999999999999}
 GRID_CELL = math.log(1100.0) / 2000
 
 
-def _isolated_rates(terms) -> list[tuple[float, float]]:
+def _isolated_rates(flows) -> list[tuple[float, float]]:
     """The rates of ``_isolate``'s brackets, after checking that the NPVs each
     bracket carries are the kernel's at its ends, bit for bit."""
-    brackets = metrics_module._isolate(terms)
+    brackets = metrics_module._isolate(flows)
     for low, high, f_low, f_high in brackets:
-        kernel = [metrics_module._npv_at_rate(terms, rate).hex() for rate in (low, high)]
+        kernel = [metrics_module._npv_at_rate(flows, rate).hex() for rate in (low, high)]
         assert [f_low.hex(), f_high.hex()] == kernel
     return [(low, high) for low, high, _, _ in brackets]
 
@@ -556,28 +555,28 @@ class TestRootIsolation:
     @settings(max_examples=100, deadline=None)
     def test_counts_are_exact_and_roots_match_the_exhaustive_scan(self, flows):
         assume(len({a > 0 for a in flows.values() if a}) == 2)  # as irr isolates only then
-        terms = metrics_module._terms(schedule_of(flows))
+        dense = schedule_of(flows).flows
         with pytest.MonkeyPatch.context() as patch:
             calls = _record_counts(patch)
-            brackets = metrics_module._isolate(terms)
+            brackets = metrics_module._isolate(dense)
         for coefficients, lo, hi, result in calls:
             if result is not None:
                 assert result == descartes_count_oracle(coefficients, lo, hi)
-        assert [bracket[:2] for bracket in brackets] == _isolated_rates(terms)
+        assert [bracket[:2] for bracket in brackets] == _isolated_rates(dense)
         # Each call that does not settle its piece splits it in two. When
         # every leaf piece is settled, none was left to the kernel's signs at
         # the ends of a narrow piece, and the roots are all there are.
         settled = sum(result in (0, 1) for *_, result in calls)
-        roots = [metrics_module._brent(terms, *bracket, 0.0) for bracket in brackets]
+        roots = [metrics_module._brent(dense, *bracket, 0.0) for bracket in brackets]
         if settled == len(calls) - settled + 2 and _apart(roots):
-            assert len(roots) == len(scan_brackets_oracle(terms))
+            assert len(roots) == len(scan_brackets_oracle(dense))
 
     def test_roots_above_the_bracket_raise(self):
         # NPV is 1/(1+r)**2 - 0.13/(1+r) + 0.004, with roots at r = 11.5 and
         # 19: the root bound of 2 sends it to isolation, which brackets none.
         schedule = CashFlowSchedule(2, [0.004, -0.13, 1.0])
         assert metrics_module._root_bound(schedule.flows) == 2
-        assert metrics_module._isolate(metrics_module._terms(schedule)) == []
+        assert metrics_module._isolate(schedule.flows) == []
         with pytest.raises(NoIrrInRangeError):
             irr(schedule)
 
@@ -604,10 +603,9 @@ class TestRootIsolation:
 
     def test_exact_zero_at_a_split_point(self):
         schedule = schedule_of(ZERO_AT_SPLIT_POINT_FLOWS)
-        terms = metrics_module._terms(schedule)
-        assert metrics_module._npv_at_rate(terms, -0.9) == 0.0
-        rates = _isolated_rates(terms)
-        assert len(rates) == len(scan_brackets_oracle(terms)) == 2
+        assert metrics_module._npv_at_rate(schedule.flows, -0.9) == 0.0
+        rates = _isolated_rates(schedule.flows)
+        assert len(rates) == len(scan_brackets_oracle(schedule.flows)) == 2
         assert rates[0] == (-0.9, -0.9) and rates[1][0] < -0.5 < rates[1][1]
         with pytest.warns(AmbiguousIrrWarning, match="2 NPV roots bracketed"):
             assert irr(schedule) == -0.9
@@ -645,15 +643,15 @@ class TestRootCountBound:
     @given(flows=scan_schedules())
     @settings(max_examples=200, deadline=None)
     def test_never_below_the_exhaustive_scan(self, flows):
-        terms = metrics_module._terms(schedule_of(flows))
-        bound = metrics_module._root_bound(terms[0])
+        dense = schedule_of(flows).flows
+        bound = metrics_module._root_bound(dense)
         if bound is not None:  # None: a running sum too near zero to trust its sign
-            assert bound >= len(scan_brackets_oracle(terms))
+            assert bound >= len(scan_brackets_oracle(dense))
 
     @pytest.mark.parametrize("flows, expected", list(SCAN_PATH_IRRS.values()),
                              ids=list(SCAN_PATH_IRRS))
     def test_one_root_schedules_skip_the_scan(self, monkeypatch, flows, expected):
-        def fail(terms):
+        def fail(flows):
             raise AssertionError("root isolation run under a root bound of 1")
 
         monkeypatch.setattr(metrics_module, "_isolate", fail)
@@ -748,7 +746,7 @@ class TestRootCountBound:
         flows, expected = SCAN_PATH_IRRS["overhaul1"]
         late = {year + 1: amount for year, amount in flows.items()}
 
-        def fail(terms):
+        def fail(flows):
             raise AssertionError("root isolation run under a root bound of 1")
 
         monkeypatch.setattr(metrics_module, "_isolate", fail)
@@ -812,6 +810,21 @@ class TestLongHorizonOverflow:
         assert rate == pytest.approx(irr_bisection_oracle(flows), abs=1e-9)
         assert npv(schedule_of(flows), DiscountSpec(rate)) == pytest.approx(
             0.0, abs=IRR_NPV_TOLERANCE)
+
+    def test_irr_counts_the_flow_of_year_100(self):
+        # 101 flows, one sign change. The IRR search reads each year's exponent
+        # from a table of years 0..MAX_YEARS; were it a year short, ``zip``
+        # would drop year 100's flow without an error.
+        rates = []
+        for last in (1.5, 2.5):
+            flows = {0: -100.0, **_level(MAX_YEARS, 1.5), MAX_YEARS: last}
+            schedule = schedule_of(flows)
+            assert len(schedule.flows) == MAX_YEARS + 1
+            rates.append(irr(schedule))
+            assert npv(schedule, DiscountSpec(rates[-1])) == pytest.approx(
+                0.0, abs=IRR_NPV_TOLERANCE)
+            assert rates[-1] == pytest.approx(irr_bisection_oracle(flows), abs=1e-9)
+        assert rates[0] < rates[1]
 
     def test_never_paying_back_is_reported_not_overflowed(self):
         flows = {0: -50.0, **_level(MAX_YEARS, -1.0)}
@@ -933,21 +946,6 @@ class TestBepHelpers:
             bep_ev_functional(10.0, spec, 45)
 
 
-class TestProfitMargin:
-    def test_break_even_is_zero(self):
-        assert profit_margin(100.0, 100.0) == 0.0
-
-    def test_assumed_margin(self):
-        assert profit_margin(100.0, 27.0) == pytest.approx(0.73)
-
-    def test_loss_case(self):
-        assert profit_margin(50.0, 100.0) == -1.0
-
-    def test_zero_revenue_rejected(self):
-        with pytest.raises(ValueError):
-            profit_margin(0.0, 10.0)
-
-
 class TestFunctionalSweep:
     @staticmethod
     def sweep(curve, bep, **design_kwargs):
@@ -1014,6 +1012,12 @@ class TestFunctionalSweep:
         # True is an int equal to 1, but not a turbine count.
         with pytest.raises(ValueError, match="^n_t must be a whole number of turbines, got True$"):
             self.sweep([(True, 1.0)], BreakEvenSpec(p_be_mw=0.4))
+
+    def test_count_past_float_range_rejected_naming_n_t(self):
+        # A whole number past float range once raised OverflowError from ``float``.
+        message = r"^n_t must be an integer in \[1, 1e\+100\], got 10{400}$"
+        with pytest.raises(ValueError, match=message):
+            self.sweep([(10**400, 1.0)], BreakEvenSpec(p_be_mw=0.4))
 
     def test_integral_float_count_accepted(self):
         bep = BreakEvenSpec(p_be_mw=0.4, ev_mw_per_turbine=0.01)

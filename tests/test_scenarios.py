@@ -153,6 +153,15 @@ class TestSensitivitySweep:
         with pytest.raises(ValueError, match=message):
             sensitivity_sweep(design(), base, parameter, grid, "npv")
 
+    @pytest.mark.parametrize("base, parameter, grid", [
+        ("typical", "lifetime", [10**400]), ({"lifetime": 10**400}, "r", [0.1]),
+    ], ids=["swept", "base"])
+    def test_lifetime_past_float_range_rejected_naming_lifetime_years(self, base, parameter, grid):
+        # A whole number past float range once raised OverflowError from ``float``.
+        message = r"^lifetime_years must be an integer in \[1, 100\], got 10{400}$"
+        with pytest.raises(ValueError, match=message):
+            sensitivity_sweep(design(), base, parameter, grid, "npv")
+
     def test_integral_float_lifetime_accepted(self):
         as_float = sensitivity_sweep(design(), "typical", "lifetime", [20.0], "npv")
         assert as_float == sensitivity_sweep(design(), "typical", "lifetime", [20], "npv")
