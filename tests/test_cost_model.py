@@ -147,6 +147,7 @@ class TestEnergyRevenue:
                    electrical_efficiency=0.5)
         assert energy_year(d, 1) == pytest.approx(4380.0)
 
+
 class TestBuildSchedule:
     def test_typical_schedule_shape(self):
         d = design()
@@ -175,6 +176,27 @@ class TestBuildSchedule:
         )
         revenue = energy_year(d, 1) * 150.0 / 1e6
         assert schedule.flow(2) == pytest.approx(revenue - 2 * 0.92)
+
+    # Revenue is computed only inside build_schedule, so its figures are
+    # pinned here: an operating year's flow plus its OPEX is the revenue in £m.
+    def test_revenue_at_strike_price(self):
+        d = design(n_t=4, mw_t=1.5, p_avg_mw=6.0, availability=0.95)
+        opex = opex_year(TYPICAL, 4)
+        for t_e, revenue in [(150.0, 7.4898), (40.0, 1.99728)]:
+            schedule = build_schedule(d, TYPICAL, TariffScheme(t_e))
+            assert schedule.flow(1) + opex == pytest.approx(revenue, rel=1e-6)
+
+    def test_revenue_zero_power(self):
+        schedule = build_schedule(design(p_avg_mw=0.0), TYPICAL, TariffScheme(150.0))
+        assert schedule.flows[1:] == (-opex_year(TYPICAL, 4),) * 25
+
+    @given(scale=st.floats(min_value=0.1, max_value=2.0))
+    def test_revenue_linear_in_tariff(self, scale):
+        d = design()
+        opex = opex_year(TYPICAL, 4)
+        base = build_schedule(d, TYPICAL, TariffScheme(150.0)).flow(1) + opex
+        scaled = build_schedule(d, TYPICAL, TariffScheme(150.0 * scale)).flow(1) + opex
+        assert scaled == pytest.approx(base * scale, rel=1e-12)
 
     def test_opex_multiplier_length_checked(self):
         with pytest.raises(ValueError):
