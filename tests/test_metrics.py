@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import math
+import random
 import re
 import warnings
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -369,6 +372,25 @@ class TestIrrSeedBracket:
             irr(schedule_of({0: -sign, 1: inflow * sign}))
 
 
+# Every IRR bit, or the exception class, and any warning, of 2,000 seeded
+# schedules over the three paths: one sign change, a root bound of at most 1,
+# and root isolation. Recorded before the seed NPVs came from factor tables.
+PINNED_IRR_SHA256 = "c48ea799e984f9697cf65be43e295187b5c498ce173b1e3c11f90ce69928e2b3"
+
+
+def _pinned_flows(rng: random.Random) -> list[float]:
+    """A level annuity, an overhaul schedule or random flows, of 2 to 41 years."""
+    kind = rng.choice(("annuity", "overhaul", "random"))
+    horizon = rng.randint(1, 40)
+    if kind == "annuity":
+        return [-rng.uniform(1.0, 100.0)] + [rng.uniform(-1.0, 10.0)] * horizon
+    if kind == "overhaul":
+        period, level, hit = rng.randint(2, 10), rng.uniform(0.1, 20.0), rng.uniform(0.0, 50.0)
+        return [-rng.uniform(1.0, 100.0)] + [level - (hit if year % period == 0 else 0.0)
+                                              for year in range(1, horizon + 1)]
+    return [rng.uniform(-10.0, 10.0) for _ in range(horizon + 1)]
+
+
 class TestIrrExactness:
     @pytest.mark.parametrize("flows, expected", list(SCAN_PATH_IRRS.values()),
                              ids=list(SCAN_PATH_IRRS))
@@ -383,6 +405,27 @@ class TestIrrExactness:
         with pytest.warns(AmbiguousIrrWarning, match="2 NPV roots bracketed"):
             result = irr(schedule_of(TWO_ROOT_FLOWS))
         assert result == float.fromhex("0x1.99999999997f3p-5")
+
+    def test_bits_pinned_on_every_path(self):
+        rng, digest, paths = random.Random(20261019), hashlib.sha256(), Counter()
+        for _ in range(2000):
+            amounts = _pinned_flows(rng)
+            schedule = CashFlowSchedule(len(amounts) - 1, amounts)
+            signs = [a > 0 for a in schedule.flows if a]
+            changes = sum(a != b for a, b in zip(signs, signs[1:]))
+            if changes > 1:
+                bound = metrics_module._root_bound(schedule.flows)
+                changes = "bound <= 1" if bound in (0, 1) else "isolate"
+            paths[changes] += 1
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    out = irr(schedule).hex()
+                except ValueError as err:
+                    out = type(err).__name__
+            digest.update(" ".join([out, *(str(w.message) for w in caught)]).encode() + b"\n")
+        assert min(paths[1], paths["bound <= 1"], paths["isolate"]) >= 300
+        assert digest.hexdigest() == PINNED_IRR_SHA256
 
 
 _PROFILE = tuple(round(0.97 - 0.004 * year, 3) for year in range(25))
