@@ -73,11 +73,11 @@ class ArrayDesign(Record):
             if not 0 < availability <= 1:
                 raise ValueError(f"availability must be in (0, 1], got {availability}")
         else:
-            availability = tuple(float(a) for a in availability)
+            availability = tuple(map(float, availability))
             if len(availability) != lifetime_years:
                 raise ValueError(f"per-year availability needs {lifetime_years} entries, "
                                  f"got {len(availability)}")
-            if any(not 0 < a <= 1 for a in availability):
+            if not all(0 < a <= 1 for a in availability):
                 raise ValueError("every availability entry must be in (0, 1]")
         object.__setattr__(self, "n_t", n_t)
         object.__setattr__(self, "mw_t", mw_t)
@@ -176,12 +176,12 @@ def build_schedule(
     default is a constant OPEX year on year.
     """
     if opex_multipliers is not None:
-        multipliers = tuple(float(m) for m in opex_multipliers)
+        multipliers = tuple(map(float, opex_multipliers))
         if len(multipliers) != design.lifetime_years:
             raise ValueError(
                 f"opex_multipliers needs {design.lifetime_years} entries, got {len(multipliers)}"
             )
-        if any(not 0 <= m < math.inf for m in multipliers):  # also rejects NaN
+        if not all(0 <= m < math.inf for m in multipliers):  # also rejects NaN
             raise ValueError("opex_multipliers must be finite and non-negative")
     else:
         multipliers = (1.0,) * design.lifetime_years

@@ -60,14 +60,6 @@ class Record:
         return type(self), self._values()
 
 
-def replace(record: Record, /, **changes: object) -> Record:
-    """A copy of ``record`` with ``changes``, built (and so checked) by its ``__init__``."""
-    for name in record.__slots__:
-        if name not in changes:
-            changes[name] = getattr(record, name)
-    return type(record)(**changes)
-
-
 class DiscountSpec(Record):
     """Discounting convention: annual rate plus compounding mode.
 
@@ -168,9 +160,9 @@ def _sum(values: Iterable[float]) -> float:
 def _discounted_sum(amounts: Sequence[float], exponents: Sequence[float], base: float) -> float:
     """``sum(a * base ** e)`` over the terms in order: discrete-compounding NPV.
 
-    This is the one place that does the discrete discounting arithmetic, so
-    ``present_value`` and the IRR root-finder agree bit for bit. It adds
-    as ``_sum`` does, inline for speed.
+    ``present_value`` and the IRR search call it, so they agree bit for bit;
+    the IRR seeds' NPVs add the same products from tables of ``base ** e``
+    made at import. It adds as ``_sum`` does, inline for speed.
     """
     total = 0.0
     for amount, exponent in zip(amounts, exponents):

@@ -12,7 +12,7 @@ import warnings
 from collections.abc import Sequence
 from functools import cache, partial
 from itertools import accumulate, repeat
-from operator import mul, ne
+from operator import gt, mul, ne
 
 from .cost_model import (
     ArrayDesign,
@@ -149,6 +149,8 @@ def _no_payback(horizon: int) -> NoPaybackError:
 # converts an int exponent to the same double, so the NPVs keep their bits,
 # and ``zip`` in the kernel stops at the last flow.
 _NEGATED_YEARS = tuple(-float(year) for year in range(MAX_YEARS + 1))
+_SEED_FACTORS = tuple(tuple((1.0 + seed) ** e for e in _NEGATED_YEARS) for seed in _SEEDS)
+_SQUARES = tuple(float((k + 2) ** 2) for k in range(MAX_YEARS + 2))  # ``_root_bound``'s, exact
 # A bracket of an NPV root for ``_brent``: two rates, then the kernel's NPVs there.
 _Bracket = tuple[float, float, float, float]
 
@@ -283,28 +285,33 @@ def _brent(flows: Sequence[float], a: float, b: float, f_a: float, f_b: float, t
                 q = d_blk * d_pre * (f_blk - f_pre)
                 if q:
                     trial = -f_cur * (f_blk * d_blk - f_pre * d_pre) / q
-        if 2 * abs(trial) < min(abs(s_pre), 3 * abs(s_bis) - delta):
+        if 2 * abs(trial) < abs(s_pre) and 2 * abs(trial) < 3 * abs(s_bis) - delta:
             s_pre, s_cur = s_cur, trial
         else:
             s_pre = s_cur = s_bis
         x_pre, f_pre = x_cur, f_cur
         x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
-        f_cur = _npv_at_rate(flows, x_cur)
+        f_cur = _discounted_sum(flows, _NEGATED_YEARS, 1.0 + x_cur)
     return x_cur
 
 
 def _seed_bracket(flows: Sequence[float], positive_at_infinity: bool) -> _Bracket | None:
     """A bracket of NPV's lone root on r > -1, or None if none lies in range.
 
-    The seeds bracket it when their NPVs differ in sign (> 0 against <= 0).
-    Otherwise the root lies below the seeds when they have NPV's sign as
-    r -> infinity, ``positive_at_infinity``, and above them if not. On that
-    side a probe, twice as far from the near seed as the zero of the line
-    through the seeds' NPVs, if it falls short of the bracket's end, and then
-    that end are tried in turn.
+    The seeds' NPVs add each flow times its factor in ``_SEED_FACTORS``, the
+    kernel's ``base ** exponent``, as the kernel does, so they keep its bits
+    without a kernel call. The seeds bracket the root when their NPVs differ
+    in sign (> 0 against <= 0). Otherwise it lies below the seeds when they
+    have NPV's sign as r -> infinity, ``positive_at_infinity``, and above them
+    if not. On that side a probe, twice as far from the near seed as the zero
+    of the line through the seeds' NPVs, if it falls short of the bracket's
+    end, and then that end are tried in turn.
     """
     low, high = _SEEDS
-    f_low, f_high = _npv_at_rate(flows, low), _npv_at_rate(flows, high)
+    f_low = f_high = 0.0
+    for amount, f, g in zip(flows, *_SEED_FACTORS):
+        f_low += amount * f
+        f_high += amount * g
     if (f_low > 0) != (f_high > 0):
         return low, high, f_low, f_high
     if (f_low > 0) == positive_at_infinity:
@@ -350,17 +357,17 @@ def _root_bound(flows: Sequence[float]) -> int | None:
     nonzero = [k for k, a in enumerate(flows) if a]
     flows = flows[nonzero[0]:nonzero[-1] + 1] if nonzero else flows
     unit = _sum(map(abs, flows)) * 2.0**-53
-    bounds = [(k + 2) ** 2 * unit for k in range(len(flows) + 1)]
+    bounds = [square * unit for square in _SQUARES[:len(flows) + 1]]
     if not (2.0**-1020 < unit and bounds[-1] < 2.0**960):
         return None
     count = 0
     for ordered in (flows, flows[::-1]):
         sums = list(accumulate(ordered))
         coefficients = [*accumulate(sums), sums[-1]]
-        if not all(abs(c) > bound for c, bound in zip(coefficients, bounds)):
+        if not all(map(gt, map(abs, coefficients), bounds)):
             return None
         signs = [c > 0 for c in coefficients]
-        count += sum(a != b for a, b in zip(signs, signs[1:]))
+        count += sum(map(ne, signs, signs[1:]))
     return count
 
 
@@ -378,8 +385,8 @@ def irr(schedule: CashFlowSchedule) -> float:
     else one probe beyond them or the bracket's end does, or no root lies in
     range (``_seed_bracket``). Brent's method then runs on the bracket down
     to |NPV| < 1e-12, scaled down with the largest flow when that is below
-    1 GBP m. Every NPV comes from the one kernel behind ``npv``, so each
-    trial rate's NPV is exactly ``npv(schedule, DiscountSpec(rate))``.
+    1 GBP m. Each NPV is the kernel's behind ``npv`` (at the seeds, from its
+    factor tables): exactly ``npv(schedule, DiscountSpec(rate))`` at its rate.
     """
     amounts = schedule.flows
     signs = [a > 0 for a in filter(None, amounts)]  # of the nonzero flows

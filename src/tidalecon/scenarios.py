@@ -152,12 +152,12 @@ def sensitivity_sweep(
     else:
         base = _resolve("typical", base_scenario)
 
-    curve, drawn = [], None  # ``drawn``: the (spec, lifetime) of ``factors``
+    curve, drawn = [], None  # ``drawn``: the (rate, lifetime) of ``factors``
     for value in grid:
         bound, params, tariff, spec = _apply(design, {**base, parameter: value})
-        if drawn != (spec, bound.lifetime_years):
-            drawn = (spec, bound.lifetime_years)
-            factors = _metrics._year_factors(*drawn)
+        if drawn != (spec.annual_rate, bound.lifetime_years):  # ``_apply``'s specs are annual
+            drawn = (spec.annual_rate, bound.lifetime_years)
+            factors = _metrics._year_factors(spec, bound.lifetime_years)
         metric_values, _ = _metrics._evaluate(bound, params, tariff, spec, (metric,), factors)
         curve.append((value, metric_values[metric]))
     return curve

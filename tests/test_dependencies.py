@@ -11,8 +11,9 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted((SRC / "tidalecon").glob("*.py"))
-# The package's lines may only go down: a change that cuts them lowers the cap.
-SRC_LINE_CAP = 2023
+# The package's lines may only go down: a change that cuts them lowers the cap,
+# which the test checks by failing below it as well as above.
+SRC_LINE_CAP = 2022
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -46,3 +47,4 @@ def test_every_import_is_stdlib_or_intra_package(path):
 def test_package_lines_stay_within_the_cap():
     lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in MODULES)
     assert lines <= SRC_LINE_CAP, f"src/tidalecon has {lines} lines, above {SRC_LINE_CAP}"
+    assert lines == SRC_LINE_CAP, f"src/tidalecon has {lines} lines: lower SRC_LINE_CAP to them"

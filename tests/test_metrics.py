@@ -8,6 +8,7 @@ import warnings
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -28,7 +29,7 @@ from tidalecon.finance_core import (
     CashFlowSchedule,
     Compounding,
     DiscountSpec,
-    replace,
+    _sum,
 )
 from tidalecon.metrics import (
     AmbiguousIrrWarning,
@@ -63,7 +64,8 @@ from conftest import (
     scan_brackets_oracle,
 )
 
-TYPICAL = CostParameters(ca_f=9.2, ca_t=3.3, o_f=0.32, o_t=0.15)
+TYPICAL_COSTS = dict(ca_f=9.2, ca_t=3.3, o_f=0.32, o_t=0.15)
+TYPICAL = CostParameters(**TYPICAL_COSTS)
 # NPV proportional to -((1+r)-1.05)((1+r)-1.15): roots at 5% and 15%.
 TWO_ROOT_FLOWS = {0: -1.0, 1: 2.2, 2: -1.2075}
 
@@ -303,7 +305,12 @@ def _level(years: int, amount: float) -> dict[int, float]:
 
 @pytest.fixture
 def kernel_calls(monkeypatch) -> list:
-    """Every call ``metrics`` makes of the NPV kernel ``_discounted_sum``."""
+    """Every call ``metrics`` makes of the NPV kernel ``_discounted_sum``.
+
+    The NPVs at the two seeds are not among them: they read factor tables
+    built at import with the kernel's own ``base ** exponent``, so they keep
+    the kernel's bits without calling it.
+    """
     calls = []
     kernel = metrics_module._discounted_sum
 
@@ -364,6 +371,30 @@ class TestIrrSeedBracket:
         rate = irr(schedule_of(flows))
         assert rate == pytest.approx(root, abs=1e-12)
         assert rate == pytest.approx(irr_bisection_oracle(flows), abs=1e-9)
+
+    def test_factor_tables_hold_the_kernels_powers(self):
+        for seed, table in zip(metrics_module._SEEDS, metrics_module._SEED_FACTORS):
+            assert len(table) == MAX_YEARS + 1
+            for k, factor in enumerate(table):
+                assert factor == (1.0 + seed) ** -float(k)
+
+    @given(flows=st.lists(st.one_of(st.just(0.0), st.floats(-MAX_AMOUNT, MAX_AMOUNT)),
+                          min_size=1, max_size=MAX_YEARS + 1))
+    @example(flows=[-1.0, 1.1])  # the seeds bracket the root, r = 0.1
+    @settings(max_examples=300, deadline=None)
+    def test_seed_npvs_are_the_kernels_bit_for_bit(self, flows):
+        # The tables' products, added in order from 0.0, are the kernel's NPVs,
+        # and every seed at the near end of a bracket carries that NPV.
+        kernel = {seed: metrics_module._npv_at_rate(flows, seed).hex()
+                  for seed in metrics_module._SEEDS}
+        tabled = [_sum(map(mul, flows, table)).hex() for table in metrics_module._SEED_FACTORS]
+        assert tabled == list(kernel.values())
+        for positive_at_infinity in (True, False):
+            bracket = metrics_module._seed_bracket(flows, positive_at_infinity)
+            if bracket is not None and bracket[0] in kernel:
+                assert bracket[2].hex() == kernel[bracket[0]]
+            if bracket is not None and bracket[1] in kernel:
+                assert bracket[3].hex() == kernel[bracket[1]]
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("inflow", [100.0, 0.005])  # roots at r = 99 and -0.995
@@ -889,7 +920,7 @@ class TestDesignWindow:
     ], ids=["capex", "opex", "energy", "revenue"])
     def test_amount_beyond_the_window_is_rejected_naming_it(self, costs, p_avg, tariff,
                                                             message):
-        params = replace(TYPICAL, **costs)
+        params = CostParameters(**{**TYPICAL_COSTS, **costs})
         d = design(mw_t=1e97, p_avg_mw=p_avg)
         with pytest.raises(ValueError, match=re.escape(message)):
             evaluate(d, params, TariffScheme(tariff), DiscountSpec(0.10))
@@ -1076,13 +1107,14 @@ class TestFunctionalSweep:
         DiscountSpec(0.12, mode=Compounding.CONTINUOUS), DiscountSpec(MIN_RATE),
     ], ids=["annual", "quarterly", "continuous", "window-edge"])
     def test_rows_equal_evaluate_on_the_substituted_design(self, availability, spec):
-        template = design(mw_t=5.0, availability=availability, electrical_efficiency=0.9)
+        shape = dict(mw_t=5.0, availability=availability, electrical_efficiency=0.9)
+        template = design(**shape)
         tariff, bep = TariffScheme(150.0), BreakEvenSpec(p_be_mw=0.4, ev_mw_per_turbine=0.01)
         curve = [(1, 0.0), (3.0, 2.4), (4, 3.2), (12, 41.5), (7, 35.0)]
         rows = functional_sweep(curve, template, TYPICAL, tariff, spec, bep)
         assert len(rows) == len(curve)
         for (n_t, p_avg), row in zip(curve, rows):
-            substituted = replace(template, n_t=int(n_t), p_avg_mw=float(p_avg))
+            substituted = design(**shape, n_t=int(n_t), p_avg_mw=float(p_avg))
             values, notes = evaluate(substituted, TYPICAL, tariff, spec, ("npv", "lcoe"))
             expected = {
                 "n_t": int(n_t),

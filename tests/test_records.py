@@ -1,5 +1,5 @@
 """Behaviour every public record class keeps: construction, equality, hashing,
-repr, immutability, copying and ``replace``."""
+repr, immutability and copying."""
 from __future__ import annotations
 
 import copy
@@ -25,7 +25,6 @@ from tidalecon import (
     TariffScheme,
 )
 from tidalecon.cost_estimation import RatioWindowWarning
-from tidalecon.finance_core import replace
 
 # Each record with every field given in field order, one field to change and
 # a valid new value for it, and the record's exact repr.
@@ -133,20 +132,6 @@ def test_copies_are_equal(cls, fields, change, text, duplicate):
     record = cls(**fields)
     twin = duplicate(record)
     assert type(twin) is cls and twin == record and repr(twin) == text
-
-
-@CASES
-def test_replace_changes_one_field(cls, fields, change, text):
-    name, value = change
-    assert replace(cls(**fields), **{name: value}) == cls(**dict(fields, **{name: value}))
-
-
-def test_replace_runs_the_checks_again():
-    design = ArrayDesign(n_t=10, mw_t=1.5, p_avg_mw=4.0, lifetime_years=3)
-    with pytest.raises(ValueError, match="n_t must be an integer"):
-        replace(design, n_t=0)
-    with pytest.raises(TypeError):
-        replace(design, turbines=12)
 
 
 @pytest.mark.parametrize("cls, required, spelled", [
