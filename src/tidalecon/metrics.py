@@ -150,7 +150,7 @@ def _no_payback(horizon: int) -> NoPaybackError:
 # and ``zip`` in the kernel stops at the last flow.
 _NEGATED_YEARS = tuple(-float(year) for year in range(MAX_YEARS + 1))
 _SEED_FACTORS = tuple(tuple((1.0 + seed) ** e for e in _NEGATED_YEARS) for seed in _SEEDS)
-_SQUARES = tuple(float((k + 2) ** 2) for k in range(MAX_YEARS + 2))  # ``_root_bound``'s, exact
+_SQUARES = tuple(float((k + 2) ** 2) for k in range(MAX_YEARS + 2))  # ``_root_bound``'s (k + 2)**2
 # A bracket of an NPV root for ``_brent``: two rates, then the kernel's NPVs there.
 _Bracket = tuple[float, float, float, float]
 

@@ -55,6 +55,8 @@ class TestTypes:
     @pytest.mark.parametrize("field, value, message", [
         ("electrical_efficiency", 0, "electrical_efficiency must be in (0, 1], got 0"),
         ("availability", [0.95] * 24 + [1.5], "every availability entry must be in (0, 1]"),
+        ("availability", [0.95] * 24 + [math.nan], "every availability entry must be in (0, 1]"),
+        ("availability", [0.0] + [0.95] * 24, "every availability entry must be in (0, 1]"),
     ])
     def test_design_rejects_out_of_range_fraction(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -396,6 +396,11 @@ class TestIrrSeedBracket:
             if bracket is not None and bracket[1] in kernel:
                 assert bracket[3].hex() == kernel[bracket[1]]
 
+    def test_seed_npvs_make_no_kernel_call(self, kernel_calls):
+        flows = schedule_of({0: -1.0, 1: 1.1}).flows  # the seeds bracket r = 0.1
+        assert metrics_module._seed_bracket(flows, False)[:2] == metrics_module._SEEDS
+        assert kernel_calls == []
+
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("inflow", [100.0, 0.005])  # roots at r = 99 and -0.995
     def test_root_beyond_the_grid_end_raises(self, sign, inflow):
@@ -407,6 +412,9 @@ class TestIrrSeedBracket:
 # schedules over the three paths: one sign change, a root bound of at most 1,
 # and root isolation. Recorded before the seed NPVs came from factor tables.
 PINNED_IRR_SHA256 = "c48ea799e984f9697cf65be43e295187b5c498ce173b1e3c11f90ce69928e2b3"
+# The NPV kernel calls of those 2,000 IRRs: 22,446 while the seeds' NPVs were
+# kernel calls, 2 fewer for each of the 1,545 that reach ``_seed_bracket``.
+PINNED_KERNEL_CALLS = 19_356
 
 
 def _pinned_flows(rng: random.Random) -> list[float]:
@@ -457,6 +465,20 @@ class TestIrrExactness:
             digest.update(" ".join([out, *(str(w.message) for w in caught)]).encode() + b"\n")
         assert min(paths[1], paths["bound <= 1"], paths["isolate"]) >= 300
         assert digest.hexdigest() == PINNED_IRR_SHA256
+
+    def test_kernel_calls_pinned_on_every_path(self, kernel_calls):
+        # The same schedules: the kernel calls of isolation, the probes beyond
+        # the seeds and Brent's method; the seeds' NPVs read factor tables.
+        rng = random.Random(20261019)
+        for _ in range(2000):
+            amounts = _pinned_flows(rng)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", AmbiguousIrrWarning)
+                try:
+                    irr(CashFlowSchedule(len(amounts) - 1, amounts))
+                except (IrrUndefinedError, NoIrrInRangeError):
+                    pass
+        assert len(kernel_calls) == PINNED_KERNEL_CALLS
 
 
 _PROFILE = tuple(round(0.97 - 0.004 * year, 3) for year in range(25))
@@ -800,6 +822,7 @@ class TestRootCountBound:
     @pytest.mark.parametrize("flows", [
         {0: -1.0, 1: 2.0, 2: -1.2, 3: 0.5},  # an interior zero: T_1 is 0
         {0: 1e-300, 1: -2e-300, 2: 1e-300},  # beyond the normal float range
+        {0: -100.0, **{year: 1.0 for year in range(1, 101)}},  # 101 flows totalling 0.0
     ])
     def test_uncertain_sums_give_no_bound(self, flows):
         assert metrics_module._root_bound(schedule_of(flows).flows) is None

@@ -287,6 +287,23 @@ class TestSweepPins:
             expected = compute_metrics(design(), dict(values, **{parameter: value}))[0]
             assert repr(got) == repr(expected[metric])
 
+    @pytest.mark.parametrize("parameter", list(PIN_GRIDS))
+    def test_factors_are_drawn_once_per_rate_and_lifetime(self, monkeypatch, parameter):
+        draws = []
+        year_factors = metrics_module._year_factors
+
+        def drawing(spec, lifetime):
+            draws.append((spec.annual_rate, lifetime))
+            return year_factors(spec, lifetime)
+
+        monkeypatch.setattr(metrics_module, "_year_factors", drawing)
+        grid = PIN_GRIDS[parameter]
+        sensitivity_sweep(design(), "typical", parameter, grid, "npv")
+        points = [(value if parameter == "r" else 0.10,
+                   int(value) if parameter == "lifetime" else 25) for value in grid]
+        # -0.0 and 0.0 are one rate, as 20 and 20.0 are one lifetime.
+        assert draws == [key for k, key in enumerate(points) if k == 0 or key != points[k - 1]]
+
 
 class TestLcoeRateElasticity:
     def test_band_for_typical_design(self):
