@@ -1,6 +1,9 @@
 """The package root exports the warning and error classes its reports raise."""
 from __future__ import annotations
 
+import hashlib
+from types import ModuleType
+
 import pytest
 
 import tidalecon
@@ -15,3 +18,24 @@ from tidalecon import cost_estimation, metrics
 def test_root_export_is_the_module_class(module, name):
     assert name in tidalecon.__all__
     assert getattr(tidalecon, name) is getattr(module, name)
+
+
+def test_public_names_are_pinned_in_order():
+    # The 44 names and their order: a change to the public API shows here.
+    digest = hashlib.sha256(" ".join(tidalecon.__all__).encode()).hexdigest()
+    assert digest == "a830c243401a9fa688da95edebdab3bd07f758b71c576a5388d63b2041f622e7"
+
+
+def test_public_names_are_neither_modules_nor_private():
+    assert len(tidalecon.__all__) == len(set(tidalecon.__all__)) == 44
+    for name in tidalecon.__all__:
+        assert not name.startswith("_")
+        assert not isinstance(getattr(tidalecon, name), ModuleType), name
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace: dict[str, object] = {}
+    exec("from tidalecon import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(tidalecon.__all__)
+    assert all(namespace[name] is getattr(tidalecon, name) for name in namespace)
