@@ -2,6 +2,8 @@
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .finance_core import (
     CashFlowSchedule,
     Compounding,
@@ -57,49 +59,6 @@ from .scenarios import (
     sensitivity_sweep,
 )
 
-__all__ = [
-    "AmbiguousIrrWarning",
-    "ArrayDesign",
-    "BreakEvenSpec",
-    "CashFlowSchedule",
-    "Compounding",
-    "CostBasis",
-    "CostObservation",
-    "CostParameters",
-    "CostSplit",
-    "DiscountSpec",
-    "FixedToTurbineRatio",
-    "IrrUndefinedError",
-    "NoIrrInRangeError",
-    "NoPaybackError",
-    "ParameterRange",
-    "RatioWindowWarning",
-    "ScenarioResult",
-    "TariffScheme",
-    "ValidityWindowWarning",
-    "bep_ev_functional",
-    "bep_from_capacity_factor",
-    "bep_functional",
-    "break_even_power",
-    "build_schedule",
-    "builtin_parameters",
-    "capex",
-    "discount_factor",
-    "energy_year",
-    "evaluate_scenarios",
-    "fit_higgins_ratio",
-    "functional_sweep",
-    "hours_generating",
-    "irr",
-    "lcoe",
-    "lcoe_rate_elasticity",
-    "learning_rate_adjust",
-    "normalize_observation",
-    "npv",
-    "opex_year",
-    "payback_period",
-    "present_value",
-    "sensitivity_sweep",
-    "split_from_ratio",
-    "split_two_points",
-]
+# Every name the imports above bind, less the submodules they bind on the way.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

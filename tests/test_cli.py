@@ -138,9 +138,14 @@ class TestMetricsCommand:
         code, _, _ = run(capsys, ["metrics", "/nonexistent/config.json"])
         assert code == EXIT_INPUT_ERROR
 
-    def test_zero_power_reports_undefined_lcoe(self, capsys, config_path):
-        array = dict(BASE_CONFIG["array"], p_avg_mw=0)
-        code, out, _ = run(capsys, ["metrics", config_path({"array": array}), "--format", "json"])
+    # Zero power leaves no energy; a subnormal power or a rate near the float
+    # maximum leaves so little discounted energy that cost per MWh overflows.
+    @pytest.mark.parametrize("block, key, value", [
+        ("array", "p_avg_mw", 0), ("array", "p_avg_mw", 1e-320), ("finance", "r", 1e308),
+    ])
+    def test_zero_power_reports_undefined_lcoe(self, capsys, config_path, block, key, value):
+        path = config_path({block: dict(BASE_CONFIG[block], **{key: value})})
+        code, out, _ = run(capsys, ["metrics", path, "--format", "json"])
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["metrics"]["lcoe_gbp_per_mwh"] is None

@@ -1092,6 +1092,16 @@ class TestFunctionalSweep:
             "lcoe_gbp_per_mwh": "discounted energy is zero; LCOE is undefined",
         }
         assert "notes" not in self.sweep([(4, 3.2)], BreakEvenSpec(p_be_mw=0.4))[0]
+        # So little discounted energy that cost per MWh overflows leaves LCOE
+        # undefined too: a subnormal power, or a rate near the float maximum.
+        for p_avg_mw, rate in ((1e-320, 0.10), (3.2, 1e308)):
+            rows = functional_sweep([(4, p_avg_mw)], design(mw_t=5.0), TYPICAL, TariffScheme(150.0),
+                                    DiscountSpec(rate), BreakEvenSpec(p_be_mw=0.4))
+            assert rows[0]["lcoe_gbp_per_mwh"] is None
+            assert re.fullmatch(r"cost per MWh overflows at \S+ MWh; LCOE is undefined",
+                                rows[0]["notes"]["lcoe_gbp_per_mwh"])
+            with pytest.raises(ValueError, match="cost per MWh overflows"):
+                lcoe(design(p_avg_mw=p_avg_mw), TYPICAL, DiscountSpec(rate))
 
     def test_empty_curve_rejected(self):
         with pytest.raises(ValueError):

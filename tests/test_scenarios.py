@@ -86,11 +86,17 @@ class TestEvaluateScenarios:
         assert pes.metrics["payback"] is None
         assert "payback" in pes.notes
 
-    def test_zero_power_lcoe_undefined_with_note(self):
-        for res in evaluate_scenarios(design(p_avg_mw=0.0)):
+    @pytest.mark.parametrize("p_avg_mw, overrides", [
+        (0.0, None), (1e-320, None), (3.2, {"r": 1e308}),  # the last two: LCOE past float range
+    ])
+    def test_zero_power_lcoe_undefined_with_note(self, p_avg_mw, overrides):
+        for res in evaluate_scenarios(design(p_avg_mw=p_avg_mw), overrides):
             assert res.metrics["lcoe"] is None
             assert "LCOE is undefined" in res.notes["lcoe"]
-            assert res.metrics["irr"] is None
+            if p_avg_mw < 1:  # no revenue, so no sign change
+                assert res.metrics["irr"] is None
+            with pytest.raises(ValueError, match="LCOE is undefined"):
+                lcoe(design(p_avg_mw=p_avg_mw), TYPICAL, DiscountSpec(res.parameters["r"]))
 
     def test_overrides_apply_to_all_scenarios(self):
         results = evaluate_scenarios(design(), overrides={"tariff": 150.0})
