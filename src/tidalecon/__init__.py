@@ -31,7 +31,6 @@ from .metrics import (
     bep_ev_functional,
     bep_from_capacity_factor,
     bep_functional,
-    break_even_power,
     functional_sweep,
     irr,
     lcoe,

@@ -137,7 +137,7 @@ def _split_costs(
 
 
 def load_config(path: str) -> tuple[ArrayDesign, CostParameters, TariffScheme, DiscountSpec,
-                                    _metrics.BreakEvenSpec, dict[str, float]]:
+                                    _metrics.BreakEvenSpec | None, dict[str, float]]:
     def reject_non_finite(literal: str) -> float:
         raise ValueError(f"config {path} holds {literal}; every number must be finite")
 
@@ -204,14 +204,13 @@ def load_config(path: str) -> tuple[ArrayDesign, CostParameters, TariffScheme, D
     )
     tariff = TariffScheme(t_e=number(finance, "tariff_gbp_per_mwh", "finance"))
 
+    bep = None  # without a block, the reports that print P_BE derive it
     if "break_even" in raw:
         bep_block = raw["break_even"]
         bep = _metrics.BreakEvenSpec(
             p_be_mw=number(bep_block, "p_be_mw", "break_even"),
             ev_mw_per_turbine=number(bep_block, "ev_mw_per_turbine", "break_even", 0.0),
         )
-    else:
-        bep = _metrics.BreakEvenSpec(p_be_mw=_metrics.default_break_even(design, params, tariff))
 
     overrides = _object(_field(raw, "scenario_overrides", "config", {}), "scenario_overrides")
     overrides = {name: _number(value, f"scenario_overrides.{name}")
@@ -275,11 +274,17 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     report = {keys[name]: value for name, value in values.items()}
     notes = {keys[name]: note for name, note in undefined.items()}
 
-    p_be = bep.p_be_mw
-    report["break_even_power_mw"] = p_be
-    report["bep_capacity_factor"] = p_be / design.mw_t
-    report["j_bep_mw"] = _metrics.bep_functional(design.p_avg_mw, bep, design.n_t)
-    report["j_bep_ev_mw"] = _metrics.bep_ev_functional(design.p_avg_mw, bep, design.n_t)
+    bep_keys = ("break_even_power_mw", "bep_capacity_factor", "j_bep_mw", "j_bep_ev_mw")
+    try:
+        bep = bep or _metrics.BreakEvenSpec(_metrics.default_break_even(design, params, tariff))
+    except ValueError as err:  # a derived P_BE: undefined, as is each figure made with it
+        report.update(dict.fromkeys(bep_keys))
+        notes.update(dict.fromkeys(bep_keys, str(err)))
+    else:
+        report.update(zip(bep_keys, (
+            bep.p_be_mw, bep.p_be_mw / design.mw_t,
+            _metrics.bep_functional(design.p_avg_mw, bep, design.n_t),
+            _metrics.bep_ev_functional(design.p_avg_mw, bep, design.n_t))))
 
     inputs_echo = {
         "n_t": design.n_t,
@@ -457,6 +462,7 @@ def _read_power_curve(path: str) -> list[tuple[int, float]]:
 
 def cmd_curve(args: argparse.Namespace) -> int:
     design, params, tariff, spec, bep, _ = load_config(args.config)
+    bep = bep or _metrics.BreakEvenSpec(_metrics.default_break_even(design, params, tariff))
     samples = _read_power_curve(args.power_curve)
     rows = _metrics.functional_sweep(samples, design, params, tariff, spec, bep)
     best_power = max(rows, key=lambda row: row["p_avg_mw"])["n_t"]

@@ -441,7 +441,7 @@ def evaluate(
         if name not in METRIC_NAMES:
             raise ValueError(f"unknown metric {name!r}; valid names: {', '.join(METRIC_NAMES)}")
     factors = _year_factors(spec, design.lifetime_years)
-    return _evaluate(design, params, tariff, spec, names, factors)
+    return _evaluate(design, params, tariff, names, factors)
 
 
 def _year_factors(spec: DiscountSpec, lifetime: int) -> tuple[float, ...]:
@@ -452,7 +452,6 @@ def _evaluate(
     design: ArrayDesign,
     params: CostParameters,
     tariff: TariffScheme,
-    spec: DiscountSpec,
     names: Sequence[str],
     factors: tuple[float, ...],
 ) -> tuple[dict[str, float | None], dict[str, str]]:
@@ -503,41 +502,26 @@ def _evaluate(
     return values, notes
 
 
-def break_even_power(
-    per_turbine_expenditures: Sequence[float],
-    hours: Sequence[float],
-    tariff_gbp_per_mwh: float,
-) -> float:
-    """Average power per device needed to cover per-turbine expenditure, MW.
-
-    ``per_turbine_expenditures`` is the per-turbine spend in GBP for each
-    year 0..L; ``hours`` the generating hours in each of those years
-    (year 0 is normally zero).
-    """
-    if len(per_turbine_expenditures) != len(hours):
-        raise ValueError("expenditure and hours sequences must have equal length")
-    denominator = _sum(hours) * tariff_gbp_per_mwh
-    if denominator <= 0:
-        raise ValueError("total tariff-weighted hours must be positive")
-    return _sum(per_turbine_expenditures) / denominator
-
-
 def default_break_even(
     design: ArrayDesign, params: CostParameters, tariff: TariffScheme
 ) -> float:
-    """Break-even power implied by the per-turbine cost components.
+    """Break-even power implied by the per-turbine cost components, MW.
 
-    P_BE is a gross average power, like the ``p_avg_mw`` that
-    J = P_avg - P_BE * n_t compares it with. ``energy_year`` applies the
-    electrical efficiency to that power, so covering the expenditure takes
-    the net figure divided by the efficiency.
+    The per-turbine spend of years 0..L over the tariff-weighted generating
+    hours of years 1..L is a net power. P_BE is a gross average power, like
+    the ``p_avg_mw`` that J = P_avg - P_BE * n_t compares it with, so the net
+    figure is divided by the electrical efficiency that ``energy_year``
+    applies. Raises ``ValueError`` unless the result is positive and finite.
     """
-    expenditures = [params.ca_t * 1e6] + [params.o_t * 1e6] * design.lifetime_years
-    hours = [0.0] + [
-        hours_generating(design, year) for year in range(1, design.lifetime_years + 1)
-    ]
-    net = break_even_power(expenditures, hours, tariff.t_e)
-    return net / design.electrical_efficiency
+    years = range(1, design.lifetime_years + 1)
+    spend = _sum([params.ca_t * 1e6] + [params.o_t * 1e6] * len(years))
+    weighted_hours = _sum([hours_generating(design, year) for year in years]) * tariff.t_e
+    # Subnormal hours times a small tariff can round to 0.0: P_BE is then undefined.
+    p_be = spend / weighted_hours / design.electrical_efficiency if weighted_hours else math.nan
+    if not 0 < p_be < math.inf:  # also rejects NaN
+        raise ValueError(f"break-even power derived from the per-turbine costs is {p_be:g} MW, "
+                         "not positive and finite; a 'break_even' block sets it")
+    return p_be
 
 
 def bep_from_capacity_factor(rating_mw: float, capacity_factor: float) -> float:
@@ -605,7 +589,7 @@ def functional_sweep(
     for n_t, p_avg in power_curve:
         design = ArrayDesign(int(n_t), t.mw_t, float(p_avg), t.lifetime_years, t.availability,
                              t.electrical_efficiency)
-        values, notes = _evaluate(design, params, tariff, spec, ("npv", "lcoe"), factors)
+        values, notes = _evaluate(design, params, tariff, ("npv", "lcoe"), factors)
         row = {
             "n_t": int(n_t),
             "p_avg_mw": float(p_avg),

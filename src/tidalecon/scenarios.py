@@ -158,7 +158,7 @@ def sensitivity_sweep(
         if drawn != (spec.annual_rate, bound.lifetime_years):  # ``_apply``'s specs are annual
             drawn = (spec.annual_rate, bound.lifetime_years)
             factors = _metrics._year_factors(spec, bound.lifetime_years)
-        metric_values, _ = _metrics._evaluate(bound, params, tariff, spec, (metric,), factors)
+        metric_values, _ = _metrics._evaluate(bound, params, tariff, (metric,), factors)
         curve.append((value, metric_values[metric]))
     return curve
 

@@ -199,6 +199,46 @@ class TestMetricsCommand:
         json.loads(target.read_text())
 
 
+# Configs without a break_even block whose per-turbine costs give no positive,
+# finite P_BE, with the value derived: zero per-turbine costs give 0, and a
+# subnormal availability, or a tiny one at a subnormal tariff, gives inf.
+UNDEFINED_BEP_CASES = [
+    pytest.param({"costs": dict(BASE_CONFIG["costs"], ca_t=0, o_t=0)}, "0",
+                 id="zero_per_turbine_costs"),
+    pytest.param({"array": dict(BASE_CONFIG["array"], availability=1e-320)}, "inf",
+                 id="subnormal_availability"),
+    pytest.param({"array": dict(BASE_CONFIG["array"], availability=1e-10),
+                  "finance": dict(BASE_CONFIG["finance"], tariff_gbp_per_mwh=1e-310)}, "inf",
+                 id="subnormal_tariff"),
+]
+BEP_KEYS = ("break_even_power_mw", "bep_capacity_factor", "j_bep_mw", "j_bep_ev_mw")
+
+
+@pytest.mark.parametrize("command", ["metrics", "scenarios", "sweep", "curve"])
+@pytest.mark.parametrize("overrides, value", UNDEFINED_BEP_CASES)
+def test_undefined_derived_break_even_power(capsys, config_path, tmp_path, overrides, value,
+                                            command):
+    # Only the reports that print P_BE derive it: metrics reports it and each
+    # figure made with it as null with the reason, curve (every row a score)
+    # exits 2 with it, and scenarios and sweep never read it.
+    curve = tmp_path / "curve.csv"
+    curve.write_text("n_t,p_avg_mw\n4,3.2\n")
+    extra = {"sweep": ["--param", "tariff", "--from", "60", "--to", "300", "--steps", "3",
+                       "--metric", "npv"],
+             "curve": ["--power-curve", str(curve)]}.get(command, [])
+    code, out, err = run(capsys, [command, config_path(overrides), *extra, "--format", "json"])
+    reason = (f"break-even power derived from the per-turbine costs is {value} MW, "
+              "not positive and finite; a 'break_even' block sets it")
+    if command == "curve":
+        assert (code, out, err) == (EXIT_INPUT_ERROR, "", f"error: {reason}\n")
+        return
+    assert (code, err) == (EXIT_OK, "")
+    payload = json.loads(out)
+    if command == "metrics":
+        assert {key: payload["metrics"][key] for key in BEP_KEYS} == dict.fromkeys(BEP_KEYS)
+        assert {key: payload["notes"][key] for key in BEP_KEYS} == dict.fromkeys(BEP_KEYS, reason)
+
+
 class TestConfigValidation:
     def test_nan_break_even_power_exits_2(self, capsys, config_path):
         path = config_path({"break_even": {"p_be_mw": math.nan}})  # written as NaN

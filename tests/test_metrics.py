@@ -41,7 +41,6 @@ from tidalecon.metrics import (
     bep_ev_functional,
     bep_from_capacity_factor,
     bep_functional,
-    break_even_power,
     default_break_even,
     evaluate,
     functional_sweep,
@@ -965,7 +964,16 @@ class TestDesignWindow:
 
 class TestBreakEvenPower:
     def test_constructed_unity(self):
-        assert break_even_power([876000.0], [8760.0], 100.0) == pytest.approx(1.0)
+        # 0.876 GBP m over one full year of 8760 hours at 100 GBP/MWh: 1 MW.
+        d = design(lifetime_years=1, availability=1.0)
+        params = CostParameters(ca_f=9.2, ca_t=0.876, o_f=0.32, o_t=0.0)
+        assert default_break_even(d, params, TariffScheme(100.0)) == pytest.approx(1.0)
+
+    def test_demo_design_keeps_its_bits(self):
+        # The demo config's P_BE, which its golden CLI files print.
+        p_be = default_break_even(design(), TYPICAL, TariffScheme(150.0))
+        assert p_be.hex() == "0x1.cea873aa1cea8p-3"
+        assert repr(p_be) == "0.2259072338380197"
 
     def test_literature_reference_magnitude_usable(self):
         # A published 452 kW break-even power is a valid downstream input.
@@ -973,18 +981,25 @@ class TestBreakEvenPower:
         assert bep_functional(6.0, spec, 4) == pytest.approx(4.192)
 
     def test_doubling_tariff_halves_result(self):
-        expenditures = [0.0, 500000.0, 500000.0]
-        hours = [0.0, 8322.0, 8322.0]
-        base = break_even_power(expenditures, hours, 100.0)
-        assert break_even_power(expenditures, hours, 200.0) == pytest.approx(base / 2)
+        # Doubling is exact in binary, so the halving is bit for bit.
+        params = CostParameters(ca_f=9.2, ca_t=0.0, o_f=0.32, o_t=0.5)
+        base = default_break_even(design(lifetime_years=2), params, TariffScheme(100.0))
+        assert default_break_even(design(lifetime_years=2), params, TariffScheme(200.0)) == base / 2
 
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ValueError):
-            break_even_power([1.0], [0.0], 100.0)
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            break_even_power([1.0, 2.0], [8760.0], 100.0)
+    # Zero per-turbine costs give 0; a subnormal availability, or a tiny one at
+    # a subnormal tariff, gives inf; hours times tariff rounding to 0.0 gives 0/0.
+    @pytest.mark.parametrize("params, availability, t_e, value", [
+        (CostParameters(ca_f=9.2, ca_t=0.0, o_f=0.32, o_t=0.0), 0.95, 150.0, "0"),
+        (TYPICAL, 1e-320, 150.0, "inf"),
+        (TYPICAL, 1e-10, 1e-310, "inf"),
+        (TYPICAL, 5e-324, 1e-10, "nan"),
+    ], ids=["zero_costs", "subnormal_availability", "subnormal_tariff", "no_weighted_hours"])
+    def test_value_not_positive_and_finite_is_rejected(self, params, availability, t_e, value):
+        message = (f"break-even power derived from the per-turbine costs is {value} MW, "
+                   "not positive and finite; a 'break_even' block sets it")
+        with pytest.raises(ValueError) as raised:
+            default_break_even(design(availability=availability), params, TariffScheme(t_e))
+        assert str(raised.value) == message
 
 
 class TestBepHelpers:
@@ -1269,25 +1284,23 @@ class TestEvaluate:
             build_schedule(design(), TYPICAL, TariffScheme(1e305))
 
     def test_default_break_even_is_break_even_power_over_efficiency(self):
+        # The net figure, with no efficiency, divided by the efficiency, bit for bit.
+        net = default_break_even(design(lifetime_years=3), TYPICAL, TariffScheme(150.0))
         d = design(electrical_efficiency=0.8, lifetime_years=3)
-        hours = [0.0] + [8760.0 * 0.95] * 3
-        expenditures = [3.3e6, 0.15e6, 0.15e6, 0.15e6]
-        assert default_break_even(d, TYPICAL, TariffScheme(150.0)) == (
-            break_even_power(expenditures, hours, 150.0) / 0.8
-        )
+        assert default_break_even(d, TYPICAL, TariffScheme(150.0)) == net / 0.8
+        # Against the exact quotient of the float inputs: ten roundings at most.
+        exact = (Fraction(3.3) + 3 * Fraction(0.15)) * 10**6 / (3 * 8760 * Fraction(0.95) * 150)
+        assert net == pytest.approx(float(exact), rel=10 * 2.0**-53)
 
 
 class TestArgmaxInvariance:
     def test_scaling_tariff_and_expenditures_preserves_argmax(self):
-        hours = [0.0] + [8322.0] * 25
-        expenditures = [3.3e6] + [0.15e6] * 25
         curve = [(n, max(1.0 * n - 0.005 * n * n, 0.0)) for n in range(1, 120)]
 
         def argmax(scale: float) -> int:
-            p_be = break_even_power(
-                [x * scale for x in expenditures], hours, 150.0 * scale
-            )
-            spec = BreakEvenSpec(p_be_mw=p_be)
+            params = CostParameters(ca_f=9.2, ca_t=3.3 * scale, o_f=0.32, o_t=0.15 * scale)
+            spec = BreakEvenSpec(p_be_mw=default_break_even(design(), params,
+                                                            TariffScheme(150.0 * scale)))
             scores = {n: bep_functional(p, spec, n) for n, p in curve}
             return max(scores, key=scores.get)
 
