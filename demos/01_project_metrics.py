@@ -25,8 +25,8 @@ tariff = TariffScheme(t_e=150.0)
 spec = DiscountSpec(annual_rate=0.10)
 
 schedule = build_schedule(design, params, tariff)
-print(f"Year-0 outlay (CAPEX):     {-schedule.flow(0):8.2f} GBP m")
-print(f"Net cash flow, years 1-25: {schedule.flow(1):8.2f} GBP m/year")
+print(f"Year-0 outlay (CAPEX):     {-schedule.flows[0]:8.2f} GBP m")
+print(f"Net cash flow, years 1-25: {schedule.flows[1]:8.2f} GBP m/year")
 print()
 print(f"NPV:     {npv(schedule, spec):8.2f} GBP m")
 print(f"LCOE:    {lcoe(design, params, spec):8.2f} GBP/MWh")

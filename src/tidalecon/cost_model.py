@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .finance_core import MAX_AMOUNT, MAX_YEARS, CashFlowSchedule, Record
+from .finance_core import MAX_AMOUNT, MAX_YEARS, CashFlowSchedule, Record, _check_count
 
 HOURS_PER_YEAR = 8760  # no leap-year handling; beyond the precision of the inputs
 
@@ -53,14 +53,10 @@ class ArrayDesign(Record):
                  availability: float | Sequence[float] = 1.0,
                  electrical_efficiency: float = 1.0) -> None:
         # A count beyond the window could not be converted to a float to rate it.
-        # ``type``, not ``isinstance``: True is an int, but not a count.
-        if type(n_t) is not int or not 1 <= n_t <= MAX_AMOUNT:
-            raise ValueError(f"n_t must be an integer in [1, {MAX_AMOUNT:g}], got {n_t}")
-        if not math.isfinite(mw_t) or mw_t <= 0:
-            raise ValueError(f"mw_t must be finite and positive, got {mw_t}")
-        if type(lifetime_years) is not int or not 1 <= lifetime_years <= MAX_YEARS:
-            raise ValueError(f"lifetime_years must be an integer in [1, {MAX_YEARS}], "
-                             f"got {lifetime_years}")
+        _check_count("n_t", n_t, 1, MAX_AMOUNT)
+        if not 1 / MAX_AMOUNT <= mw_t < math.inf:  # also rejects NaN
+            raise ValueError(f"mw_t must be finite and at least {1 / MAX_AMOUNT:g}, got {mw_t}")
+        _check_count("lifetime_years", lifetime_years, 1, MAX_YEARS)
         # Checked apart from the capacity, which is inf when n_t * mw_t overflows.
         if not 0 <= p_avg_mw < math.inf:  # also rejects NaN
             raise ValueError(f"p_avg_mw must be finite and >= 0, got {p_avg_mw}")

@@ -17,7 +17,7 @@ from operator import mul
 # sum of at most 101 of them leaves float range.
 MAX_YEARS = 100
 MIN_RATE = -0.99
-MAX_AMOUNT = 1e100  # GBP m, or MWh for energy
+MAX_AMOUNT = 1e100  # GBP m, MWh for energy or MW for power
 # Minute compounding is 525,600 periods a year. The base 1 + r / p rounds to 1.0 near
 # 1e16 periods; up to 1e6 its one rounding grows to ~1e-8 relative over MAX_YEARS.
 MAX_PERIODS = 10**6
@@ -75,10 +75,8 @@ class DiscountSpec(Record):
                  periods_per_year: int = 1) -> None:
         if not (math.isfinite(annual_rate) and annual_rate >= MIN_RATE):
             raise ValueError(f"annual_rate must be finite and >= {MIN_RATE}, got {annual_rate}")
-        # ``type``, not ``isinstance``: True is an int.
-        p = periods_per_year
-        if mode is Compounding.DISCRETE and (type(p) is not int or not 1 <= p <= MAX_PERIODS):
-            raise ValueError(f"periods_per_year must be an integer in [1, {MAX_PERIODS}], got {p}")
+        if mode is Compounding.DISCRETE:
+            _check_count("periods_per_year", periods_per_year, 1, MAX_PERIODS)
         object.__setattr__(self, "annual_rate", annual_rate)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "periods_per_year", periods_per_year)
@@ -87,42 +85,34 @@ class DiscountSpec(Record):
 class CashFlowSchedule(Record):
     """Net cash flow per project year, in GBP m (positive = inflow).
 
-    ``flows`` is a tuple of the ``horizon + 1`` yearly flows, year 0 first.
-    The constructor takes that sequence, or a mapping from year to amount
-    in which every year lies within [0, horizon] and missing years are zero
-    flow.
+    ``flows`` holds the ``horizon + 1`` yearly flows, year 0 first, and is
+    stored as a tuple of floats, so ``flows[year]`` is one year's flow.
     """
 
     __slots__ = ("horizon", "flows")
 
-    def __init__(self, horizon: int,
-                 flows: Sequence[float] | Mapping[int, float] = {}) -> None:  # {}: all zero
-        if type(horizon) is not int or not 0 <= horizon <= MAX_YEARS:  # rejects True
-            raise ValueError(f"horizon must be an integer in [0, {MAX_YEARS}], got {horizon}")
-        if isinstance(flows, Mapping):
-            dense = [0.0] * (horizon + 1)
-            for year, amount in flows.items():
-                if not isinstance(year, int) or not (0 <= year <= horizon):
-                    raise ValueError(f"flow year {year} outside [0, {horizon}]")
-                _check_flow(year, amount)
-                dense[year] = amount
-            flows = dense
-        elif len(flows) != horizon + 1:
+    def __init__(self, horizon: int, flows: Sequence[float]) -> None:
+        _check_count("horizon", horizon, 0, MAX_YEARS)
+        if isinstance(flows, Mapping):  # iterating it would read its years as the flows
+            raise TypeError("flows must be the yearly amounts, year 0 first, not a mapping")
+        if len(flows) != horizon + 1:
             raise ValueError(f"need {horizon + 1} yearly flows, got {len(flows)}")
-        elif not all(abs(amount) <= MAX_AMOUNT for amount in flows):
+        if not all(abs(amount) <= MAX_AMOUNT for amount in flows):
             for year, amount in enumerate(flows):
-                _check_flow(year, amount)
+                if not abs(amount) <= MAX_AMOUNT:  # also rejects NaN
+                    raise ValueError(f"flow for year {year} must have |flow| <= {MAX_AMOUNT:g}, "
+                                     f"got {amount}")
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "flows", tuple(map(float, flows)))
 
-    def flow(self, year: int) -> float:
-        """Net flow in a given year; zero outside [0, horizon]."""
-        return self.flows[year] if 0 <= year <= self.horizon else 0.0
 
-
-def _check_flow(year: int, amount: float) -> None:
-    if not abs(amount) <= MAX_AMOUNT:  # also rejects NaN
-        raise ValueError(f"flow for year {year} must have |flow| <= {MAX_AMOUNT:g}, got {amount}")
+def _check_count(name: str, value: object, low: int, high: float) -> None:
+    """Reject ``value`` unless it is an int in [low, high]; True is an int, but no count."""
+    if type(value) is not int or not low <= value <= high:
+        # Past 15 digits, echo the digit count: one short line, and no float to overflow.
+        big = type(value) is int and abs(value) >= 10**15
+        shown = f"an integer of {len(str(abs(value)))} digits" if big else value
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {shown}")
 
 
 def discount_factor(spec: DiscountSpec, years: float) -> float:

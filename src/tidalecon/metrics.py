@@ -24,6 +24,7 @@ from .cost_model import (
     hours_generating,
 )
 from .finance_core import (
+    MAX_AMOUNT,
     MAX_YEARS,
     MIN_RATE,
     CashFlowSchedule,
@@ -78,11 +79,12 @@ class BreakEvenSpec(Record):
     __slots__ = ("p_be_mw", "ev_mw_per_turbine")
 
     def __init__(self, p_be_mw: float, ev_mw_per_turbine: float = 0.0) -> None:
-        if not math.isfinite(p_be_mw) or p_be_mw <= 0:
-            raise ValueError(f"break-even power must be positive and finite, got {p_be_mw}")
-        if not math.isfinite(ev_mw_per_turbine) or ev_mw_per_turbine < 0:
-            raise ValueError("economies-of-volume coefficient must be >= 0 and finite, "
-                             f"got {ev_mw_per_turbine}")
+        if not 0 < p_be_mw <= MAX_AMOUNT:  # also rejects NaN
+            raise ValueError(f"break-even power must be finite and in (0, {MAX_AMOUNT:g}], "
+                             f"got {p_be_mw}")
+        if not 0 <= ev_mw_per_turbine <= MAX_AMOUNT:
+            raise ValueError("economies-of-volume coefficient must be finite and in "
+                             f"[0, {MAX_AMOUNT:g}], got {ev_mw_per_turbine}")
         object.__setattr__(self, "p_be_mw", p_be_mw)
         object.__setattr__(self, "ev_mw_per_turbine", ev_mw_per_turbine)
 
@@ -511,16 +513,16 @@ def default_break_even(
     hours of years 1..L is a net power. P_BE is a gross average power, like
     the ``p_avg_mw`` that J = P_avg - P_BE * n_t compares it with, so the net
     figure is divided by the electrical efficiency that ``energy_year``
-    applies. Raises ``ValueError`` unless the result is positive and finite.
+    applies. Raises ``ValueError`` unless the result lies in (0, ``MAX_AMOUNT``].
     """
     years = range(1, design.lifetime_years + 1)
     spend = _sum([params.ca_t * 1e6] + [params.o_t * 1e6] * len(years))
     weighted_hours = _sum([hours_generating(design, year) for year in years]) * tariff.t_e
     # Subnormal hours times a small tariff can round to 0.0: P_BE is then undefined.
     p_be = spend / weighted_hours / design.electrical_efficiency if weighted_hours else math.nan
-    if not 0 < p_be < math.inf:  # also rejects NaN
+    if not 0 < p_be <= MAX_AMOUNT:  # also rejects NaN
         raise ValueError(f"break-even power derived from the per-turbine costs is {p_be:g} MW, "
-                         "not positive and finite; a 'break_even' block sets it")
+                         f"not in (0, {MAX_AMOUNT:g}]; a 'break_even' block sets it")
     return p_be
 
 

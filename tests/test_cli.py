@@ -169,7 +169,7 @@ class TestMetricsCommand:
          "peak revenue must be <= 1e+100 GBP m, got 2.8032e+298"),
         # Past about 1e16 periods 1 + r / p rounds to 1.0: no discounting at all.
         ("finance", "periods_per_year", 10**17,
-         "periods_per_year must be an integer in [1, 1000000], got 100000000000000000"),
+         "periods_per_year must be an integer in [1, 1000000], got an integer of 18 digits"),
     ], ids=["lifetime_years", "r", "ca_f", "tariff", "periods_per_year"])
     def test_input_beyond_the_window_exits_2_naming_the_field(self, capsys, config_path,
                                                               block, key, value, message):
@@ -199,9 +199,10 @@ class TestMetricsCommand:
         json.loads(target.read_text())
 
 
-# Configs without a break_even block whose per-turbine costs give no positive,
-# finite P_BE, with the value derived: zero per-turbine costs give 0, and a
-# subnormal availability, or a tiny one at a subnormal tariff, gives inf.
+# Configs without a break_even block whose per-turbine costs give no P_BE in
+# the input window (0, 1e100], with the value derived: zero per-turbine costs
+# give 0, a subnormal availability, or a tiny one at a subnormal tariff, gives
+# inf, and an availability of 1e-305 gives a finite P_BE past the window.
 UNDEFINED_BEP_CASES = [
     pytest.param({"costs": dict(BASE_CONFIG["costs"], ca_t=0, o_t=0)}, "0",
                  id="zero_per_turbine_costs"),
@@ -210,6 +211,8 @@ UNDEFINED_BEP_CASES = [
     pytest.param({"array": dict(BASE_CONFIG["array"], availability=1e-10),
                   "finance": dict(BASE_CONFIG["finance"], tariff_gbp_per_mwh=1e-310)}, "inf",
                  id="subnormal_tariff"),
+    pytest.param({"array": dict(BASE_CONFIG["array"], availability=1e-305)}, "2.14612e+304",
+                 id="tiny_availability"),
 ]
 BEP_KEYS = ("break_even_power_mw", "bep_capacity_factor", "j_bep_mw", "j_bep_ev_mw")
 
@@ -228,7 +231,7 @@ def test_undefined_derived_break_even_power(capsys, config_path, tmp_path, overr
              "curve": ["--power-curve", str(curve)]}.get(command, [])
     code, out, err = run(capsys, [command, config_path(overrides), *extra, "--format", "json"])
     reason = (f"break-even power derived from the per-turbine costs is {value} MW, "
-              "not positive and finite; a 'break_even' block sets it")
+              "not in (0, 1e+100]; a 'break_even' block sets it")
     if command == "curve":
         assert (code, out, err) == (EXIT_INPUT_ERROR, "", f"error: {reason}\n")
         return
@@ -237,6 +240,56 @@ def test_undefined_derived_break_even_power(capsys, config_path, tmp_path, overr
     if command == "metrics":
         assert {key: payload["metrics"][key] for key in BEP_KEYS} == dict.fromkeys(BEP_KEYS)
         assert {key: payload["notes"][key] for key in BEP_KEYS} == dict.fromkeys(BEP_KEYS, reason)
+
+
+# A break-even input or turbine rating outside the input window once left J,
+# J_ev or the break-even capacity factor at +-inf: the human report printed it
+# and the JSON report exited 2 with "Out of range float values".
+BEP_WINDOW_CASES = [
+    pytest.param({"break_even": {"p_be_mw": 1e308}},
+                 "break-even power must be finite and in (0, 1e+100], got 1e+308", id="huge_p_be"),
+    pytest.param({"break_even": {"p_be_mw": 0.4, "ev_mw_per_turbine": 1e308}},
+                 "economies-of-volume coefficient must be finite and in [0, 1e+100], got 1e+308",
+                 id="huge_ev"),
+    pytest.param({"array": dict(BASE_CONFIG["array"], mw_t=1e-320, p_avg_mw=1e-321)},
+                 "mw_t must be finite and at least 1e-100, got 1e-320", id="subnormal_rating"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+@pytest.mark.parametrize("command", ["metrics", "curve"])
+@pytest.mark.parametrize("overrides, message", BEP_WINDOW_CASES)
+def test_break_even_input_or_rating_beyond_the_window_exits_2(capsys, config_path, tmp_path,
+                                                              overrides, message, command, fmt):
+    curve = tmp_path / "curve.csv"
+    curve.write_text("n_t,p_avg_mw\n4,3.2\n")
+    extra = ["--power-curve", str(curve)] if command == "curve" else []
+    code, out, err = run(capsys, [command, config_path(overrides), *extra, "--format", fmt])
+    assert (code, out, err) == (EXIT_INPUT_ERROR, "", f"error: {message}\n")
+
+
+# Each once echoed a 301-digit integer: a 352-366 byte error line.
+@pytest.mark.parametrize("argv, field", [
+    (["metrics", {"array": dict(BASE_CONFIG["array"], n_t=1e300)}], "n_t"),
+    (["metrics", {"array": dict(BASE_CONFIG["array"], lifetime_years=1e300)}], "lifetime_years"),
+    (["metrics", {"finance": dict(BASE_CONFIG["finance"], periods_per_year=1e300)}],
+     "periods_per_year"),
+    (["sweep", {}, "--param", "lifetime", "--from", "1e300", "--to", "1e300", "--steps", "1",
+      "--metric", "npv"], "lifetime_years"),
+    (["curve", {}, "--power-curve", "n_t,p_avg_mw\n1e300,1.0\n"], "n_t"),
+], ids=["config-n_t", "config-lifetime_years", "config-periods_per_year", "sweep-lifetime",
+        "curve-n_t"])
+def test_huge_count_error_is_one_short_line(capsys, config_path, tmp_path, argv, field):
+    command, overrides, *extra = argv
+    if command == "curve":
+        curve = tmp_path / "curve.csv"
+        curve.write_text(extra[1])
+        extra[1] = str(curve)
+    code, out, err = run(capsys, [command, config_path(overrides), *extra])
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert err.startswith(f"error: {field} must be an integer in [")
+    assert err.endswith("], got an integer of 301 digits\n")
+    assert err.count("\n") == 1 and len(err) < 200
 
 
 class TestConfigValidation:
@@ -289,7 +342,7 @@ class TestConfigValidation:
         path = config_path({"array": dict(BASE_CONFIG["array"], n_t=n_t)})
         code, out, err = run(capsys, ["metrics", path, "--format", "json"])
         assert (code, out) == (EXIT_INPUT_ERROR, "")
-        assert err == f"error: n_t must be an integer in [1, 1e+100], got {n_t}\n"
+        assert err == "error: n_t must be an integer in [1, 1e+100], got an integer of 401 digits\n"
 
     def test_integral_float_counts_accepted(self, capsys, config_path):
         array = dict(BASE_CONFIG["array"], n_t=4.0, lifetime_years=25.0)

@@ -16,6 +16,7 @@ from tidalecon.cost_model import (
     hours_generating,
     opex_year,
 )
+from tidalecon.finance_core import MAX_AMOUNT
 
 TYPICAL = CostParameters(ca_f=9.2, ca_t=3.3, o_f=0.32, o_t=0.15)
 
@@ -51,6 +52,15 @@ class TestTypes:
         # n_t * mw_t is inf here, so the capacity bound alone let inf through.
         with pytest.raises(ValueError, match="p_avg_mw must be finite and >= 0, got inf"):
             ArrayDesign(n_t=10, mw_t=1e308, p_avg_mw=math.inf, lifetime_years=20)
+
+    def test_rating_down_to_the_window_accepted_below_rejected(self):
+        # Below 1 / MAX_AMOUNT a break-even capacity factor P_BE / mw_t could overflow.
+        low = 1 / MAX_AMOUNT
+        assert ArrayDesign(n_t=1, mw_t=low, p_avg_mw=low, lifetime_years=20).mw_t == 1e-100
+        for mw_t in (math.nextafter(low, 0.0), 1e-320, 0.0, -1.5):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"mw_t must be finite and at least 1e-100, got {mw_t}")):
+                ArrayDesign(n_t=1, mw_t=mw_t, p_avg_mw=0.0, lifetime_years=20)
 
     @pytest.mark.parametrize("field, value, message", [
         ("electrical_efficiency", 0, "electrical_efficiency must be in (0, 1], got 0"),
@@ -156,16 +166,16 @@ class TestBuildSchedule:
         schedule = build_schedule(d, TYPICAL, TariffScheme(150.0))
         assert schedule.horizon == 25
         assert len(schedule.flows) == 26
-        assert schedule.flow(0) == pytest.approx(-22.4)
+        assert schedule.flows[0] == pytest.approx(-22.4)
         expected_operating = energy_year(d, 1) * 150.0 / 1e6 - 0.92
         for year in range(1, 26):
-            assert schedule.flow(year) == pytest.approx(expected_operating)
+            assert schedule.flows[year] == pytest.approx(expected_operating)
 
     def test_low_tariff_years_negative(self):
         # Tariff near the market floor: every operating year loses money here.
         d = design(p_avg_mw=0.5)
         schedule = build_schedule(d, TYPICAL, TariffScheme(40.0))
-        assert all(schedule.flow(year) < 0 for year in range(1, 26))
+        assert all(schedule.flows[year] < 0 for year in range(1, 26))
 
     def test_single_year_horizon(self):
         schedule = build_schedule(design(lifetime_years=1), TYPICAL, TariffScheme(150.0))
@@ -177,7 +187,7 @@ class TestBuildSchedule:
             d, TYPICAL, TariffScheme(150.0), opex_multipliers=[1.0, 2.0, 1.0]
         )
         revenue = energy_year(d, 1) * 150.0 / 1e6
-        assert schedule.flow(2) == pytest.approx(revenue - 2 * 0.92)
+        assert schedule.flows[2] == pytest.approx(revenue - 2 * 0.92)
 
     # Revenue is computed only inside build_schedule, so its figures are
     # pinned here: an operating year's flow plus its OPEX is the revenue in £m.
@@ -186,7 +196,7 @@ class TestBuildSchedule:
         opex = opex_year(TYPICAL, 4)
         for t_e, revenue in [(150.0, 7.4898), (40.0, 1.99728)]:
             schedule = build_schedule(d, TYPICAL, TariffScheme(t_e))
-            assert schedule.flow(1) + opex == pytest.approx(revenue, rel=1e-6)
+            assert schedule.flows[1] + opex == pytest.approx(revenue, rel=1e-6)
 
     def test_revenue_zero_power(self):
         schedule = build_schedule(design(p_avg_mw=0.0), TYPICAL, TariffScheme(150.0))
@@ -196,8 +206,8 @@ class TestBuildSchedule:
     def test_revenue_linear_in_tariff(self, scale):
         d = design()
         opex = opex_year(TYPICAL, 4)
-        base = build_schedule(d, TYPICAL, TariffScheme(150.0)).flow(1) + opex
-        scaled = build_schedule(d, TYPICAL, TariffScheme(150.0 * scale)).flow(1) + opex
+        base = build_schedule(d, TYPICAL, TariffScheme(150.0)).flows[1] + opex
+        scaled = build_schedule(d, TYPICAL, TariffScheme(150.0 * scale)).flows[1] + opex
         assert scaled == pytest.approx(base * scale, rel=1e-12)
 
     def test_opex_multiplier_length_checked(self):
@@ -213,4 +223,4 @@ class TestBuildSchedule:
     def test_year_zero_flow_non_positive(self):
         schedule = build_schedule(design(), CostParameters(0, 0, 0.1, 0.1),
                                   TariffScheme(150.0))
-        assert schedule.flow(0) <= 0.0
+        assert schedule.flows[0] <= 0.0

@@ -41,44 +41,31 @@ class TestDiscountSpec:
 
 
 class TestCashFlowSchedule:
-    def test_missing_years_are_zero(self):
-        schedule = CashFlowSchedule(horizon=5, flows={0: -10.0, 5: 12.0})
-        assert schedule.flow(3) == 0.0
-
-    def test_rejects_year_outside_horizon(self):
-        with pytest.raises(ValueError):
-            CashFlowSchedule(horizon=3, flows={4: 1.0})
-
     def test_rejects_non_finite_flow(self):
         with pytest.raises(ValueError):
-            CashFlowSchedule(horizon=1, flows={0: float("nan")})
+            CashFlowSchedule(horizon=1, flows=[float("nan"), 0.0])
 
     def test_rejects_negative_horizon(self):
         with pytest.raises(ValueError):
-            CashFlowSchedule(horizon=-1)
+            CashFlowSchedule(horizon=-1, flows=[])
 
     def test_dense_tuple_year_zero_first(self):
-        schedule = CashFlowSchedule(horizon=3, flows={0: -10, 2: 4.5})
+        schedule = CashFlowSchedule(3, [-10, 0.0, 4.5, 0])
         assert schedule.flows == (-10.0, 0.0, 4.5, 0.0)
         assert all(type(amount) is float for amount in schedule.flows)
-        assert CashFlowSchedule(3, [-10, 0.0, 4.5, 0.0]) == schedule
-        assert CashFlowSchedule(horizon=2).flows == (0.0, 0.0, 0.0)
+        assert schedule.flows[2] == 4.5
 
-    def test_flow_is_zero_outside_the_horizon(self):
-        schedule = CashFlowSchedule(horizon=2, flows=[-1.0, 2.0, 3.0])
-        # -1 must not wrap round to the last year.
-        assert (schedule.flow(-1), schedule.flow(3)) == (0.0, 0.0)
-        assert [schedule.flow(year) for year in range(3)] == [-1.0, 2.0, 3.0]
+    def test_mapping_rejected_naming_the_dense_form(self):
+        # Iterating this dict would read its years 0, 1, 2 as the flows.
+        with pytest.raises(TypeError, match="yearly amounts, year 0 first, not a mapping"):
+            CashFlowSchedule(2, {0: -1.0, 1: 0.5, 2: 0.7})
 
     @pytest.mark.parametrize("flows, message", [
-        ({4: 1.0}, "flow year 4 outside [0, 3]"),
-        ({-1: 1.0}, "flow year -1 outside [0, 3]"),
-        ({1.0: 1.0}, "flow year 1.0 outside [0, 3]"),
-        ({0: 1.0, 2: math.inf}, "flow for year 2 must have |flow| <= 1e+100, got inf"),
-        ({1: math.nan, 9: 1.0}, "flow for year 1 must have |flow| <= 1e+100, got nan"),  # in order
+        ([1.0, 0.0, math.inf, 0.0], "flow for year 2 must have |flow| <= 1e+100, got inf"),
+        ([0.0, math.nan, 0.0, math.inf], "flow for year 1 must have |flow| <= 1e+100, got nan"),
         ([0.0, 1.0, -math.inf, 0.0], "flow for year 2 must have |flow| <= 1e+100, got -inf"),
         ([0.0, 1.0, 2.0], "need 4 yearly flows, got 3"),
-    ])
+    ], ids=["inf", "first-in-year-order", "minus-inf", "too-few"])
     def test_rejects_bad_flows_with_a_message(self, flows, message):
         with pytest.raises(ValueError) as err:
             CashFlowSchedule(horizon=3, flows=flows)
@@ -154,13 +141,13 @@ class TestDiscountFactor:
 
 class TestPresentValue:
     def test_constructed_break_even(self):
-        schedule = CashFlowSchedule(horizon=1, flows={0: -100.0, 1: 110.0})
+        schedule = CashFlowSchedule(horizon=1, flows=[-100.0, 110.0])
         assert present_value(schedule, DiscountSpec(annual_rate=0.10)) == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_zero_rate_is_plain_sum(self):
-        schedule = CashFlowSchedule(horizon=2, flows={0: -100.0, 1: 50.0, 2: 50.0})
+        schedule = CashFlowSchedule(horizon=2, flows=[-100.0, 50.0, 50.0])
         assert present_value(schedule, DiscountSpec(annual_rate=0.0)) == pytest.approx(
             0.0, abs=1e-12
         )
@@ -168,14 +155,15 @@ class TestPresentValue:
     def test_level_annuity_against_spreadsheet_oracle(self):
         flows = {0: -22.4}
         flows.update({i: 3.0 for i in range(1, 26)})
-        schedule = CashFlowSchedule(horizon=25, flows=flows)
+        schedule = CashFlowSchedule(horizon=25, flows=[flows[year] for year in range(26)])
         spec = DiscountSpec(annual_rate=0.10)
         expected = pv_oracle(flows, 0.10)
         assert present_value(schedule, spec) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(4.83, abs=5e-3)
 
     def test_empty_schedule_is_zero(self):
-        assert present_value(CashFlowSchedule(horizon=3), DiscountSpec(annual_rate=0.1)) == 0.0
+        schedule = CashFlowSchedule(horizon=3, flows=[0.0] * 4)
+        assert present_value(schedule, DiscountSpec(annual_rate=0.1)) == 0.0
 
     @given(
         rate=st.floats(min_value=0.0, max_value=0.5),
@@ -184,11 +172,9 @@ class TestPresentValue:
     )
     def test_linearity(self, rate, a, b):
         spec = DiscountSpec(annual_rate=rate)
-        sched_a = CashFlowSchedule(horizon=2, flows=dict(enumerate(a)))
-        sched_b = CashFlowSchedule(horizon=2, flows=dict(enumerate(b)))
-        sched_sum = CashFlowSchedule(
-            horizon=2, flows={i: a[i] + b[i] for i in range(3)}
-        )
+        sched_a = CashFlowSchedule(horizon=2, flows=a)
+        sched_b = CashFlowSchedule(horizon=2, flows=b)
+        sched_sum = CashFlowSchedule(horizon=2, flows=[x + y for x, y in zip(a, b)])
         assert present_value(sched_sum, spec) == pytest.approx(
             present_value(sched_a, spec) + present_value(sched_b, spec), abs=1e-9
         )
@@ -197,9 +183,7 @@ class TestPresentValue:
         amounts=st.lists(st.floats(min_value=-1000, max_value=1000), min_size=1, max_size=10)
     )
     def test_zero_rate_equals_arithmetic_sum(self, amounts):
-        schedule = CashFlowSchedule(
-            horizon=len(amounts) - 1, flows=dict(enumerate(amounts))
-        )
+        schedule = CashFlowSchedule(horizon=len(amounts) - 1, flows=amounts)
         assert present_value(schedule, DiscountSpec(annual_rate=0.0)) == pytest.approx(
             sum(amounts), abs=1e-9
         )
@@ -219,7 +203,7 @@ class TestDiscountedSumKernel:
     )
     @settings(max_examples=300, deadline=None)
     def test_exactly_equals_present_value(self, periods, rate, flows):
-        schedule = CashFlowSchedule(horizon=60, flows=flows)
+        schedule = CashFlowSchedule(horizon=60, flows=[flows.get(year, 0.0) for year in range(61)])
         spec = DiscountSpec(annual_rate=rate, periods_per_year=periods)
         exponents = range(0, -61 * periods, -periods)
         kernel = _discounted_sum(schedule.flows, exponents, 1.0 + rate / periods)
@@ -245,12 +229,12 @@ class TestInputWindow:
             DiscountSpec(below)
 
     def test_horizon_at_the_bound_accepted_beyond_rejected(self):
-        assert len(CashFlowSchedule(MAX_YEARS).flows) == 101
+        assert len(CashFlowSchedule(MAX_YEARS, [0.0] * 101).flows) == 101
         with pytest.raises(ValueError, match=r"horizon must be an integer in \[0, 100\], got 101"):
-            CashFlowSchedule(MAX_YEARS + 1)
+            CashFlowSchedule(MAX_YEARS + 1, [0.0] * 102)
 
     @pytest.mark.parametrize("flows", [
-        [0.0, math.nextafter(MAX_AMOUNT, math.inf)], {1: -1e101},
+        [0.0, math.nextafter(MAX_AMOUNT, math.inf)], [0.0, -1e101],
     ])
     def test_flow_beyond_the_bound_rejected(self, flows):
         with pytest.raises(ValueError, match=r"flow for year 1 must have \|flow\| <= 1e\+100"):
@@ -264,8 +248,9 @@ class TestInputWindow:
         (DiscountSpec, dict(annual_rate=0.1, periods_per_year=MAX_PERIODS + 1),
          "periods_per_year must be an integer in [1, 1000000], got 1000001"),
         (DiscountSpec, dict(annual_rate=0.1, periods_per_year=10**400),
-         f"periods_per_year must be an integer in [1, 1000000], got {10**400}"),
-        (CashFlowSchedule, dict(horizon=True), "horizon must be an integer in [0, 100], got True"),
+         "periods_per_year must be an integer in [1, 1000000], got an integer of 401 digits"),
+        (CashFlowSchedule, dict(horizon=True, flows=[0.0, 0.0]),
+         "horizon must be an integer in [0, 100], got True"),
         (ArrayDesign, dict(n_t=True, mw_t=1.5, p_avg_mw=1.0, lifetime_years=20),
          "n_t must be an integer in [1, 1e+100], got True"),
         (ArrayDesign, dict(n_t=4, mw_t=1.5, p_avg_mw=1.0, lifetime_years=True),
@@ -276,6 +261,23 @@ class TestInputWindow:
                                                                  message):
         with pytest.raises(ValueError, match=re.escape(message)):
             record(**fields)
+
+    # A config value of 1e300 reaches a record as a 301-digit int; echoed in
+    # full it made a 300-digit error line.
+    @pytest.mark.parametrize("value", [10**400, int(1e300)], ids=["401-digits", "301-digits"])
+    @pytest.mark.parametrize("field, build", [
+        ("n_t", lambda value: ArrayDesign(value, 1.5, 1.0, 20)),
+        ("lifetime_years", lambda value: ArrayDesign(4, 1.5, 1.0, value)),
+        ("periods_per_year", lambda value: DiscountSpec(0.1, periods_per_year=value)),
+        ("horizon", lambda value: CashFlowSchedule(value, [])),
+    ], ids=["n_t", "lifetime_years", "periods_per_year", "horizon"])
+    def test_huge_integer_echoed_by_its_digit_count(self, field, build, value):
+        with pytest.raises(ValueError) as raised:
+            build(value)
+        message = str(raised.value)
+        assert message.startswith(f"{field} must be an integer in [")
+        assert message.endswith(f"], got an integer of {len(str(value))} digits")
+        assert "\n" not in message and len(message) < 200
 
     @pytest.mark.parametrize("years", [-1, 100.5, math.nan])
     def test_discount_time_outside_the_window_rejected(self, years):

@@ -76,7 +76,9 @@ def design(**kwargs) -> ArrayDesign:
 
 
 def schedule_of(flows: dict[int, float]) -> CashFlowSchedule:
-    return CashFlowSchedule(horizon=max(flows), flows=flows)
+    """The dense schedule of a year -> amount mapping; missing years are zero."""
+    horizon = max(flows)
+    return CashFlowSchedule(horizon, [flows.get(year, 0.0) for year in range(horizon + 1)])
 
 
 class TestNpv:
@@ -987,16 +989,19 @@ class TestBreakEvenPower:
         assert default_break_even(design(lifetime_years=2), params, TariffScheme(200.0)) == base / 2
 
     # Zero per-turbine costs give 0; a subnormal availability, or a tiny one at
-    # a subnormal tariff, gives inf; hours times tariff rounding to 0.0 gives 0/0.
+    # a subnormal tariff, gives inf; hours times tariff rounding to 0.0 gives 0/0;
+    # an availability of 1e-305 gives a finite value past the window's 1e100.
     @pytest.mark.parametrize("params, availability, t_e, value", [
         (CostParameters(ca_f=9.2, ca_t=0.0, o_f=0.32, o_t=0.0), 0.95, 150.0, "0"),
         (TYPICAL, 1e-320, 150.0, "inf"),
         (TYPICAL, 1e-10, 1e-310, "inf"),
         (TYPICAL, 5e-324, 1e-10, "nan"),
-    ], ids=["zero_costs", "subnormal_availability", "subnormal_tariff", "no_weighted_hours"])
+        (TYPICAL, 1e-305, 150.0, "2.14612e+304"),
+    ], ids=["zero_costs", "subnormal_availability", "subnormal_tariff", "no_weighted_hours",
+            "past_the_window"])
     def test_value_not_positive_and_finite_is_rejected(self, params, availability, t_e, value):
         message = (f"break-even power derived from the per-turbine costs is {value} MW, "
-                   "not positive and finite; a 'break_even' block sets it")
+                   "not in (0, 1e+100]; a 'break_even' block sets it")
         with pytest.raises(ValueError) as raised:
             default_break_even(design(availability=availability), params, TariffScheme(t_e))
         assert str(raised.value) == message
@@ -1024,6 +1029,25 @@ class TestBepHelpers:
     def test_non_finite_break_even_rejected(self, p_be, ev):
         with pytest.raises(ValueError, match="finite"):
             BreakEvenSpec(p_be_mw=p_be, ev_mw_per_turbine=ev)
+
+    # Inside the window |J| <= ~1e200 and |J_ev| <= ~1e300, so no score overflows.
+    @pytest.mark.parametrize("p_be, ev, message", [
+        (math.nextafter(MAX_AMOUNT, math.inf), 0.0,
+         "break-even power must be finite and in (0, 1e+100], got 1.0000000000000002e+100"),
+        (1e308, 0.0, "break-even power must be finite and in (0, 1e+100], got 1e+308"),
+        (0.4, 1e308, "economies-of-volume coefficient must be finite and in [0, 1e+100], "
+                     "got 1e+308"),
+    ], ids=["p_be-past-the-bound", "p_be-1e308", "ev-1e308"])
+    def test_break_even_beyond_the_window_rejected(self, p_be, ev, message):
+        with pytest.raises(ValueError) as raised:
+            BreakEvenSpec(p_be_mw=p_be, ev_mw_per_turbine=ev)
+        assert str(raised.value) == message
+
+    def test_break_even_at_the_bound_accepted(self):
+        bep = BreakEvenSpec(p_be_mw=MAX_AMOUNT, ev_mw_per_turbine=MAX_AMOUNT)
+        assert bep_functional(0.0, bep, 10**100) == -(1e100 * 1e100)
+        with pytest.warns(ValidityWindowWarning):
+            assert math.isfinite(bep_ev_functional(0.0, bep, 10**100))
 
     def test_functional_zero_at_break_even(self):
         spec = BreakEvenSpec(p_be_mw=0.5)
@@ -1137,7 +1161,7 @@ class TestFunctionalSweep:
 
     def test_count_past_float_range_rejected_naming_n_t(self):
         # A whole number past float range once raised OverflowError from ``float``.
-        message = r"^n_t must be an integer in \[1, 1e\+100\], got 10{400}$"
+        message = r"^n_t must be an integer in \[1, 1e\+100\], got an integer of 401 digits$"
         with pytest.raises(ValueError, match=message):
             self.sweep([(10**400, 1.0)], BreakEvenSpec(p_be_mw=0.4))
 

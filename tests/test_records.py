@@ -136,11 +136,10 @@ def test_copies_are_equal(cls, fields, change, text, duplicate):
 
 @pytest.mark.parametrize("cls, required, spelled", [
     (DiscountSpec, (0.1,), (0.1, Compounding.DISCRETE, 1)),
-    (CashFlowSchedule, (2,), (2, (0.0, 0.0, 0.0))),
     (ArrayDesign, (10, 1.5, 4.0, 3), (10, 1.5, 4.0, 3, 1.0, 1.0)),
     (CostObservation, (2.0, 16.8), (2.0, 16.8, CostBasis.TOTAL, None, 1.0)),
     (BreakEvenSpec, (0.5,), (0.5, 0.0)),
-], ids=["DiscountSpec", "CashFlowSchedule", "ArrayDesign", "CostObservation", "BreakEvenSpec"])
+], ids=["DiscountSpec", "ArrayDesign", "CostObservation", "BreakEvenSpec"])
 def test_defaults(cls, required, spelled):
     assert cls(*required) == cls(*spelled)
 

@@ -164,7 +164,7 @@ class TestSensitivitySweep:
     ], ids=["swept", "base"])
     def test_lifetime_past_float_range_rejected_naming_lifetime_years(self, base, parameter, grid):
         # A whole number past float range once raised OverflowError from ``float``.
-        message = r"^lifetime_years must be an integer in \[1, 100\], got 10{400}$"
+        message = r"^lifetime_years must be an integer in \[1, 100\], got an integer of 401 digits$"
         with pytest.raises(ValueError, match=message):
             sensitivity_sweep(design(), base, parameter, grid, "npv")
 
