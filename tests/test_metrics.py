@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 import re
@@ -1298,6 +1299,22 @@ class TestEvaluate:
         assert notes == expected_notes
         assert [(w.category, str(w.message)) for w in got_warnings] == [
             (w.category, str(w.message)) for w in expected_warnings]
+
+    @pytest.mark.parametrize("d, undefined", [
+        (design(), set()), (design(p_avg_mw=0.0), {"lcoe", "payback", "irr"}),
+    ], ids=["all-defined", "three-undefined"])
+    def test_every_subset_equals_the_full_bundle_restricted(self, d, undefined):
+        tariff, spec = TariffScheme(150.0), DiscountSpec(0.05)
+        full_values, full_notes = evaluate(d, TYPICAL, tariff, spec)
+        assert set(full_notes) == undefined
+        subsets = [names for size in range(1, 5)
+                   for names in itertools.combinations(metrics_module.METRIC_NAMES, size)]
+        assert len(subsets) == 15
+        for names in subsets:
+            # Named in reverse, reported in METRIC_NAMES order all the same.
+            values, notes = evaluate(d, TYPICAL, tariff, spec, names[::-1])
+            assert list(values.items()) == [(k, v) for k, v in full_values.items() if k in names]
+            assert list(notes.items()) == [(k, v) for k, v in full_notes.items() if k in names]
 
     def test_non_finite_flow_rejected_as_build_schedule_rejects_it(self):
         # Year 1's revenue is inf: evaluate rejects the peak revenue before its

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import re
 
 import pytest
@@ -309,6 +310,66 @@ class TestSweepPins:
                    int(value) if parameter == "lifetime" else 25) for value in grid]
         # -0.0 and 0.0 are one rate, as 20 and 20.0 are one lifetime.
         assert draws == [key for k, key in enumerate(points) if k == 0 or key != points[k - 1]]
+
+
+# Values each built-in parameter's record rejects, as (parameter, value).
+OUT_OF_RANGE = [
+    *[(name, math.nan) for name in PIN_GRIDS],
+    *[(name, -1.0) for name in ("ca_f", "ca_t", "o_f", "o_t")],
+    ("tariff", 0.0), ("r", -2.0),
+    ("lifetime", 20.5), ("lifetime", True), ("lifetime", 10**400),
+    ("availability", 0.0), ("availability", 1.5),
+]
+
+
+def point_error(values: dict) -> str:
+    """The message ``compute_metrics`` raises for one parameter point."""
+    with pytest.raises(ValueError) as raised:
+        compute_metrics(design(), values)
+    return str(raised.value)
+
+
+class TestSweepChecks:
+    """Every swept value is checked at its point, with ``compute_metrics``'s
+    message, and the base is checked before any point is evaluated."""
+
+    @pytest.mark.parametrize("parameter, bad", OUT_OF_RANGE)
+    @pytest.mark.parametrize("base", ["typical", {"r": 0.05, "tariff": 290.0}],
+                             ids=["typical", "mapping"])
+    def test_bad_last_point_raises_as_compute_metrics(self, base, parameter, bad):
+        values = dict(TYPICAL_VALUES, **({} if isinstance(base, str) else base))
+        grid = [*PIN_GRIDS[parameter], bad]
+        message = point_error(dict(values, **{parameter: bad}))
+        with pytest.raises(ValueError) as raised:
+            sensitivity_sweep(design(), base, parameter, grid, "npv")
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("field, bad, parameter", [
+        (field, bad, parameter) for field, bad in OUT_OF_RANGE for parameter in PIN_GRIDS
+        if parameter != field
+    ])
+    def test_bad_base_field_raises_before_any_point(self, monkeypatch, field, bad, parameter):
+        def refuse(*args):
+            raise MetricNotWanted
+
+        message = point_error(dict(TYPICAL_VALUES, **{field: bad}))
+        monkeypatch.setattr(metrics_module, "_evaluate", refuse)
+        with pytest.raises(ValueError) as raised:
+            sensitivity_sweep(design(), {field: bad}, parameter, PIN_GRIDS[parameter], "npv")
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("parameter, bad", OUT_OF_RANGE)
+    def test_bad_base_value_of_the_swept_field_is_replaced(self, parameter, bad):
+        grid = PIN_GRIDS[parameter]
+        curve = sensitivity_sweep(design(), {parameter: bad}, parameter, grid, "irr")
+        assert repr(curve) == repr(sensitivity_sweep(design(), "typical", parameter, grid, "irr"))
+
+    @pytest.mark.parametrize("parameter", [p for p in PIN_GRIDS if p not in ("lifetime", "ca_f")])
+    def test_bad_lifetime_is_reported_before_bad_costs(self, parameter):
+        base = {"lifetime": 20.5, "ca_f": -1.0}
+        message = "^lifetime must be a whole number of years, got 20.5$"
+        with pytest.raises(ValueError, match=message):
+            sensitivity_sweep(design(), base, parameter, PIN_GRIDS[parameter], "npv")
 
 
 class TestLcoeRateElasticity:
