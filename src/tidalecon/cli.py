@@ -141,9 +141,16 @@ def load_config(path: str) -> tuple[ArrayDesign, CostParameters, TariffScheme, D
     def reject_non_finite(literal: str) -> float:
         raise ValueError(f"config {path} holds {literal}; every number must be finite")
 
+    def read_int(literal: str) -> int:
+        try:
+            return int(literal)
+        except ValueError:  # past Python's digit limit, with a message naming no config
+            raise ValueError(f"config {path} holds an integer of {len(literal.lstrip('-'))} "
+                             "digits, past Python's limit for integer conversion") from None
+
     try:
         with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle, parse_constant=reject_non_finite)
+            raw = json.load(handle, parse_constant=reject_non_finite, parse_int=read_int)
     except OSError as err:
         raise ValueError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:
@@ -286,18 +293,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             _metrics.bep_functional(design.p_avg_mw, bep, design.n_t),
             _metrics.bep_ev_functional(design.p_avg_mw, bep, design.n_t))))
 
-    inputs_echo = {
-        "n_t": design.n_t,
-        "mw_t": design.mw_t,
-        "p_avg_mw": design.p_avg_mw,
-        "lifetime_years": design.lifetime_years,
-        "ca_f": params.ca_f,
-        "ca_t": params.ca_t,
-        "o_f": params.o_f,
-        "o_t": params.o_t,
-        "r": spec.annual_rate,
-        "tariff_gbp_per_mwh": tariff.t_e,
-    }
+    inputs_echo = {key: getattr(design, key) for key in ("n_t", "mw_t", "p_avg_mw", "lifetime_years")}
+    inputs_echo.update(zip(params.__slots__, params._values()))  # ca_f, ca_t, o_f and o_t
+    inputs_echo.update(r=spec.annual_rate, tariff_gbp_per_mwh=tariff.t_e)
 
     lines = ["Project metrics"]
     lines += [f"  {name:22s} {_cell(value, _THREE_FIGURES)}"
@@ -415,18 +413,9 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
     design, *_, overrides = load_config(args.config)
     results = _scenarios.evaluate_scenarios(design, overrides or None)
 
-    payload = {
-        "command": "scenarios",
-        "scenarios": [
-            {
-                "label": res.label,
-                "parameters": res.parameters,
-                "metrics": res.metrics,
-                "notes": res.notes,
-            }
-            for res in results
-        ],
-    }
+    # Each scenario as an object of its fields: label, parameters, metrics and notes.
+    payload = {"command": "scenarios",
+               "scenarios": [dict(zip(res.__slots__, res._values())) for res in results]}
     rows = [(metric, *(res.metrics[metric] for res in results))
             for metric in _scenarios.METRIC_NAMES]
     lines = [f"{'metric':10s} {'optimistic':>12s} {'typical':>12s} {'pessimistic':>12s}"]

@@ -110,9 +110,12 @@ def _check_count(name: str, value: object, low: int, high: float) -> None:
     """Reject ``value`` unless it is an int in [low, high]; True is an int, but no count."""
     if type(value) is not int or not low <= value <= high:
         # Past 15 digits, echo the digit count: one short line, and no float to overflow.
-        big = type(value) is int and abs(value) >= 10**15
-        shown = f"an integer of {len(str(abs(value)))} digits" if big else value
-        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {shown}")
+        if type(value) is int and abs(value) >= 10**15:  # str() refuses past 4300 digits
+            digits = abs(value).bit_length() * 1233 >> 12  # from below: 1233 / 4096 < log10(2)
+            while abs(value) >= 10**digits:
+                digits += 1
+            value = f"an integer of {digits} digits"
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value}")
 
 
 def discount_factor(spec: DiscountSpec, years: float) -> float:

@@ -413,15 +413,6 @@ def irr(schedule: CashFlowSchedule) -> float:
     return _brent(amounts, *bracket, 1e-12 * min(1.0, max(map(abs, amounts))))
 
 
-# What each metric raises when it is undefined for the inputs.
-_UNDEFINED = {
-    "npv": (),  # always defined inside the input window
-    "lcoe": ValueError,  # zero-power design: no energy
-    "payback": NoPaybackError,
-    "irr": (IrrUndefinedError, NoIrrInRangeError),
-}
-
-
 def evaluate(
     design: ArrayDesign,
     params: CostParameters,
@@ -432,12 +423,12 @@ def evaluate(
     """The named metrics of one design, in ``METRIC_NAMES`` order.
 
     One pass over years 0..L draws each year's discount factor once and
-    sums NPV, the cumulative flow behind payback and LCOE's discounted cost
-    and energy together; only IRR builds a schedule, and only when named.
-    Each value is bit for bit what ``npv``, ``lcoe``, ``payback_period`` and
-    ``irr`` return. Returns ``(values, notes)``: a metric undefined for these
-    inputs (no energy for LCOE, no payback, no IRR) is None in ``values``,
-    and ``notes`` maps its name to the reason.
+    sums NPV and LCOE's discounted cost and energy; it tracks payback's
+    crossing, and IRR builds a schedule, only when named. Each value is bit
+    for bit what ``npv``, ``lcoe``, ``payback_period`` and ``irr`` return.
+    Returns ``(values, notes)``: a metric undefined for these inputs (no
+    energy for LCOE, no payback, no IRR) is None in ``values``, and
+    ``notes`` maps its name to the reason.
     """
     for name in names:
         if name not in METRIC_NAMES:
@@ -462,14 +453,14 @@ def _evaluate(
     The pass adds each sum left to right in the order the metric functions
     add it: NPV as ``present_value``, whose running total is payback's
     cumulative flow, and LCOE's cost and energy as ``lcoe``. Each flow is
-    formed as ``build_schedule`` forms it, and IRR runs on
-    ``build_schedule``'s schedule. It is formed inline, not in a list shared
-    with ``build_schedule``: sharing one slows each sweep study by 7.5-15%.
+    formed inline as ``build_schedule`` forms it, not in a list shared with
+    it: sharing one slows each sweep study by 7.5-15%. IRR runs on
+    ``build_schedule``'s schedule. Each named metric is then set directly.
     """
     capital, annual_opex = _checked_costs(design, params, tariff)
     t_e = tariff.t_e
     total = 0.0 - capital * factors[0]  # as present_value adds it to 0.0
-    payback = 0.0 if total >= 0 else None
+    payback = None if total < 0 and "payback" in names else 0.0  # None until crossed; 0.0 unless named
     cost, energy_sum = capital, 0.0
     for year, factor, energy in zip(range(1, len(factors)), factors[1:], _energy_by_year(design)):
         flow = energy * t_e / 1e6 - annual_opex
@@ -480,27 +471,24 @@ def _evaluate(
         cost += annual_opex * factor
         energy_sum += energy * factor
 
-    def compute(name: str) -> float:
-        if name == "npv":
-            return total
-        if name == "lcoe":
-            return _cost_per_mwh(cost, energy_sum)
-        if name == "payback":
-            if payback is None:
-                raise _no_payback(design.lifetime_years)
-            return payback
-        return irr(build_schedule(design, params, tariff))
-
     values: dict[str, float | None] = {}
-    notes: dict[str, str] = {}
-    for name in METRIC_NAMES:
-        if name not in names:
-            continue
+    notes: dict[str, str] = {}  # the reason each None in ``values`` is undefined
+    if "npv" in names:  # always defined inside the input window
+        values["npv"] = total
+    if "lcoe" in names:
         try:
-            values[name] = compute(name)
-        except _UNDEFINED[name] as err:  # reported as None, with the reason
-            values[name] = None
-            notes[name] = str(err)
+            values["lcoe"] = _cost_per_mwh(cost, energy_sum)
+        except ValueError as err:  # no energy, or a cost per MWh past float range
+            values["lcoe"], notes["lcoe"] = None, str(err)
+    if "payback" in names:
+        values["payback"] = payback
+        if payback is None:
+            notes["payback"] = str(_no_payback(design.lifetime_years))
+    if "irr" in names:
+        try:
+            values["irr"] = irr(build_schedule(design, params, tariff))
+        except (IrrUndefinedError, NoIrrInRangeError) as err:
+            values["irr"], notes["irr"] = None, str(err)
     return values, notes
 
 

@@ -88,16 +88,24 @@ def _resolve(label: str, overrides: Mapping[str, float] | None) -> dict[str, flo
     return values
 
 
-def _apply(design: ArrayDesign, values: Mapping[str, float]):
+def _lifetime(values: Mapping[str, float]) -> int:
     lifetime = values["lifetime"]  # an int skips float(), which overflows past float range
     if isinstance(lifetime, bool) or not (type(lifetime) is int or float(lifetime).is_integer()):
         raise ValueError(f"lifetime must be a whole number of years, got {lifetime!r}")
+    return int(lifetime)
+
+
+def _bind(design: ArrayDesign, values: Mapping[str, float], lifetime: int) -> ArrayDesign:
+    return ArrayDesign(design.n_t, design.mw_t, design.p_avg_mw, lifetime,
+                       values["availability"], design.electrical_efficiency)
+
+
+def _apply(design: ArrayDesign, values: Mapping[str, float]):
+    lifetime = _lifetime(values)  # checked first, as a whole number, and bound last
     params = CostParameters(values["ca_f"], values["ca_t"], values["o_f"], values["o_t"])
     tariff = TariffScheme(values["tariff"])
     spec = DiscountSpec(values["r"])
-    bound = ArrayDesign(design.n_t, design.mw_t, design.p_avg_mw, int(lifetime),
-                        values["availability"], design.electrical_efficiency)
-    return bound, params, tariff, spec
+    return _bind(design, values, lifetime), params, tariff, spec
 
 
 def compute_metrics(
@@ -139,8 +147,10 @@ def sensitivity_sweep(
     ``base_scenario`` is a scenario label or a full parameter mapping.
     Returns (value, metric) pairs in grid order; None marks grid points
     where the metric is undefined. Only the swept metric is reported, and
-    IRR is computed only for an ``irr`` sweep. A point whose rate and
-    lifetime equal the previous point's reuses its discount factors.
+    IRR is computed only for an ``irr`` sweep. The first point binds and
+    checks all four records as ``compute_metrics`` does; each later point
+    rebinds and re-checks only the record its parameter feeds. A point whose
+    rate and lifetime equal the previous point's reuses its discount factors.
     """
     if metric not in METRIC_NAMES:
         raise ValueError(f"unknown metric {metric!r}; valid names: {', '.join(METRIC_NAMES)}")
@@ -148,13 +158,23 @@ def sensitivity_sweep(
     if not grid:
         raise ValueError("sweep grid is empty")
     if isinstance(base_scenario, str):
-        base = _resolve(base_scenario, None)
+        point = _resolve(base_scenario, None)
     else:
-        base = _resolve("typical", base_scenario)
+        point = _resolve("typical", base_scenario)
 
     curve, drawn = [], None  # ``drawn``: the (rate, lifetime) of ``factors``
     for value in grid:
-        bound, params, tariff, spec = _apply(design, {**base, parameter: value})
+        point[parameter] = value
+        if not curve:  # the first point binds all four records
+            bound, params, tariff, spec = _apply(design, point)
+        elif parameter == "tariff":
+            tariff = TariffScheme(value)
+        elif parameter == "r":
+            spec = DiscountSpec(value)
+        elif parameter in ("lifetime", "availability"):
+            bound = _bind(design, point, _lifetime(point))
+        else:
+            params = CostParameters(point["ca_f"], point["ca_t"], point["o_f"], point["o_t"])
         if drawn != (spec.annual_rate, bound.lifetime_years):  # ``_apply``'s specs are annual
             drawn = (spec.annual_rate, bound.lifetime_years)
             factors = _metrics._year_factors(spec, bound.lifetime_years)

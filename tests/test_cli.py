@@ -293,6 +293,20 @@ def test_huge_count_error_is_one_short_line(capsys, config_path, tmp_path, argv,
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    def test_integer_past_the_digit_limit_exits_2_naming_the_config(self, capsys, config_path,
+                                                                     sign):
+        # json.dumps refuses such an int, so the literal is written by hand.
+        path = config_path({"array": dict(BASE_CONFIG["array"], n_t=0)})
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read().replace('"n_t": 0', f'"n_t": {sign}1{"0" * 5000}')
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        code, out, err = run(capsys, ["metrics", path, "--format", "json"])
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert err == (f"error: config {path} holds an integer of 5001 digits, "
+                       "past Python's limit for integer conversion\n")
+
     def test_nan_break_even_power_exits_2(self, capsys, config_path):
         path = config_path({"break_even": {"p_be_mw": math.nan}})  # written as NaN
         code, out, err = run(capsys, ["metrics", path, "--format", "json"])

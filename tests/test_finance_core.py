@@ -264,20 +264,33 @@ class TestInputWindow:
 
     # A config value of 1e300 reaches a record as a 301-digit int; echoed in
     # full it made a 300-digit error line.
-    @pytest.mark.parametrize("value", [10**400, int(1e300)], ids=["401-digits", "301-digits"])
+    # Past Python's 4300-digit limit str() raises, so the count is given.
+    @pytest.mark.parametrize("value, digits", [
+        (10**400, 401), (int(1e300), 301), (10**5000, 5001), (1 - 10**5000, 5000),
+    ], ids=["401-digits", "301-digits", "5001-digits", "minus-5000-digits"])
     @pytest.mark.parametrize("field, build", [
         ("n_t", lambda value: ArrayDesign(value, 1.5, 1.0, 20)),
         ("lifetime_years", lambda value: ArrayDesign(4, 1.5, 1.0, value)),
         ("periods_per_year", lambda value: DiscountSpec(0.1, periods_per_year=value)),
         ("horizon", lambda value: CashFlowSchedule(value, [])),
     ], ids=["n_t", "lifetime_years", "periods_per_year", "horizon"])
-    def test_huge_integer_echoed_by_its_digit_count(self, field, build, value):
+    def test_huge_integer_echoed_by_its_digit_count(self, field, build, value, digits):
         with pytest.raises(ValueError) as raised:
             build(value)
         message = str(raised.value)
         assert message.startswith(f"{field} must be an integer in [")
-        assert message.endswith(f"], got an integer of {len(str(value))} digits")
+        assert message.endswith(f"], got an integer of {digits} digits")
         assert "\n" not in message and len(message) < 200
+
+    def test_digit_count_is_exact_beside_powers_of_ten_and_of_two(self):
+        # The count starts from a bound on the bit length; below the limit str() checks it.
+        for k in [*range(15, 320), *range(4250, 4300)]:
+            for value in (10**k - 1, 10**k, 10**k + 1, 2**k - 1, 2**k):
+                if value < 10**15:
+                    continue
+                with pytest.raises(ValueError) as raised:
+                    ArrayDesign(4, 1.5, 1.0, value)
+                assert str(raised.value).endswith(f" of {len(str(value))} digits")
 
     @pytest.mark.parametrize("years", [-1, 100.5, math.nan])
     def test_discount_time_outside_the_window_rejected(self, years):
