@@ -35,7 +35,7 @@ from .cost_estimation import (
     split_two_points,
 )
 from .cost_model import ArrayDesign, CostParameters, TariffScheme
-from .finance_core import Compounding, DiscountSpec
+from .finance_core import Compounding, DiscountSpec, _shown
 from . import metrics as _metrics
 from . import scenarios as _scenarios
 
@@ -62,7 +62,7 @@ def _number(value: object, name: str, whole: bool = False) -> float | int:
     try:
         return int(value) if whole else float(value)
     except OverflowError:
-        raise ValueError(f"{name} must be within float range, got {value!r}") from None
+        raise ValueError(f"{name} must be within float range, got {_shown(value)}") from None
 
 
 def _object(value: object, context: str) -> dict:
@@ -204,11 +204,9 @@ def load_config(path: str) -> tuple[ArrayDesign, CostParameters, TariffScheme, D
     mode = _field(finance, "mode", "finance", "discrete")
     if mode not in ("discrete", "continuous"):
         raise ValueError(f"finance.mode must be 'discrete' or 'continuous', got {mode!r}")
-    spec = DiscountSpec(
-        annual_rate=number(finance, "r", "finance"),
-        mode=Compounding(mode),
-        periods_per_year=number(finance, "periods_per_year", "finance", 1, whole=True),
-    )
+    if "periods_per_year" in finance:  # read as annual, a quarterly config would mislead
+        raise ValueError("finance.periods_per_year is not supported: discrete compounding is annual")
+    spec = DiscountSpec(annual_rate=number(finance, "r", "finance"), mode=Compounding(mode))
     tariff = TariffScheme(t_e=number(finance, "tariff_gbp_per_mwh", "finance"))
 
     bep = None  # without a block, the reports that print P_BE derive it

@@ -9,7 +9,7 @@ import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from itertools import repeat
-from operator import mul
+from operator import mul, neg
 
 # The input window, checked where inputs enter. The paper's lifetimes are
 # 20-30 years and its rates 5-15%. Inside the window no discount factor
@@ -18,9 +18,6 @@ from operator import mul
 MAX_YEARS = 100
 MIN_RATE = -0.99
 MAX_AMOUNT = 1e100  # GBP m, MWh for energy or MW for power
-# Minute compounding is 525,600 periods a year. The base 1 + r / p rounds to 1.0 near
-# 1e16 periods; up to 1e6 its one rounding grows to ~1e-8 relative over MAX_YEARS.
-MAX_PERIODS = 10**6
 
 
 class Compounding(Enum):
@@ -63,23 +60,17 @@ class Record:
 class DiscountSpec(Record):
     """Discounting convention: annual rate plus compounding mode.
 
-    ``periods_per_year`` is only meaningful for discrete compounding
-    (1 = annual, 4 = quarterly, ...), and at most ``MAX_PERIODS``. Defaults
-    to annual discrete, which is sufficient for array design studies where
-    the exact timing of costs within a year is not known.
+    Discrete compounding is annual, the default, which is sufficient for array
+    design studies where the exact timing of costs within a year is not known.
     """
 
-    __slots__ = ("annual_rate", "mode", "periods_per_year")
+    __slots__ = ("annual_rate", "mode")
 
-    def __init__(self, annual_rate: float, mode: Compounding = Compounding.DISCRETE,
-                 periods_per_year: int = 1) -> None:
+    def __init__(self, annual_rate: float, mode: Compounding = Compounding.DISCRETE) -> None:
         if not (math.isfinite(annual_rate) and annual_rate >= MIN_RATE):
             raise ValueError(f"annual_rate must be finite and >= {MIN_RATE}, got {annual_rate}")
-        if mode is Compounding.DISCRETE:
-            _check_count("periods_per_year", periods_per_year, 1, MAX_PERIODS)
         object.__setattr__(self, "annual_rate", annual_rate)
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "periods_per_year", periods_per_year)
 
 
 class CashFlowSchedule(Record):
@@ -109,13 +100,18 @@ class CashFlowSchedule(Record):
 def _check_count(name: str, value: object, low: int, high: float) -> None:
     """Reject ``value`` unless it is an int in [low, high]; True is an int, but no count."""
     if type(value) is not int or not low <= value <= high:
-        # Past 15 digits, echo the digit count: one short line, and no float to overflow.
-        if type(value) is int and abs(value) >= 10**15:  # str() refuses past 4300 digits
-            digits = abs(value).bit_length() * 1233 >> 12  # from below: 1233 / 4096 < log10(2)
-            while abs(value) >= 10**digits:
-                digits += 1
-            value = f"an integer of {digits} digits"
-        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value}")
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {_shown(value)}")
+
+
+def _shown(value: object) -> object:
+    """``value`` to echo in an error: past 15 digits, an int as its digit count, so one
+    short line, with no float to overflow and no ``str()``, which refuses past 4300 digits."""
+    if type(value) is int and abs(value) >= 10**15:
+        digits = abs(value).bit_length() * 1233 >> 12  # from below: 1233 / 4096 < log10(2)
+        while abs(value) >= 10**digits:
+            digits += 1
+        return f"an integer of {digits} digits"
+    return value
 
 
 def discount_factor(spec: DiscountSpec, years: float) -> float:
@@ -133,8 +129,7 @@ def _factors(spec: DiscountSpec, years: Iterable[float]) -> Iterator[float]:
     """``discount_factor`` of each of ``years`` in turn, without its time check."""
     if spec.mode is Compounding.CONTINUOUS:
         return map(math.exp, map(mul, repeat(-spec.annual_rate), years))
-    p = spec.periods_per_year
-    return map(pow, repeat(1.0 + spec.annual_rate / p), map(mul, repeat(-p), years))
+    return map(pow, repeat(1.0 + spec.annual_rate), map(neg, years))
 
 
 def _sum(values: Iterable[float]) -> float:
@@ -168,5 +163,4 @@ def present_value(schedule: CashFlowSchedule, spec: DiscountSpec) -> float:
     flows = schedule.flows
     if spec.mode is Compounding.CONTINUOUS:
         return _sum(map(mul, flows, _factors(spec, range(len(flows)))))
-    p = spec.periods_per_year
-    return _discounted_sum(flows, range(0, -p * len(flows), -p), 1.0 + spec.annual_rate / p)
+    return _discounted_sum(flows, range(0, -len(flows), -1), 1.0 + spec.annual_rate)

@@ -19,11 +19,11 @@ from tidalecon.metrics import _npv_at_rate
 IRR_NPV_TOLERANCE = 1e-6
 
 
-def pv_oracle(flows: dict[int, float], rate: float, periods: int = 1) -> float:
+def pv_oracle(flows: dict[int, float], rate: float) -> float:
     """Spreadsheet-style present value: explicit per-year discounting."""
     total = 0.0
     for year in sorted(flows):
-        total += flows[year] / (1.0 + rate / periods) ** (periods * year)
+        total += flows[year] / (1.0 + rate) ** year
     return total
 
 
@@ -64,13 +64,13 @@ def payback_scan_oracle(
     return None
 
 
-def exact_factor(rate: float, year: int, periods: int = 1) -> Fraction:
+def exact_factor(rate: float, year: int) -> Fraction:
     """Discrete discount factor of ``year`` in exact rational arithmetic.
 
-    The base is the float ``1 + rate / periods``, as the library forms it, so
-    this is the exact value its float power approximates.
+    The base is the float ``1 + rate``, as the library forms it, so this is
+    the exact value its float power approximates.
     """
-    return Fraction(1.0 + rate / periods) ** -(periods * year)
+    return Fraction(1.0 + rate) ** -year
 
 
 def exact_continuous_factor(rate: float, year: int) -> Fraction:

@@ -34,8 +34,7 @@ NUMERIC_KEYS = [
                   "electrical_efficiency")),
     (("array", "availability", 0), "array.availability[0]", False),
     *((("costs", key), f"costs.{key}", False) for key in ("ca_f", "ca_t", "o_f", "o_t")),
-    *((("finance", key), f"finance.{key}", key == "periods_per_year")
-      for key in ("r", "periods_per_year", "tariff_gbp_per_mwh")),
+    *((("finance", key), f"finance.{key}", False) for key in ("r", "tariff_gbp_per_mwh")),
     *((("break_even", key), f"break_even.{key}", False)
       for key in ("p_be_mw", "ev_mw_per_turbine")),
     (("costs", "estimate", "ratio"), "costs.estimate.ratio", False),
@@ -46,7 +45,7 @@ NUMERIC_KEYS = [
 FULL_CONFIG = dict(
     BASE_CONFIG,
     array=dict(BASE_CONFIG["array"], electrical_efficiency=1.0),
-    finance=dict(BASE_CONFIG["finance"], periods_per_year=1),
+    finance=dict(BASE_CONFIG["finance"], mode="continuous"),
     break_even={"p_be_mw": 0.4, "ev_mw_per_turbine": 0.0},
     scenario_overrides={"r": 0.1},
 )
@@ -167,10 +166,7 @@ class TestMetricsCommand:
         ("costs", "ca_f", 1e101, "CAPEX must be <= 1e+100 GBP m, got 1e+101"),
         ("finance", "tariff_gbp_per_mwh", 1e300,
          "peak revenue must be <= 1e+100 GBP m, got 2.8032e+298"),
-        # Past about 1e16 periods 1 + r / p rounds to 1.0: no discounting at all.
-        ("finance", "periods_per_year", 10**17,
-         "periods_per_year must be an integer in [1, 1000000], got an integer of 18 digits"),
-    ], ids=["lifetime_years", "r", "ca_f", "tariff", "periods_per_year"])
+    ], ids=["lifetime_years", "r", "ca_f", "tariff"])
     def test_input_beyond_the_window_exits_2_naming_the_field(self, capsys, config_path,
                                                               block, key, value, message):
         path = config_path({block: dict(BASE_CONFIG[block], **{key: value})})
@@ -272,13 +268,10 @@ def test_break_even_input_or_rating_beyond_the_window_exits_2(capsys, config_pat
 @pytest.mark.parametrize("argv, field", [
     (["metrics", {"array": dict(BASE_CONFIG["array"], n_t=1e300)}], "n_t"),
     (["metrics", {"array": dict(BASE_CONFIG["array"], lifetime_years=1e300)}], "lifetime_years"),
-    (["metrics", {"finance": dict(BASE_CONFIG["finance"], periods_per_year=1e300)}],
-     "periods_per_year"),
     (["sweep", {}, "--param", "lifetime", "--from", "1e300", "--to", "1e300", "--steps", "1",
       "--metric", "npv"], "lifetime_years"),
     (["curve", {}, "--power-curve", "n_t,p_avg_mw\n1e300,1.0\n"], "n_t"),
-], ids=["config-n_t", "config-lifetime_years", "config-periods_per_year", "sweep-lifetime",
-        "curve-n_t"])
+], ids=["config-n_t", "config-lifetime_years", "sweep-lifetime", "curve-n_t"])
 def test_huge_count_error_is_one_short_line(capsys, config_path, tmp_path, argv, field):
     command, overrides, *extra = argv
     if command == "curve":
@@ -328,10 +321,22 @@ class TestConfigValidation:
         assert (code, out) == (EXIT_INPUT_ERROR, "")
         assert err == f"error: finance.mode must be 'discrete' or 'continuous', got {mode!r}\n"
 
+    @pytest.mark.parametrize("value", [1, 4, 2.5, True, 10**17, 1e300],
+                             ids=["annual", "quarterly", "fraction", "true", "huge", "huge-float"])
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    def test_periods_per_year_exits_2_naming_the_key(self, capsys, config_path, mode, value):
+        # Discrete compounding is annual only: a quarterly config, read as annual,
+        # would print another convention's numbers, so every value is refused.
+        path = config_path({"finance": dict(BASE_CONFIG["finance"], mode=mode,
+                                            periods_per_year=value)})
+        code, out, err = run(capsys, ["metrics", path, "--format", "json"])
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert err == ("error: finance.periods_per_year is not supported: "
+                       "discrete compounding is annual\n")
+
     @pytest.mark.parametrize("block, key, value", [
         ("array", "n_t", 4.7),
         ("array", "lifetime_years", 25.9),
-        ("finance", "periods_per_year", 2.5),
     ])
     def test_non_integral_count_exits_2_naming_field(self, capsys, config_path,
                                                      block, key, value):
@@ -341,7 +346,7 @@ class TestConfigValidation:
         assert f"{block}.{key} must be a whole number, got {value!r}" in err
 
     @pytest.mark.parametrize("block, key", [
-        ("array", "n_t"), ("array", "lifetime_years"), ("finance", "periods_per_year"),
+        ("array", "n_t"), ("array", "lifetime_years"),
     ])
     def test_boolean_count_exits_2_naming_field(self, capsys, config_path, block, key):
         # JSON true is not the count 1.
@@ -388,7 +393,8 @@ class TestConfigValidation:
                                                    value):
         err = self.metrics_error(capsys, tmp_path, path, value)
         if value is HUGE:
-            assert err == f"error: {name} must be within float range, got {value}\n"
+            assert err == (f"error: {name} must be within float range, "
+                           "got an integer of 401 digits\n")
         elif name == "array.availability" and value == [1]:  # a per-year list, too short
             assert err == "error: per-year availability needs 25 entries, got 1\n"
         else:

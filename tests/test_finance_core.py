@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from tidalecon.cost_model import ArrayDesign
 from tidalecon.finance_core import (
     MAX_AMOUNT,
-    MAX_PERIODS,
     MAX_YEARS,
     MIN_RATE,
     CashFlowSchedule,
@@ -31,11 +30,11 @@ class TestDiscountSpec:
         with pytest.raises(ValueError):
             DiscountSpec(annual_rate=-1.5)
 
-    def test_rejects_non_positive_periods(self):
-        with pytest.raises(ValueError):
-            DiscountSpec(annual_rate=0.1, periods_per_year=0)
+    def test_discrete_compounding_is_annual_only(self):
+        with pytest.raises(TypeError, match="periods_per_year"):
+            DiscountSpec(annual_rate=0.1, periods_per_year=4)
 
-    def test_periods_irrelevant_for_continuous(self):
+    def test_continuous_mode_is_kept(self):
         spec = DiscountSpec(annual_rate=0.1, mode=Compounding.CONTINUOUS)
         assert spec.mode is Compounding.CONTINUOUS
 
@@ -102,12 +101,9 @@ class TestDiscountFactor:
     @given(
         rate=st.floats(min_value=0.0, max_value=1.0),
         years=st.floats(min_value=0.0, max_value=50.0),
-        periods=st.integers(min_value=1, max_value=12),
     )
-    def test_discrete_dominates_continuous(self, rate, years, periods):
-        discrete = discount_factor(
-            DiscountSpec(annual_rate=rate, periods_per_year=periods), years
-        )
+    def test_discrete_dominates_continuous(self, rate, years):
+        discrete = discount_factor(DiscountSpec(annual_rate=rate), years)
         continuous = discount_factor(
             DiscountSpec(annual_rate=rate, mode=Compounding.CONTINUOUS), years
         )
@@ -116,21 +112,6 @@ class TestDiscountFactor:
         assert discrete >= continuous - 1e-12
         if years == 0:
             assert discrete == continuous == 1.0
-
-    @given(
-        rate=st.floats(min_value=0.01, max_value=1.0),
-        years=st.floats(min_value=0.1, max_value=40.0),
-    )
-    def test_gap_to_continuous_shrinks_with_more_periods(self, rate, years):
-        continuous = discount_factor(
-            DiscountSpec(annual_rate=rate, mode=Compounding.CONTINUOUS), years
-        )
-        gaps = [
-            discount_factor(DiscountSpec(annual_rate=rate, periods_per_year=p), years)
-            - continuous
-            for p in (1, 4, 12)
-        ]
-        assert gaps[0] >= gaps[1] >= gaps[2] >= -1e-15
 
     @given(rate=st.floats(min_value=0.01, max_value=1.0))
     def test_strictly_decreasing_in_time(self, rate):
@@ -193,7 +174,6 @@ class TestDiscountedSumKernel:
     """The one discrete NPV kernel shared by ``present_value`` and ``irr``."""
 
     @given(
-        periods=st.sampled_from([1, 2, 4, 12]),
         rate=st.floats(min_value=-0.99, max_value=10.0),
         flows=st.dictionaries(
             st.integers(min_value=0, max_value=60),
@@ -202,11 +182,10 @@ class TestDiscountedSumKernel:
         ),
     )
     @settings(max_examples=300, deadline=None)
-    def test_exactly_equals_present_value(self, periods, rate, flows):
+    def test_exactly_equals_present_value(self, rate, flows):
         schedule = CashFlowSchedule(horizon=60, flows=[flows.get(year, 0.0) for year in range(61)])
-        spec = DiscountSpec(annual_rate=rate, periods_per_year=periods)
-        exponents = range(0, -61 * periods, -periods)
-        kernel = _discounted_sum(schedule.flows, exponents, 1.0 + rate / periods)
+        spec = DiscountSpec(annual_rate=rate)
+        kernel = _discounted_sum(schedule.flows, range(0, -61, -1), 1.0 + rate)
         per_year = 0.0  # left to right, as the kernel adds on every Python version
         for year, amount in sorted(flows.items()):
             per_year += amount * discount_factor(spec, year)
@@ -240,25 +219,16 @@ class TestInputWindow:
         with pytest.raises(ValueError, match=r"flow for year 1 must have \|flow\| <= 1e\+100"):
             CashFlowSchedule(1, flows)
 
-    # True is an int in Python, but no count; past about 1e16 periods the base
-    # 1 + r / p rounds to 1.0 and the discounting silently vanishes.
+    # True is an int in Python, but no count.
     @pytest.mark.parametrize("record, fields, message", [
-        (DiscountSpec, dict(annual_rate=0.1, periods_per_year=True),
-         "periods_per_year must be an integer in [1, 1000000], got True"),
-        (DiscountSpec, dict(annual_rate=0.1, periods_per_year=MAX_PERIODS + 1),
-         "periods_per_year must be an integer in [1, 1000000], got 1000001"),
-        (DiscountSpec, dict(annual_rate=0.1, periods_per_year=10**400),
-         "periods_per_year must be an integer in [1, 1000000], got an integer of 401 digits"),
         (CashFlowSchedule, dict(horizon=True, flows=[0.0, 0.0]),
          "horizon must be an integer in [0, 100], got True"),
         (ArrayDesign, dict(n_t=True, mw_t=1.5, p_avg_mw=1.0, lifetime_years=20),
          "n_t must be an integer in [1, 1e+100], got True"),
         (ArrayDesign, dict(n_t=4, mw_t=1.5, p_avg_mw=1.0, lifetime_years=True),
          "lifetime_years must be an integer in [1, 100], got True"),
-    ], ids=["periods-true", "periods-beyond", "periods-401-digits", "horizon-true",
-            "n_t-true", "lifetime-true"])
-    def test_boolean_count_or_periods_beyond_the_window_rejected(self, record, fields,
-                                                                 message):
+    ], ids=["horizon-true", "n_t-true", "lifetime-true"])
+    def test_boolean_count_rejected(self, record, fields, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             record(**fields)
 
@@ -271,9 +241,8 @@ class TestInputWindow:
     @pytest.mark.parametrize("field, build", [
         ("n_t", lambda value: ArrayDesign(value, 1.5, 1.0, 20)),
         ("lifetime_years", lambda value: ArrayDesign(4, 1.5, 1.0, value)),
-        ("periods_per_year", lambda value: DiscountSpec(0.1, periods_per_year=value)),
         ("horizon", lambda value: CashFlowSchedule(value, [])),
-    ], ids=["n_t", "lifetime_years", "periods_per_year", "horizon"])
+    ], ids=["n_t", "lifetime_years", "horizon"])
     def test_huge_integer_echoed_by_its_digit_count(self, field, build, value, digits):
         with pytest.raises(ValueError) as raised:
             build(value)
@@ -299,10 +268,8 @@ class TestInputWindow:
 
     @pytest.mark.parametrize("spec", [
         DiscountSpec(MIN_RATE),
-        DiscountSpec(MIN_RATE, periods_per_year=2),
         DiscountSpec(MIN_RATE, mode=Compounding.CONTINUOUS),
-        DiscountSpec(MIN_RATE, periods_per_year=MAX_PERIODS),
-    ], ids=["annual", "half-yearly", "continuous", "most-periods"])
+    ], ids=["annual", "continuous"])
     def test_largest_amounts_stay_in_float_range(self, spec):
         # The largest factor is 0.01 ** -100 = 1e200 (annual), so the largest
         # NPV of 101 flows of MAX_AMOUNT is about 1.01e300.
@@ -310,12 +277,3 @@ class TestInputWindow:
         assert largest <= 1.000001e200
         schedule = CashFlowSchedule(MAX_YEARS, [MAX_AMOUNT] * (MAX_YEARS + 1))
         assert 0 < present_value(schedule, spec) < 1.02e300
-
-    @pytest.mark.parametrize("rate", [MIN_RATE, -0.5, 0.05, 0.1, 1.0])
-    @pytest.mark.parametrize("years", [1, 30, MAX_YEARS])
-    def test_most_periods_keep_the_discounting(self, rate, years):
-        # The one rounding of the base 1 + r / p grows to about p * years * 2**-53.
-        p = MAX_PERIODS
-        exact = math.exp(-p * years * math.log1p(rate / p))
-        spec = DiscountSpec(rate, periods_per_year=p)
-        assert discount_factor(spec, years) == pytest.approx(exact, rel=1e-7, abs=0)

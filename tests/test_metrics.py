@@ -76,6 +76,13 @@ def design(**kwargs) -> ArrayDesign:
     return ArrayDesign(**base)
 
 
+def per_year_twin(d: ArrayDesign) -> ArrayDesign:
+    """``d`` with its one availability given once per year, so ``evaluate``
+    takes its per-year path where ``d`` takes the constant-year one."""
+    return ArrayDesign(d.n_t, d.mw_t, d.p_avg_mw, d.lifetime_years,
+                       (d.availability,) * d.lifetime_years, d.electrical_efficiency)
+
+
 def schedule_of(flows: dict[int, float]) -> CashFlowSchedule:
     """The dense schedule of a year -> amount mapping; missing years are zero."""
     horizon = max(flows)
@@ -495,7 +502,6 @@ BUILT_SCHEDULES = {
 }
 BUILT_SPECS = {
     "annual": DiscountSpec(0.10),
-    "quarterly": DiscountSpec(0.08, periods_per_year=4),
     "continuous": DiscountSpec(0.07, mode=Compounding.CONTINUOUS),
     "annual_near_-1": DiscountSpec(-0.99),  # the window's largest factors, up to 1e200
     "continuous_-0.9": DiscountSpec(-0.9, mode=Compounding.CONTINUOUS),
@@ -510,26 +516,18 @@ BUILT_SPECS = {
 BUILT_SCHEDULE_BITS = [
     ("scalar", "annual", "0x1.6081807182215p+2", "0x1.fcdb5521d0c04p+6",
      "0x1.b6254bef6cd38p+3", "0x1.0c212b602872fp-3"),
-    ("scalar", "quarterly", "0x1.37fd8e91bd9a8p+3", "0x1.cbf37c3d51e5cp+6",
-     "0x1.730cb11ff9986p+3", "0x1.0c212b602872fp-3"),
     ("scalar", "continuous", "0x1.944d1cf7f606cp+3", "0x1.b17514136983cp+6",
      "0x1.57afd10b2adb0p+3", "0x1.0c212b602872fp-3"),
     ("per_year", "annual", "0x1.487d4c6b3aec7p+2", "0x1.0116cf56a18e1p+7",
      "0x1.b5abfabfd0248p+3", "0x1.09a090322c1f9p-3"),
-    ("per_year", "quarterly", "0x1.26633b96da6f7p+3", "0x1.d216db20d6a83p+6",
-     "0x1.711ca9a9af26fp+3", "0x1.09a090322c1f9p-3"),
     ("per_year", "continuous", "0x1.7ea17274df267p+3", "0x1.b800ee4c6d6d8p+6",
      "0x1.55752b79ec1e9p+3", "0x1.09a090322c1f9p-3"),
     ("efficiency", "annual", "0x1.8eeac771ea4f5p+2", "0x1.1ab2bd84906adp+7",
      "0x1.9fbf88bb8872bp+3", "0x1.1434c7507cf15p-3"),
-    ("efficiency", "quarterly", "0x1.52b9211869fb7p+3", "0x1.ff0e8a0b3e8dap+6",
-     "0x1.63c6231f1e114p+3", "0x1.1434c7507cf15p-3"),
     ("efficiency", "continuous", "0x1.b16ebdf1e04e7p+3", "0x1.e19e881591aecp+6",
      "0x1.4aef2a2ca53abp+3", "0x1.1434c7507cf15p-3"),
     ("overhaul", "annual", "-0x1.05ab0bdf86357p-1", "0x1.14709ce147dd8p+7",
      "NoPaybackError", "0x1.8bf05cff971d6p-4"),
-    ("overhaul", "quarterly", "0x1.383499058eb94p+1", "0x1.f52bd85a5d2e1p+6",
-     "0x1.0de3b8c0553e9p+4", "0x1.8bf05cff971d6p-4"),
     ("overhaul", "continuous", "0x1.1b65838fd571cp+2", "0x1.d91f47ce0d101p+6",
      "0x1.e81933d23c329p+3", "0x1.8bf05cff971d6p-4"),
     ("long", "annual_near_-1", "0x1.03a9d057f9a87p+666", "0x1.146039180e460p+5",
@@ -862,10 +860,6 @@ EDGE_TARIFF = TariffScheme(1e6)  # revenue in GBP m is energy in MWh: up to 8.76
 # Each spec with the exact discount factor of a year under it.
 EDGE_SPECS = {
     "annual": (DiscountSpec(MIN_RATE), partial(exact_factor, MIN_RATE)),
-    "quarterly": (DiscountSpec(MIN_RATE, periods_per_year=4),
-                  partial(exact_factor, MIN_RATE, periods=4)),
-    "monthly": (DiscountSpec(MIN_RATE, periods_per_year=12),
-                partial(exact_factor, MIN_RATE, periods=12)),
     "continuous": (DiscountSpec(-0.9, mode=Compounding.CONTINUOUS),
                    partial(exact_continuous_factor, -0.9)),
 }
@@ -1176,9 +1170,9 @@ class TestFunctionalSweep:
         0.95, [0.9 + 0.003 * year for year in range(25)],
     ], ids=["scalar", "per-year"])
     @pytest.mark.parametrize("spec", [
-        DiscountSpec(0.10), DiscountSpec(0.08, periods_per_year=4),
-        DiscountSpec(0.12, mode=Compounding.CONTINUOUS), DiscountSpec(MIN_RATE),
-    ], ids=["annual", "quarterly", "continuous", "window-edge"])
+        DiscountSpec(0.10), DiscountSpec(0.12, mode=Compounding.CONTINUOUS),
+        DiscountSpec(MIN_RATE),
+    ], ids=["annual", "continuous", "window-edge"])
     def test_rows_equal_evaluate_on_the_substituted_design(self, availability, spec):
         shape = dict(mw_t=5.0, availability=availability, electrical_efficiency=0.9)
         template = design(**shape)
@@ -1236,10 +1230,7 @@ def evaluate_inputs(draw) -> tuple[ArrayDesign, CostParameters, TariffScheme, Di
     params = CostParameters(ca_f=capital * draw(st.floats(5.0, 15.0)),
                             ca_t=capital * draw(st.floats(2.0, 5.0)),
                             o_f=draw(st.floats(0.0, 1.0)), o_t=draw(st.floats(0.0, 0.3)))
-    spec = draw(st.one_of(
-        st.sampled_from([1, 4, 12]).map(lambda p: DiscountSpec(rate, periods_per_year=p)),
-        st.just(DiscountSpec(rate, mode=Compounding.CONTINUOUS)),
-    ))
+    spec = DiscountSpec(rate, draw(st.sampled_from(Compounding)))
     return d, params, TariffScheme(draw(st.floats(20.0, 400.0))), spec
 
 
@@ -1266,7 +1257,7 @@ class TestEvaluate:
     @example(inputs=(design(lifetime_years=100), TYPICAL, TariffScheme(150.0),
                      DiscountSpec(-0.99)))  # the window's edge: factors up to 1e200
     @example(inputs=(design(lifetime_years=100), TYPICAL, TariffScheme(150.0),
-                     DiscountSpec(-0.99, periods_per_year=12)))
+                     DiscountSpec(-0.99, mode=Compounding.CONTINUOUS)))
     @example(inputs=(design(lifetime_years=60), TYPICAL, TariffScheme(150.0),
                      DiscountSpec(-0.97)))
     @example(inputs=(design(n_t=1, mw_t=2.0, p_avg_mw=2.0, lifetime_years=3,
@@ -1299,22 +1290,38 @@ class TestEvaluate:
         assert notes == expected_notes
         assert [(w.category, str(w.message)) for w in got_warnings] == [
             (w.category, str(w.message)) for w in expected_warnings]
+        if not isinstance(d.availability, tuple):  # the constant year against the per-year pass
+            with warnings.catch_warnings(record=True):
+                warnings.simplefilter("always")
+                twin = evaluate(per_year_twin(d), params, tariff, spec)
+            assert repr(twin) == repr((values, notes))
 
-    @pytest.mark.parametrize("d, undefined", [
-        (design(), set()), (design(p_avg_mw=0.0), {"lcoe", "payback", "irr"}),
-    ], ids=["all-defined", "three-undefined"])
-    def test_every_subset_equals_the_full_bundle_restricted(self, d, undefined):
+    @pytest.mark.parametrize("d, params, undefined, crossing_year", [
+        (design(), TYPICAL, set(), 10),
+        (design(), CostParameters(0.0, 0.0, 0.32, 0.15), {"irr"}, 0),  # no CAPEX
+        (design(mw_t=10.0, p_avg_mw=30.0), TYPICAL, set(), 1),
+        (design(lifetime_years=10), TYPICAL, set(), 10),
+        (design(p_avg_mw=0.0), TYPICAL, {"lcoe", "payback", "irr"}, None),
+    ], ids=["all-defined", "payback-year-0", "payback-year-1", "payback-year-L",
+            "three-undefined"])
+    def test_every_subset_equals_the_full_bundle_restricted(self, d, params, undefined,
+                                                            crossing_year):
         tariff, spec = TariffScheme(150.0), DiscountSpec(0.05)
-        full_values, full_notes = evaluate(d, TYPICAL, tariff, spec)
+        full_values, full_notes = evaluate(d, params, tariff, spec)
         assert set(full_notes) == undefined
+        payback = full_values["payback"]
+        assert (None if payback is None else math.ceil(payback)) == crossing_year
         subsets = [names for size in range(1, 5)
                    for names in itertools.combinations(metrics_module.METRIC_NAMES, size)]
         assert len(subsets) == 15
         for names in subsets:
             # Named in reverse, reported in METRIC_NAMES order all the same.
-            values, notes = evaluate(d, TYPICAL, tariff, spec, names[::-1])
+            values, notes = evaluate(d, params, tariff, spec, names[::-1])
             assert list(values.items()) == [(k, v) for k, v in full_values.items() if k in names]
             assert list(notes.items()) == [(k, v) for k, v in full_notes.items() if k in names]
+            # The constant-year pass and the per-year pass agree bit for bit.
+            twin = evaluate(per_year_twin(d), params, tariff, spec, names[::-1])
+            assert repr(twin) == repr((values, notes))
 
     def test_non_finite_flow_rejected_as_build_schedule_rejects_it(self):
         # Year 1's revenue is inf: evaluate rejects the peak revenue before its

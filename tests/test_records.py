@@ -30,10 +30,9 @@ from tidalecon.cost_estimation import RatioWindowWarning
 # a valid new value for it, and the record's exact repr.
 RECORDS = {
     "DiscountSpec": (
-        DiscountSpec, dict(annual_rate=0.1, mode=Compounding.DISCRETE, periods_per_year=4),
-        ("periods_per_year", 12),
-        "DiscountSpec(annual_rate=0.1, mode=<Compounding.DISCRETE: 'discrete'>, "
-        "periods_per_year=4)"),
+        DiscountSpec, dict(annual_rate=0.1, mode=Compounding.DISCRETE),
+        ("mode", Compounding.CONTINUOUS),
+        "DiscountSpec(annual_rate=0.1, mode=<Compounding.DISCRETE: 'discrete'>)"),
     "CashFlowSchedule": (
         CashFlowSchedule, dict(horizon=2, flows=(-10.0, 6.0, 6.5)),
         ("flows", (-10.0, 6.0, 7.0)),
@@ -135,7 +134,7 @@ def test_copies_are_equal(cls, fields, change, text, duplicate):
 
 
 @pytest.mark.parametrize("cls, required, spelled", [
-    (DiscountSpec, (0.1,), (0.1, Compounding.DISCRETE, 1)),
+    (DiscountSpec, (0.1,), (0.1, Compounding.DISCRETE)),
     (ArrayDesign, (10, 1.5, 4.0, 3), (10, 1.5, 4.0, 3, 1.0, 1.0)),
     (CostObservation, (2.0, 16.8), (2.0, 16.8, CostBasis.TOTAL, None, 1.0)),
     (BreakEvenSpec, (0.5,), (0.5, 0.0)),
