@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,7 @@ from tidalecon.finance_core import (
 )
 from tidalecon.metrics import IRR_BRACKET
 
-from conftest import pv_oracle
+from conftest import exact_continuous_factor, exact_factor, pv_oracle
 
 
 class TestDiscountSpec:
@@ -277,3 +278,17 @@ class TestInputWindow:
         assert largest <= 1.000001e200
         schedule = CashFlowSchedule(MAX_YEARS, [MAX_AMOUNT] * (MAX_YEARS + 1))
         assert 0 < present_value(schedule, spec) < 1.02e300
+
+    @pytest.mark.parametrize("mode", list(Compounding), ids=lambda mode: mode.value)
+    @pytest.mark.parametrize("rate", [MIN_RATE, -0.5, 0.05, 0.1, 1.0])
+    @pytest.mark.parametrize("years", [1, 30, MAX_YEARS])
+    def test_factor_across_the_window_matches_the_exact_value(self, mode, rate, years):
+        # Discrete: one rounding of the base 1 + r, which the exact value shares,
+        # then pow's own. Continuous: the product r * years is rounded before
+        # exp, an error of up to |r| * years * 2**-53 in the result.
+        if mode is Compounding.DISCRETE:
+            exact, bound = exact_factor(rate, years), 2 * 2.0**-53
+        else:
+            exact, bound = exact_continuous_factor(rate, years), (abs(rate) * years + 2) * 2.0**-53
+        got = discount_factor(DiscountSpec(rate, mode), years)
+        assert abs(Fraction(got) - exact) <= bound * exact

@@ -502,6 +502,7 @@ BUILT_SCHEDULES = {
 }
 BUILT_SPECS = {
     "annual": DiscountSpec(0.10),
+    "annual_0.08": DiscountSpec(0.08),
     "continuous": DiscountSpec(0.07, mode=Compounding.CONTINUOUS),
     "annual_near_-1": DiscountSpec(-0.99),  # the window's largest factors, up to 1e200
     "continuous_-0.9": DiscountSpec(-0.9, mode=Compounding.CONTINUOUS),
@@ -511,25 +512,40 @@ BUILT_SPECS = {
 # year -> amount dict built one year at a time. The dense tuple and the
 # one-pass arithmetic must not move a bit. The IRR column moved by at most
 # 8.3e-11 when Brent's method from the seeds' bracket replaced the secant.
-# The "long" rows sit at the window's edge, 100 years near r = -1, where
+# The "long" rows near r = -1 sit at the window's edge, 100 years, where
 # TestLongHorizonOverflow checks each metric against an exact oracle.
+# The "annual_0.08" rows, and the "long" rows at 10% and 7%, were recorded
+# while ``evaluate`` still formed every year's energy and flow in its loop:
+# forming a constant year once must not move a bit either.
 BUILT_SCHEDULE_BITS = [
     ("scalar", "annual", "0x1.6081807182215p+2", "0x1.fcdb5521d0c04p+6",
      "0x1.b6254bef6cd38p+3", "0x1.0c212b602872fp-3"),
     ("scalar", "continuous", "0x1.944d1cf7f606cp+3", "0x1.b17514136983cp+6",
      "0x1.57afd10b2adb0p+3", "0x1.0c212b602872fp-3"),
+    ("scalar", "annual_0.08", "0x1.4d729ae6c4b1ap+3", "0x1.c56096201275cp+6",
+     "0x1.6bd0d499ec8a7p+3", "0x1.0c212b602872fp-3"),
     ("per_year", "annual", "0x1.487d4c6b3aec7p+2", "0x1.0116cf56a18e1p+7",
      "0x1.b5abfabfd0248p+3", "0x1.09a090322c1f9p-3"),
     ("per_year", "continuous", "0x1.7ea17274df267p+3", "0x1.b800ee4c6d6d8p+6",
      "0x1.55752b79ec1e9p+3", "0x1.09a090322c1f9p-3"),
+    ("per_year", "annual_0.08", "0x1.3aeab58abdb0bp+3", "0x1.cb9e822a9ac7fp+6",
+     "0x1.69be0407c7291p+3", "0x1.09a090322c1f9p-3"),
     ("efficiency", "annual", "0x1.8eeac771ea4f5p+2", "0x1.1ab2bd84906adp+7",
      "0x1.9fbf88bb8872bp+3", "0x1.1434c7507cf15p-3"),
     ("efficiency", "continuous", "0x1.b16ebdf1e04e7p+3", "0x1.e19e881591aecp+6",
      "0x1.4aef2a2ca53abp+3", "0x1.1434c7507cf15p-3"),
+    ("efficiency", "annual_0.08", "0x1.68bce97eb5e6bp+3", "0x1.f7c0a6ce4d667p+6",
+     "0x1.5d2c517e23f39p+3", "0x1.1434c7507cf15p-3"),
     ("overhaul", "annual", "-0x1.05ab0bdf86357p-1", "0x1.14709ce147dd8p+7",
      "NoPaybackError", "0x1.8bf05cff971d6p-4"),
     ("overhaul", "continuous", "0x1.1b65838fd571cp+2", "0x1.d91f47ce0d101p+6",
      "0x1.e81933d23c329p+3", "0x1.8bf05cff971d6p-4"),
+    ("overhaul", "annual_0.08", "0x1.73880ca7a3e1ep+1", "0x1.ee36d388a66eap+6",
+     "0x1.06ca163798904p+4", "0x1.8bf05cff971d6p-4"),
+    ("long", "annual", "0x1.0afce0d3201acp+3", "0x1.daab80db8e2f5p+6",
+     "0x1.b6254bef6cd38p+3", "0x1.191a160f2110dp-3"),
+    ("long", "continuous", "0x1.3f6da937f76f8p+4", "0x1.7e5eb01571493p+6",
+     "0x1.57afd10b2adb0p+3", "0x1.191a160f2110dp-3"),
     ("long", "annual_near_-1", "0x1.03a9d057f9a87p+666", "0x1.146039180e460p+5",
      "0x1.2a6b0110d6dcbp-4", "0x1.191a160f2110dp-3"),
     ("long", "continuous_-0.9", "0x1.294d30a7fbc6cp+132", "0x1.146039180e45fp+5",
@@ -862,6 +878,8 @@ EDGE_SPECS = {
     "annual": (DiscountSpec(MIN_RATE), partial(exact_factor, MIN_RATE)),
     "continuous": (DiscountSpec(-0.9, mode=Compounding.CONTINUOUS),
                    partial(exact_continuous_factor, -0.9)),
+    "continuous_min_rate": (DiscountSpec(MIN_RATE, mode=Compounding.CONTINUOUS),
+                            partial(exact_continuous_factor, MIN_RATE)),
 }
 
 
@@ -1171,8 +1189,8 @@ class TestFunctionalSweep:
     ], ids=["scalar", "per-year"])
     @pytest.mark.parametrize("spec", [
         DiscountSpec(0.10), DiscountSpec(0.12, mode=Compounding.CONTINUOUS),
-        DiscountSpec(MIN_RATE),
-    ], ids=["annual", "continuous", "window-edge"])
+        DiscountSpec(MIN_RATE), DiscountSpec(MIN_RATE, mode=Compounding.CONTINUOUS),
+    ], ids=["annual", "continuous", "window-edge", "continuous-window-edge"])
     def test_rows_equal_evaluate_on_the_substituted_design(self, availability, spec):
         shape = dict(mw_t=5.0, availability=availability, electrical_efficiency=0.9)
         template = design(**shape)
