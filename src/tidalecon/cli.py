@@ -9,10 +9,10 @@ Subcommands:
 
 Exit codes: 0 success, 2 input error, 3 internal numerical failure.
 Every report is written by ``_report`` to stdout, or with the same bytes to
-``--out FILE``, as ``--format json``, ``csv`` (floats as repr) or ``human``
-(three significant figures after a version banner, which ``--plain`` drops).
-``sweep`` has no human table and writes its CSV instead. JSON and CSV output
-is byte-identical for identical inputs.
+``--out FILE``, as ``--format json``, ``csv`` (floats as repr) or ``human`` (the
+table at three significant figures after a version banner, which ``--plain``
+drops); ``sweep`` defaults to CSV. Every warning a command raises is reported
+with it. JSON and CSV output is byte-identical for identical inputs.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import io
 import json
 import sys
 import warnings
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from . import __version__
 from .cost_estimation import (
@@ -35,7 +35,7 @@ from .cost_estimation import (
     split_two_points,
 )
 from .cost_model import ArrayDesign, CostParameters, TariffScheme
-from .finance_core import Compounding, DiscountSpec, _shown
+from .finance_core import MAX_AMOUNT, Compounding, DiscountSpec, _shown
 from . import metrics as _metrics
 from . import scenarios as _scenarios
 
@@ -129,9 +129,13 @@ def _split_costs(
         if len(observations) != count:
             raise ValueError(f"the {method} method needs exactly {count} {kind} "
                              f"observation{'s' * (count > 1)}, got {len(observations)}")
-        if count == 2:
-            return split_two_points(*observations)
-        return split_from_ratio(observations[0], fixed_ratio)
+        parts = (split_two_points(*observations) if count == 2
+                 else split_from_ratio(observations[0], fixed_ratio))
+        for name, amount in zip(("fixed", "per-turbine"), parts):
+            if not abs(amount) <= MAX_AMOUNT:  # past float range, so a JSON report would fail
+                raise ValueError(f"{kind} {name} cost must have |cost| <= {MAX_AMOUNT:g} GBP m, "
+                                 f"got {amount}")
+        return parts
 
     return split("CAPEX", capex), None if opex is None else split("OPEX", opex)
 
@@ -242,25 +246,32 @@ def _cell(value: object, fmt: Callable[[float], str]) -> str:
     return str(value)
 
 
-def _report(args: argparse.Namespace, payload: dict, header: Sequence[str],
-            rows: Sequence[Sequence[object]], lines: Sequence[str] | None = None) -> int:
+def _report(args: argparse.Namespace, warned: list[str], payload: dict,
+            header: Sequence[str], rows: Sequence[Sequence[object]], title: Sequence[str] = (),
+            notes: Iterable[tuple[str, str]] = ()) -> int:
     """Write one report to ``--out`` or stdout in the chosen ``--format``.
 
-    JSON is ``payload``; CSV is ``header`` and ``rows`` with floats as repr;
-    human is the version banner (unless ``--plain``) and ``lines``, or the CSV
-    when the report has no ``lines``.
+    JSON is ``payload`` with the ``warned`` messages as ``warnings``. CSV is
+    ``header`` and ``rows`` with floats as repr, with the warnings on stderr.
+    Human is the banner (unless ``--plain``), the ``title`` lines, the table
+    right-aligned, then a line per note (keyed by where it applies) and warning.
     """
+    table = [header, *([_cell(value, repr if args.format == "csv" else _THREE_FIGURES)
+                        for value in row] for row in rows)]
     if args.format == "json":
-        text = _json_dump(payload)
-    elif args.format == "csv" or lines is None:
+        text = _json_dump(dict(payload, warnings=warned))
+    elif args.format == "csv":
         buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_cell(value, repr) for value in row] for row in rows)
+        csv.writer(buffer, lineterminator="\n").writerows(table)
         text = buffer.getvalue()
+        sys.stderr.writelines(f"warning: {message}\n" for message in warned)  # stdout stays the table
     else:
-        banner = [] if args.plain else [f"tidalecon v{__version__}"]
-        text = "".join(f"{line}\n" for line in [*banner, *lines])
+        widths = [max(map(len, column)) for column in zip(*table)]
+        text = "".join(f"{line}\n" for line in [
+            *([] if args.plain else [f"tidalecon v{__version__}"]), *title,
+            *("  ".join(map(str.rjust, row, widths)) for row in table),
+            *(f"  note [{where}]: {reason}" for where, reason in notes),
+            *(f"  warning: {message}" for message in warned)])
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -272,7 +283,7 @@ def _report(args: argparse.Namespace, payload: dict, header: Sequence[str],
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def cmd_metrics(args: argparse.Namespace) -> int:
+def cmd_metrics(args: argparse.Namespace) -> tuple:
     design, params, tariff, spec, bep, _ = load_config(args.config)
     values, undefined = _metrics.evaluate(design, params, tariff, spec)
     keys = _metrics.REPORT_KEYS
@@ -293,14 +304,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
     inputs_echo = {key: getattr(design, key) for key in ("n_t", "mw_t", "p_avg_mw", "lifetime_years")}
     inputs_echo.update(zip(params.__slots__, params._values()))  # ca_f, ca_t, o_f and o_t
-    inputs_echo.update(r=spec.annual_rate, tariff_gbp_per_mwh=tariff.t_e)
-
-    lines = ["Project metrics"]
-    lines += [f"  {name:22s} {_cell(value, _THREE_FIGURES)}"
-              + (f"  ({notes[name]})" if name in notes else "") for name, value in report.items()]
-    return _report(args, {"command": "metrics", "inputs": inputs_echo,
-                          "metrics": report, "notes": notes},
-                   ("metric", "value"), list(report.items()), lines)
+    inputs_echo.update(r=spec.annual_rate, mode=spec.mode.value, tariff_gbp_per_mwh=tariff.t_e)
+    return ({"command": "metrics", "inputs": inputs_echo, "metrics": report, "notes": notes},
+            ("metric", "value"), list(report.items()), ["Project metrics"], notes.items())
 
 
 def _csv_rows(path: str, kind: str) -> list[tuple[str, dict[str, str]]]:
@@ -355,7 +361,7 @@ def _flag_observations(args: argparse.Namespace, kind: str,
     return [_observation(entry, f"--{kind}-total/--{kind}-per-mw")]
 
 
-def cmd_split(args: argparse.Namespace) -> int:
+def cmd_split(args: argparse.Namespace) -> tuple:
     method = args.method.replace("-", "_")
     if method == "two_points":
         csv_given = bool(args.capex_csv or args.opex_csv)
@@ -378,10 +384,7 @@ def cmd_split(args: argparse.Namespace) -> int:
             observations.append([_inline_observation(text, kind, currency_rate)
                                  for text in getattr(args, kind) or []])
     capex, opex = observations
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        ca, op = _split_costs(method, capex, opex or None, getattr(args, "ratio", None))
-    messages = [str(w.message) for w in caught]
+    ca, op = _split_costs(method, capex, opex or None, getattr(args, "ratio", None))
     if method == "two_points":
         inputs_echo = {
             "capex_points": [(o.n_t, o.cost) for o in capex],
@@ -397,17 +400,13 @@ def cmd_split(args: argparse.Namespace) -> int:
     costs = {"ca_f": ca.fixed, "ca_t": ca.per_turbine}
     if op is not None:
         costs.update(o_f=op.fixed, o_t=op.per_turbine)
-    lines = [f"Cost split ({method})",
-             "  inputs: " + ", ".join(f"{k}={_cell(v, _THREE_FIGURES)}"
-                                      for k, v in inputs_echo.items())]
-    lines += [f"  {name:6s} {_cell(value, _THREE_FIGURES)}" for name, value in costs.items()]
-    lines += [f"  warning: {message}" for message in messages]
-    return _report(args, {"command": "split", "method": method, "inputs": inputs_echo,
-                          "costs": costs, "warnings": messages},
-                   ("component", "gbp_m"), list(costs.items()), lines)
+    title = [f"Cost split ({method})", "  inputs: " + ", ".join(
+        f"{k}={_cell(v, _THREE_FIGURES)}" for k, v in inputs_echo.items())]
+    return ({"command": "split", "method": method, "inputs": inputs_echo, "costs": costs},
+            ("component", "gbp_m"), list(costs.items()), title)
 
 
-def cmd_scenarios(args: argparse.Namespace) -> int:
+def cmd_scenarios(args: argparse.Namespace) -> tuple:
     design, *_, overrides = load_config(args.config)
     results = _scenarios.evaluate_scenarios(design, overrides or None)
 
@@ -416,16 +415,12 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
                "scenarios": [dict(zip(res.__slots__, res._values())) for res in results]}
     rows = [(metric, *(res.metrics[metric] for res in results))
             for metric in _scenarios.METRIC_NAMES]
-    lines = [f"{'metric':10s} {'optimistic':>12s} {'typical':>12s} {'pessimistic':>12s}"]
-    for metric, *values in rows:
-        cells = " ".join(f"{_cell(value, _THREE_FIGURES):>12s}" for value in values)
-        lines.append(f"{metric:10s} {cells}")
-    lines += [f"  note [{res.label}/{metric}]: {note}"
-              for res in results for metric, note in res.notes.items()]
-    return _report(args, payload, ("metric", *(res.label for res in results)), rows, lines)
+    notes = [(f"{res.label}/{metric}", note)
+             for res in results for metric, note in res.notes.items()]
+    return payload, ("metric", *(res.label for res in results)), rows, (), notes
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> tuple:
     design, *_, overrides = load_config(args.config)
     if args.steps < 1:
         raise ValueError(f"--steps must be >= 1, got {args.steps}")
@@ -437,8 +432,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     curve = _scenarios.sensitivity_sweep(design, overrides or "typical", args.param, grid,
                                          args.metric)
     points = [{"value": value, args.metric: result} for value, result in curve]
-    return _report(args, {"command": "sweep", "param": args.param, "metric": args.metric,
-                          "points": points}, ("value", args.metric), curve)
+    return ({"command": "sweep", "param": args.param, "metric": args.metric, "points": points},
+            ("value", args.metric), curve)
 
 
 def _read_power_curve(path: str) -> list[tuple[int, float]]:
@@ -447,7 +442,7 @@ def _read_power_curve(path: str) -> list[tuple[int, float]]:
             for context, row in _csv_rows(path, "power-curve")]
 
 
-def cmd_curve(args: argparse.Namespace) -> int:
+def cmd_curve(args: argparse.Namespace) -> tuple:
     design, params, tariff, spec, bep, _ = load_config(args.config)
     bep = bep or _metrics.BreakEvenSpec(_metrics.default_break_even(design, params, tariff))
     samples = _read_power_curve(args.power_curve)
@@ -462,13 +457,10 @@ def cmd_curve(args: argparse.Namespace) -> int:
         "n_t", "p_avg_mw", "power_per_device_mw", "j_bep_mw", "j_bep_ev_mw",
         "npv_gbp_m", "lcoe_gbp_per_mwh", "max_power", "max_j_bep",
     )
-    table = [tuple(row[col] for col in columns) for row in rows]
-    lines = [" ".join(f"{col:>20s}" for col in columns)]
-    for cells in table:
-        lines.append(" ".join(f"{_cell(value, _THREE_FIGURES):>20s}" for value in cells))
-    lines += [f"  note [n_t={row['n_t']}/{column}]: {note}"
-              for row in rows for column, note in row.get("notes", {}).items()]
-    return _report(args, {"command": "curve", "rows": rows}, columns, table, lines)
+    notes = [(f"n_t={row['n_t']}/{column}", note)
+             for row in rows for column, note in row.get("notes", {}).items()]
+    return ({"command": "curve", "rows": rows}, columns,
+            [tuple(row[col] for col in columns) for row in rows], (), notes)
 
 
 # ---------------------------------------------------------------------------
@@ -479,14 +471,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tidalecon",
         description="Techno-economic metrics for tidal-stream turbine arrays",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("human", "json", "csv"), default="human")
-    common.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    common.add_argument("--plain", action="store_true", help="suppress the version banner")
+    # One per parser: parents share their actions, and sweep's default must stay its own.
+    def common() -> argparse.ArgumentParser:
+        flags = argparse.ArgumentParser(add_help=False)
+        flags.add_argument("--format", choices=("human", "json", "csv"), default="human")
+        flags.add_argument("--out", default=None, help="write output to a file instead of stdout")
+        flags.add_argument("--plain", action="store_true", help="suppress the version banner")
+        return flags
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_metrics = sub.add_parser("metrics", parents=[common], help="full metric report")
+    p_metrics = sub.add_parser("metrics", parents=[common()], help="full metric report")
     p_metrics.add_argument("config")
     p_metrics.set_defaults(func=cmd_metrics)
 
@@ -494,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_split = sub.add_parser("split", help="cost decomposition")
     p_split.set_defaults(func=cmd_split)
     methods = p_split.add_subparsers(dest="method", required=True)
-    split_common = argparse.ArgumentParser(add_help=False, parents=[common])
+    split_common = argparse.ArgumentParser(add_help=False, parents=[common()])
     split_common.add_argument("--currency-rate", type=float,
                               help="multiplier converting inline and ratio-flag costs to GBP "
                                    "(default 1.0; CSV rows carry rate_to_gbp)")
@@ -517,21 +512,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_ratio.add_argument("--capacity", type=float, help="array capacity, MW")
     p_ratio.add_argument("--n-t", type=float, help="turbine count (may be fractional)")
 
-    p_scen = sub.add_parser("scenarios", parents=[common],
+    p_scen = sub.add_parser("scenarios", parents=[common()],
                             help="optimistic/typical/pessimistic grid")
     p_scen.add_argument("config")
     p_scen.set_defaults(func=cmd_scenarios)
 
-    p_sweep = sub.add_parser("sweep", parents=[common], help="one-at-a-time sensitivity sweep")
+    p_sweep = sub.add_parser("sweep", parents=[common()], help="one-at-a-time sensitivity sweep")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--param", required=True)
     p_sweep.add_argument("--from", dest="start", type=float, required=True)
     p_sweep.add_argument("--to", dest="stop", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
     p_sweep.add_argument("--metric", required=True)
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_sweep, format="csv")
 
-    p_curve = sub.add_parser("curve", parents=[common],
+    p_curve = sub.add_parser("curve", parents=[common()],
                              help="evaluate functionals along a power curve")
     p_curve.add_argument("config")
     p_curve.add_argument("--power-curve", required=True)
@@ -541,10 +536,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # recorded, so not fatal under -W error
+            parts = args.func(args)
+        return _report(args, [str(w.message) for w in caught], *parts)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR

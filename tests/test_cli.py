@@ -4,6 +4,7 @@ import errno
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +186,13 @@ class TestMetricsCommand:
             powers.append(json.loads(out)["metrics"]["break_even_power_mw"])
         assert powers[0] == pytest.approx(0.2259, abs=1e-4)
         assert powers[1] == 2 * powers[0]
+
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    def test_inputs_echo_the_compounding(self, capsys, config_path, mode):
+        path = config_path({"finance": dict(BASE_CONFIG["finance"], mode=mode)})
+        code, out, _ = run(capsys, ["metrics", path, "--format", "json"])
+        assert code == EXIT_OK
+        assert json.loads(out)["inputs"]["mode"] == mode
 
     def test_out_file(self, capsys, config_path, tmp_path):
         target = tmp_path / "report.json"
@@ -492,6 +500,30 @@ class TestSplitCommand:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert any("8.4" in message for message in payload["warnings"])
+
+    # A component past the input window once printed inf in the human report and
+    # failed the JSON one on a non-finite float; a cost estimate in a config is
+    # split by the same code.
+    @pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+    @pytest.mark.parametrize("argv, message", [
+        (["split", "ratio", "--ratio", "2.3", "--capex-total", "1e308", "--n-t", "3",
+          "--currency-rate", "10"], "CAPEX fixed cost must have |cost| <= 1e+100 GBP m, got inf"),
+        (["split", "two-points", "--capex", "1e-320=1", "--capex", "2e-320=2",
+          "--opex", "2=1", "--opex", "3=2"],
+         "CAPEX fixed cost must have |cost| <= 1e+100 GBP m, got -inf"),
+        (["split", "two-points", "--capex", "2=16.8", "--capex", "60=297",
+          "--opex", "1e-300=0", "--opex", "2e-300=1"],
+         "OPEX per-turbine cost must have |cost| <= 1e+100 GBP m, got 9.999999999999999e+299"),
+        (["metrics", {"estimate": {"method": "ratio", "ratio": 2.3,
+                                   "capex": {"n_t": 3, "total_gbp_m": 1e308, "rate_to_gbp": 10},
+                                   "opex": {"n_t": 3, "total_gbp_m": 1}}}],
+         "CAPEX fixed cost must have |cost| <= 1e+100 GBP m, got inf"),
+    ], ids=["ratio-inf", "two-points-minus-inf", "two-points-per-turbine", "config-estimate"])
+    def test_component_past_the_window_exits_2(self, capsys, config_path, argv, message, fmt):
+        if argv[0] == "metrics":
+            argv = ["metrics", config_path({"costs": argv[1]})]
+        code, out, err = run(capsys, [*argv, "--format", fmt])
+        assert (code, out, err) == (EXIT_INPUT_ERROR, "", f"error: {message}\n")
 
     def test_byte_identical_json(self, capsys):
         _, first, _ = run(capsys, [*self.IEA_ARGS, "--format", "json"])
@@ -921,3 +953,79 @@ class TestCurveCommand:
         assert code == EXIT_INPUT_ERROR
         assert "line 3" in err
         assert "n_t must be a whole number, got 2.5" in err
+
+
+# The demo config as it is; with a break-even block whose EV * n_t reaches P_BE
+# from n_t = 3 on, which metrics and curve warn of (scenarios and sweep never
+# read the block); and at a tariff too low to pay back, so metrics has a note.
+# split reads no config: its warning comes from a ratio outside the window.
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "example_config.json"
+ENVELOPE_CASES = {
+    "demo": {},
+    "warning": {"break_even": {"p_be_mw": 0.5, "ev_mw_per_turbine": 0.2}},
+    "undefined": {"finance": {"r": 0.10, "mode": "discrete", "tariff_gbp_per_mwh": 40.0}},
+}
+VALIDITY_WARNING = ("EV * n_t = {:g} reaches the break-even power 0.5; "
+                    "the linear economies-of-volume model is not valid here")
+ENVELOPE_WARNINGS = {
+    ("metrics", "warning"): [VALIDITY_WARNING.format(0.8)],
+    ("curve", "warning"): [VALIDITY_WARNING.format(0.2 * n_t) for n_t in (4, 8, 16, 32, 64)],
+    ("split", "warning"): ["ratio 8.4 outside the supported window [2.3, 3.9]"],
+}
+
+
+def envelope_argv(tmp_path, command: str, case: str) -> list[str]:
+    if command == "split":
+        ratio = "8.4" if case == "warning" else "2.3"
+        return ["split", "ratio", "--ratio", ratio, "--capex-total", "227", "--n-t", "66.67"]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(dict(json.loads(DEMO_CONFIG.read_text()), **ENVELOPE_CASES[case])))
+    return {
+        "metrics": ["metrics", str(path)],
+        "scenarios": ["scenarios", str(path)],
+        "sweep": ["sweep", str(path), "--param", "tariff", "--from", "40", "--to", "150",
+                  "--steps", "3", "--metric", "payback"],
+        "curve": ["curve", str(path), "--power-curve",
+                  str(Path(__file__).resolve().parent / "data" / "power_curve.csv")],
+    }[command]
+
+
+def json_notes(payload: dict) -> list[tuple[str, str]]:
+    """Each note of a JSON report, keyed by where it applies."""
+    if payload["command"] == "scenarios":
+        return [(f"{scenario['label']}/{metric}", note)
+                for scenario in payload["scenarios"] for metric, note in scenario["notes"].items()]
+    if payload["command"] == "curve":
+        return [(f"n_t={row['n_t']}/{column}", note)
+                for row in payload["rows"] for column, note in row.get("notes", {}).items()]
+    return list(payload.get("notes", {}).items())
+
+
+@pytest.mark.parametrize("case", sorted(ENVELOPE_CASES))
+@pytest.mark.parametrize("command", ["metrics", "scenarios", "sweep", "curve", "split"])
+def test_every_report_carries_its_warnings_and_notes_in_one_format(capsys, tmp_path, command,
+                                                                    case):
+    # Every warning a command raises is in its JSON, ends its human report after
+    # the notes, and goes to stderr beside a CSV stdout that holds the table alone.
+    argv = envelope_argv(tmp_path, command, case)
+    warned = ENVELOPE_WARNINGS.get((command, case), [])
+    code, out, err = run(capsys, [*argv, "--format", "json"])
+    assert (code, err) == (EXIT_OK, "")
+    payload = json.loads(out)
+    assert payload["warnings"] == warned
+
+    code, human, err = run(capsys, [*argv, "--format", "human", "--plain"])
+    assert (code, err) == (EXIT_OK, "")
+    lines = human.splitlines()
+    reasons = [line for line in lines if line.startswith(("  note", "  warning"))]
+    notes = len(reasons) - len(warned)
+    assert reasons == lines[len(lines) - len(reasons):]  # they end the report
+    assert sorted(reasons[:notes]) == sorted(  # JSON sorts its keys
+        f"  note [{where}]: {reason}" for where, reason in json_notes(payload))
+    assert reasons[notes:] == [f"  warning: {message}" for message in warned]
+
+    code, out, err = run(capsys, [*argv, "--format", "csv"])
+    assert (code, err) == (EXIT_OK, "".join(f"warning: {message}\n" for message in warned))
+    assert "warning" not in out and "note" not in out
+    if command == "sweep":  # CSV unless another format is asked for
+        assert run(capsys, argv) == (EXIT_OK, out, err)

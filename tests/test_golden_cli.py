@@ -37,7 +37,7 @@ COMMANDS = {
     "scenarios.txt": ["scenarios", CONFIG],
     "sweep_tariff_irr.csv": ["sweep", CONFIG, *SWEEP],
     "sweep_tariff_irr.json": ["sweep", CONFIG, *SWEEP],
-    # sweep has no human table: its human output is the CSV
+    # sweep writes CSV by default; --format human gives its table
     "sweep_tariff_irr.txt": ["sweep", CONFIG, *SWEEP],
     # README's two split examples (the two-point one in every format), the
     # ratio method's total route, and a two-point split of a total CSV (CAPEX)
