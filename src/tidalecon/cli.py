@@ -387,9 +387,8 @@ def cmd_split(args: argparse.Namespace) -> tuple:
     ca, op = _split_costs(method, capex, opex or None, getattr(args, "ratio", None))
     if method == "two_points":
         inputs_echo = {
-            "capex_points": [(o.n_t, o.cost) for o in capex],
-            "opex_points": [(o.n_t, o.cost) for o in opex],
-            "currency_rate": currency_rate,
+            "capex_points": [(o.n_t, normalize_observation(o)) for o in capex],
+            "opex_points": [(o.n_t, normalize_observation(o)) for o in opex],
         }
     else:
         inputs_echo = {
@@ -429,11 +428,13 @@ def cmd_sweep(args: argparse.Namespace) -> tuple:
     else:
         step = (args.stop - args.start) / (args.steps - 1)
         grid = [args.start + k * step for k in range(args.steps)]
-    curve = _scenarios.sensitivity_sweep(design, overrides or "typical", args.param, grid,
-                                         args.metric)
-    points = [{"value": value, args.metric: result} for value, result in curve]
+    curve = _scenarios._sweep(design, overrides or "typical", args.param, grid, args.metric)
+    points = [{"value": value, args.metric: result, "notes": notes}
+              for value, result, notes in curve]
+    notes = [(f"{args.param}={value!r}/{metric}", note)
+             for value, _, point_notes in curve for metric, note in point_notes.items()]
     return ({"command": "sweep", "param": args.param, "metric": args.metric, "points": points},
-            ("value", args.metric), curve)
+            ("value", args.metric), [point[:2] for point in curve], (), notes)
 
 
 def _read_power_curve(path: str) -> list[tuple[int, float]]:
@@ -452,13 +453,14 @@ def cmd_curve(args: argparse.Namespace) -> tuple:
     for row in rows:
         row["max_power"] = row["n_t"] == best_power
         row["max_j_bep"] = row["n_t"] == best_j
+        row.setdefault("notes", {})
 
     columns = (
         "n_t", "p_avg_mw", "power_per_device_mw", "j_bep_mw", "j_bep_ev_mw",
         "npv_gbp_m", "lcoe_gbp_per_mwh", "max_power", "max_j_bep",
     )
     notes = [(f"n_t={row['n_t']}/{column}", note)
-             for row in rows for column, note in row.get("notes", {}).items()]
+             for row in rows for column, note in row["notes"].items()]
     return ({"command": "curve", "rows": rows}, columns,
             [tuple(row[col] for col in columns) for row in rows], (), notes)
 

@@ -53,10 +53,10 @@ class ArrayDesign(Record):
                  availability: float | Sequence[float] = 1.0,
                  electrical_efficiency: float = 1.0) -> None:
         # A count beyond the window could not be converted to a float to rate it.
-        _check_count("n_t", n_t, 1, MAX_AMOUNT)
+        n_t = _check_count("n_t", n_t, 1, MAX_AMOUNT)
         if not 1 / MAX_AMOUNT <= mw_t < math.inf:  # also rejects NaN
             raise ValueError(f"mw_t must be finite and at least {1 / MAX_AMOUNT:g}, got {mw_t}")
-        _check_count("lifetime_years", lifetime_years, 1, MAX_YEARS)
+        lifetime_years = _check_count("lifetime_years", lifetime_years, 1, MAX_YEARS)
         # Checked apart from the capacity, which is inf when n_t * mw_t overflows.
         if not 0 <= p_avg_mw < math.inf:  # also rejects NaN
             raise ValueError(f"p_avg_mw must be finite and >= 0, got {p_avg_mw}")

@@ -83,24 +83,27 @@ class CashFlowSchedule(Record):
     __slots__ = ("horizon", "flows")
 
     def __init__(self, horizon: int, flows: Sequence[float]) -> None:
-        _check_count("horizon", horizon, 0, MAX_YEARS)
+        horizon = _check_count("horizon", horizon, 0, MAX_YEARS)
         if isinstance(flows, Mapping):  # iterating it would read its years as the flows
             raise TypeError("flows must be the yearly amounts, year 0 first, not a mapping")
         if len(flows) != horizon + 1:
             raise ValueError(f"need {horizon + 1} yearly flows, got {len(flows)}")
-        if not all(abs(amount) <= MAX_AMOUNT for amount in flows):
-            for year, amount in enumerate(flows):
-                if not abs(amount) <= MAX_AMOUNT:  # also rejects NaN
-                    raise ValueError(f"flow for year {year} must have |flow| <= {MAX_AMOUNT:g}, "
-                                     f"got {amount}")
+        for year, amount in enumerate(flows):
+            if not abs(amount) <= MAX_AMOUNT:  # also rejects NaN
+                raise ValueError(f"flow for year {year} must have |flow| <= {MAX_AMOUNT:g}, "
+                                 f"got {amount}")
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "flows", tuple(map(float, flows)))
 
 
-def _check_count(name: str, value: object, low: int, high: float) -> None:
-    """Reject ``value`` unless it is an int in [low, high]; True is an int, but no count."""
+def _check_count(name: str, value: object, low: int, high: float) -> int:
+    """``value`` as an int in [low, high]; an integral float such as 20.0 is taken, True
+    is not. An int never goes through ``float()``, which overflows past float range."""
+    if type(value) is float and value.is_integer():
+        value = int(value)
     if type(value) is not int or not low <= value <= high:
         raise ValueError(f"{name} must be an integer in [{low}, {high}], got {_shown(value)}")
+    return value
 
 
 def _shown(value: object) -> object:

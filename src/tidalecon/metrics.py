@@ -566,34 +566,30 @@ def functional_sweep(
 
     Each (n_t, P_avg) sample is substituted into ``design_template`` as a
     new ``ArrayDesign``, so every check runs, keeping its rating, lifetime,
-    availability and efficiency; n_t must be a whole number, though an
-    integral float such as 3.0 is accepted.
+    availability and efficiency; n_t must be a whole number, though the
+    design takes an integral float such as 3.0 as its int.
     Returns one row per sample, in input order. An undefined NPV or LCOE is
     None, and the row then carries a ``notes`` mapping from its key to the
     reason.
     """
     if not power_curve:
         raise ValueError("power curve is empty")
-    counts = [n for n, _ in power_curve]
-    for n_t in counts:  # an int skips float(), which overflows past float range
-        if isinstance(n_t, bool) or not (type(n_t) is int or float(n_t).is_integer()):
-            raise ValueError(f"n_t must be a whole number of turbines, got {n_t!r}")
-    if len(set(counts)) != len(counts):
+    if len({n_t for n_t, _ in power_curve}) != len(power_curve):
         raise ValueError("power-curve samples must have distinct n_t values")
 
     t = design_template
     factors = _year_factors(spec, t.lifetime_years)  # every row keeps the template's lifetime
     rows = []
     for n_t, p_avg in power_curve:
-        design = ArrayDesign(int(n_t), t.mw_t, float(p_avg), t.lifetime_years, t.availability,
+        design = ArrayDesign(n_t, t.mw_t, float(p_avg), t.lifetime_years, t.availability,
                              t.electrical_efficiency)
         values, notes = _evaluate(design, params, tariff, ("npv", "lcoe"), factors)
         row = {
-            "n_t": int(n_t),
+            "n_t": design.n_t,
             "p_avg_mw": float(p_avg),
-            "power_per_device_mw": float(p_avg) / n_t,
-            "j_bep_mw": bep_functional(p_avg, bep, n_t),
-            "j_bep_ev_mw": bep_ev_functional(p_avg, bep, n_t),
+            "power_per_device_mw": float(p_avg) / design.n_t,
+            "j_bep_mw": bep_functional(p_avg, bep, design.n_t),
+            "j_bep_ev_mw": bep_ev_functional(p_avg, bep, design.n_t),
             "npv_gbp_m": values["npv"],
             "lcoe_gbp_per_mwh": values["lcoe"],
         }

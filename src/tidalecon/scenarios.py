@@ -88,24 +88,15 @@ def _resolve(label: str, overrides: Mapping[str, float] | None) -> dict[str, flo
     return values
 
 
-def _lifetime(values: Mapping[str, float]) -> int:
-    lifetime = values["lifetime"]  # an int skips float(), which overflows past float range
-    if isinstance(lifetime, bool) or not (type(lifetime) is int or float(lifetime).is_integer()):
-        raise ValueError(f"lifetime must be a whole number of years, got {lifetime!r}")
-    return int(lifetime)
-
-
-def _bind(design: ArrayDesign, values: Mapping[str, float], lifetime: int) -> ArrayDesign:
-    return ArrayDesign(design.n_t, design.mw_t, design.p_avg_mw, lifetime,
+def _bind(design: ArrayDesign, values: Mapping[str, float]) -> ArrayDesign:
+    return ArrayDesign(design.n_t, design.mw_t, design.p_avg_mw, values["lifetime"],
                        values["availability"], design.electrical_efficiency)
 
 
 def _apply(design: ArrayDesign, values: Mapping[str, float]):
-    lifetime = _lifetime(values)  # checked first, as a whole number, and bound last
+    bound = _bind(design, values)  # first, so a bad lifetime is reported before bad costs
     params = CostParameters(values["ca_f"], values["ca_t"], values["o_f"], values["o_t"])
-    tariff = TariffScheme(values["tariff"])
-    spec = DiscountSpec(values["r"])
-    return _bind(design, values, lifetime), params, tariff, spec
+    return bound, params, TariffScheme(values["tariff"]), DiscountSpec(values["r"])
 
 
 def compute_metrics(
@@ -152,6 +143,13 @@ def sensitivity_sweep(
     rebinds and re-checks only the record its parameter feeds. A point whose
     rate and lifetime equal the previous point's reuses its discount factors.
     """
+    return [point[:2] for point in _sweep(design, base_scenario, parameter, grid, metric)]
+
+
+def _sweep(design: ArrayDesign, base_scenario: str | Mapping[str, float], parameter: str,
+           grid: Sequence[float], metric: str) -> list[tuple[float, float | None, dict]]:
+    """``sensitivity_sweep``'s points, each with its notes: the metric's name to the
+    reason it is undefined, or no entry where it is defined."""
     if metric not in METRIC_NAMES:
         raise ValueError(f"unknown metric {metric!r}; valid names: {', '.join(METRIC_NAMES)}")
     parameter_range(parameter)
@@ -172,14 +170,14 @@ def sensitivity_sweep(
         elif parameter == "r":
             spec = DiscountSpec(value)
         elif parameter in ("lifetime", "availability"):
-            bound = _bind(design, point, _lifetime(point))
+            bound = _bind(design, point)
         else:
             params = CostParameters(point["ca_f"], point["ca_t"], point["o_f"], point["o_t"])
         if drawn != (spec.annual_rate, bound.lifetime_years):  # ``_apply``'s specs are annual
             drawn = (spec.annual_rate, bound.lifetime_years)
             factors = _metrics._year_factors(spec, bound.lifetime_years)
-        metric_values, _ = _metrics._evaluate(bound, params, tariff, (metric,), factors)
-        curve.append((value, metric_values[metric]))
+        metric_values, notes = _metrics._evaluate(bound, params, tariff, (metric,), factors)
+        curve.append((value, metric_values[metric], notes))
     return curve
 
 

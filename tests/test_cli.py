@@ -756,7 +756,7 @@ class TestScenariosCommand:
         path = config_path({"scenario_overrides": {"lifetime": 25.5}})
         code, out, err = run(capsys, ["scenarios", path, "--format", "json"])
         assert (code, out) == (EXIT_INPUT_ERROR, "")
-        assert "lifetime must be a whole number of years, got 25.5" in err
+        assert "lifetime_years must be an integer in [1, 100], got 25.5" in err
 
     def test_csv_layout(self, capsys, config_path):
         code, out, _ = run(capsys, ["scenarios", config_path(), "--format", "csv"])
@@ -810,7 +810,7 @@ class TestSweepCommand:
             "--steps", "4", "--metric", "npv",
         ])
         assert (code, out) == (EXIT_INPUT_ERROR, "")
-        assert "lifetime must be a whole number of years, got 23.333333333333332" in err
+        assert "lifetime_years must be an integer in [1, 100], got 23.333333333333332" in err
 
     def test_whole_lifetime_steps_unchanged(self, capsys, config_path):
         code, out, _ = run(capsys, [
@@ -995,9 +995,12 @@ def json_notes(payload: dict) -> list[tuple[str, str]]:
     if payload["command"] == "scenarios":
         return [(f"{scenario['label']}/{metric}", note)
                 for scenario in payload["scenarios"] for metric, note in scenario["notes"].items()]
+    if payload["command"] == "sweep":
+        return [(f"{payload['param']}={point['value']!r}/{metric}", note)
+                for point in payload["points"] for metric, note in point["notes"].items()]
     if payload["command"] == "curve":
         return [(f"n_t={row['n_t']}/{column}", note)
-                for row in payload["rows"] for column, note in row.get("notes", {}).items()]
+                for row in payload["rows"] for column, note in row["notes"].items()]
     return list(payload.get("notes", {}).items())
 
 
@@ -1029,3 +1032,62 @@ def test_every_report_carries_its_warnings_and_notes_in_one_format(capsys, tmp_p
     assert "warning" not in out and "note" not in out
     if command == "sweep":  # CSV unless another format is asked for
         assert run(capsys, argv) == (EXIT_OK, out, err)
+
+
+# Configs that leave a metric undefined, each with the reason it must give: the
+# demo config's curve has a zero-power row; the costs and tariff reach scenarios
+# and sweep through scenario_overrides. A derived break-even power outside
+# (0, 1e100] is null in metrics, untouched in scenarios and sweep, and exits 2
+# in curve, whose every row is a score.
+NULL_CASES = {
+    "zero_power_row": ({}, "discounted energy is zero; LCOE is undefined"),
+    "payback_past_lifetime": ({"finance": dict(BASE_CONFIG["finance"], tariff_gbp_per_mwh=40.0)},
+                              "cumulative discounted flow stays negative through year 25"),
+    "no_sign_change": ({"finance": dict(BASE_CONFIG["finance"], tariff_gbp_per_mwh=1.0),
+                        "scenario_overrides": {"tariff": 1.0}},
+                       "IRR undefined: cash flows never change sign"),
+    "no_irr_in_range": ({"costs": dict(BASE_CONFIG["costs"], ca_f=0.01, ca_t=0.01),
+                         "scenario_overrides": {"ca_f": 0.01, "ca_t": 0.01}},
+                        "no IRR in range [-0.99, 10.0]"),
+    "lcoe_past_float_range_power": ({"array": dict(BASE_CONFIG["array"], p_avg_mw=1e-320)},
+                                    "cost per MWh overflows"),
+    "lcoe_past_float_range_rate": ({"finance": dict(BASE_CONFIG["finance"], r=1e308)},
+                                   "cost per MWh overflows"),
+    "zero_break_even_power": ({"costs": dict(BASE_CONFIG["costs"], ca_t=0, o_t=0)},
+                              "break-even power derived from the per-turbine costs is 0 MW"),
+    "huge_break_even_power": ({"array": dict(BASE_CONFIG["array"], availability=1e-305)},
+                              "break-even power derived from the per-turbine costs is 2.14612e+304"),
+}
+
+
+def null_and_noted(payload: dict) -> list[tuple[set[str], set[str]]]:
+    """(the keys holding null, the keys with a note) of each record of a JSON report."""
+    records = {
+        "metrics": lambda: [(payload["metrics"], payload["notes"])],
+        "scenarios": lambda: [(res["metrics"], res["notes"]) for res in payload["scenarios"]],
+        "sweep": lambda: [(point, point["notes"]) for point in payload["points"]],
+        "curve": lambda: [(row, row["notes"]) for row in payload["rows"]],
+    }[payload["command"]]()
+    return [({key for key, value in values.items() if value is None}, set(notes))
+            for values, notes in records]
+
+
+@pytest.mark.parametrize("case", NULL_CASES)
+def test_every_null_in_a_json_report_has_a_note(capsys, config_path, case):
+    overrides, reason = NULL_CASES[case]
+    path = config_path(overrides)
+    sweeps = [["sweep", path, "--param", "tariff", "--from", "10", "--to", "150", "--steps", "3",
+               "--metric", metric] for metric in ("npv", "lcoe", "payback", "irr")]
+    power_curve = str(Path(__file__).resolve().parent / "data" / "power_curve.csv")
+    reasons = []
+    for argv in (["metrics", path], ["scenarios", path], *sweeps,
+                 ["curve", path, "--power-curve", power_curve]):
+        code, out, err = run(capsys, [*argv, "--format", "json"])
+        if code == EXIT_INPUT_ERROR and argv[0] == "curve" and "break_even" in case:
+            reasons.append(err)
+            continue
+        assert (code, err) == (EXIT_OK, ""), argv
+        for null, noted in null_and_noted(json.loads(out)):
+            assert null == noted, argv
+        reasons += [note for _, note in json_notes(json.loads(out))]
+    assert any(reason in text for text in reasons)

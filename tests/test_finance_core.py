@@ -233,6 +233,24 @@ class TestInputWindow:
         with pytest.raises(ValueError, match=re.escape(message)):
             record(**fields)
 
+    # One count rule for every record: an int, or an integral float stored as its
+    # int, so the record equals, and prints as, one built from the int.
+    @pytest.mark.parametrize("field, build, whole", [
+        ("n_t", lambda value: ArrayDesign(value, 1.5, 1.0, 20), 4.0),
+        ("lifetime_years", lambda value: ArrayDesign(4, 1.5, 1.0, value), 25.0),
+        ("horizon", lambda value: CashFlowSchedule(value, [-1.0, 0.5, 0.75]), 2.0),
+    ], ids=["n_t", "lifetime_years", "horizon"])
+    def test_one_count_rule(self, field, build, whole):
+        record, from_int = build(whole), build(int(whole))
+        assert type(getattr(record, field)) is int
+        assert (record, hash(record), repr(record)) == (from_int, hash(from_int), repr(from_int))
+        for value, shown in ((whole + 0.5, whole + 0.5), (math.nan, "nan"), (math.inf, "inf"),
+                             (True, "True"), (1e300, "an integer of 301 digits")):
+            with pytest.raises(ValueError) as raised:
+                build(value)
+            assert re.fullmatch(rf"{field} must be an integer in \[\d+, [\de+]+\], "
+                                rf"got {re.escape(str(shown))}", str(raised.value))
+
     # A config value of 1e300 reaches a record as a 301-digit int; echoed in
     # full it made a 300-digit error line.
     # Past Python's 4300-digit limit str() raises, so the count is given.

@@ -156,7 +156,7 @@ class TestSensitivitySweep:
     ], ids=["swept", "base"])
     def test_boolean_lifetime_rejected(self, base, parameter, grid):
         # True is an int equal to 1, but not a lifetime: it once gave a 1-year project.
-        message = "^lifetime must be a whole number of years, got True$"
+        message = r"^lifetime_years must be an integer in \[1, 100\], got True$"
         with pytest.raises(ValueError, match=message):
             sensitivity_sweep(design(), base, parameter, grid, "npv")
 
@@ -367,7 +367,7 @@ class TestSweepChecks:
     @pytest.mark.parametrize("parameter", [p for p in PIN_GRIDS if p not in ("lifetime", "ca_f")])
     def test_bad_lifetime_is_reported_before_bad_costs(self, parameter):
         base = {"lifetime": 20.5, "ca_f": -1.0}
-        message = "^lifetime must be a whole number of years, got 20.5$"
+        message = r"^lifetime_years must be an integer in \[1, 100\], got 20.5$"
         with pytest.raises(ValueError, match=message):
             sensitivity_sweep(design(), base, parameter, PIN_GRIDS[parameter], "npv")
 
