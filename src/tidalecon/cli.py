@@ -35,7 +35,7 @@ from .cost_estimation import (
     split_two_points,
 )
 from .cost_model import ArrayDesign, CostParameters, TariffScheme
-from .finance_core import MAX_AMOUNT, Compounding, DiscountSpec, _shown
+from .finance_core import MAX_AMOUNT, Compounding, DiscountSpec, _check_window, _shown
 from . import metrics as _metrics
 from . import scenarios as _scenarios
 
@@ -131,10 +131,8 @@ def _split_costs(
                              f"observation{'s' * (count > 1)}, got {len(observations)}")
         parts = (split_two_points(*observations) if count == 2
                  else split_from_ratio(observations[0], fixed_ratio))
-        for name, amount in zip(("fixed", "per-turbine"), parts):
-            if not abs(amount) <= MAX_AMOUNT:  # past float range, so a JSON report would fail
-                raise ValueError(f"{kind} {name} cost must have |cost| <= {MAX_AMOUNT:g} GBP m, "
-                                 f"got {amount}")
+        for name, amount in zip(("fixed", "per-turbine"), parts):  # inf would fail a JSON report
+            _check_window(f"{kind} {name} cost", amount, -MAX_AMOUNT, MAX_AMOUNT)
         return parts
 
     return split("CAPEX", capex), None if opex is None else split("OPEX", opex)
@@ -238,11 +236,13 @@ def _json_dump(payload: dict) -> str:
 
 
 def _cell(value: object, fmt: Callable[[float], str]) -> str:
-    """``value`` as a table cell: a float through ``fmt``, None as "undefined"."""
+    """``value`` as a table cell: a float or a point's number through ``fmt``, None as "undefined"."""
     if value is None:
         return "undefined"
     if isinstance(value, float):
         return fmt(value)
+    if isinstance(value, list):  # split two-points' (n_t, GBP m) inputs
+        return "[" + ", ".join("(" + ", ".join(map(fmt, point)) + ")" for point in value) + "]"
     return str(value)
 
 

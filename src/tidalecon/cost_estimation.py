@@ -141,8 +141,11 @@ def learning_rate_adjust(
     Standard experience-curve power law: each doubling of installed
     capacity multiplies the cost by (1 - learning_rate).
     """
-    if installed_from_mw <= 0 or installed_to_mw <= 0:
-        raise ValueError("installed capacities must be positive")
+    if not math.isfinite(cost):
+        raise ValueError(f"cost must be finite, got {cost}")
+    for name, value in (("installed_from_mw", installed_from_mw), ("installed_to_mw", installed_to_mw)):
+        if not 0 < value < math.inf:  # also rejects NaN
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     if not 0 <= learning_rate < 1:
         raise ValueError(f"learning rate must be in [0, 1), got {learning_rate}")
     doublings = math.log2(installed_to_mw / installed_from_mw)

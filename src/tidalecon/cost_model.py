@@ -8,10 +8,10 @@ production runs over years 1..L.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 
-from .finance_core import MAX_AMOUNT, MAX_YEARS, CashFlowSchedule, Record, _check_count
+from .finance_core import (MAX_AMOUNT, MAX_YEARS, CashFlowSchedule, Record, _check_count,
+                           _check_window)
 
 HOURS_PER_YEAR = 8760  # no leap-year handling; beyond the precision of the inputs
 
@@ -28,13 +28,10 @@ class CostParameters(Record):
     __slots__ = ("ca_f", "ca_t", "o_f", "o_t")
 
     def __init__(self, ca_f: float, ca_t: float, o_f: float, o_t: float) -> None:
-        for name, value in (("ca_f", ca_f), ("ca_t", ca_t), ("o_f", o_f), ("o_t", o_t)):
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        object.__setattr__(self, "ca_f", ca_f)
-        object.__setattr__(self, "ca_t", ca_t)
-        object.__setattr__(self, "o_f", o_f)
-        object.__setattr__(self, "o_t", o_t)
+        object.__setattr__(self, "ca_f", _check_window("ca_f", ca_f, 0, MAX_AMOUNT))
+        object.__setattr__(self, "ca_t", _check_window("ca_t", ca_t, 0, MAX_AMOUNT))
+        object.__setattr__(self, "o_f", _check_window("o_f", o_f, 0, MAX_AMOUNT))
+        object.__setattr__(self, "o_t", _check_window("o_t", o_t, 0, MAX_AMOUNT))
 
 
 class ArrayDesign(Record):
@@ -54,27 +51,26 @@ class ArrayDesign(Record):
                  electrical_efficiency: float = 1.0) -> None:
         # A count beyond the window could not be converted to a float to rate it.
         n_t = _check_count("n_t", n_t, 1, MAX_AMOUNT)
-        if not 1 / MAX_AMOUNT <= mw_t < math.inf:  # also rejects NaN
-            raise ValueError(f"mw_t must be finite and at least {1 / MAX_AMOUNT:g}, got {mw_t}")
+        if not 1 / MAX_AMOUNT <= mw_t <= MAX_AMOUNT:
+            _check_window("mw_t", mw_t, 1 / MAX_AMOUNT, MAX_AMOUNT)
         lifetime_years = _check_count("lifetime_years", lifetime_years, 1, MAX_YEARS)
-        # Checked apart from the capacity, which is inf when n_t * mw_t overflows.
-        if not 0 <= p_avg_mw < math.inf:  # also rejects NaN
-            raise ValueError(f"p_avg_mw must be finite and >= 0, got {p_avg_mw}")
+        if not 0 <= p_avg_mw <= MAX_AMOUNT:
+            _check_window("p_avg_mw", p_avg_mw, 0, MAX_AMOUNT)
         if p_avg_mw > n_t * mw_t:
             raise ValueError(f"p_avg_mw {p_avg_mw} must lie in [0, rated capacity {n_t * mw_t}]")
         if not 0 < electrical_efficiency <= 1:
-            raise ValueError("electrical_efficiency must be in (0, 1], "
-                             f"got {electrical_efficiency}")
+            _check_window("electrical_efficiency", electrical_efficiency, 0, 1, open_low=True)
         if isinstance(availability, (int, float)):
             if not 0 < availability <= 1:
-                raise ValueError(f"availability must be in (0, 1], got {availability}")
+                _check_window("availability", availability, 0, 1, open_low=True)
         else:
             availability = tuple(map(float, availability))
             if len(availability) != lifetime_years:
                 raise ValueError(f"per-year availability needs {lifetime_years} entries, "
                                  f"got {len(availability)}")
             if not all(0 < a <= 1 for a in availability):
-                raise ValueError("every availability entry must be in (0, 1]")
+                for year, a in enumerate(availability, 1):
+                    _check_window(f"availability in year {year}", a, 0, 1, open_low=True)
         object.__setattr__(self, "n_t", n_t)
         object.__setattr__(self, "mw_t", mw_t)
         object.__setattr__(self, "p_avg_mw", p_avg_mw)
@@ -83,8 +79,7 @@ class ArrayDesign(Record):
         object.__setattr__(self, "electrical_efficiency", electrical_efficiency)
 
     def availability_in_year(self, year: int) -> float:
-        if not 1 <= year <= self.lifetime_years:
-            raise ValueError(f"year {year} outside operating window [1, {self.lifetime_years}]")
+        year = _check_count("year", year, 1, self.lifetime_years)
         if isinstance(self.availability, tuple):
             return self.availability[year - 1]
         return float(self.availability)
@@ -96,32 +91,28 @@ class TariffScheme(Record):
     __slots__ = ("t_e",)
 
     def __init__(self, t_e: float) -> None:
-        if not math.isfinite(t_e) or t_e <= 0:
-            raise ValueError(f"tariff must be finite and positive, got {t_e}")
-        object.__setattr__(self, "t_e", t_e)
+        object.__setattr__(self, "t_e", _check_window("t_e", t_e, 0, MAX_AMOUNT, open_low=True))
 
 
 def capex(params: CostParameters, n_t: int | float) -> float:
     """Total capital expenditure for ``n_t`` turbines, GBP m."""
-    if n_t < 0:
-        raise ValueError(f"n_t must be >= 0, got {n_t}")
+    if not 0 <= n_t <= MAX_AMOUNT:  # inline: once per curve row
+        _check_window("n_t", n_t, 0, MAX_AMOUNT)
     return params.ca_f + params.ca_t * n_t
 
 
 def opex_year(params: CostParameters, n_t: int | float) -> float:
     """Operational expenditure for one year of an ``n_t``-turbine array, GBP m."""
-    if n_t < 0:
-        raise ValueError(f"n_t must be >= 0, got {n_t}")
+    if not 0 <= n_t <= MAX_AMOUNT:  # inline: once per curve row
+        _check_window("n_t", n_t, 0, MAX_AMOUNT)
     return params.o_f + params.o_t * n_t
 
 
 def _checked_costs(
     design: ArrayDesign, params: CostParameters, tariff: TariffScheme | None = None
 ) -> tuple[float, float]:
-    """CAPEX and a year's OPEX of ``design``, GBP m, after the one window check
-    of a design evaluation, made before its year loop: each of them, peak
-    energy and, given a tariff, peak revenue must be at most ``MAX_AMOUNT``.
-    """
+    """CAPEX and a year's OPEX of ``design``, GBP m. They, peak energy and, given a tariff, peak
+    revenue must each be <= ``MAX_AMOUNT``: products, which no one field's window bounds."""
     capital, annual_opex = capex(params, design.n_t), opex_year(params, design.n_t)
     peak_energy = design.p_avg_mw * HOURS_PER_YEAR
     peak_revenue = 0.0 if tariff is None else peak_energy * tariff.t_e / 1e6
@@ -174,11 +165,11 @@ def build_schedule(
     if opex_multipliers is not None:
         multipliers = tuple(map(float, opex_multipliers))
         if len(multipliers) != design.lifetime_years:
-            raise ValueError(
-                f"opex_multipliers needs {design.lifetime_years} entries, got {len(multipliers)}"
-            )
-        if not all(0 <= m < math.inf for m in multipliers):  # also rejects NaN
-            raise ValueError("opex_multipliers must be finite and non-negative")
+            raise ValueError(f"opex_multipliers needs {design.lifetime_years} entries, "
+                             f"got {len(multipliers)}")
+        if not all(0 <= m <= MAX_AMOUNT for m in multipliers):
+            for year, m in enumerate(multipliers, 1):
+                _check_window(f"opex multiplier in year {year}", m, 0, MAX_AMOUNT)
     else:
         multipliers = (1.0,) * design.lifetime_years
 

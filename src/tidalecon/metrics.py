@@ -30,6 +30,7 @@ from .finance_core import (
     CashFlowSchedule,
     DiscountSpec,
     Record,
+    _check_window,
     _discounted_sum,
     _factors,
     _sum,
@@ -79,14 +80,10 @@ class BreakEvenSpec(Record):
     __slots__ = ("p_be_mw", "ev_mw_per_turbine")
 
     def __init__(self, p_be_mw: float, ev_mw_per_turbine: float = 0.0) -> None:
-        if not 0 < p_be_mw <= MAX_AMOUNT:  # also rejects NaN
-            raise ValueError(f"break-even power must be finite and in (0, {MAX_AMOUNT:g}], "
-                             f"got {p_be_mw}")
-        if not 0 <= ev_mw_per_turbine <= MAX_AMOUNT:
-            raise ValueError("economies-of-volume coefficient must be finite and in "
-                             f"[0, {MAX_AMOUNT:g}], got {ev_mw_per_turbine}")
-        object.__setattr__(self, "p_be_mw", p_be_mw)
-        object.__setattr__(self, "ev_mw_per_turbine", ev_mw_per_turbine)
+        object.__setattr__(self, "p_be_mw",
+                           _check_window("p_be_mw", p_be_mw, 0, MAX_AMOUNT, open_low=True))
+        object.__setattr__(self, "ev_mw_per_turbine",
+                           _check_window("ev_mw_per_turbine", ev_mw_per_turbine, 0, MAX_AMOUNT))
 
 
 def npv(schedule: CashFlowSchedule, spec: DiscountSpec) -> float:
@@ -524,15 +521,15 @@ def default_break_even(
 
 def bep_from_capacity_factor(rating_mw: float, capacity_factor: float) -> float:
     """Break-even power implied by a target capacity factor, MW."""
-    if not 0 < capacity_factor <= 1:
-        raise ValueError(f"capacity factor must be in (0, 1], got {capacity_factor}")
-    return rating_mw * capacity_factor
+    _check_window("rating_mw", rating_mw, 0, MAX_AMOUNT, open_low=True)
+    return rating_mw * _check_window("capacity_factor", capacity_factor, 0, 1, open_low=True)
 
 
 def bep_functional(p_avg_mw: float, bep: BreakEvenSpec, n_t: int | float) -> float:
     """Design score J = P_avg - P_BE * n_t (economies of volume ignored)."""
-    if n_t < 0:
-        raise ValueError(f"n_t must be >= 0, got {n_t}")
+    if not (0 <= p_avg_mw <= MAX_AMOUNT and 0 <= n_t <= MAX_AMOUNT):  # inline: once per curve row
+        _check_window("p_avg_mw", p_avg_mw, 0, MAX_AMOUNT)
+        _check_window("n_t", n_t, 0, MAX_AMOUNT)
     return p_avg_mw - bep.p_be_mw * n_t
 
 
@@ -542,8 +539,9 @@ def bep_ev_functional(p_avg_mw: float, bep: BreakEvenSpec, n_t: int | float) -> 
     J = P_avg - (P_BE - EV * n_t) * n_t. Warns (but still evaluates) when
     EV * n_t reaches P_BE, outside the model's validity window.
     """
-    if n_t < 0:
-        raise ValueError(f"n_t must be >= 0, got {n_t}")
+    if not (0 <= p_avg_mw <= MAX_AMOUNT and 0 <= n_t <= MAX_AMOUNT):  # inline: once per curve row
+        _check_window("p_avg_mw", p_avg_mw, 0, MAX_AMOUNT)
+        _check_window("n_t", n_t, 0, MAX_AMOUNT)
     if bep.ev_mw_per_turbine * n_t >= bep.p_be_mw and n_t > 0:
         warnings.warn(
             f"EV * n_t = {bep.ev_mw_per_turbine * n_t:g} reaches the break-even power "

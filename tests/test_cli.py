@@ -138,13 +138,16 @@ class TestMetricsCommand:
         code, _, _ = run(capsys, ["metrics", "/nonexistent/config.json"])
         assert code == EXIT_INPUT_ERROR
 
-    # Zero power leaves no energy; a subnormal power or a rate near the float
-    # maximum leaves so little discounted energy that cost per MWh overflows.
-    @pytest.mark.parametrize("block, key, value", [
-        ("array", "p_avg_mw", 0), ("array", "p_avg_mw", 1e-320), ("finance", "r", 1e308),
-    ])
-    def test_zero_power_reports_undefined_lcoe(self, capsys, config_path, block, key, value):
-        path = config_path({block: dict(BASE_CONFIG[block], **{key: value})})
+    # Zero power leaves no energy; a subnormal power, or a tiny one at the rate
+    # window's top, leaves so little discounted energy that cost per MWh overflows.
+    @pytest.mark.parametrize("overrides", [
+        {"array": dict(BASE_CONFIG["array"], p_avg_mw=0)},
+        {"array": dict(BASE_CONFIG["array"], p_avg_mw=1e-320)},
+        {"array": dict(BASE_CONFIG["array"], p_avg_mw=1e-220),
+         "finance": dict(BASE_CONFIG["finance"], r=1e100)},
+    ], ids=["array-p_avg_mw-0", "array-p_avg_mw-1e-320", "finance-r-1e+100"])
+    def test_zero_power_reports_undefined_lcoe(self, capsys, config_path, overrides):
+        path = config_path(overrides)
         code, out, _ = run(capsys, ["metrics", path, "--format", "json"])
         assert code == EXIT_OK
         payload = json.loads(out)
@@ -161,16 +164,25 @@ class TestMetricsCommand:
         assert (code, out) == (EXIT_INPUT_ERROR, "")
         assert err == "error: lifetime_years must be an integer in [1, 100], got 200\n"
 
-    @pytest.mark.parametrize("block, key, value, message", [
-        ("array", "lifetime_years", 101, "lifetime_years must be an integer in [1, 100], got 101"),
-        ("finance", "r", -0.995, "annual_rate must be finite and >= -0.99, got -0.995"),
-        ("costs", "ca_f", 1e101, "CAPEX must be <= 1e+100 GBP m, got 1e+101"),
-        ("finance", "tariff_gbp_per_mwh", 1e300,
-         "peak revenue must be <= 1e+100 GBP m, got 2.8032e+298"),
-    ], ids=["lifetime_years", "r", "ca_f", "tariff"])
+    # Each field is checked against its own window; CAPEX and peak revenue,
+    # products of fields inside theirs, against the design's.
+    @pytest.mark.parametrize("overrides, message", [
+        ({"array": dict(BASE_CONFIG["array"], lifetime_years=101)},
+         "lifetime_years must be an integer in [1, 100], got 101"),
+        ({"finance": dict(BASE_CONFIG["finance"], r=-0.995)},
+         "annual_rate must be in [-0.99, 1e+100], got -0.995"),
+        ({"costs": dict(BASE_CONFIG["costs"], ca_f=1e101)}, "ca_f must be in [0, 1e+100], got 1e+101"),
+        ({"finance": dict(BASE_CONFIG["finance"], tariff_gbp_per_mwh=1e300)},
+         "t_e must be in (0, 1e+100], got 1e+300"),
+        ({"array": dict(BASE_CONFIG["array"], n_t=20), "costs": dict(BASE_CONFIG["costs"], ca_t=1e99)},
+         "CAPEX must be <= 1e+100 GBP m, got 2e+100"),
+        ({"array": dict(BASE_CONFIG["array"], mw_t=1e91, p_avg_mw=1e91),
+          "finance": dict(BASE_CONFIG["finance"], tariff_gbp_per_mwh=1e12)},
+         "peak revenue must be <= 1e+100 GBP m, got 8.76e+100"),
+    ], ids=["lifetime_years", "r", "ca_f", "tariff", "capex", "peak_revenue"])
     def test_input_beyond_the_window_exits_2_naming_the_field(self, capsys, config_path,
-                                                              block, key, value, message):
-        path = config_path({block: dict(BASE_CONFIG[block], **{key: value})})
+                                                              overrides, message):
+        path = config_path(overrides)
         code, out, err = run(capsys, ["metrics", path, "--format", "json"])
         assert (code, out, err) == (EXIT_INPUT_ERROR, "", f"error: {message}\n")
 
@@ -251,12 +263,11 @@ def test_undefined_derived_break_even_power(capsys, config_path, tmp_path, overr
 # and the JSON report exited 2 with "Out of range float values".
 BEP_WINDOW_CASES = [
     pytest.param({"break_even": {"p_be_mw": 1e308}},
-                 "break-even power must be finite and in (0, 1e+100], got 1e+308", id="huge_p_be"),
+                 "p_be_mw must be in (0, 1e+100], got 1e+308", id="huge_p_be"),
     pytest.param({"break_even": {"p_be_mw": 0.4, "ev_mw_per_turbine": 1e308}},
-                 "economies-of-volume coefficient must be finite and in [0, 1e+100], got 1e+308",
-                 id="huge_ev"),
+                 "ev_mw_per_turbine must be in [0, 1e+100], got 1e+308", id="huge_ev"),
     pytest.param({"array": dict(BASE_CONFIG["array"], mw_t=1e-320, p_avg_mw=1e-321)},
-                 "mw_t must be finite and at least 1e-100, got 1e-320", id="subnormal_rating"),
+                 "mw_t must be in [1e-100, 1e+100], got 1e-320", id="subnormal_rating"),
 ]
 
 
@@ -507,17 +518,17 @@ class TestSplitCommand:
     @pytest.mark.parametrize("fmt", ["human", "json", "csv"])
     @pytest.mark.parametrize("argv, message", [
         (["split", "ratio", "--ratio", "2.3", "--capex-total", "1e308", "--n-t", "3",
-          "--currency-rate", "10"], "CAPEX fixed cost must have |cost| <= 1e+100 GBP m, got inf"),
+          "--currency-rate", "10"], "CAPEX fixed cost must be in [-1e+100, 1e+100], got inf"),
         (["split", "two-points", "--capex", "1e-320=1", "--capex", "2e-320=2",
           "--opex", "2=1", "--opex", "3=2"],
-         "CAPEX fixed cost must have |cost| <= 1e+100 GBP m, got -inf"),
+         "CAPEX fixed cost must be in [-1e+100, 1e+100], got -inf"),
         (["split", "two-points", "--capex", "2=16.8", "--capex", "60=297",
           "--opex", "1e-300=0", "--opex", "2e-300=1"],
-         "OPEX per-turbine cost must have |cost| <= 1e+100 GBP m, got 9.999999999999999e+299"),
+         "OPEX per-turbine cost must be in [-1e+100, 1e+100], got 9.999999999999999e+299"),
         (["metrics", {"estimate": {"method": "ratio", "ratio": 2.3,
                                    "capex": {"n_t": 3, "total_gbp_m": 1e308, "rate_to_gbp": 10},
                                    "opex": {"n_t": 3, "total_gbp_m": 1}}}],
-         "CAPEX fixed cost must have |cost| <= 1e+100 GBP m, got inf"),
+         "CAPEX fixed cost must be in [-1e+100, 1e+100], got inf"),
     ], ids=["ratio-inf", "two-points-minus-inf", "two-points-per-turbine", "config-estimate"])
     def test_component_past_the_window_exits_2(self, capsys, config_path, argv, message, fmt):
         if argv[0] == "metrics":
@@ -1051,7 +1062,8 @@ NULL_CASES = {
                         "no IRR in range [-0.99, 10.0]"),
     "lcoe_past_float_range_power": ({"array": dict(BASE_CONFIG["array"], p_avg_mw=1e-320)},
                                     "cost per MWh overflows"),
-    "lcoe_past_float_range_rate": ({"finance": dict(BASE_CONFIG["finance"], r=1e308)},
+    "lcoe_past_float_range_rate": ({"array": dict(BASE_CONFIG["array"], p_avg_mw=1e-220),
+                                    "finance": dict(BASE_CONFIG["finance"], r=1e100)},
                                    "cost per MWh overflows"),
     "zero_break_even_power": ({"costs": dict(BASE_CONFIG["costs"], ca_t=0, o_t=0)},
                               "break-even power derived from the per-turbine costs is 0 MW"),

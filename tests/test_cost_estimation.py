@@ -164,6 +164,20 @@ class TestLearningRateAdjust:
         with pytest.raises(ValueError):
             learning_rate_adjust(100.0, 1.0, 10.0, 20.0)
 
+    # Each NaN once returned nan.
+    @pytest.mark.parametrize("args, message", [
+        ((math.nan, 0.1, 10.0, 100.0), "cost must be finite, got nan"),
+        ((-math.inf, 0.1, 10.0, 100.0), "cost must be finite, got -inf"),
+        ((10.0, 0.1, math.nan, 100.0), "installed_from_mw must be finite and positive, got nan"),
+        ((10.0, 0.1, 0.0, 100.0), "installed_from_mw must be finite and positive, got 0.0"),
+        ((10.0, 0.1, 10.0, math.inf), "installed_to_mw must be finite and positive, got inf"),
+        ((10.0, 0.1, 10.0, -5.0), "installed_to_mw must be finite and positive, got -5.0"),
+    ])
+    def test_non_finite_cost_or_capacity_rejected_naming_it(self, args, message):
+        with pytest.raises(ValueError) as raised:
+            learning_rate_adjust(*args)
+        assert str(raised.value) == message
+
     @given(
         cost=st.floats(min_value=1.0, max_value=1000.0),
         rate=st.floats(min_value=0.0, max_value=0.5),

@@ -49,9 +49,12 @@ class TestTypes:
             design(**{field: value})
 
     def test_design_rejects_infinite_power_beside_an_overflowed_capacity(self):
-        # n_t * mw_t is inf here, so the capacity bound alone let inf through.
-        with pytest.raises(ValueError, match="p_avg_mw must be finite and >= 0, got inf"):
+        # n_t * mw_t was inf at a rating of 1e308, so the capacity bound alone let
+        # inf through; the rating's window now stops it first.
+        with pytest.raises(ValueError, match=re.escape("mw_t must be in [1e-100, 1e+100], got 1e+308")):
             ArrayDesign(n_t=10, mw_t=1e308, p_avg_mw=math.inf, lifetime_years=20)
+        with pytest.raises(ValueError, match=re.escape("p_avg_mw must be in [0, 1e+100], got inf")):
+            ArrayDesign(n_t=10, mw_t=MAX_AMOUNT, p_avg_mw=math.inf, lifetime_years=20)
 
     def test_rating_down_to_the_window_accepted_below_rejected(self):
         # Below 1 / MAX_AMOUNT a break-even capacity factor P_BE / mw_t could overflow.
@@ -59,14 +62,15 @@ class TestTypes:
         assert ArrayDesign(n_t=1, mw_t=low, p_avg_mw=low, lifetime_years=20).mw_t == 1e-100
         for mw_t in (math.nextafter(low, 0.0), 1e-320, 0.0, -1.5):
             with pytest.raises(ValueError, match=re.escape(
-                    f"mw_t must be finite and at least 1e-100, got {mw_t}")):
+                    f"mw_t must be in [1e-100, 1e+100], got {mw_t}")):
                 ArrayDesign(n_t=1, mw_t=mw_t, p_avg_mw=0.0, lifetime_years=20)
 
     @pytest.mark.parametrize("field, value, message", [
         ("electrical_efficiency", 0, "electrical_efficiency must be in (0, 1], got 0"),
-        ("availability", [0.95] * 24 + [1.5], "every availability entry must be in (0, 1]"),
-        ("availability", [0.95] * 24 + [math.nan], "every availability entry must be in (0, 1]"),
-        ("availability", [0.0] + [0.95] * 24, "every availability entry must be in (0, 1]"),
+        ("availability", [0.95] * 24 + [1.5], "availability in year 25 must be in (0, 1], got 1.5"),
+        ("availability", [0.95] * 24 + [math.nan],
+         "availability in year 25 must be in (0, 1], got nan"),
+        ("availability", [0.0] + [0.95] * 24, "availability in year 1 must be in (0, 1], got 0.0"),
     ])
     def test_design_rejects_out_of_range_fraction(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -112,7 +116,7 @@ class TestCapexOpex:
             capex(TYPICAL, -1)
 
     def test_negative_count_rejected_by_opex(self):
-        with pytest.raises(ValueError, match="^n_t must be >= 0, got -1$"):
+        with pytest.raises(ValueError, match=r"^n_t must be in \[0, 1e\+100\], got -1$"):
             opex_year(TYPICAL, -1)
 
     @given(n=st.integers(min_value=0, max_value=500))
@@ -146,6 +150,16 @@ class TestEnergyRevenue:
             hours_generating(design(), 0)
         with pytest.raises(ValueError):
             energy_year(design(), 26)
+        # An operating year is a count: 2.0 reads as year 2 on a per-year design,
+        # where it once indexed the tuple with a float; True and 1.5 are no year.
+        per_year = design(lifetime_years=3, availability=[0.98, 0.95, 0.90])
+        assert per_year.availability_in_year(2.0) == per_year.availability_in_year(2) == 0.95
+        with pytest.raises(ValueError, match=re.escape("year must be an integer in [1, 3], got True")):
+            per_year.availability_in_year(True)
+        with pytest.raises(ValueError, match=re.escape("year must be an integer in [1, 25], got 1.5")):
+            hours_generating(design(), 1.5)
+        with pytest.raises(ValueError, match=re.escape("year must be an integer in [1, 25], got 1.5")):
+            energy_year(design(), 1.5)
 
     def test_energy_meygen_scale(self):
         d = design(n_t=4, mw_t=1.5, p_avg_mw=6.0, availability=0.95)
@@ -216,7 +230,8 @@ class TestBuildSchedule:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     def test_opex_multipliers_must_be_finite_and_non_negative(self, value):
-        with pytest.raises(ValueError, match="opex_multipliers must be finite"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"opex multiplier in year 2 must be in [0, 1e+100], got {value}")):
             build_schedule(design(lifetime_years=3), TYPICAL, TariffScheme(150.0),
                            opex_multipliers=[1.0, value, 1.0])
 

@@ -4,10 +4,18 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tidalecon.cost_model import ArrayDesign
+from tidalecon.cost_model import (
+    ArrayDesign,
+    CostParameters,
+    TariffScheme,
+    build_schedule,
+    capex,
+    opex_year,
+)
 from tidalecon.finance_core import (
     MAX_AMOUNT,
     MAX_YEARS,
@@ -19,7 +27,13 @@ from tidalecon.finance_core import (
     discount_factor,
     present_value,
 )
-from tidalecon.metrics import IRR_BRACKET
+from tidalecon.metrics import (
+    IRR_BRACKET,
+    BreakEvenSpec,
+    bep_ev_functional,
+    bep_from_capacity_factor,
+    bep_functional,
+)
 
 from conftest import exact_continuous_factor, exact_factor, pv_oracle
 
@@ -61,9 +75,9 @@ class TestCashFlowSchedule:
             CashFlowSchedule(2, {0: -1.0, 1: 0.5, 2: 0.7})
 
     @pytest.mark.parametrize("flows, message", [
-        ([1.0, 0.0, math.inf, 0.0], "flow for year 2 must have |flow| <= 1e+100, got inf"),
-        ([0.0, math.nan, 0.0, math.inf], "flow for year 1 must have |flow| <= 1e+100, got nan"),
-        ([0.0, 1.0, -math.inf, 0.0], "flow for year 2 must have |flow| <= 1e+100, got -inf"),
+        ([1.0, 0.0, math.inf, 0.0], "flow for year 2 must be in [-1e+100, 1e+100], got inf"),
+        ([0.0, math.nan, 0.0, math.inf], "flow for year 1 must be in [-1e+100, 1e+100], got nan"),
+        ([0.0, 1.0, -math.inf, 0.0], "flow for year 2 must be in [-1e+100, 1e+100], got -inf"),
         ([0.0, 1.0, 2.0], "need 4 yearly flows, got 3"),
     ], ids=["inf", "first-in-year-order", "minus-inf", "too-few"])
     def test_rejects_bad_flows_with_a_message(self, flows, message):
@@ -193,6 +207,78 @@ class TestDiscountedSumKernel:
         assert kernel == present_value(schedule, spec) == per_year
 
 
+def _costs(**fields) -> CostParameters:
+    return CostParameters(**{"ca_f": 9.2, "ca_t": 3.3, "o_f": 0.32, "o_t": 0.15, **fields})
+
+
+def _design(**fields) -> ArrayDesign:
+    # One turbine of the largest rating, so any power in its window fits.
+    return ArrayDesign(**{"n_t": 1, "mw_t": MAX_AMOUNT, "p_avg_mw": 1.0, "lifetime_years": 3,
+                          **fields})
+
+
+BEP = BreakEvenSpec(p_be_mw=0.4)
+
+# Every model field and argument with a window: the name its error gives, a call
+# with that one value free, the window's ends, and whether its low end is open.
+# NaN, +-inf and the float just past each end must raise one message shape.
+# capex(p, nan), opex_year(p, inf), bep_functional(4.0, b, nan),
+# bep_ev_functional(4.0, b, nan) and bep_from_capacity_factor(nan, 0.4) once
+# returned nan or inf, and a rate, cost, tariff or rating had no upper bound.
+WINDOWS = [
+    pytest.param("annual_rate", DiscountSpec, MIN_RATE, MAX_AMOUNT, False, id="annual_rate"),
+    *(pytest.param(name, lambda v, name=name: _costs(**{name: v}), 0, MAX_AMOUNT, False, id=name)
+      for name in ("ca_f", "ca_t", "o_f", "o_t")),
+    pytest.param("t_e", TariffScheme, 0, MAX_AMOUNT, True, id="t_e"),
+    pytest.param("mw_t", lambda v: _design(mw_t=v, p_avg_mw=0.0), 1 / MAX_AMOUNT, MAX_AMOUNT,
+                 False, id="mw_t"),
+    pytest.param("p_avg_mw", lambda v: _design(p_avg_mw=v), 0, MAX_AMOUNT, False, id="p_avg_mw"),
+    pytest.param("electrical_efficiency", lambda v: _design(electrical_efficiency=v), 0, 1, True,
+                 id="electrical_efficiency"),
+    pytest.param("availability", lambda v: _design(availability=v), 0, 1, True, id="availability"),
+    pytest.param("availability in year 2", lambda v: _design(availability=[1.0, v, 1.0]), 0, 1,
+                 True, id="availability-per-year"),
+    pytest.param("p_be_mw", BreakEvenSpec, 0, MAX_AMOUNT, True, id="p_be_mw"),
+    pytest.param("ev_mw_per_turbine", lambda v: BreakEvenSpec(0.4, v), 0, MAX_AMOUNT, False,
+                 id="ev_mw_per_turbine"),
+    pytest.param("years", lambda v: discount_factor(DiscountSpec(0.1), v), 0, MAX_YEARS, False,
+                 id="discount_factor-years"),
+    pytest.param("n_t", lambda v: capex(_costs(), v), 0, MAX_AMOUNT, False, id="capex-n_t"),
+    pytest.param("n_t", lambda v: opex_year(_costs(), v), 0, MAX_AMOUNT, False, id="opex_year-n_t"),
+    pytest.param("n_t", lambda v: bep_functional(4.0, BEP, v), 0, MAX_AMOUNT, False,
+                 id="bep_functional-n_t"),
+    pytest.param("n_t", lambda v: bep_ev_functional(4.0, BEP, v), 0, MAX_AMOUNT, False,
+                 id="bep_ev_functional-n_t"),
+    pytest.param("p_avg_mw", lambda v: bep_functional(v, BEP, 4), 0, MAX_AMOUNT, False,
+                 id="bep_functional-p_avg_mw"),
+    pytest.param("p_avg_mw", lambda v: bep_ev_functional(v, BEP, 4), 0, MAX_AMOUNT, False,
+                 id="bep_ev_functional-p_avg_mw"),
+    pytest.param("rating_mw", lambda v: bep_from_capacity_factor(v, 0.4), 0, MAX_AMOUNT, True,
+                 id="bep_from_capacity_factor-rating_mw"),
+    pytest.param("capacity_factor", lambda v: bep_from_capacity_factor(2.0, v), 0, 1, True,
+                 id="bep_from_capacity_factor-capacity_factor"),
+    pytest.param("flow for year 1", lambda v: CashFlowSchedule(2, [0.0, v, 0.0]),
+                 -MAX_AMOUNT, MAX_AMOUNT, False, id="flow"),
+    pytest.param("opex multiplier in year 2",
+                 lambda v: build_schedule(_design(), _costs(), TariffScheme(150.0), [1.0, v, 1.0]),
+                 0, MAX_AMOUNT, False, id="opex_multiplier"),
+]
+
+
+@pytest.mark.parametrize("name, call, low, high, open_low", WINDOWS)
+def test_one_window_rule(name, call, low, high, open_low):
+    for value in (math.nextafter(low, math.inf) if open_low else low, high):
+        call(value)  # a closed end, or the float just inside an open one
+    window = f"{'(' if open_low else '['}{low}, {high}]"
+    assert window in ("[0, 1e+100]", "(0, 1e+100]", "(0, 1]", "[-0.99, 1e+100]",
+                      "[1e-100, 1e+100]", "[0, 100]", "[-1e+100, 1e+100]")
+    past_low = float(low) if open_low else math.nextafter(low, -math.inf)
+    for value in (math.nan, math.inf, -math.inf, past_low, math.nextafter(high, math.inf)):
+        with pytest.raises(ValueError) as raised:
+            call(value)
+        assert str(raised.value) == f"{name} must be in {window}, got {value}"
+
+
 class TestInputWindow:
     """The window checked where inputs enter: at most MAX_YEARS years, rates
     of at least MIN_RATE and amounts of at most MAX_AMOUNT."""
@@ -204,7 +290,7 @@ class TestInputWindow:
     def test_rate_at_the_bound_accepted_below_rejected(self):
         assert DiscountSpec(MIN_RATE).annual_rate == -0.99
         below = math.nextafter(MIN_RATE, -math.inf)
-        message = f"annual_rate must be finite and >= -0.99, got {below}"
+        message = f"annual_rate must be in [-0.99, 1e+100], got {below}"
         with pytest.raises(ValueError, match=re.escape(message)):
             DiscountSpec(below)
 
@@ -217,7 +303,7 @@ class TestInputWindow:
         [0.0, math.nextafter(MAX_AMOUNT, math.inf)], [0.0, -1e101],
     ])
     def test_flow_beyond_the_bound_rejected(self, flows):
-        with pytest.raises(ValueError, match=r"flow for year 1 must have \|flow\| <= 1e\+100"):
+        with pytest.raises(ValueError, match=r"flow for year 1 must be in \[-1e\+100, 1e\+100\]"):
             CashFlowSchedule(1, flows)
 
     # True is an int in Python, but no count.
@@ -233,17 +319,21 @@ class TestInputWindow:
         with pytest.raises(ValueError, match=re.escape(message)):
             record(**fields)
 
-    # One count rule for every record: an int, or an integral float stored as its
-    # int, so the record equals, and prints as, one built from the int.
+    # One count rule for every record: an int, or an integral float or a numpy
+    # integer stored as its int, so the record equals, and prints as, one built
+    # from the int.
     @pytest.mark.parametrize("field, build, whole", [
         ("n_t", lambda value: ArrayDesign(value, 1.5, 1.0, 20), 4.0),
         ("lifetime_years", lambda value: ArrayDesign(4, 1.5, 1.0, value), 25.0),
         ("horizon", lambda value: CashFlowSchedule(value, [-1.0, 0.5, 0.75]), 2.0),
     ], ids=["n_t", "lifetime_years", "horizon"])
     def test_one_count_rule(self, field, build, whole):
-        record, from_int = build(whole), build(int(whole))
-        assert type(getattr(record, field)) is int
-        assert (record, hash(record), repr(record)) == (from_int, hash(from_int), repr(from_int))
+        from_int = build(int(whole))
+        for value in (whole, np.int64(whole)):
+            record = build(value)
+            assert type(getattr(record, field)) is int
+            assert (record, hash(record), repr(record)) == (from_int, hash(from_int),
+                                                            repr(from_int))
         for value, shown in ((whole + 0.5, whole + 0.5), (math.nan, "nan"), (math.inf, "inf"),
                              (True, "True"), (1e300, "an integer of 301 digits")):
             with pytest.raises(ValueError) as raised:
@@ -282,7 +372,7 @@ class TestInputWindow:
 
     @pytest.mark.parametrize("years", [-1, 100.5, math.nan])
     def test_discount_time_outside_the_window_rejected(self, years):
-        with pytest.raises(ValueError, match=r"years must lie in \[0, 100\]"):
+        with pytest.raises(ValueError, match=r"years must be in \[0, 100\]"):
             discount_factor(DiscountSpec(0.1), years)
 
     @pytest.mark.parametrize("spec", [

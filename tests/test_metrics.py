@@ -947,13 +947,11 @@ class TestDesignWindow:
     """One check per design evaluation, before its year loop, bounds CAPEX, a
     year's OPEX, peak energy and peak revenue by MAX_AMOUNT."""
 
-    BEYOND = math.nextafter(MAX_AMOUNT, math.inf)
-
     @pytest.mark.parametrize("costs, p_avg, tariff, message", [
-        (dict(ca_f=BEYOND), 3.2, 150.0, "CAPEX must be <= 1e+100 GBP m"),
-        (dict(o_f=BEYOND), 3.2, 150.0, "OPEX per year must be <= 1e+100 GBP m"),
+        (dict(ca_t=MAX_AMOUNT), 3.2, 150.0, "CAPEX must be <= 1e+100 GBP m"),
+        (dict(o_t=MAX_AMOUNT), 3.2, 150.0, "OPEX per year must be <= 1e+100 GBP m"),
         ({}, 2e97, 150.0, "peak energy p_avg_mw * 8760 must be <= 1e+100 MWh"),
-        ({}, 3.2, 1e102, "peak revenue must be <= 1e+100 GBP m"),
+        ({}, 1e95, 1e10, "peak revenue must be <= 1e+100 GBP m"),
     ], ids=["capex", "opex", "energy", "revenue"])
     def test_amount_beyond_the_window_is_rejected_naming_it(self, costs, p_avg, tariff,
                                                             message):
@@ -966,10 +964,13 @@ class TestDesignWindow:
                 lcoe(d, params, DiscountSpec(0.10))
 
     def test_energy_beyond_float_range_is_rejected_not_lcoe_zero(self):
-        # p_avg_mw * 8760 is inf here; lcoe once returned a silent 0.0 and
-        # evaluate a message about the flow of year 1.
-        d = ArrayDesign(n_t=1, mw_t=1e306, p_avg_mw=1e306, lifetime_years=20)
-        message = "peak energy p_avg_mw * 8760 must be <= 1e+100 MWh, got inf"
+        # p_avg_mw * 8760 was inf at a power of 1e306, where lcoe once returned a
+        # silent 0.0 and evaluate a message about the flow of year 1; the power's
+        # window now rejects 1e306, and at its top both give the peak-energy check.
+        with pytest.raises(ValueError, match=re.escape("p_avg_mw must be in [0, 1e+100], got 1e+306")):
+            ArrayDesign(n_t=1, mw_t=MAX_AMOUNT, p_avg_mw=1e306, lifetime_years=20)
+        d = ArrayDesign(n_t=1, mw_t=MAX_AMOUNT, p_avg_mw=MAX_AMOUNT, lifetime_years=20)
+        message = "peak energy p_avg_mw * 8760 must be <= 1e+100 MWh, got 8.76e+103"
         with pytest.raises(ValueError) as by_lcoe:
             lcoe(d, TYPICAL, DiscountSpec(0.10))
         with pytest.raises(ValueError) as by_evaluate:
@@ -1040,16 +1041,15 @@ class TestBepHelpers:
         (float("nan"), 0.0), (float("inf"), 0.0), (0.4, float("nan")), (0.4, float("inf")),
     ])
     def test_non_finite_break_even_rejected(self, p_be, ev):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=r"must be in [\[(]0, 1e\+100\], got -?(nan|inf)$"):
             BreakEvenSpec(p_be_mw=p_be, ev_mw_per_turbine=ev)
 
     # Inside the window |J| <= ~1e200 and |J_ev| <= ~1e300, so no score overflows.
     @pytest.mark.parametrize("p_be, ev, message", [
         (math.nextafter(MAX_AMOUNT, math.inf), 0.0,
-         "break-even power must be finite and in (0, 1e+100], got 1.0000000000000002e+100"),
-        (1e308, 0.0, "break-even power must be finite and in (0, 1e+100], got 1e+308"),
-        (0.4, 1e308, "economies-of-volume coefficient must be finite and in [0, 1e+100], "
-                     "got 1e+308"),
+         "p_be_mw must be in (0, 1e+100], got 1.0000000000000002e+100"),
+        (1e308, 0.0, "p_be_mw must be in (0, 1e+100], got 1e+308"),
+        (0.4, 1e308, "ev_mw_per_turbine must be in [0, 1e+100], got 1e+308"),
     ], ids=["p_be-past-the-bound", "p_be-1e308", "ev-1e308"])
     def test_break_even_beyond_the_window_rejected(self, p_be, ev, message):
         with pytest.raises(ValueError) as raised:
@@ -1071,7 +1071,7 @@ class TestBepHelpers:
 
     @pytest.mark.parametrize("functional", [bep_functional, bep_ev_functional])
     def test_negative_count_rejected(self, functional):
-        with pytest.raises(ValueError, match="^n_t must be >= 0, got -1$"):
+        with pytest.raises(ValueError, match=r"^n_t must be in \[0, 1e\+100\], got -1$"):
             functional(6.0, BreakEvenSpec(p_be_mw=0.452), -1)
 
     def test_ev_functional_reduces_to_plain(self):
@@ -1145,8 +1145,8 @@ class TestFunctionalSweep:
         }
         assert "notes" not in self.sweep([(4, 3.2)], BreakEvenSpec(p_be_mw=0.4))[0]
         # So little discounted energy that cost per MWh overflows leaves LCOE
-        # undefined too: a subnormal power, or a rate near the float maximum.
-        for p_avg_mw, rate in ((1e-320, 0.10), (3.2, 1e308)):
+        # undefined too: a subnormal power, or a tiny one at the rate window's top.
+        for p_avg_mw, rate in ((1e-320, 0.10), (1e-220, 1e100)):
             rows = functional_sweep([(4, p_avg_mw)], design(mw_t=5.0), TYPICAL, TariffScheme(150.0),
                                     DiscountSpec(rate), BreakEvenSpec(p_be_mw=0.4))
             assert rows[0]["lcoe_gbp_per_mwh"] is None
@@ -1219,9 +1219,9 @@ class TestFunctionalSweep:
 
     @pytest.mark.parametrize("sample, message", [
         ((4, 20.5), "p_avg_mw 20.5 must lie in [0, rated capacity 20.0]"),
-        ((4, math.nan), "p_avg_mw must be finite and >= 0, got nan"),
-        ((4, math.inf), "p_avg_mw must be finite and >= 0, got inf"),
-        ((4, -1.0), "p_avg_mw must be finite and >= 0, got -1.0"),
+        ((4, math.nan), "p_avg_mw must be in [0, 1e+100], got nan"),
+        ((4, math.inf), "p_avg_mw must be in [0, 1e+100], got inf"),
+        ((4, -1.0), "p_avg_mw must be in [0, 1e+100], got -1.0"),
         ((0, 0.0), "n_t must be an integer in [1, 1e+100], got 0"),
     ], ids=["above-capacity", "nan", "inf", "negative", "no-turbines"])
     def test_row_outside_the_design_window_raises_array_designs_message(self, sample, message):
@@ -1344,12 +1344,15 @@ class TestEvaluate:
             assert repr(twin) == repr((values, notes))
 
     def test_non_finite_flow_rejected_as_build_schedule_rejects_it(self):
-        # Year 1's revenue is inf: evaluate rejects the peak revenue before its
+        # Year 1's revenue is past the window (inf at a tariff of 1e305, which its
+        # own window now rejects): evaluate rejects the peak revenue before its
         # year loop, build_schedule the flow.
-        with pytest.raises(ValueError, match=r"peak revenue must be <= 1e\+100 GBP m, got inf"):
-            evaluate(design(), TYPICAL, TariffScheme(1e305), DiscountSpec(0.10), ("lcoe",))
-        with pytest.raises(ValueError, match=r"flow for year 1 must have \|flow\| <= 1e\+100"):
-            build_schedule(design(), TYPICAL, TariffScheme(1e305))
+        d = design(mw_t=1e4, p_avg_mw=1e4)
+        message = "peak revenue must be <= 1e+100 GBP m, got 8.759999999999999e+101"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate(d, TYPICAL, TariffScheme(MAX_AMOUNT), DiscountSpec(0.10), ("lcoe",))
+        with pytest.raises(ValueError, match=r"flow for year 1 must be in \[-1e\+100, 1e\+100\]"):
+            build_schedule(d, TYPICAL, TariffScheme(MAX_AMOUNT))
 
     def test_default_break_even_is_break_even_power_over_efficiency(self):
         # The net figure, with no efficiency, divided by the efficiency, bit for bit.

@@ -88,7 +88,7 @@ class TestEvaluateScenarios:
         assert "payback" in pes.notes
 
     @pytest.mark.parametrize("p_avg_mw, overrides", [
-        (0.0, None), (1e-320, None), (3.2, {"r": 1e308}),  # the last two: LCOE past float range
+        (0.0, None), (1e-320, None), (1e-220, {"r": 1e100}),  # the last two: LCOE past float range
     ])
     def test_zero_power_lcoe_undefined_with_note(self, p_avg_mw, overrides):
         for res in evaluate_scenarios(design(p_avg_mw=p_avg_mw), overrides):
