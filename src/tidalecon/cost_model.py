@@ -49,15 +49,10 @@ class ArrayDesign(Record):
     def __init__(self, n_t: int, mw_t: float, p_avg_mw: float, lifetime_years: int,
                  availability: float | Sequence[float] = 1.0,
                  electrical_efficiency: float = 1.0) -> None:
-        # A count beyond the window could not be converted to a float to rate it.
-        n_t = _check_count("n_t", n_t, 1, MAX_AMOUNT)
         if not 1 / MAX_AMOUNT <= mw_t <= MAX_AMOUNT:
             _check_window("mw_t", mw_t, 1 / MAX_AMOUNT, MAX_AMOUNT)
         lifetime_years = _check_count("lifetime_years", lifetime_years, 1, MAX_YEARS)
-        if not 0 <= p_avg_mw <= MAX_AMOUNT:
-            _check_window("p_avg_mw", p_avg_mw, 0, MAX_AMOUNT)
-        if p_avg_mw > n_t * mw_t:
-            raise ValueError(f"p_avg_mw {p_avg_mw} must lie in [0, rated capacity {n_t * mw_t}]")
+        n_t = _check_size(n_t, mw_t, p_avg_mw)
         if not 0 < electrical_efficiency <= 1:
             _check_window("electrical_efficiency", electrical_efficiency, 0, 1, open_low=True)
         if isinstance(availability, (int, float)):
@@ -85,6 +80,18 @@ class ArrayDesign(Record):
         return float(self.availability)
 
 
+def _check_size(n_t: int, mw_t: float, p_avg_mw: float) -> int:
+    """``n_t`` as an int, after ``ArrayDesign``'s checks of one (n_t, P_avg) sample: the
+    count, the power's window and the power against the rated capacity, ``mw_t`` checked."""
+    # A count beyond the window could not be converted to a float to rate it.
+    n_t = _check_count("n_t", n_t, 1, MAX_AMOUNT)
+    if not 0 <= p_avg_mw <= MAX_AMOUNT:
+        _check_window("p_avg_mw", p_avg_mw, 0, MAX_AMOUNT)
+    if p_avg_mw > n_t * mw_t:
+        raise ValueError(f"p_avg_mw {p_avg_mw} must lie in [0, rated capacity {n_t * mw_t}]")
+    return n_t
+
+
 class TariffScheme(Record):
     """Effective fixed electricity tariff in GBP per MWh."""
 
@@ -109,12 +116,12 @@ def opex_year(params: CostParameters, n_t: int | float) -> float:
 
 
 def _checked_costs(
-    design: ArrayDesign, params: CostParameters, tariff: TariffScheme | None = None
+    n_t: int, p_avg_mw: float, params: CostParameters, tariff: TariffScheme | None = None
 ) -> tuple[float, float]:
-    """CAPEX and a year's OPEX of ``design``, GBP m. They, peak energy and, given a tariff, peak
-    revenue must each be <= ``MAX_AMOUNT``: products, which no one field's window bounds."""
-    capital, annual_opex = capex(params, design.n_t), opex_year(params, design.n_t)
-    peak_energy = design.p_avg_mw * HOURS_PER_YEAR
+    """CAPEX and a year's OPEX of ``n_t`` turbines, GBP m. They, peak energy and, given a tariff,
+    peak revenue must each be <= ``MAX_AMOUNT``: products, which no one field's window bounds."""
+    capital, annual_opex = capex(params, n_t), opex_year(params, n_t)
+    peak_energy = p_avg_mw * HOURS_PER_YEAR
     peak_revenue = 0.0 if tariff is None else peak_energy * tariff.t_e / 1e6
     if max(capital, annual_opex, peak_energy, peak_revenue) > MAX_AMOUNT:  # none is NaN
         for name, amount, unit in (
@@ -139,10 +146,7 @@ def energy_year(design: ArrayDesign, year: int) -> float:
 
 
 def _energy_by_year(design: ArrayDesign) -> list[float]:
-    """Net energy output of each operating year 1..L, MWh.
-
-    Each entry is ``energy_year`` of its year, computed in the same order.
-    """
+    """``energy_year`` of each operating year 1..L, MWh, in the same arithmetic."""
     p_avg, efficiency = design.p_avg_mw, design.electrical_efficiency
     if isinstance(design.availability, tuple):
         return [p_avg * (HOURS_PER_YEAR * a) * efficiency for a in design.availability]

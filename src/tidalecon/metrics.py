@@ -9,17 +9,18 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from functools import cache, partial
 from itertools import accumulate, repeat
 from operator import gt, mul, ne
 
 from .cost_model import (
+    HOURS_PER_YEAR,
     ArrayDesign,
     CostParameters,
     TariffScheme,
+    _check_size,
     _checked_costs,
-    _energy_by_year,
     build_schedule,
     hours_generating,
 )
@@ -92,28 +93,46 @@ def npv(schedule: CashFlowSchedule, spec: DiscountSpec) -> float:
 
 
 def lcoe(design: ArrayDesign, params: CostParameters, spec: DiscountSpec) -> float:
-    """Levelised cost of energy, GBP per MWh.
-
-    Discounted lifetime cost (CAPEX at year 0, OPEX over years 1..L)
-    divided by discounted lifetime net energy. With constant OPEX this is
-    the tariff at which the project NPV is zero. It takes no OPEX
-    multipliers, so for a schedule ``build_schedule`` builds with
-    ``opex_multipliers`` it is not: on the demo design at r = 0.10 with
-    OPEX x2.5 every sixth year, NPV at tariff = LCOE is -1.607 GBP m.
+    """Levelised cost of energy, GBP per MWh: discounted lifetime cost over
+    discounted net energy, 1e6 * (CAPEX + OPEX * F) / (P_avg * G) with F and
+    G from ``_sums``, as ``evaluate`` forms it. With constant OPEX this is
+    the tariff at which the project NPV is zero. It takes no OPEX multipliers,
+    so for a schedule ``build_schedule`` builds with ``opex_multipliers`` it
+    is not: on the demo design at r = 0.10 with OPEX x2.5 every sixth year,
+    NPV at tariff = LCOE is -1.607 GBP m.
     """
-    discounted_cost, annual_opex = _checked_costs(design, params)
-    discounted_energy = 0.0
-    factors = _factors(spec, range(1, design.lifetime_years + 1))
-    for factor, energy in zip(factors, _energy_by_year(design)):
-        discounted_cost += annual_opex * factor
-        discounted_energy += energy * factor
-    return _cost_per_mwh(discounted_cost, discounted_energy)
+    capital, annual_opex = _checked_costs(design.n_t, design.p_avg_mw, params)
+    return _cost_per_mwh(capital, annual_opex, design.p_avg_mw, _sums(design, spec, False))
 
 
-def _cost_per_mwh(discounted_cost: float, discounted_energy: float) -> float:
+_Sums = tuple[list[float], list[float]]  # F's and G's running sums, or their last entries
+
+
+def _sums(design: ArrayDesign, spec: DiscountSpec, prefixes: bool) -> _Sums:
+    """The running sums over operating years 1..L of the discount factors f_k and
+    of 8760 * a_k * eta * f_k, each added left to right as ``_sum`` adds; their
+    last entries are F and G, and without ``prefixes`` each list holds that
+    alone. CAPEX and OPEX are affine in n_t, and a year's energy is P_avg times
+    its hours, so every NPV and LCOE of a curve or of a cost or tariff sweep is
+    a few products of one F and G (the capital-recovery form of Short, Packey
+    and Holt, NREL/TP-462-5173, 1995). One availability makes G 8760 * a * eta
+    times F.
+    """
+    factors = list(_factors(spec, range(1, design.lifetime_years + 1)))
+    availability, efficiency = design.availability, design.electrical_efficiency
+    f_sums = list(accumulate(factors)) if prefixes else [_sum(factors)]
+    if isinstance(availability, tuple):
+        hours = [HOURS_PER_YEAR * a * efficiency * f for a, f in zip(availability, factors)]
+        return f_sums, list(accumulate(hours)) if prefixes else [_sum(hours)]
+    hours_per_year = HOURS_PER_YEAR * availability * efficiency
+    return f_sums, [hours_per_year * f for f in f_sums]
+
+
+def _cost_per_mwh(capital: float, annual_opex: float, p_avg_mw: float, sums: _Sums) -> float:
+    discounted_energy = p_avg_mw * sums[1][-1]
     if discounted_energy <= 0:
         raise ValueError("discounted energy is zero; LCOE is undefined")
-    value = discounted_cost * 1e6 / discounted_energy
+    value = (capital + annual_opex * sums[0][-1]) * 1e6 / discounted_energy
     if value == math.inf:  # costs are >= 0 and finite, so no other overflow
         raise ValueError(f"cost per MWh overflows at {discounted_energy:g} MWh; LCOE is undefined")
     return value
@@ -125,25 +144,20 @@ def payback_period(schedule: CashFlowSchedule, spec: DiscountSpec) -> float:
     Returns an exact integer when the cumulative NPV hits zero on a year
     boundary; interpolates linearly within the break-even year otherwise.
     """
-    cumulative = 0.0
-    years = range(schedule.horizon + 1)
-    for year, amount, factor in zip(years, schedule.flows, _factors(spec, years)):
-        previous = cumulative
-        cumulative += amount * factor
-        if cumulative >= 0:
-            return _crossing(year, previous, cumulative)
-    raise _no_payback(schedule.horizon)
+    discounted = map(mul, schedule.flows, _factors(spec, range(schedule.horizon + 1)))
+    return _payback(accumulate(discounted), schedule.horizon)
 
 
-def _crossing(year: int, previous: float, cumulative: float) -> float:
-    """Where the cumulative flow reaches zero within ``year``, interpolated."""
-    if cumulative == 0 or year == 0:
-        return float(year)
-    return (year - 1) + previous / (previous - cumulative)
-
-
-def _no_payback(horizon: int) -> NoPaybackError:
-    return NoPaybackError(f"cumulative discounted flow stays negative through year {horizon}")
+def _payback(cumulative: Iterable[float], horizon: int) -> float:
+    """The first year at which ``cumulative``, the cumulative discounted flow of years
+    0..``horizon``, is >= 0, interpolated linearly within it unless it is exactly 0."""
+    previous = 0.0
+    for year, total in enumerate(cumulative):
+        if total >= 0:
+            exact = total == 0 or year == 0
+            return float(year) if exact else (year - 1) + previous / (previous - total)
+        previous = total
+    raise NoPaybackError(f"cumulative discounted flow stays negative through year {horizon}")
 
 
 # An IRR search works on a schedule's flows, year 0 first. The exponent of
@@ -419,81 +433,61 @@ def evaluate(
 ) -> tuple[dict[str, float | None], dict[str, str]]:
     """The named metrics of one design, in ``METRIC_NAMES`` order.
 
-    One pass over years 0..L draws each year's discount factor once and
-    sums NPV and LCOE's discounted cost and energy; it tracks payback's
-    crossing, and IRR builds a schedule, only when named. Each value is bit
-    for bit what ``npv``, ``lcoe``, ``payback_period`` and ``irr`` return.
+    NPV, LCOE and payback come from ``_sums`` (see ``_affine``); payback's
+    running sums, and IRR's schedule, are formed only when named. LCOE and
+    IRR are bit for bit ``lcoe`` and ``irr``. NPV and payback are not those
+    of ``npv`` and ``payback_period`` on ``build_schedule``'s schedule, but
+    both forms lie within a first-order rounding bound of the exact value.
     Returns ``(values, notes)``: a metric undefined for these inputs (no
     energy for LCOE, no payback, no IRR) is None in ``values``, and
     ``notes`` maps its name to the reason.
     """
+    _check_names(names)
+    return _evaluate(design, params, tariff, names, _sums(design, spec, "payback" in names))
+
+
+def _check_names(names: Sequence[str]) -> None:
     for name in names:
         if name not in METRIC_NAMES:
             raise ValueError(f"unknown metric {name!r}; valid names: {', '.join(METRIC_NAMES)}")
-    factors = _year_factors(spec, design.lifetime_years)
-    return _evaluate(design, params, tariff, names, factors)
 
 
-def _year_factors(spec: DiscountSpec, lifetime: int) -> tuple[float, ...]:
-    return tuple(_factors(spec, range(lifetime + 1)))  # years 0..lifetime, for ``_evaluate``
-
-
-def _evaluate(
-    design: ArrayDesign,
-    params: CostParameters,
-    tariff: TariffScheme,
-    names: Sequence[str],
-    factors: tuple[float, ...],
-) -> tuple[dict[str, float | None], dict[str, str]]:
-    """``evaluate`` given the discount factors of years 0..L.
-
-    The pass adds each sum left to right in the order the metric functions
-    add it: NPV as ``present_value``, whose running total is payback's
-    cumulative flow, and LCOE's cost and energy as ``lcoe``. One availability
-    gives every year the same energy and flow, formed once, so the pass walks
-    only the factors (~12% off a sweep study); a per-year profile forms each
-    flow inline as ``build_schedule`` does, not in a list shared with it:
-    sharing one slows each sweep study by 7.5-15%. IRR runs on
-    ``build_schedule``'s schedule. Each named metric is then set directly.
-    """
-    capital, annual_opex = _checked_costs(design, params, tariff)
-    t_e = tariff.t_e
-    total = 0.0 - capital * factors[0]  # as present_value adds it to 0.0
-    payback = None if total < 0 and "payback" in names else 0.0  # None until crossed; 0.0 unless named
-    cost, energy_sum = capital, 0.0
-    energies = _energy_by_year(design)
-    per_year = isinstance(design.availability, tuple)
-    energy = energies[0]
-    flow = energy * t_e / 1e6 - annual_opex
-    for year, factor in zip(range(1, len(factors)), factors[1:]):
-        if per_year:
-            energy = energies[year - 1]
-            flow = energy * t_e / 1e6 - annual_opex
-        previous = total
-        total += flow * factor
-        if payback is None and total >= 0:
-            payback = _crossing(year, previous, total)
-        cost += annual_opex * factor
-        energy_sum += energy * factor
-
-    values: dict[str, float | None] = {}
-    notes: dict[str, str] = {}  # the reason each None in ``values`` is undefined
-    if "npv" in names:  # always defined inside the input window
-        values["npv"] = total
-    if "lcoe" in names:
-        try:
-            values["lcoe"] = _cost_per_mwh(cost, energy_sum)
-        except ValueError as err:  # no energy, or a cost per MWh past float range
-            values["lcoe"], notes["lcoe"] = None, str(err)
-    if "payback" in names:
-        values["payback"] = payback
-        if payback is None:
-            notes["payback"] = str(_no_payback(design.lifetime_years))
+def _evaluate(design: ArrayDesign, params: CostParameters, tariff: TariffScheme,
+              names: Sequence[str], sums: _Sums) -> tuple[dict, dict[str, str]]:
+    """``evaluate`` given the design's ``_sums``, their tables if payback is named."""
+    values, notes = _affine(design.n_t, design.p_avg_mw, params, tariff, names, sums)
     if "irr" in names:
         try:
             values["irr"] = irr(build_schedule(design, params, tariff))
         except (IrrUndefinedError, NoIrrInRangeError) as err:
             values["irr"], notes["irr"] = None, str(err)
+    return values, notes
+
+
+def _affine(n_t: int, p_avg_mw: float, params: CostParameters, tariff: TariffScheme,
+            names: Sequence[str], sums: _Sums) -> tuple[dict, dict[str, str]]:
+    """The named metrics but IRR of ``n_t`` turbines making ``p_avg_mw``, from F and G:
+    NPV = P_avg * t_e / 1e6 * G - OPEX * F - CAPEX, LCOE as ``lcoe``, and payback
+    where the cumulative flow, NPV with the running sums (0 at year 0), is >= 0."""
+    capital, annual_opex = _checked_costs(n_t, p_avg_mw, params, tariff)
+    f_sums, g_sums = sums
+    revenue = p_avg_mw * tariff.t_e / 1e6  # GBP m per discounted generating hour
+    values: dict[str, float | None] = {}
+    notes: dict[str, str] = {}  # the reason each None in ``values`` is undefined
+    if "npv" in names:  # always defined inside the input window
+        values["npv"] = revenue * g_sums[-1] - annual_opex * f_sums[-1] - capital
+    if "lcoe" in names:
+        try:
+            values["lcoe"] = _cost_per_mwh(capital, annual_opex, p_avg_mw, sums)
+        except ValueError as err:  # no energy, or a cost per MWh past float range
+            values["lcoe"], notes["lcoe"] = None, str(err)
+    if "payback" in names:
+        cumulative = (revenue * g - annual_opex * f - capital
+                      for f, g in zip([0.0, *f_sums], [0.0, *g_sums]))
+        try:
+            values["payback"] = _payback(cumulative, len(f_sums))
+        except NoPaybackError as err:
+            values["payback"], notes["payback"] = None, str(err)
     return values, notes
 
 
@@ -562,10 +556,10 @@ def functional_sweep(
 ) -> list[dict]:
     """NPV and LCOE along a turbine-count / power curve, with both P_BE scores.
 
-    Each (n_t, P_avg) sample is substituted into ``design_template`` as a
-    new ``ArrayDesign``, so every check runs, keeping its rating, lifetime,
-    availability and efficiency; n_t must be a whole number, though the
-    design takes an integral float such as 3.0 as its int.
+    Each (n_t, P_avg) sample keeps ``design_template``'s checked rating,
+    lifetime, availability and efficiency, so F and G (``_sums``) are formed
+    once and each row is O(1). Each row runs ``ArrayDesign``'s checks of n_t
+    (a whole number; 3.0 is taken as 3) and P_avg, with its messages.
     Returns one row per sample, in input order. An undefined NPV or LCOE is
     None, and the row then carries a ``notes`` mapping from its key to the
     reason.
@@ -575,19 +569,17 @@ def functional_sweep(
     if len({n_t for n_t, _ in power_curve}) != len(power_curve):
         raise ValueError("power-curve samples must have distinct n_t values")
 
-    t = design_template
-    factors = _year_factors(spec, t.lifetime_years)  # every row keeps the template's lifetime
+    sums = _sums(design_template, spec, False)
     rows = []
     for n_t, p_avg in power_curve:
-        design = ArrayDesign(n_t, t.mw_t, float(p_avg), t.lifetime_years, t.availability,
-                             t.electrical_efficiency)
-        values, notes = _evaluate(design, params, tariff, ("npv", "lcoe"), factors)
+        n_t = _check_size(n_t, design_template.mw_t, float(p_avg))
+        values, notes = _affine(n_t, float(p_avg), params, tariff, ("npv", "lcoe"), sums)
         row = {
-            "n_t": design.n_t,
+            "n_t": n_t,
             "p_avg_mw": float(p_avg),
-            "power_per_device_mw": float(p_avg) / design.n_t,
-            "j_bep_mw": bep_functional(p_avg, bep, design.n_t),
-            "j_bep_ev_mw": bep_ev_functional(p_avg, bep, design.n_t),
+            "power_per_device_mw": float(p_avg) / n_t,
+            "j_bep_mw": bep_functional(p_avg, bep, n_t),
+            "j_bep_ev_mw": bep_ev_functional(p_avg, bep, n_t),
             "npv_gbp_m": values["npv"],
             "lcoe_gbp_per_mwh": values["lcoe"],
         }

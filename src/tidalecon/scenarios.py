@@ -140,8 +140,9 @@ def sensitivity_sweep(
     where the metric is undefined. Only the swept metric is reported, and
     IRR is computed only for an ``irr`` sweep. The first point binds and
     checks all four records as ``compute_metrics`` does; each later point
-    rebinds and re-checks only the record its parameter feeds. A point whose
-    rate and lifetime equal the previous point's reuses its discount factors.
+    rebinds and re-checks only the record its parameter feeds. F and G
+    (``metrics._sums``) are formed again only where the rate, lifetime or
+    availability changes, so a cost or tariff point is a few products.
     """
     return [point[:2] for point in _sweep(design, base_scenario, parameter, grid, metric)]
 
@@ -150,8 +151,7 @@ def _sweep(design: ArrayDesign, base_scenario: str | Mapping[str, float], parame
            grid: Sequence[float], metric: str) -> list[tuple[float, float | None, dict]]:
     """``sensitivity_sweep``'s points, each with its notes: the metric's name to the
     reason it is undefined, or no entry where it is defined."""
-    if metric not in METRIC_NAMES:
-        raise ValueError(f"unknown metric {metric!r}; valid names: {', '.join(METRIC_NAMES)}")
+    _metrics._check_names((metric,))
     parameter_range(parameter)
     if not grid:
         raise ValueError("sweep grid is empty")
@@ -160,7 +160,7 @@ def _sweep(design: ArrayDesign, base_scenario: str | Mapping[str, float], parame
     else:
         point = _resolve("typical", base_scenario)
 
-    curve, drawn = [], None  # ``drawn``: the (rate, lifetime) of ``factors``
+    curve, drawn = [], None  # ``drawn``: the (rate, lifetime, availability) of ``sums``
     for value in grid:
         point[parameter] = value
         if not curve:  # the first point binds all four records
@@ -173,10 +173,10 @@ def _sweep(design: ArrayDesign, base_scenario: str | Mapping[str, float], parame
             bound = _bind(design, point)
         else:
             params = CostParameters(point["ca_f"], point["ca_t"], point["o_f"], point["o_t"])
-        if drawn != (spec.annual_rate, bound.lifetime_years):  # ``_apply``'s specs are annual
-            drawn = (spec.annual_rate, bound.lifetime_years)
-            factors = _metrics._year_factors(spec, bound.lifetime_years)
-        metric_values, notes = _metrics._evaluate(bound, params, tariff, (metric,), factors)
+        key = (spec.annual_rate, bound.lifetime_years, bound.availability)  # annual specs
+        if drawn != key:
+            drawn, sums = key, _metrics._sums(bound, spec, metric == "payback")
+        metric_values, notes = _metrics._evaluate(bound, params, tariff, (metric,), sums)
         curve.append((value, metric_values[metric], notes))
     return curve
 

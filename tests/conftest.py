@@ -13,10 +13,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from tidalecon.finance_core import Compounding, DiscountSpec, _factors, _sum
 from tidalecon.metrics import _npv_at_rate
 
 # GBP m: the NPV residual every IRR the library returns must stay below.
 IRR_NPV_TOLERANCE = 1e-6
+UNIT = 2.0**-53  # the unit roundoff of a float
 
 
 def pv_oracle(flows: dict[int, float], rate: float) -> float:
@@ -78,6 +80,56 @@ def exact_continuous_factor(rate: float, year: int) -> Fraction:
     with localcontext() as context:
         context.prec = 40
         return Fraction((Decimal(-rate) * year).exp())
+
+
+def rounding_bound(amounts: Sequence[float], spec: DiscountSpec, formed: int = 0) -> float:
+    """First-order bound on the rounding error of sum of a_k * f_k over years
+    k = 0..L, each f_k the library's discount factor, added left to right from
+    0.0 as ``present_value`` adds it (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., SIAM 2002, §3.1 and §4.2).
+
+    Discrete: u * sum of |a_k| * f_k * (k + L + 3 + formed), u = 2**-53.
+    Rounding 1 + r errs by u, so (1 + r)**-k by k * u; ``pow`` adds one unit,
+    the product one and the sum at most L, as the first of the L + 1 terms
+    is added to 0.0 exactly. Continuous: factor k is exp of the rounded
+    -r * k, whose rounding errs by |r| * k * u and becomes a relative error
+    of |r| * k * u in exp, which adds one unit of its own; so |r| * k takes
+    k's place. In both, the third unit covers libm's excess over half an
+    ulp (glibc's ``pow`` and ``exp`` err by under 0.52 ulp, so 1.04 units)
+    and the second-order terms, of order (k + L + 3)**2 * u**2 relative,
+    while (|r| * k + L + 3) * u stays below 2**-30, as it does for
+    L <= 100 and |r| <= 1e4. ``formed`` counts the roundings behind each
+    a_k itself, relative to |a_k|, when the exact sum is of the exact a_k.
+    The bound is relative, so it assumes that nothing underflows: a result
+    below 2**-1022 errs by up to 2**-1075 absolute instead.
+    """
+    horizon = len(amounts) - 1
+    rate = abs(spec.annual_rate) if spec.mode is Compounding.CONTINUOUS else 1.0
+    factors = _factors(spec, range(horizon + 1))
+    return UNIT * _sum(abs(a) * f * (rate * k + horizon + 3 + formed)
+                       for k, (a, f) in enumerate(zip(amounts, factors)))
+
+
+def exact_npv(amounts: Sequence[float | Fraction], spec: DiscountSpec) -> Fraction:
+    """sum of a_k * f_k over years 0..L for exact amounts and the exact factors
+    of the float rate: (1 + r)**-k in integers under discrete compounding, and
+    exp(-r * k) from exp(-r) to 60 significant digits under continuous."""
+    ratios = [a.as_integer_ratio() for a in amounts]
+    if spec.mode is Compounding.CONTINUOUS:
+        with localcontext() as context:
+            context.prec = 60
+            ratio, total = Decimal(-spec.annual_rate).exp(), Decimal(0)
+            for numerator, denominator in reversed(ratios):  # Horner in exp(-r)
+                total = total * ratio + Decimal(numerator) / denominator
+            return Fraction(total)
+    base = 1 + Fraction(spec.annual_rate)  # n / d, so f_k = d**k / n**k
+    n, d = base.numerator, base.denominator
+    common = math.lcm(*(denominator for _, denominator in ratios))
+    total, power = 0, 1
+    for numerator, denominator in reversed(ratios):  # sum of A_k * d**k * n**(L - k)
+        total = total * d + numerator * (common // denominator) * power
+        power *= n
+    return Fraction(total, common * (power // n))
 
 
 def payback_exact_oracle(flows: dict[int, float], factor: Callable[[int], Fraction],

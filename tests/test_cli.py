@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 from tidalecon.cli import EXIT_INPUT_ERROR, EXIT_OK, _json_dump, main
-from tidalecon.cost_model import ArrayDesign, CostParameters, TariffScheme, build_schedule
+from tidalecon.cost_model import ArrayDesign, CostParameters, TariffScheme
 from tidalecon.finance_core import DiscountSpec
-from tidalecon.metrics import lcoe, npv
+from tidalecon.metrics import evaluate, lcoe
 
 BASE_CONFIG = {
     "array": {
@@ -834,9 +834,9 @@ class TestSweepCommand:
         for value, result in rows:
             design = ArrayDesign(n_t=4, mw_t=1.5, p_avg_mw=3.2,
                                  lifetime_years=int(float(value)), availability=0.95)
-            schedule = build_schedule(design, CostParameters(9.2, 3.3, 0.32, 0.15),
-                                      TariffScheme(150.0))
-            assert float(result) == npv(schedule, DiscountSpec(0.10))
+            values, _ = evaluate(design, CostParameters(9.2, 3.3, 0.32, 0.15),
+                                 TariffScheme(150.0), DiscountSpec(0.10), ("npv",))
+            assert float(result) == values["npv"]
 
     def test_json_format(self, capsys, config_path):
         argv = ["sweep", config_path(), "--param", "tariff", "--from", "40", "--to", "150",

@@ -22,7 +22,7 @@ import pytest
 import tidalecon
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-DIGEST = "1a8c92decea64370d6df6d7551192bccfc2d62adb4b3c863b0452dbd979d9f1f"
+DIGEST = "1ef22137cc81cd51747e8f5c5f9b561b1604769f16c5f9647173dcbd42c4926d"
 
 
 @pytest.fixture(scope="module")

@@ -30,6 +30,7 @@ from tidalecon.finance_core import (
     CashFlowSchedule,
     Compounding,
     DiscountSpec,
+    _factors,
     _sum,
 )
 from tidalecon.metrics import (
@@ -53,14 +54,17 @@ from tidalecon.metrics import (
 
 from conftest import (
     IRR_NPV_TOLERANCE,
+    UNIT,
     descartes_count_oracle,
     exact_continuous_factor,
     exact_factor,
+    exact_npv,
     irr_bisection_oracle,
     lcoe_oracle,
     payback_exact_oracle,
     payback_scan_oracle,
     pv_oracle,
+    rounding_bound,
     scan_brackets_oracle,
 )
 
@@ -74,13 +78,6 @@ def design(**kwargs) -> ArrayDesign:
     base = dict(n_t=4, mw_t=1.5, p_avg_mw=3.2, lifetime_years=25, availability=0.95)
     base.update(kwargs)
     return ArrayDesign(**base)
-
-
-def per_year_twin(d: ArrayDesign) -> ArrayDesign:
-    """``d`` with its one availability given once per year, so ``evaluate``
-    takes its per-year path where ``d`` takes the constant-year one."""
-    return ArrayDesign(d.n_t, d.mw_t, d.p_avg_mw, d.lifetime_years,
-                       (d.availability,) * d.lifetime_years, d.electrical_efficiency)
 
 
 def schedule_of(flows: dict[int, float]) -> CashFlowSchedule:
@@ -509,48 +506,65 @@ BUILT_SPECS = {
 }
 # float.hex of npv, lcoe, payback_period and irr on ``build_schedule``
 # schedules, or the exception raised, recorded while the schedule was a
-# year -> amount dict built one year at a time. The dense tuple and the
-# one-pass arithmetic must not move a bit. The IRR column moved by at most
-# 8.3e-11 when Brent's method from the seeds' bracket replaced the secant.
-# The "long" rows near r = -1 sit at the window's edge, 100 years, where
-# TestLongHorizonOverflow checks each metric against an exact oracle.
-# The "annual_0.08" rows, and the "long" rows at 10% and 7%, were recorded
-# while ``evaluate`` still formed every year's energy and flow in its loop:
-# forming a constant year once must not move a bit either.
+# year -> amount dict built one year at a time. The dense tuple must not move
+# a bit. The IRR column moved by at most 8.3e-11 when Brent's method from the
+# seeds' bracket replaced the secant, and the LCOE column by at most 7 units
+# in the last place when ``lcoe`` took the affine form, 1e6 * (CAPEX + OPEX * F)
+# / (P_avg * G). The "long" rows near r = -1 sit at the window's edge, 100
+# years, where TestLongHorizonOverflow checks each metric against an exact
+# oracle.
 BUILT_SCHEDULE_BITS = [
-    ("scalar", "annual", "0x1.6081807182215p+2", "0x1.fcdb5521d0c04p+6",
+    ("scalar", "annual", "0x1.6081807182215p+2", "0x1.fcdb5521d0c07p+6",
      "0x1.b6254bef6cd38p+3", "0x1.0c212b602872fp-3"),
-    ("scalar", "continuous", "0x1.944d1cf7f606cp+3", "0x1.b17514136983cp+6",
+    ("scalar", "continuous", "0x1.944d1cf7f606cp+3", "0x1.b17514136983ep+6",
      "0x1.57afd10b2adb0p+3", "0x1.0c212b602872fp-3"),
-    ("scalar", "annual_0.08", "0x1.4d729ae6c4b1ap+3", "0x1.c56096201275cp+6",
+    ("scalar", "annual_0.08", "0x1.4d729ae6c4b1ap+3", "0x1.c56096201275ap+6",
      "0x1.6bd0d499ec8a7p+3", "0x1.0c212b602872fp-3"),
     ("per_year", "annual", "0x1.487d4c6b3aec7p+2", "0x1.0116cf56a18e1p+7",
      "0x1.b5abfabfd0248p+3", "0x1.09a090322c1f9p-3"),
-    ("per_year", "continuous", "0x1.7ea17274df267p+3", "0x1.b800ee4c6d6d8p+6",
+    ("per_year", "continuous", "0x1.7ea17274df267p+3", "0x1.b800ee4c6d6dfp+6",
      "0x1.55752b79ec1e9p+3", "0x1.09a090322c1f9p-3"),
-    ("per_year", "annual_0.08", "0x1.3aeab58abdb0bp+3", "0x1.cb9e822a9ac7fp+6",
+    ("per_year", "annual_0.08", "0x1.3aeab58abdb0bp+3", "0x1.cb9e822a9ac80p+6",
      "0x1.69be0407c7291p+3", "0x1.09a090322c1f9p-3"),
-    ("efficiency", "annual", "0x1.8eeac771ea4f5p+2", "0x1.1ab2bd84906adp+7",
+    ("efficiency", "annual", "0x1.8eeac771ea4f5p+2", "0x1.1ab2bd84906afp+7",
      "0x1.9fbf88bb8872bp+3", "0x1.1434c7507cf15p-3"),
-    ("efficiency", "continuous", "0x1.b16ebdf1e04e7p+3", "0x1.e19e881591aecp+6",
+    ("efficiency", "continuous", "0x1.b16ebdf1e04e7p+3", "0x1.e19e881591af0p+6",
      "0x1.4aef2a2ca53abp+3", "0x1.1434c7507cf15p-3"),
-    ("efficiency", "annual_0.08", "0x1.68bce97eb5e6bp+3", "0x1.f7c0a6ce4d667p+6",
+    ("efficiency", "annual_0.08", "0x1.68bce97eb5e6bp+3", "0x1.f7c0a6ce4d662p+6",
      "0x1.5d2c517e23f39p+3", "0x1.1434c7507cf15p-3"),
-    ("overhaul", "annual", "-0x1.05ab0bdf86357p-1", "0x1.14709ce147dd8p+7",
+    ("overhaul", "annual", "-0x1.05ab0bdf86357p-1", "0x1.14709ce147dd9p+7",
      "NoPaybackError", "0x1.8bf05cff971d6p-4"),
-    ("overhaul", "continuous", "0x1.1b65838fd571cp+2", "0x1.d91f47ce0d101p+6",
+    ("overhaul", "continuous", "0x1.1b65838fd571cp+2", "0x1.d91f47ce0d107p+6",
      "0x1.e81933d23c329p+3", "0x1.8bf05cff971d6p-4"),
-    ("overhaul", "annual_0.08", "0x1.73880ca7a3e1ep+1", "0x1.ee36d388a66eap+6",
+    ("overhaul", "annual_0.08", "0x1.73880ca7a3e1ep+1", "0x1.ee36d388a66e6p+6",
      "0x1.06ca163798904p+4", "0x1.8bf05cff971d6p-4"),
-    ("long", "annual", "0x1.0afce0d3201acp+3", "0x1.daab80db8e2f5p+6",
+    ("long", "annual", "0x1.0afce0d3201acp+3", "0x1.daab80db8e2f4p+6",
      "0x1.b6254bef6cd38p+3", "0x1.191a160f2110dp-3"),
-    ("long", "continuous", "0x1.3f6da937f76f8p+4", "0x1.7e5eb01571493p+6",
+    ("long", "continuous", "0x1.3f6da937f76f8p+4", "0x1.7e5eb01571495p+6",
      "0x1.57afd10b2adb0p+3", "0x1.191a160f2110dp-3"),
     ("long", "annual_near_-1", "0x1.03a9d057f9a87p+666", "0x1.146039180e460p+5",
      "0x1.2a6b0110d6dcbp-4", "0x1.191a160f2110dp-3"),
     ("long", "continuous_-0.9", "0x1.294d30a7fbc6cp+132", "0x1.146039180e45fp+5",
      "0x1.cc381bce3fd44p+0", "0x1.191a160f2110dp-3"),
 ]
+# float.hex of ``evaluate``'s NPV and payback, from F and G, for the rows
+# without OPEX multipliers; its LCOE and IRR are the columns above. Each lies
+# within the rounding bound of its exact value, as the schedule functions' do.
+EVALUATE_BITS = {
+    ("scalar", "annual"): ("0x1.6081807182218p+2", "0x1.b6254bef6cd37p+3"),
+    ("scalar", "continuous"): ("0x1.944d1cf7f6070p+3", "0x1.57afd10b2adafp+3"),
+    ("scalar", "annual_0.08"): ("0x1.4d729ae6c4b18p+3", "0x1.6bd0d499ec8a7p+3"),
+    ("per_year", "annual"): ("0x1.487d4c6b3aed0p+2", "0x1.b5abfabfd024ap+3"),
+    ("per_year", "continuous"): ("0x1.7ea17274df260p+3", "0x1.55752b79ec1e9p+3"),
+    ("per_year", "annual_0.08"): ("0x1.3aeab58abdb04p+3", "0x1.69be0407c7292p+3"),
+    ("efficiency", "annual"): ("0x1.8eeac771ea4f0p+2", "0x1.9fbf88bb8872dp+3"),
+    ("efficiency", "continuous"): ("0x1.b16ebdf1e04e8p+3", "0x1.4aef2a2ca53abp+3"),
+    ("efficiency", "annual_0.08"): ("0x1.68bce97eb5e6cp+3", "0x1.5d2c517e23f3bp+3"),
+    ("long", "annual"): ("0x1.0afce0d3201b8p+3", "0x1.b6254bef6cd37p+3"),
+    ("long", "continuous"): ("0x1.3f6da937f76fcp+4", "0x1.57afd10b2adafp+3"),
+    ("long", "annual_near_-1"): ("0x1.03a9d057f9a87p+666", "0x1.2a6b0110d6dcap-4"),
+    ("long", "continuous_-0.9"): ("0x1.294d30a7fbc6dp+132", "0x1.cc381bce3fd44p+0"),
+}
 
 
 class TestBuiltScheduleBits:
@@ -586,6 +600,7 @@ class TestBuiltScheduleBits:
             warnings.simplefilter("error")
             values, notes = evaluate(design(**design_args), TYPICAL, TariffScheme(tariff),
                                      BUILT_SPECS[spec_name])
+        npv_bits, payback_bits = EVALUATE_BITS[case, spec_name]
         assert [value.hex() for value in values.values()] == [npv_bits, lcoe_bits, payback_bits,
                                                               irr_bits]
         assert notes == {}
@@ -907,12 +922,15 @@ class TestLongHorizonOverflow:
             "payback": payback_period(schedule, spec),
             "irr": irr(schedule),
         }
-        assert values["npv"] == pytest.approx(float(exact_npv), rel=1e-12)
-        assert values["lcoe"] == pytest.approx(float(cost * 10**6 / energy), rel=1e-12)
-        assert values["payback"] == pytest.approx(expected_payback, rel=1e-12)
-        assert values["irr"] == pytest.approx(irr_bisection_oracle(flows), abs=1e-9)
-        # The one pass takes no fallback, and gives the same bits.
-        assert repr(evaluate(EDGE_DESIGN, EDGE_COSTS, EDGE_TARIFF, spec)) == repr((values, {}))
+        # The bundle's F and G take no fallback either, and LCOE and IRR keep their bits.
+        evaluated, notes = evaluate(EDGE_DESIGN, EDGE_COSTS, EDGE_TARIFF, spec)
+        assert notes == {} and [evaluated["lcoe"], evaluated["irr"]] == [values["lcoe"],
+                                                                         values["irr"]]
+        for got in (values, evaluated):
+            assert got["npv"] == pytest.approx(float(exact_npv), rel=1e-12)
+            assert got["lcoe"] == pytest.approx(float(cost * 10**6 / energy), rel=1e-12)
+            assert got["payback"] == pytest.approx(expected_payback, rel=1e-12)
+            assert got["irr"] == pytest.approx(irr_bisection_oracle(flows), abs=1e-9)
 
     def test_longest_annuity_irr_matches_oracle(self):
         # NPV at r = -0.99 is about 12 * 1e200; the root is still found.
@@ -1254,6 +1272,57 @@ def evaluate_inputs(draw) -> tuple[ArrayDesign, CostParameters, TariffScheme, Di
     return d, params, TariffScheme(draw(st.floats(20.0, 400.0))), spec
 
 
+# Roundings behind each year's amount before it is discounted, relative to
+# that year's |revenue| + |OPEX| (|CAPEX| at year 0), beyond the discounted
+# sum's own: 6 in either form. ``build_schedule``'s revenue takes 5 (energy
+# 3, tariff 1, 1e6 1) and the year's subtraction 1. The bundle's takes 2 for
+# the hours, 2 for P_avg * t_e / 1e6, 1 for its product with G and 2 for the
+# two subtractions, less the one G's sum of L terms saves against the
+# schedule's L + 1. OPEX and CAPEX take fewer in both.
+FORMED = 6
+
+
+def model_amounts(d: ArrayDesign, params: CostParameters, tariff: TariffScheme):
+    """The model's exact flows of years 0..L, -CAPEX and then revenue - OPEX, from
+    the float inputs; the magnitudes the rounding bound weighs, |CAPEX| and then
+    |revenue| + |OPEX|; and the exact discounted cost and energy terms of LCOE."""
+    availability = d.availability if isinstance(d.availability, tuple) else (
+        (d.availability,) * d.lifetime_years)
+    capital = Fraction(params.ca_f) + Fraction(params.ca_t) * d.n_t
+    opex = Fraction(params.o_f) + Fraction(params.o_t) * d.n_t
+    energies = [Fraction(d.p_avg_mw) * 8760 * Fraction(a) * Fraction(d.electrical_efficiency)
+                for a in availability]
+    revenues = [energy * Fraction(tariff.t_e) / 10**6 for energy in energies]
+    flows = [-capital, *(revenue - opex for revenue in revenues)]
+    magnitudes = [float(capital), *(float(revenue + opex) for revenue in revenues)]
+    return flows, magnitudes, [capital, *[opex] * d.lifetime_years], [0, *energies]
+
+
+def assert_within(got: float, exact: Fraction, bound: float) -> None:
+    assert abs(Fraction(got) - exact) <= bound, (got, float(exact), bound)
+
+
+def assert_paybacks_agree(got, expected, cumulative: list[float], bounds: list[float]):
+    """``got`` and ``expected`` are paybacks whose cumulative flows, ``expected``'s
+    being ``cumulative``, each lie within ``bounds`` of the exact ones. Where both
+    cross in year k, the interpolated fractions may differ by the two forms'
+    errors at years k - 1 and k over the rise in year k, and by 2 * (k + 3)
+    units for the interpolation's own roundings. Where they differ in the
+    crossing year, or one never crosses, the cumulative flow of the year where
+    they part must be within twice its bound of zero."""
+    if got is not None and expected is not None and math.ceil(got) == math.ceil(expected):
+        k = math.ceil(expected)
+        if k == 0:
+            assert got == expected == 0.0
+            return
+        rise = cumulative[k] - cumulative[k - 1]
+        tolerance = 2 * (bounds[k - 1] + bounds[k]) / rise + 2 * (k + 3) * UNIT
+        assert abs(got - expected) <= tolerance, (got, expected, tolerance)
+    elif got != expected:
+        parted = min(math.ceil(p) for p in (got, expected) if p is not None)
+        assert abs(cumulative[parted]) <= 2 * bounds[parted], (got, expected)
+
+
 class TestEvaluate:
     def test_unknown_name_rejected_listing_valid_ones(self):
         with pytest.raises(ValueError, match="'bogus'; valid names: npv, lcoe, payback, irr"):
@@ -1263,12 +1332,12 @@ class TestEvaluate:
         d, tariff, spec = design(), TariffScheme(40.0), DiscountSpec(0.10)
         schedule = build_schedule(d, TYPICAL, tariff)
         values, notes = evaluate(d, TYPICAL, tariff, spec)
-        assert values == {
-            "npv": npv(schedule, spec),
-            "lcoe": lcoe(d, TYPICAL, spec),
-            "payback": None,
-            "irr": irr(schedule),
-        }
+        assert [values["lcoe"], values["payback"], values["irr"]] == [
+            lcoe(d, TYPICAL, spec), None, irr(schedule)]
+        # NPV from F and G, the schedule's from its flows: each within the bound.
+        flows, magnitudes, _, _ = model_amounts(d, TYPICAL, tariff)
+        for got in (values["npv"], npv(schedule, spec)):
+            assert_within(got, exact_npv(flows, spec), rounding_bound(magnitudes, spec, FORMED))
         with pytest.raises(NoPaybackError) as err:
             payback_period(schedule, spec)
         assert notes == {"payback": str(err.value)}
@@ -1285,8 +1354,14 @@ class TestEvaluate:
                      CostParameters(0.0, 0.0, 1.0, 0.3), TariffScheme(100.0),
                      DiscountSpec(0.10)))  # flows 0, +, -, +: two IRRs, and a warning
     @settings(max_examples=300, deadline=None)
-    def test_one_pass_equals_the_metric_functions(self, inputs):
+    def test_bundle_agrees_with_the_metric_functions_within_the_bound(self, inputs):
+        # LCOE and IRR are the functions' bits. NPV from F and G and the
+        # schedule's NPV each lie within the rounding bound of the exact NPV,
+        # and payback agrees with the schedule's within the bounds of its
+        # cumulative flows; LCOE lies within the bounds of its cost and energy.
         d, params, tariff, spec = inputs
+        # The bound is relative: no input so small that a product of it underflows.
+        assume(all(x == 0 or x > 1e-200 for x in (d.p_avg_mw, *params._values())))
         schedule = build_schedule(d, params, tariff)
         expected_values, expected_notes = {}, {}
         # Both sides record their warnings (several IRR roots warn), so none escapes.
@@ -1306,15 +1381,30 @@ class TestEvaluate:
         with warnings.catch_warnings(record=True) as got_warnings:
             warnings.simplefilter("always")
             values, notes = evaluate(d, params, tariff, spec)
-        assert repr(values) == repr(expected_values)
-        assert notes == expected_notes
+        assert repr([values["lcoe"], values["irr"]]) == repr(
+            [expected_values["lcoe"], expected_values["irr"]])
         assert [(w.category, str(w.message)) for w in got_warnings] == [
             (w.category, str(w.message)) for w in expected_warnings]
-        if not isinstance(d.availability, tuple):  # the constant year against the per-year pass
-            with warnings.catch_warnings(record=True):
-                warnings.simplefilter("always")
-                twin = evaluate(per_year_twin(d), params, tariff, spec)
-            assert repr(twin) == repr((values, notes))
+
+        flows, magnitudes, costs, energies = model_amounts(d, params, tariff)
+        for got in (values["npv"], expected_values["npv"]):
+            assert_within(got, exact_npv(flows, spec), rounding_bound(magnitudes, spec, FORMED))
+        if values["lcoe"] is not None:
+            cost, energy = exact_npv(costs, spec), exact_npv(energies, spec)
+            exact = cost * 10**6 / energy
+            relative = rounding_bound(energies, spec, FORMED) / energy + 2 * UNIT
+            if cost:  # no cost: both LCOEs are 0
+                relative += rounding_bound(costs, spec, FORMED) / cost
+            assert_within(values["lcoe"], exact, relative * float(exact))
+        factors = _factors(spec, range(len(flows)))
+        cumulative = list(itertools.accumulate(map(mul, schedule.flows, factors)))
+        bounds = [rounding_bound(magnitudes[:k + 1], spec, FORMED) for k in range(len(flows))]
+        assert_paybacks_agree(values["payback"], expected_values["payback"], cumulative, bounds)
+        # Notes match, but for a payback one form finds within its bound of zero.
+        parted = {"payback"} if (values["payback"] is None) != (
+            expected_values["payback"] is None) else set()
+        assert {k: v for k, v in notes.items() if k not in parted} == {
+            k: v for k, v in expected_notes.items() if k not in parted}
 
     @pytest.mark.parametrize("d, params, undefined, crossing_year", [
         (design(), TYPICAL, set(), 10),
@@ -1339,9 +1429,6 @@ class TestEvaluate:
             values, notes = evaluate(d, params, tariff, spec, names[::-1])
             assert list(values.items()) == [(k, v) for k, v in full_values.items() if k in names]
             assert list(notes.items()) == [(k, v) for k, v in full_notes.items() if k in names]
-            # The constant-year pass and the per-year pass agree bit for bit.
-            twin = evaluate(per_year_twin(d), params, tariff, spec, names[::-1])
-            assert repr(twin) == repr((values, notes))
 
     def test_non_finite_flow_rejected_as_build_schedule_rejects_it(self):
         # Year 1's revenue is past the window (inf at a tariff of 1e305, which its

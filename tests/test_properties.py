@@ -70,10 +70,13 @@ def test_lcoe_does_not_depend_on_tariff(project, tariff):
     )
 
 
-@given(project=projects())
-@settings(max_examples=100, deadline=None)
-def test_npv_at_tariff_equal_to_lcoe_is_zero(project):
+@given(project=projects(), profile=st.one_of(
+    st.none(), st.lists(_in_range("availability"), min_size=30, max_size=30)))
+@settings(max_examples=200, deadline=None)
+def test_npv_at_tariff_equal_to_lcoe_is_zero(project, profile):
     design, values = project
+    if profile is not None:  # a per-year availability over the drawn lifetime
+        values = dict(values, availability=tuple(profile[:int(values["lifetime"])]))
     at_lcoe = dict(values, tariff=_metric(design, values, "lcoe"))
     assert abs(_metric(design, at_lcoe, "npv")) <= 1e-9 * _capex(design, values)
 

@@ -294,21 +294,26 @@ class TestSweepPins:
             expected = compute_metrics(design(), dict(values, **{parameter: value}))[0]
             assert repr(got) == repr(expected[metric])
 
+    @pytest.mark.parametrize("metric", ["npv", "payback"])
     @pytest.mark.parametrize("parameter", list(PIN_GRIDS))
-    def test_factors_are_drawn_once_per_rate_and_lifetime(self, monkeypatch, parameter):
+    def test_sums_are_formed_once_per_rate_lifetime_and_availability(self, monkeypatch,
+                                                                     parameter, metric):
         draws = []
-        year_factors = metrics_module._year_factors
+        sums = metrics_module._sums
 
-        def drawing(spec, lifetime):
-            draws.append((spec.annual_rate, lifetime))
-            return year_factors(spec, lifetime)
+        def forming(bound, spec, prefixes):
+            draws.append((spec.annual_rate, bound.lifetime_years, bound.availability, prefixes))
+            return sums(bound, spec, prefixes)
 
-        monkeypatch.setattr(metrics_module, "_year_factors", drawing)
+        monkeypatch.setattr(metrics_module, "_sums", forming)
         grid = PIN_GRIDS[parameter]
-        sensitivity_sweep(design(), "typical", parameter, grid, "npv")
+        sensitivity_sweep(design(), "typical", parameter, grid, metric)
         points = [(value if parameter == "r" else 0.10,
-                   int(value) if parameter == "lifetime" else 25) for value in grid]
-        # -0.0 and 0.0 are one rate, as 20 and 20.0 are one lifetime.
+                   int(value) if parameter == "lifetime" else 25,
+                   value if parameter == "availability" else 0.95,
+                   metric == "payback") for value in grid]
+        # -0.0 and 0.0 are one rate, as 20 and 20.0 are one lifetime; a cost or
+        # tariff point forms nothing.
         assert draws == [key for k, key in enumerate(points) if k == 0 or key != points[k - 1]]
 
 
