@@ -222,8 +222,8 @@ class TestMetricBundle:
 
     @pytest.mark.parametrize("metric", METRIC_NAMES)
     def test_sweep_computes_only_its_metric(self, monkeypatch, metric):
-        # NPV, payback and LCOE come from one pass over the years, which
-        # builds no schedule; only an IRR sweep builds one and computes IRR.
+        # NPV, payback and LCOE come from the F and G sums, which build no
+        # schedule; only an IRR sweep builds one and computes IRR.
         def refuse(*args):
             raise MetricNotWanted
 
@@ -262,8 +262,8 @@ class TestMetricBundle:
         }
 
 
-# One grid per built-in parameter. Most leave the rate and lifetime alone, so a
-# sweep may reuse one point's discount factors at the next; the rate and
+# One grid per built-in parameter. Most leave the rate, lifetime and availability alone, so a
+# sweep may reuse one point's F and G sums at the next; the rate and
 # lifetime grids leave a value, come back to it and repeat it.
 PIN_GRIDS = {
     "ca_f": [5.6, 9.2, 9.2, 14.4],
