@@ -370,8 +370,8 @@ def cmd_split(args: argparse.Namespace) -> tuple:
                              "observations: each CSV row carries its own rate_to_gbp")
         if not csv_given and args.mw_t is not None:
             raise ValueError("split two-points does not read --mw-t with the other flags given")
-    if args.mw_t is not None and not args.mw_t > 0:
-        raise ValueError(f"--mw-t must be positive, got {args.mw_t}")
+    if args.mw_t is not None:
+        _check_window("--mw-t", args.mw_t, 1 / MAX_AMOUNT, MAX_AMOUNT)  # ArrayDesign.mw_t's window
     currency_rate = 1.0 if args.currency_rate is None else args.currency_rate
     observations = []
     for kind in ("capex", "opex"):

@@ -17,7 +17,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from enum import Enum
 
-from .finance_core import Record
+from .finance_core import MAX_AMOUNT, Record, _check_window
 
 RATIO_WINDOW = (2.3, 3.9)  # range supported by offshore-wind cost data
 
@@ -47,23 +47,15 @@ class CostObservation(Record):
 
     def __init__(self, n_t: float, cost: float, basis: CostBasis = CostBasis.TOTAL,
                  capacity_mw: float | None = None, currency_rate: float = 1.0) -> None:
-        for name, value in (("n_t", n_t), ("cost", cost), ("capacity_mw", capacity_mw),
-                            ("currency_rate", currency_rate)):
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if n_t <= 0:
-            raise ValueError(f"n_t must be positive, got {n_t}")
-        if cost < 0:
-            raise ValueError(f"cost must be >= 0, got {cost}")
-        if currency_rate <= 0:
-            raise ValueError(f"currency_rate must be positive, got {currency_rate}")
-        if basis is CostBasis.PER_MW and (capacity_mw is None or capacity_mw <= 0):
-            raise ValueError("per-MW observations need a positive capacity_mw")
-        object.__setattr__(self, "n_t", n_t)
-        object.__setattr__(self, "cost", cost)
+        object.__setattr__(self, "n_t", _check_window("n_t", n_t, 0, MAX_AMOUNT, open_low=True))
+        object.__setattr__(self, "cost", _check_window("cost", cost, 0, MAX_AMOUNT))
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "capacity_mw", capacity_mw)
-        object.__setattr__(self, "currency_rate", currency_rate)
+        if capacity_mw is None and basis is CostBasis.PER_MW:
+            raise ValueError("per-MW observations need a capacity_mw")
+        object.__setattr__(self, "capacity_mw", capacity_mw if capacity_mw is None else
+                           _check_window("capacity_mw", capacity_mw, 0, MAX_AMOUNT, open_low=True))
+        object.__setattr__(self, "currency_rate", _check_window("currency_rate", currency_rate, 0,
+                                                                MAX_AMOUNT, open_low=True))
 
 
 class FixedToTurbineRatio(Record):
@@ -72,8 +64,7 @@ class FixedToTurbineRatio(Record):
     __slots__ = ("ratio",)
 
     def __init__(self, ratio: float) -> None:
-        if not math.isfinite(ratio) or ratio < 0:
-            raise ValueError(f"ratio must be finite and >= 0, got {ratio}")
+        _check_window("ratio", ratio, 0, MAX_AMOUNT)
         low, high = RATIO_WINDOW
         if not low <= ratio <= high:
             warnings.warn(
@@ -141,11 +132,9 @@ def learning_rate_adjust(
     Standard experience-curve power law: each doubling of installed
     capacity multiplies the cost by (1 - learning_rate).
     """
-    if not math.isfinite(cost):
-        raise ValueError(f"cost must be finite, got {cost}")
-    for name, value in (("installed_from_mw", installed_from_mw), ("installed_to_mw", installed_to_mw)):
-        if not 0 < value < math.inf:  # also rejects NaN
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+    _check_window("cost", cost, 0, MAX_AMOUNT)
+    _check_window("installed_from_mw", installed_from_mw, 0, MAX_AMOUNT, open_low=True)
+    _check_window("installed_to_mw", installed_to_mw, 0, MAX_AMOUNT, open_low=True)
     if not 0 <= learning_rate < 1:
         raise ValueError(f"learning rate must be in [0, 1), got {learning_rate}")
     doublings = math.log2(installed_to_mw / installed_from_mw)
@@ -167,16 +156,18 @@ def fit_higgins_ratio(
     counts = [float(n) for n, _ in normalized_points]
     totals = [float(t) for _, t in normalized_points]
     for index, (n, t) in enumerate(zip(counts, totals)):
-        if not math.isfinite(n):
-            raise ValueError(f"point {index}: n_t must be finite, got {n}")
-        if not math.isfinite(t):
-            raise ValueError(f"point {index}: total must be finite, got {t}")
+        if not (0 <= n <= MAX_AMOUNT and 0 <= t <= MAX_AMOUNT):  # also rejects NaN
+            _check_window(f"point {index}: n_t", n, 0, MAX_AMOUNT)
+            _check_window(f"point {index}: total", t, 0, MAX_AMOUNT)
     if len(set(counts)) < 2:
         raise ValueError("need at least two distinct n_t values")
     mean_n = math.fsum(counts) / len(counts)
     mean_t = math.fsum(totals) / len(totals)
     dn = [n - mean_n for n in counts]
-    slope = math.fsum(d * (t - mean_t) for d, t in zip(dn, totals)) / math.fsum(d * d for d in dn)
+    spread = math.fsum(d * d for d in dn)
+    if spread == 0:  # distinct counts so close that each d * d underflows
+        raise ValueError("the n_t values are too close to fit a line")
+    slope = math.fsum(d * (t - mean_t) for d, t in zip(dn, totals)) / spread
     if slope <= 0:
         raise ValueError(f"fitted per-turbine cost is non-positive ({slope:g} GBP m)")
     intercept = mean_t - slope * mean_n

@@ -49,15 +49,12 @@ class ArrayDesign(Record):
     def __init__(self, n_t: int, mw_t: float, p_avg_mw: float, lifetime_years: int,
                  availability: float | Sequence[float] = 1.0,
                  electrical_efficiency: float = 1.0) -> None:
-        if not 1 / MAX_AMOUNT <= mw_t <= MAX_AMOUNT:
-            _check_window("mw_t", mw_t, 1 / MAX_AMOUNT, MAX_AMOUNT)
+        _check_window("mw_t", mw_t, 1 / MAX_AMOUNT, MAX_AMOUNT)
         lifetime_years = _check_count("lifetime_years", lifetime_years, 1, MAX_YEARS)
         n_t = _check_size(n_t, mw_t, p_avg_mw)
-        if not 0 < electrical_efficiency <= 1:
-            _check_window("electrical_efficiency", electrical_efficiency, 0, 1, open_low=True)
+        _check_window("electrical_efficiency", electrical_efficiency, 0, 1, open_low=True)
         if isinstance(availability, (int, float)):
-            if not 0 < availability <= 1:
-                _check_window("availability", availability, 0, 1, open_low=True)
+            _check_window("availability", availability, 0, 1, open_low=True)
         else:
             availability = tuple(map(float, availability))
             if len(availability) != lifetime_years:

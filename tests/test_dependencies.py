@@ -13,7 +13,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted((SRC / "tidalecon").glob("*.py"))
 # The package's lines may only go down: a change that cuts them lowers the cap,
 # which the test checks by failing below it as well as above.
-SRC_LINE_CAP = 1953
+SRC_LINE_CAP = 1941
 
 
 def test_cli_import_leaves_numpy_unloaded():

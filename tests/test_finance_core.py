@@ -3,12 +3,21 @@ from __future__ import annotations
 import math
 import random
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tidalecon.cost_estimation import (
+    CostBasis,
+    CostObservation,
+    FixedToTurbineRatio,
+    RatioWindowWarning,
+    fit_higgins_ratio,
+    learning_rate_adjust,
+)
 from tidalecon.cost_model import (
     ArrayDesign,
     CostParameters,
@@ -244,6 +253,17 @@ def _design(**fields) -> ArrayDesign:
                           **fields})
 
 
+def _observation(**fields) -> CostObservation:
+    return CostObservation(**{"n_t": 4.0, "cost": 2.0, "basis": CostBasis.PER_MW,
+                              "capacity_mw": 6.0, **fields})
+
+
+def _fit(points: list[tuple[float, float]]) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RatioWindowWarning)  # the fitted ratio is not under test
+        fit_higgins_ratio(points)
+
+
 BEP = BreakEvenSpec(p_be_mw=0.4)
 
 # Every model field and argument with a window: the name its error gives, a call
@@ -289,13 +309,36 @@ WINDOWS = [
     pytest.param("opex multiplier in year 2",
                  lambda v: build_schedule(_design(), _costs(), TariffScheme(150.0), [1.0, v, 1.0]),
                  0, MAX_AMOUNT, False, id="opex_multiplier"),
+    pytest.param("n_t", lambda v: _observation(n_t=v), 0, MAX_AMOUNT, True, id="observation-n_t"),
+    pytest.param("cost", lambda v: _observation(cost=v), 0, MAX_AMOUNT, False,
+                 id="observation-cost"),
+    pytest.param("capacity_mw", lambda v: _observation(capacity_mw=v), 0, MAX_AMOUNT, True,
+                 id="observation-capacity_mw"),
+    pytest.param("currency_rate", lambda v: _observation(currency_rate=v), 0, MAX_AMOUNT, True,
+                 id="observation-currency_rate"),
+    pytest.param("ratio", FixedToTurbineRatio, 0, MAX_AMOUNT, False, id="ratio"),
+    pytest.param("cost", lambda v: learning_rate_adjust(v, 0.1, 10.0, 20.0), 0, MAX_AMOUNT, False,
+                 id="learning_rate_adjust-cost"),
+    pytest.param("installed_from_mw", lambda v: learning_rate_adjust(1.0, 0.1, v, 1.0), 0,
+                 MAX_AMOUNT, True, id="learning_rate_adjust-installed_from_mw"),
+    pytest.param("installed_to_mw", lambda v: learning_rate_adjust(1.0, 0.1, 1.0, v), 0,
+                 MAX_AMOUNT, True, id="learning_rate_adjust-installed_to_mw"),
+    pytest.param("point 1: n_t", lambda v: _fit([(1.0, 1.0), (v, v), (2.0, 2.0)]), 0, MAX_AMOUNT,
+                 False, id="fit_higgins_ratio-n_t"),
+    pytest.param("point 1: total",
+                 lambda v: _fit([(0.0, MAX_AMOUNT / 2), (1.0, v), (2.0, MAX_AMOUNT)]), 0,
+                 MAX_AMOUNT, False, id="fit_higgins_ratio-total"),
 ]
 
 
 @pytest.mark.parametrize("name, call, low, high, open_low", WINDOWS)
 def test_one_window_rule(name, call, low, high, open_low):
     for value in (math.nextafter(low, math.inf) if open_low else low, high):
-        call(value)  # a closed end, or the float just inside an open one
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(value)  # a closed end, or the float just inside an open one
+        # Both ends of the ratio's window lie outside the supported ratio window.
+        assert [w.category for w in caught] == [RatioWindowWarning] * (name == "ratio")
     window = f"{'(' if open_low else '['}{low}, {high}]"
     assert window in ("[0, 1e+100]", "(0, 1e+100]", "(0, 1]", "[-0.99, 1e+100]",
                       "[1e-100, 1e+100]", "[0, 100]", "[-1e+100, 1e+100]")
