@@ -85,9 +85,7 @@ CostSplit = namedtuple("CostSplit", "fixed per_turbine")
 
 def normalize_observation(obs: CostObservation) -> float:
     """Total cost of the observed array in GBP m."""
-    total = obs.cost
-    if obs.basis is CostBasis.PER_MW:
-        total *= obs.capacity_mw
+    total = obs.cost * obs.capacity_mw if obs.basis is CostBasis.PER_MW else obs.cost
     return total * obs.currency_rate
 
 
@@ -129,16 +127,19 @@ def learning_rate_adjust(
 ) -> float:
     """Project a cost across a change in cumulative installed capacity.
 
-    Standard experience-curve power law: each doubling of installed
-    capacity multiplies the cost by (1 - learning_rate).
+    Standard experience-curve power law: each doubling of installed capacity
+    multiplies the cost by (1 - learning_rate); the result keeps the cost's window.
     """
     _check_window("cost", cost, 0, MAX_AMOUNT)
     _check_window("installed_from_mw", installed_from_mw, 0, MAX_AMOUNT, open_low=True)
     _check_window("installed_to_mw", installed_to_mw, 0, MAX_AMOUNT, open_low=True)
     if not 0 <= learning_rate < 1:
         raise ValueError(f"learning rate must be in [0, 1), got {learning_rate}")
-    doublings = math.log2(installed_to_mw / installed_from_mw)
-    return cost * (1.0 - learning_rate) ** doublings
+    try:
+        factor = (1.0 - learning_rate) ** math.log2(installed_to_mw / installed_from_mw)
+    except OverflowError:
+        raise ValueError("the factor (1 - learning rate) ** doublings is past float range") from None
+    return _check_window("adjusted cost", cost * factor, 0, MAX_AMOUNT)
 
 
 def fit_higgins_ratio(
@@ -156,9 +157,8 @@ def fit_higgins_ratio(
     counts = [float(n) for n, _ in normalized_points]
     totals = [float(t) for _, t in normalized_points]
     for index, (n, t) in enumerate(zip(counts, totals)):
-        if not (0 <= n <= MAX_AMOUNT and 0 <= t <= MAX_AMOUNT):  # also rejects NaN
-            _check_window(f"point {index}: n_t", n, 0, MAX_AMOUNT)
-            _check_window(f"point {index}: total", t, 0, MAX_AMOUNT)
+        _check_window(f"point {index}: n_t", n, 0, MAX_AMOUNT)
+        _check_window(f"point {index}: total", t, 0, MAX_AMOUNT)
     if len(set(counts)) < 2:
         raise ValueError("need at least two distinct n_t values")
     mean_n = math.fsum(counts) / len(counts)

@@ -514,7 +514,8 @@ class TestSplitCommand:
 
     # A component past the input window once printed inf in the human report and
     # failed the JSON one on a non-finite float; a cost estimate in a config is
-    # split by the same code. Inputs inside their fields' windows still reach it.
+    # split by the same code. Inputs inside their fields' windows still reach it;
+    # a total of 1e308, which once converted past float range, is refused at its field.
     @pytest.mark.parametrize("fmt", ["human", "json", "csv"])
     @pytest.mark.parametrize("argv, message", [
         (["split", "ratio", "--ratio", "2.3", "--capex-total", "1e100", "--n-t", "3",
@@ -530,15 +531,6 @@ class TestSplitCommand:
                                    "capex": {"n_t": 3, "total_gbp_m": 1e100, "rate_to_gbp": 10},
                                    "opex": {"n_t": 3, "total_gbp_m": 1}}}],
          "CAPEX fixed cost must be in [-1e+100, 1e+100], got 4.3396226415094336e+100"),
-    ], ids=["ratio", "two-points-minus-inf", "two-points-per-turbine", "config-estimate"])
-    def test_component_past_the_window_exits_2(self, capsys, config_path, argv, message, fmt):
-        if argv[0] == "metrics":
-            argv = ["metrics", config_path({"costs": argv[1]})]
-        code, out, err = run(capsys, [*argv, "--format", fmt])
-        assert (code, out, err) == (EXIT_INPUT_ERROR, "", f"error: {message}\n")
-
-    # A total of 1e308 once converted past float range; it is now refused at its field.
-    @pytest.mark.parametrize("argv, message", [
         (["split", "ratio", "--ratio", "2.3", "--capex-total", "1e308", "--n-t", "3",
           "--currency-rate", "10"],
          "--capex-total/--capex-per-mw: cost must be in [0, 1e+100], got 1e+308"),
@@ -546,11 +538,12 @@ class TestSplitCommand:
                                    "capex": {"n_t": 3, "total_gbp_m": 1e308, "rate_to_gbp": 10},
                                    "opex": {"n_t": 3, "total_gbp_m": 1}}}],
          "costs.estimate.capex[0]: cost must be in [0, 1e+100], got 1e+308"),
-    ], ids=["ratio", "config-estimate"])
-    def test_cost_past_the_field_window_exits_2(self, capsys, config_path, argv, message):
+    ], ids=["ratio", "two-points-minus-inf", "two-points-per-turbine", "config-estimate",
+            "ratio-cost-field", "config-estimate-cost-field"])
+    def test_input_past_the_window_exits_2(self, capsys, config_path, argv, message, fmt):
         if argv[0] == "metrics":
             argv = ["metrics", config_path({"costs": argv[1]})]
-        code, out, err = run(capsys, argv)
+        code, out, err = run(capsys, [*argv, "--format", fmt])
         assert (code, out, err) == (EXIT_INPUT_ERROR, "", f"error: {message}\n")
 
     def test_byte_identical_json(self, capsys):

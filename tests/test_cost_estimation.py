@@ -178,6 +178,21 @@ class TestLearningRateAdjust:
             learning_rate_adjust(*args)
         assert str(raised.value) == message
 
+    # Inputs inside every field's window once raised OverflowError from the factor, or
+    # returned a cost past the window the cost input is held to.
+    @pytest.mark.parametrize("args, message", [
+        ((1.0, 0.99, 1e100, 1.0), "the factor (1 - learning rate) ** doublings is past float range"),
+        ((1e100, 0.5, 1.0, 0.5), "adjusted cost must be in [0, 1e+100], got 2e+100"),
+    ])
+    def test_result_past_the_window_rejected(self, args, message):
+        with pytest.raises(ValueError) as raised:
+            learning_rate_adjust(*args)
+        assert str(raised.value) == message
+
+    def test_result_at_the_window_edge_accepted(self):
+        assert learning_rate_adjust(1e100, 0.5, 1.0, 1.0) == 1e100
+        assert learning_rate_adjust(0.5e100, 0.5, 1.0, 0.5) == 1e100
+
     @given(
         cost=st.floats(min_value=1.0, max_value=1000.0),
         rate=st.floats(min_value=0.0, max_value=0.5),
