@@ -95,8 +95,8 @@ class CashFlowSchedule(Record):
 
 
 def _check_window(name: str, value: float, low: float, high: float, open_low: bool = False) -> float:
-    """``value`` if in [low, high], or (low, high] if ``open_low``; NaN is in none. The checks run
-    per curve row or schedule flow compare inline and call it only to raise: a call costs ~10%."""
+    """``value`` if in [low, high], or (low, high] if ``open_low``; NaN is in none. Checks run per
+    curve row (+10% a sweep) or schedule flow (2.5x a build) compare inline, calling it to raise."""
     if not (low < value if open_low else low <= value) or not value <= high:
         raise ValueError(f"{name} must be in {'(' if open_low else '['}{low}, {high}], "
                          f"got {_shown(value)}")
