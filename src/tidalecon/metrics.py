@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from functools import cache, partial
 from itertools import accumulate, repeat
 from operator import gt, mul, ne
@@ -160,21 +160,33 @@ def _payback(cumulative: Iterable[float], horizon: int) -> float:
     raise NoPaybackError(f"cumulative discounted flow stays negative through year {horizon}")
 
 
-# An IRR search works on a schedule's flows, year 0 first. The exponent of
-# year k under annual compounding is -k, made a float here once: ``base ** -k``
-# converts an int exponent to the same double, so the NPVs keep their bits,
-# and ``zip`` in the kernel stops at the last flow.
+# The exponent of year k under annual compounding is -k, made a float here
+# once: ``base ** -k`` converts an int exponent to the same double, so the
+# NPVs keep their bits, and ``zip`` in the kernel stops at the last flow.
 _NEGATED_YEARS = tuple(-float(year) for year in range(MAX_YEARS + 1))
-_SEED_FACTORS = tuple(tuple((1.0 + seed) ** e for e in _NEGATED_YEARS) for seed in _SEEDS)
+_SEED_BASES = tuple(1.0 + seed for seed in _SEEDS)
+_SEED_FACTORS = tuple(tuple(base ** e for e in _NEGATED_YEARS) for base in _SEED_BASES)
 _SQUARES = tuple(float((k + 2) ** 2) for k in range(MAX_YEARS + 2))  # ``_root_bound``'s (k + 2)**2
-# A bracket of an NPV root for ``_brent``: two rates, then the kernel's NPVs there.
+_Npv = Callable[[float], float]  # NPV as an IRR search sees it: of the base 1 + r
+# A bracket of an NPV root for ``_brent``: two rates, then the NPVs there.
 _Bracket = tuple[float, float, float, float]
 
 
-def _npv_at_rate(flows: Sequence[float], rate: float) -> float:
-    # Annual discrete NPV, as ``npv(schedule, DiscountSpec(rate))`` computes
-    # it. Callers keep the rate in (-1, 10], so no DiscountSpec is checked.
-    return _discounted_sum(flows, _NEGATED_YEARS, 1.0 + rate)
+def _annuity_npv(first: float, level: float, years: int, base: float) -> float:
+    # ``first``, then ``level`` in years 1..``years``: -C + c * A_L(r), the capital-recovery
+    # form (Short, Packey and Holt, NREL/TP-462-5173, 1995), accurate as base -> 1.
+    if base == 1.0:
+        return first + level * years
+    return first - level * math.expm1(-years * math.log(base)) / (base - 1.0)
+
+
+def _seed_npvs(flows: Sequence[float]) -> tuple[float, float]:
+    # The kernel's NPVs at the seeds, bit for bit, from tables of its ``base ** exponent``.
+    f_low = f_high = 0.0
+    for amount, f, g in zip(flows, *_SEED_FACTORS):
+        f_low += amount * f
+        f_high += amount * g
+    return f_low, f_high
 
 
 def _dyadic(t: float) -> float:
@@ -240,14 +252,14 @@ def _isolate(flows: Sequence[float]) -> list[_Bracket]:
     nonzero = [k for k, a in enumerate(flows) if a]
     inner = flows[nonzero[0]:nonzero[-1] + 1]  # zeros at the ends move no root
 
-    value = cache(partial(_npv_at_rate, flows))
+    value = cache(partial(_discounted_sum, flows, _NEGATED_YEARS))  # of the base 1 + r
 
     def keep(low: float, high: float) -> None:
-        f_low, f_high = value(low), value(high)
+        f_low, f_high = value(1.0 + low), value(1.0 + high)
         if f_low and f_high and (f_low > 0) != (f_high > 0):
             brackets.append((low, high, f_low, f_high))
 
-    brackets = [(0.0, 0.0, 0.0, 0.0)] if value(0.0) == 0.0 else []
+    brackets = [(0.0, 0.0, 0.0, 0.0)] if value(1.0) == 0.0 else []
     for coefficients, rate, ends in (
         (inner[::-1], lambda z: z - 1.0, (_dyadic(1.0 + IRR_BRACKET[0]), 1.0)),
         (inner, lambda x: 1.0 / x - 1.0, (1.0, _dyadic(1.0 / (1.0 + _TOP_RATE)))),
@@ -262,15 +274,15 @@ def _isolate(flows: Sequence[float]) -> list[_Bracket]:
                 keep(rate(a), rate(b))
             elif count != 0:
                 middle = _dyadic(math.sqrt(lo * hi))
-                if value(rate(middle)) == 0.0:
+                if value(1.0 + rate(middle)) == 0.0:
                     brackets.append((rate(middle), rate(middle), 0.0, 0.0))
                 pieces += [(middle, b), (a, middle)]
     return sorted(brackets)
 
 
-def _brent(flows: Sequence[float], a: float, b: float, f_a: float, f_b: float, tol: float) -> float:
-    """NPV's root between ``a`` and ``b``, in either order, where its values
-    ``f_a`` and ``f_b`` are > 0 at one end and <= 0 at the other.
+def _brent(npv: _Npv, a: float, b: float, f_a: float, f_b: float, tol: float) -> float:
+    """The root of ``npv``, of the base 1 + r, between ``a`` and ``b``, in either
+    order, where its values ``f_a`` and ``f_b`` are > 0 at one end and <= 0 at the other.
 
     Brent's method (1973) in scipy's ``brentq`` form: a secant or inverse
     quadratic step while it shrinks the bracket fast enough, else bisection,
@@ -307,27 +319,23 @@ def _brent(flows: Sequence[float], a: float, b: float, f_a: float, f_b: float, t
             s_pre = s_cur = s_bis
         x_pre, f_pre = x_cur, f_cur
         x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
-        f_cur = _discounted_sum(flows, _NEGATED_YEARS, 1.0 + x_cur)
+        f_cur = npv(1.0 + x_cur)
     return x_cur
 
 
-def _seed_bracket(flows: Sequence[float], positive_at_infinity: bool) -> _Bracket | None:
-    """A bracket of NPV's lone root on r > -1, or None if none lies in range.
+def _seed_bracket(npv: _Npv, seed_npvs: Iterable[float],
+                  positive_at_infinity: bool) -> _Bracket | None:
+    """A bracket of the lone root of ``npv``, of the base 1 + r, on r > -1, or
+    None if none lies in range, given its values at the seeds, ``seed_npvs``.
 
-    The seeds' NPVs add each flow times its factor in ``_SEED_FACTORS``, the
-    kernel's ``base ** exponent``, as the kernel does, so they keep its bits
-    without a kernel call. The seeds bracket the root when their NPVs differ
-    in sign (> 0 against <= 0). Otherwise it lies below the seeds when they
-    have NPV's sign as r -> infinity, ``positive_at_infinity``, and above them
-    if not. On that side a probe, twice as far from the near seed as the zero
-    of the line through the seeds' NPVs, if it falls short of the bracket's
-    end, and then that end are tried in turn.
+    The seeds bracket the root when their NPVs differ in sign (> 0 against
+    <= 0). Otherwise it lies below the seeds when they have NPV's sign as
+    r -> infinity, ``positive_at_infinity``, and above them if not. On that
+    side a probe, twice as far from the near seed as the zero of the line
+    through the seeds' NPVs, if it falls short of the bracket's end, and then
+    that end are tried in turn.
     """
-    low, high = _SEEDS
-    f_low = f_high = 0.0
-    for amount, f, g in zip(flows, *_SEED_FACTORS):
-        f_low += amount * f
-        f_high += amount * g
+    (low, high), (f_low, f_high) = _SEEDS, seed_npvs
     if (f_low > 0) != (f_high > 0):
         return low, high, f_low, f_high
     if (f_low > 0) == positive_at_infinity:
@@ -337,7 +345,7 @@ def _seed_bracket(flows: Sequence[float], positive_at_infinity: bool) -> _Bracke
     step = (high - low) / (f_high - f_low) if f_high != f_low else 0.0  # flat: no probe
     probe = near - 2 * f_near * step
     for far in (probe, end) if min(near, end) < probe < max(near, end) else (end,):
-        f_far = _npv_at_rate(flows, far)
+        f_far = npv(1.0 + far)
         if (f_far > 0) != (f_near > 0):
             return near, far, f_near, f_far
         near, f_near = far, f_far
@@ -390,38 +398,44 @@ def _root_bound(flows: Sequence[float]) -> int | None:
 def irr(schedule: CashFlowSchedule) -> float:
     """Internal rate of return: the discount rate at which NPV is zero.
 
-    Searches the bracket [-0.99, 10] by one of three paths: one sign change
+    Searches the bracket [-0.99, 10] by one of four paths: one sign change
     in the nonzero flows means exactly one root on r > -1 (Descartes' rule
-    of signs in x = 1/(1+r)); otherwise a bound from the flows' running sums
-    (``_root_bound``) is at most 1 on most overhaul-style schedules; failing
-    that the roots are isolated (``_isolate``), and if there are several the
-    smallest is returned and an ``AmbiguousIrrWarning`` gives their number.
+    of signs in x = 1/(1+r)), with NPV in closed form (``_annuity_npv``) if
+    the flows after year 0 are all equal; otherwise a bound from the flows'
+    running sums (``_root_bound``) is at most 1 on most overhaul-style
+    schedules; failing that the roots are isolated (``_isolate``), and if
+    there are several the smallest is returned and an ``AmbiguousIrrWarning``
+    gives their number.
 
     With at most one root, NPV at the seeds 0.05 and 0.15 brackets it, or
     else one probe beyond them or the bracket's end does, or no root lies in
     range (``_seed_bracket``). Brent's method then runs on the bracket down
     to |NPV| < 1e-12, scaled down with the largest flow when that is below
-    1 GBP m. Each NPV is the kernel's behind ``npv`` (at the seeds, from its
-    factor tables): exactly ``npv(schedule, DiscountSpec(rate))`` at its rate.
+    1 GBP m. Off the annuity path each NPV is the kernel's behind ``npv`` (at
+    the seeds, from its factor tables): exactly ``npv(schedule,
+    DiscountSpec(rate))`` at its rate. On it, each is the closed form at the
+    kernel's base 1 + r.
     """
     amounts = schedule.flows
     signs = [a > 0 for a in filter(None, amounts)]  # of the nonzero flows
     sign_changes = sum(map(ne, signs, signs[1:]))
     if sign_changes == 0:
         raise IrrUndefinedError("IRR undefined: cash flows never change sign")
-    if sign_changes == 1 or _root_bound(amounts) in (0, 1):
-        bracket = _seed_bracket(amounts, signs[0])
-        if bracket is None:
-            raise NoIrrInRangeError(_NO_ROOT)
+    if sign_changes == 1 and amounts.count(amounts[1]) == len(amounts) - 1:
+        npv = partial(_annuity_npv, amounts[0], amounts[1], len(amounts) - 1)
+        bracket = _seed_bracket(npv, map(npv, _SEED_BASES), signs[0])
+    elif sign_changes == 1 or _root_bound(amounts) in (0, 1):
+        npv = partial(_discounted_sum, amounts, _NEGATED_YEARS)
+        bracket = _seed_bracket(npv, _seed_npvs(amounts), signs[0])
     else:
-        brackets = _isolate(amounts)
-        if not brackets:
-            raise NoIrrInRangeError(_NO_ROOT)
+        npv, brackets = partial(_discounted_sum, amounts, _NEGATED_YEARS), _isolate(amounts)
         if len(brackets) > 1:
             warnings.warn(f"{len(brackets)} NPV roots bracketed; returning the smallest",
                           AmbiguousIrrWarning, stacklevel=2)
-        bracket = brackets[0]
-    return _brent(amounts, *bracket, 1e-12 * min(1.0, max(map(abs, amounts))))
+        bracket = brackets[0] if brackets else None
+    if bracket is None:
+        raise NoIrrInRangeError(_NO_ROOT)
+    return _brent(npv, *bracket, 1e-12 * min(1.0, max(map(abs, amounts))))
 
 
 def evaluate(

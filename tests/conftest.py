@@ -13,8 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from tidalecon.finance_core import Compounding, DiscountSpec, _factors, _sum
-from tidalecon.metrics import _npv_at_rate
+from tidalecon.finance_core import Compounding, DiscountSpec, _discounted_sum, _factors, _sum
 
 # GBP m: the NPV residual every IRR the library returns must stay below.
 IRR_NPV_TOLERANCE = 1e-6
@@ -187,6 +186,12 @@ def irr_bisection_oracle(
     return 0.5 * (a + b)
 
 
+def kernel_npv(flows: Sequence[float], rate: float) -> float:
+    """NPV at ``rate`` by the kernel behind ``npv``, for any rate in (-1, 10]:
+    exactly ``npv(schedule, DiscountSpec(rate))``, whose window stops at -0.99."""
+    return _discounted_sum(flows, range(0, -len(flows), -1), 1.0 + rate)
+
+
 def scan_brackets_oracle(flows: Sequence[float]) -> list[tuple[float, float]]:
     """The exhaustive IRR bracket scan: the NPV kernel at all 2001 grid points.
 
@@ -194,7 +199,7 @@ def scan_brackets_oracle(flows: Sequence[float]) -> list[tuple[float, float]]:
     is ``(r, r)`` for a point other than the last where NPV is exactly 0.0.
     """
     grid = log_grid()
-    values = [_npv_at_rate(flows, rate) for rate in grid]
+    values = [kernel_npv(flows, rate) for rate in grid]
     brackets = []
     for k in range(len(grid) - 1):
         if values[k] == 0.0:

@@ -22,7 +22,7 @@ import pytest
 import tidalecon
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-DIGEST = "1ef22137cc81cd51747e8f5c5f9b561b1604769f16c5f9647173dcbd42c4926d"
+DIGEST = "f62e5d79241abd72c43faa2ffc2709dca23e48a0481e42a9d931230ab2ecf738"
 
 
 @pytest.fixture(scope="module")

@@ -60,6 +60,7 @@ from conftest import (
     exact_factor,
     exact_npv,
     irr_bisection_oracle,
+    kernel_npv,
     lcoe_oracle,
     payback_exact_oracle,
     payback_scan_oracle,
@@ -309,13 +310,20 @@ def _level(years: int, amount: float) -> dict[int, float]:
     return {year: amount for year in range(1, years + 1)}
 
 
+def _kernel(flows) -> partial:
+    """NPV of the base 1 + r by the kernel, as ``irr`` hands it to ``_seed_bracket``
+    and ``_brent`` off the annuity path; ``kernel_calls`` counts its calls."""
+    return partial(metrics_module._discounted_sum, flows, metrics_module._NEGATED_YEARS)
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch) -> list:
     """Every call ``metrics`` makes of the NPV kernel ``_discounted_sum``.
 
     The NPVs at the two seeds are not among them: they read factor tables
     built at import with the kernel's own ``base ** exponent``, so they keep
-    the kernel's bits without calling it.
+    the kernel's bits without calling it. Nor are those of the annuity path,
+    which come from the closed form ``_annuity_npv``.
     """
     calls = []
     kernel = metrics_module._discounted_sum
@@ -367,7 +375,7 @@ class TestIrrSeedBracket:
     ])
     def test_exact_zero_at_a_seed_is_returned(self, flows, root):
         schedule = schedule_of(flows)
-        assert metrics_module._npv_at_rate(schedule.flows, root) == 0.0
+        assert kernel_npv(schedule.flows, root) == 0.0
         assert irr(schedule) == root
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -390,21 +398,24 @@ class TestIrrSeedBracket:
     @settings(max_examples=300, deadline=None)
     def test_seed_npvs_are_the_kernels_bit_for_bit(self, flows):
         # The tables' products, added in order from 0.0, are the kernel's NPVs,
-        # and every seed at the near end of a bracket carries that NPV.
-        kernel = {seed: metrics_module._npv_at_rate(flows, seed).hex()
-                  for seed in metrics_module._SEEDS}
+        # and so are ``_seed_npvs`` and the NPVs every kernel-path bracket
+        # carries at its ends, seeds and probes alike.
+        kernel = [kernel_npv(flows, seed).hex() for seed in metrics_module._SEEDS]
         tabled = [_sum(map(mul, flows, table)).hex() for table in metrics_module._SEED_FACTORS]
-        assert tabled == list(kernel.values())
+        assert tabled == kernel
+        assert [value.hex() for value in metrics_module._seed_npvs(flows)] == kernel
         for positive_at_infinity in (True, False):
-            bracket = metrics_module._seed_bracket(flows, positive_at_infinity)
-            if bracket is not None and bracket[0] in kernel:
-                assert bracket[2].hex() == kernel[bracket[0]]
-            if bracket is not None and bracket[1] in kernel:
-                assert bracket[3].hex() == kernel[bracket[1]]
+            bracket = metrics_module._seed_bracket(_kernel(flows), metrics_module._seed_npvs(flows),
+                                                   positive_at_infinity)
+            if bracket is not None:
+                assert [value.hex() for value in bracket[2:]] == [
+                    kernel_npv(flows, rate).hex() for rate in bracket[:2]]
 
     def test_seed_npvs_make_no_kernel_call(self, kernel_calls):
-        flows = schedule_of({0: -1.0, 1: 1.1}).flows  # the seeds bracket r = 0.1
-        assert metrics_module._seed_bracket(flows, False)[:2] == metrics_module._SEEDS
+        flows = schedule_of({0: -1.0, 1: 0.5, 2: 0.66}).flows  # the seeds bracket r = 0.1
+        bracket = metrics_module._seed_bracket(_kernel(flows), metrics_module._seed_npvs(flows),
+                                               False)
+        assert bracket[:2] == metrics_module._SEEDS
         assert kernel_calls == []
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -414,13 +425,76 @@ class TestIrrSeedBracket:
             irr(schedule_of({0: -sign, 1: inflow * sign}))
 
 
+@st.composite
+def level_schedules(draw) -> list[float]:
+    """A first flow, then L equal flows, L in 1..MAX_YEARS, with the level of
+    either sign: any first flow, or the one whose root is r = 0, within 1e-3
+    of MIN_RATE, or above the search's top rate."""
+    years = draw(st.integers(1, MAX_YEARS))
+    level = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    kind = draw(st.sampled_from(["any", "zero", "near_min", "above_top"]))
+    if kind == "any":
+        first = draw(st.floats(-1e5, 1e5))
+    elif kind == "zero":
+        first = -(years * level)  # NPV at the base 1.0 is exactly 0.0
+    else:
+        if kind == "near_min":
+            rate = MIN_RATE + draw(st.floats(1e-9, 1e-3))
+            level *= (1.0 + rate) ** years  # keeps the first flow near |level| / 0.99
+        else:
+            rate = metrics_module._TOP_RATE + draw(st.floats(1e-6, 100.0))
+        first = level * math.expm1(-years * math.log1p(rate)) / rate  # -level * A_L(rate)
+    return [first] + [level] * years
+
+
+class TestAnnuityPath:
+    """One sign change and equal flows after year 0: NPV in closed form."""
+
+    @given(flows=level_schedules())
+    @example(flows=[-100.0] + [3.0] * 30)  # the loss-making annuity, r about -0.0067
+    @settings(max_examples=150, deadline=None)
+    def test_outcome_agrees_with_oracle_and_the_kernel_npv_is_zero(self, flows):
+        # At the base 1.0, where the closed form is 0 / 0, NPV is first + L * level:
+        # two roundings from the flows' exact sum.
+        first, level, years = flows[0], flows[1], len(flows) - 1
+        at_zero = metrics_module._annuity_npv(first, level, years, 1.0)
+        exact = sum(map(Fraction, flows))
+        assert abs(at_zero - exact) <= 2 * UNIT * (abs(first) + abs(level) * years)
+        try:
+            want = irr_bisection_oracle(dict(enumerate(flows)))
+        except AssertionError:  # the oracle finds no bracket
+            want = None
+        schedule = CashFlowSchedule(len(flows) - 1, flows)
+        changes = len({a > 0 for a in flows if a}) - 1
+        try:
+            rate = irr(schedule)
+        except IrrUndefinedError:
+            assert changes == 0 and want is None
+            return
+        except NoIrrInRangeError:
+            assert changes == 1 and want is None
+            return
+        assert want is not None and rate == pytest.approx(want, abs=1e-6)
+        # Brent's method stops at |closed form| < tol, where the kernel's NPV
+        # is within its rounding bound of that, or on a bracket about 1e-15
+        # wide, over which NPV changes sign: near r = -0.99 it is steep enough
+        # (1e5 per unit rate at L = 1) that neither end comes within tol.
+        tol = 1e-12 * min(1.0, max(map(abs, flows)))
+        if abs(kernel_npv(flows, rate)) > tol + rounding_bound(flows, DiscountSpec(rate)):
+            width = 1e-15 + 2.0**-50 * abs(rate)
+            ends = [kernel_npv(flows, rate - width), kernel_npv(flows, rate + width)]
+            assert (ends[0] > 0) != (ends[1] > 0)
+
+
 # Every IRR bit, or the exception class, and any warning, of 2,000 seeded
-# schedules over the three paths: one sign change, a root bound of at most 1,
-# and root isolation. Recorded before the seed NPVs came from factor tables.
-PINNED_IRR_SHA256 = "c48ea799e984f9697cf65be43e295187b5c498ce173b1e3c11f90ce69928e2b3"
+# schedules over the four paths: the annuity form, one sign change, a root
+# bound of at most 1, and root isolation. Re-recorded when level schedules
+# took the annuity form: 600 rates moved, by at most 3.5e-15, and no outcome.
+PINNED_IRR_SHA256 = "c93ce7ce6e853700de7ee198a41c23b28c3a9f53aa476c9dc875332672a989e2"
 # The NPV kernel calls of those 2,000 IRRs: 22,446 while the seeds' NPVs were
-# kernel calls, 2 fewer for each of the 1,545 that reach ``_seed_bracket``.
-PINNED_KERNEL_CALLS = 19_356
+# kernel calls, 2 fewer for each of the 1,545 that reach ``_seed_bracket``
+# (19,356), and none on the annuity path.
+PINNED_KERNEL_CALLS = 12_779
 
 
 def _pinned_flows(rng: random.Random) -> list[float]:
@@ -461,6 +535,8 @@ class TestIrrExactness:
             if changes > 1:
                 bound = metrics_module._root_bound(schedule.flows)
                 changes = "bound <= 1" if bound in (0, 1) else "isolate"
+            elif changes == 1 and len(set(amounts[1:])) == 1:
+                changes = "annuity"
             paths[changes] += 1
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -469,7 +545,8 @@ class TestIrrExactness:
                 except ValueError as err:
                     out = type(err).__name__
             digest.update(" ".join([out, *(str(w.message) for w in caught)]).encode() + b"\n")
-        assert min(paths[1], paths["bound <= 1"], paths["isolate"]) >= 300
+        assert min(paths["annuity"] + paths[1], paths["bound <= 1"], paths["isolate"]) >= 300
+        assert min(paths["annuity"], paths[1]) >= 100  # one sign change: 753 level, 147 not
         assert digest.hexdigest() == PINNED_IRR_SHA256
 
     def test_kernel_calls_pinned_on_every_path(self, kernel_calls):
@@ -510,9 +587,10 @@ BUILT_SPECS = {
 # a bit. The IRR column moved by at most 8.3e-11 when Brent's method from the
 # seeds' bracket replaced the secant, and the LCOE column by at most 7 units
 # in the last place when ``lcoe`` took the affine form, 1e6 * (CAPEX + OPEX * F)
-# / (P_avg * G). The "long" rows near r = -1 sit at the window's edge, 100
-# years, where TestLongHorizonOverflow checks each metric against an exact
-# oracle.
+# / (P_avg * G). The "long" rows' IRR moved by 2.8e-17 when level schedules
+# took the annuity form; the other level rows kept their bits. The "long" rows
+# near r = -1 sit at the window's edge, 100 years, where TestLongHorizonOverflow
+# checks each metric against an exact oracle.
 BUILT_SCHEDULE_BITS = [
     ("scalar", "annual", "0x1.6081807182215p+2", "0x1.fcdb5521d0c07p+6",
      "0x1.b6254bef6cd38p+3", "0x1.0c212b602872fp-3"),
@@ -539,13 +617,13 @@ BUILT_SCHEDULE_BITS = [
     ("overhaul", "annual_0.08", "0x1.73880ca7a3e1ep+1", "0x1.ee36d388a66e6p+6",
      "0x1.06ca163798904p+4", "0x1.8bf05cff971d6p-4"),
     ("long", "annual", "0x1.0afce0d3201acp+3", "0x1.daab80db8e2f4p+6",
-     "0x1.b6254bef6cd38p+3", "0x1.191a160f2110dp-3"),
+     "0x1.b6254bef6cd38p+3", "0x1.191a160f2110cp-3"),
     ("long", "continuous", "0x1.3f6da937f76f8p+4", "0x1.7e5eb01571495p+6",
-     "0x1.57afd10b2adb0p+3", "0x1.191a160f2110dp-3"),
+     "0x1.57afd10b2adb0p+3", "0x1.191a160f2110cp-3"),
     ("long", "annual_near_-1", "0x1.03a9d057f9a87p+666", "0x1.146039180e460p+5",
-     "0x1.2a6b0110d6dcbp-4", "0x1.191a160f2110dp-3"),
+     "0x1.2a6b0110d6dcbp-4", "0x1.191a160f2110cp-3"),
     ("long", "continuous_-0.9", "0x1.294d30a7fbc6cp+132", "0x1.146039180e45fp+5",
-     "0x1.cc381bce3fd44p+0", "0x1.191a160f2110dp-3"),
+     "0x1.cc381bce3fd44p+0", "0x1.191a160f2110cp-3"),
 ]
 # float.hex of ``evaluate``'s NPV and payback, from F and G, for the rows
 # without OPEX multipliers; its LCOE and IRR are the columns above. Each lies
@@ -648,7 +726,7 @@ def _isolated_rates(flows) -> list[tuple[float, float]]:
     bracket carries are the kernel's at its ends, bit for bit."""
     brackets = metrics_module._isolate(flows)
     for low, high, f_low, f_high in brackets:
-        kernel = [metrics_module._npv_at_rate(flows, rate).hex() for rate in (low, high)]
+        kernel = [kernel_npv(flows, rate).hex() for rate in (low, high)]
         assert [f_low.hex(), f_high.hex()] == kernel
     return [(low, high) for low, high, _, _ in brackets]
 
@@ -694,7 +772,7 @@ class TestRootIsolation:
         # every leaf piece is settled, none was left to the kernel's signs at
         # the ends of a narrow piece, and the roots are all there are.
         settled = sum(result in (0, 1) for *_, result in calls)
-        roots = [metrics_module._brent(dense, *bracket, 0.0) for bracket in brackets]
+        roots = [metrics_module._brent(_kernel(dense), *bracket, 0.0) for bracket in brackets]
         if settled == len(calls) - settled + 2 and _apart(roots):
             assert len(roots) == len(scan_brackets_oracle(dense))
 
@@ -730,7 +808,7 @@ class TestRootIsolation:
 
     def test_exact_zero_at_a_split_point(self):
         schedule = schedule_of(ZERO_AT_SPLIT_POINT_FLOWS)
-        assert metrics_module._npv_at_rate(schedule.flows, -0.9) == 0.0
+        assert kernel_npv(schedule.flows, -0.9) == 0.0
         rates = _isolated_rates(schedule.flows)
         assert len(rates) == len(scan_brackets_oracle(schedule.flows)) == 2
         assert rates[0] == (-0.9, -0.9) and rates[1][0] < -0.5 < rates[1][1]
@@ -800,11 +878,18 @@ class TestRootCountBound:
         irr(schedule_of(flows))
         assert 0 < len(kernel_calls) <= 25
 
-    def test_loss_making_annuity_needs_few_npvs(self, kernel_calls):
+    def test_loss_making_annuity_makes_no_kernel_call(self, kernel_calls):
         # IRR about -0.0067. An unbracketed secant from the seeds wandered
         # between -0.41 and 0.15 for all 200 of its iterations here, 214
-        # kernel calls in all, before Brent's method took over.
+        # kernel calls in all, before Brent's method took over. Its flows
+        # after year 0 are level, so every NPV comes from the annuity form.
         flows = {0: -100.0, **_level(30, 3.0)}
+        assert irr(schedule_of(flows)) == pytest.approx(irr_bisection_oracle(flows), abs=1e-9)
+        assert kernel_calls == []
+
+    def test_loss_making_uneven_schedule_needs_few_npvs(self, kernel_calls):
+        # The same with a last flow 1% higher: one sign change, off the annuity path.
+        flows = {0: -100.0, **_level(30, 3.0), 30: 3.03}
         assert irr(schedule_of(flows)) == pytest.approx(irr_bisection_oracle(flows), abs=1e-9)
         assert 0 < len(kernel_calls) <= 15
 

@@ -95,8 +95,8 @@ def test_payback_does_not_fall_as_capex_rises(project, extra):
 @given(project=projects())
 @settings(max_examples=100, deadline=None)
 def test_npv_at_rate_equal_to_irr_is_zero(project):
-    # Annual compounding only: under continuous or periodic compounding the
-    # reported IRR is still an annual rate, so this does not hold there yet.
+    # Annual compounding only: under continuous compounding the reported IRR
+    # is still an annual rate, so this does not hold there yet.
     design, values = project
     rate = _metric(design, values, "irr")
     assume(rate is not None)
