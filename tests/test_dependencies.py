@@ -11,8 +11,9 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted((SRC / "tidalecon").glob("*.py"))
-# The package's lines may only go down: a change that cuts them lowers the cap,
-# which the test checks by failing below it as well as above.
+# The package's exact line count: a change that cuts lines lowers the cap, which
+# the test checks by failing below it as well as above, and one that adds lines
+# raises it and names in CHANGES.md the deletions that paid for part of them.
 SRC_LINE_CAP = 1955
 
 
