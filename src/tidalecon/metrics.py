@@ -167,17 +167,23 @@ _NEGATED_YEARS = tuple(-float(year) for year in range(MAX_YEARS + 1))
 _SEED_BASES = tuple(1.0 + seed for seed in _SEEDS)
 _SEED_FACTORS = tuple(tuple(base ** e for e in _NEGATED_YEARS) for base in _SEED_BASES)
 _SQUARES = tuple(float((k + 2) ** 2) for k in range(MAX_YEARS + 2))  # ``_root_bound``'s (k + 2)**2
-_Npv = Callable[[float], float]  # NPV as an IRR search sees it: of the base 1 + r
+_Npv = tuple[Callable[..., float], object, object]  # NPV of the base b = 1 + r: (f, x, y), f(x, y, b)
 # A bracket of an NPV root for ``_brent``: two rates, then the NPVs there.
 _Bracket = tuple[float, float, float, float]
 
 
-def _annuity_npv(first: float, level: float, years: int, base: float) -> float:
-    # ``first``, then ``level`` in years 1..``years``: -C + c * A_L(r), the capital-recovery
-    # form (Short, Packey and Holt, NREL/TP-462-5173, 1995), accurate as base -> 1.
+def _kernel(flows: Sequence[float]) -> _Npv:
+    # The NPV of ``flows`` by the kernel behind ``npv``.
+    return _discounted_sum, flows, _NEGATED_YEARS
+
+
+def _annuity_npv(ends: Sequence[float], exponent: float, base: float) -> float:
+    # The first flow, then the level one in years 1..L, ``exponent`` = -L: -C + c * A_L(r), the
+    # capital-recovery form (Short, Packey and Holt, NREL/TP-462-5173, 1995), accurate as base -> 1.
+    first, level = ends
     if base == 1.0:
-        return first + level * years
-    return first - level * math.expm1(-years * math.log(base)) / (base - 1.0)
+        return first - level * exponent
+    return first - level * math.expm1(exponent * math.log(base)) / (base - 1.0)
 
 
 def _seed_npvs(flows: Sequence[float]) -> tuple[float, float]:
@@ -252,7 +258,7 @@ def _isolate(flows: Sequence[float]) -> list[_Bracket]:
     nonzero = [k for k, a in enumerate(flows) if a]
     inner = flows[nonzero[0]:nonzero[-1] + 1]  # zeros at the ends move no root
 
-    value = cache(partial(_discounted_sum, flows, _NEGATED_YEARS))  # of the base 1 + r
+    value = cache(partial(*_kernel(flows)))  # of the base 1 + r
 
     def keep(low: float, high: float) -> None:
         f_low, f_high = value(1.0 + low), value(1.0 + high)
@@ -289,7 +295,7 @@ def _brent(npv: _Npv, a: float, b: float, f_a: float, f_b: float, tol: float) ->
     until |NPV| < ``tol`` (so an exact-zero ``(r, r)`` bracket gives r) or the
     bracket is about 1e-15 wide.
     """
-    x_pre, f_pre, x_cur, f_cur = a, f_a, b, f_b
+    (function, head, tail), x_pre, f_pre, x_cur, f_cur = npv, a, f_a, b, f_b
     x_blk, f_blk = x_pre, f_pre  # the bracket's other end from x_cur
     s_pre = s_cur = x_cur - x_pre  # the step before last and the last
     for _ in range(_MAX_ITERATIONS):
@@ -319,7 +325,7 @@ def _brent(npv: _Npv, a: float, b: float, f_a: float, f_b: float, tol: float) ->
             s_pre = s_cur = s_bis
         x_pre, f_pre = x_cur, f_cur
         x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
-        f_cur = npv(1.0 + x_cur)
+        f_cur = function(head, tail, 1.0 + x_cur)
     return x_cur
 
 
@@ -335,7 +341,7 @@ def _seed_bracket(npv: _Npv, seed_npvs: Iterable[float],
     through the seeds' NPVs, if it falls short of the bracket's end, and then
     that end are tried in turn.
     """
-    (low, high), (f_low, f_high) = _SEEDS, seed_npvs
+    (low, high), (f_low, f_high), (function, head, tail) = _SEEDS, seed_npvs, npv
     if (f_low > 0) != (f_high > 0):
         return low, high, f_low, f_high
     if (f_low > 0) == positive_at_infinity:
@@ -345,7 +351,7 @@ def _seed_bracket(npv: _Npv, seed_npvs: Iterable[float],
     step = (high - low) / (f_high - f_low) if f_high != f_low else 0.0  # flat: no probe
     probe = near - 2 * f_near * step
     for far in (probe, end) if min(near, end) < probe < max(near, end) else (end,):
-        f_far = npv(1.0 + far)
+        f_far = function(head, tail, 1.0 + far)
         if (f_far > 0) != (f_near > 0):
             return near, far, f_near, f_far
         near, f_near = far, f_far
@@ -421,14 +427,14 @@ def irr(schedule: CashFlowSchedule) -> float:
     sign_changes = sum(map(ne, signs, signs[1:]))
     if sign_changes == 0:
         raise IrrUndefinedError("IRR undefined: cash flows never change sign")
-    if sign_changes == 1 and amounts.count(amounts[1]) == len(amounts) - 1:
-        npv = partial(_annuity_npv, amounts[0], amounts[1], len(amounts) - 1)
-        bracket = _seed_bracket(npv, map(npv, _SEED_BASES), signs[0])
+    npv = _kernel(amounts)  # on every path but the annuity one
+    if sign_changes == 1 and amounts[1:].count(amounts[1]) == len(amounts) - 1:
+        npv = (_annuity_npv, amounts[:2], _NEGATED_YEARS[len(amounts) - 1])
+        bracket = _seed_bracket(npv, map(partial(*npv), _SEED_BASES), signs[0])
     elif sign_changes == 1 or _root_bound(amounts) in (0, 1):
-        npv = partial(_discounted_sum, amounts, _NEGATED_YEARS)
         bracket = _seed_bracket(npv, _seed_npvs(amounts), signs[0])
     else:
-        npv, brackets = partial(_discounted_sum, amounts, _NEGATED_YEARS), _isolate(amounts)
+        brackets = _isolate(amounts)
         if len(brackets) > 1:
             warnings.warn(f"{len(brackets)} NPV roots bracketed; returning the smallest",
                           AmbiguousIrrWarning, stacklevel=2)

@@ -14,7 +14,7 @@ MODULES = sorted((SRC / "tidalecon").glob("*.py"))
 # The package's exact line count: a change that cuts lines lowers the cap, which
 # the test checks by failing below it as well as above, and one that adds lines
 # raises it and names in CHANGES.md the deletions that paid for part of them.
-SRC_LINE_CAP = 1955
+SRC_LINE_CAP = 1961
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -310,12 +310,6 @@ def _level(years: int, amount: float) -> dict[int, float]:
     return {year: amount for year in range(1, years + 1)}
 
 
-def _kernel(flows) -> partial:
-    """NPV of the base 1 + r by the kernel, as ``irr`` hands it to ``_seed_bracket``
-    and ``_brent`` off the annuity path; ``kernel_calls`` counts its calls."""
-    return partial(metrics_module._discounted_sum, flows, metrics_module._NEGATED_YEARS)
-
-
 @pytest.fixture
 def kernel_calls(monkeypatch) -> list:
     """Every call ``metrics`` makes of the NPV kernel ``_discounted_sum``.
@@ -405,16 +399,17 @@ class TestIrrSeedBracket:
         assert tabled == kernel
         assert [value.hex() for value in metrics_module._seed_npvs(flows)] == kernel
         for positive_at_infinity in (True, False):
-            bracket = metrics_module._seed_bracket(_kernel(flows), metrics_module._seed_npvs(flows),
+            bracket = metrics_module._seed_bracket(metrics_module._kernel(flows),
+                                                   metrics_module._seed_npvs(flows),
                                                    positive_at_infinity)
             if bracket is not None:
                 assert [value.hex() for value in bracket[2:]] == [
                     kernel_npv(flows, rate).hex() for rate in bracket[:2]]
 
     def test_seed_npvs_make_no_kernel_call(self, kernel_calls):
-        flows = schedule_of({0: -1.0, 1: 0.5, 2: 0.66}).flows  # the seeds bracket r = 0.1
-        bracket = metrics_module._seed_bracket(_kernel(flows), metrics_module._seed_npvs(flows),
-                                               False)
+        flows = schedule_of({0: -1.0, 1: 1.1}).flows  # the seeds bracket r = 0.1
+        bracket = metrics_module._seed_bracket(metrics_module._kernel(flows),
+                                               metrics_module._seed_npvs(flows), False)
         assert bracket[:2] == metrics_module._SEEDS
         assert kernel_calls == []
 
@@ -423,6 +418,13 @@ class TestIrrSeedBracket:
     def test_root_beyond_the_grid_end_raises(self, sign, inflow):
         with pytest.raises(NoIrrInRangeError):
             irr(schedule_of({0: -sign, 1: inflow * sign}))
+
+
+def _signed_magnitudes(top: float):
+    # Either sign, from 1e-3 to 10**top. Flows near 1e-250 can leave NPV under
+    # Brent's tolerance, scaled by the largest flow, at r = 10 with the root below.
+    return st.builds(lambda sign, power: sign * 10.0**power,
+                     st.sampled_from([1.0, -1.0]), st.floats(-3.0, top))
 
 
 @st.composite
@@ -457,7 +459,7 @@ class TestAnnuityPath:
         # At the base 1.0, where the closed form is 0 / 0, NPV is first + L * level:
         # two roundings from the flows' exact sum.
         first, level, years = flows[0], flows[1], len(flows) - 1
-        at_zero = metrics_module._annuity_npv(first, level, years, 1.0)
+        at_zero = metrics_module._annuity_npv(flows[:2], -float(years), 1.0)
         exact = sum(map(Fraction, flows))
         assert abs(at_zero - exact) <= 2 * UNIT * (abs(first) + abs(level) * years)
         try:
@@ -484,6 +486,28 @@ class TestAnnuityPath:
             width = 1e-15 + 2.0**-50 * abs(rate)
             ends = [kernel_npv(flows, rate - width), kernel_npv(flows, rate + width)]
             assert (ends[0] > 0) != (ends[1] > 0)
+
+    @given(level=_signed_magnitudes(3.0), last=_signed_magnitudes(5.0),
+           first=st.one_of(st.none(), _signed_magnitudes(5.0)), years=st.integers(1, MAX_YEARS))
+    @example(level=-5.0, last=20.0, first=None, years=2)  # root r = 0.56
+    @example(level=3.0, last=-1.0, first=None, years=2)  # root r = -0.736
+    @settings(max_examples=150, deadline=None)
+    def test_uneven_last_flow_agrees_with_oracle(self, level, last, first, years):
+        # Level flows but the last, with year 0 equal to them or not: never
+        # the annuity path, though with year 0 counted all but one are level.
+        flows = [level if first is None else first] + [level] * (years - 1) + [last]
+        signs = [a > 0 for a in flows if a]
+        assume(sum(a != b for a, b in zip(signs, signs[1:])) == 1)  # one root on r > -1
+        try:
+            want = irr_bisection_oracle(dict(enumerate(flows)))
+        except AssertionError:  # the oracle finds no bracket
+            want = None
+        try:
+            rate = irr(CashFlowSchedule(years, flows))
+        except NoIrrInRangeError:
+            assert want is None
+            return
+        assert want is not None and rate == pytest.approx(want, abs=1e-6)
 
 
 # Every IRR bit, or the exception class, and any warning, of 2,000 seeded
@@ -535,7 +559,7 @@ class TestIrrExactness:
             if changes > 1:
                 bound = metrics_module._root_bound(schedule.flows)
                 changes = "bound <= 1" if bound in (0, 1) else "isolate"
-            elif changes == 1 and len(set(amounts[1:])) == 1:
+            elif changes == 1 and amounts[1:].count(amounts[1]) == len(amounts) - 1:
                 changes = "annuity"
             paths[changes] += 1
             with warnings.catch_warnings(record=True) as caught:
@@ -772,7 +796,7 @@ class TestRootIsolation:
         # every leaf piece is settled, none was left to the kernel's signs at
         # the ends of a narrow piece, and the roots are all there are.
         settled = sum(result in (0, 1) for *_, result in calls)
-        roots = [metrics_module._brent(_kernel(dense), *bracket, 0.0) for bracket in brackets]
+        roots = [metrics_module._brent(metrics_module._kernel(dense), *bracket, 0.0) for bracket in brackets]
         if settled == len(calls) - settled + 2 and _apart(roots):
             assert len(roots) == len(scan_brackets_oracle(dense))
 
