@@ -796,7 +796,8 @@ class TestRootIsolation:
         # every leaf piece is settled, none was left to the kernel's signs at
         # the ends of a narrow piece, and the roots are all there are.
         settled = sum(result in (0, 1) for *_, result in calls)
-        roots = [metrics_module._brent(metrics_module._kernel(dense), *bracket, 0.0) for bracket in brackets]
+        kernel = metrics_module._kernel(dense)
+        roots = [metrics_module._brent(kernel, *bracket, 0.0) for bracket in brackets]
         if settled == len(calls) - settled + 2 and _apart(roots):
             assert len(roots) == len(scan_brackets_oracle(dense))
 
