@@ -172,18 +172,20 @@ _Npv = tuple[Callable[..., float], object, object]  # NPV of the base b = 1 + r:
 _Bracket = tuple[float, float, float, float]
 
 
-def _kernel(flows: Sequence[float]) -> _Npv:
-    # The NPV of ``flows`` by the kernel behind ``npv``.
-    return _discounted_sum, flows, _NEGATED_YEARS
-
-
-def _annuity_npv(ends: Sequence[float], exponent: float, base: float) -> float:
-    # The first flow, then the level one in years 1..L, ``exponent`` = -L: -C + c * A_L(r), the
-    # capital-recovery form (Short, Packey and Holt, NREL/TP-462-5173, 1995), accurate as base -> 1.
-    first, level = ends
-    if base == 1.0:
-        return first - level * exponent
-    return first - level * math.expm1(exponent * math.log(base)) / (base - 1.0)
+def _annuity_npv(ends: tuple[float, float, float], corrections: Sequence[tuple[float, float]],
+                 base: float) -> float:
+    # ``ends`` is (first flow, level flow, -L); ``corrections`` is (a_k - level, -k) for each year
+    # k in D, the years of 1..L off the level. NPV = first + level * A_L(r) + the corrections: the
+    # capital-recovery form (Short, Packey and Holt, NREL/TP-462-5173, 1995), exact for any flows
+    # and accurate as base -> 1. It errs by at most (2L|log b| + |D| + 7) * 2**-53 times |first| +
+    # |level| * A_L + the sum over D of |a_k - level| * b**-k, to first order: sum |a_k| * b**-k
+    # plus up to 2 * |level| * b**-k for each k in D, which A_L adds and the correction cancels.
+    first, level, exponent = ends
+    value = (first - level * exponent if base == 1.0
+             else first - level * math.expm1(exponent * math.log(base)) / (base - 1.0))
+    for delta, power in corrections:
+        value += delta * base ** power
+    return value
 
 
 def _seed_npvs(flows: Sequence[float]) -> tuple[float, float]:
@@ -242,7 +244,7 @@ def _sign_changes(flows: Sequence[float], lo: float, hi: float) -> int | None:
     return None
 
 
-def _isolate(flows: Sequence[float]) -> list[_Bracket]:
+def _isolate(flows: Sequence[float], npv: _Npv) -> list[_Bracket]:
     """A bracket of each NPV root in the search bracket, in rate order, by
     Descartes' rule on pieces (Vincent, Collins and Akritas).
 
@@ -258,7 +260,7 @@ def _isolate(flows: Sequence[float]) -> list[_Bracket]:
     nonzero = [k for k, a in enumerate(flows) if a]
     inner = flows[nonzero[0]:nonzero[-1] + 1]  # zeros at the ends move no root
 
-    value = cache(partial(*_kernel(flows)))  # of the base 1 + r
+    value = cache(partial(*npv))  # of the base 1 + r
 
     def keep(low: float, high: float) -> None:
         f_low, f_high = value(1.0 + low), value(1.0 + high)
@@ -404,44 +406,50 @@ def _root_bound(flows: Sequence[float]) -> int | None:
 def irr(schedule: CashFlowSchedule) -> float:
     """Internal rate of return: the discount rate at which NPV is zero.
 
-    Searches the bracket [-0.99, 10] by one of four paths: one sign change
+    Searches the bracket [-0.99, 10] by one of three paths: one sign change
     in the nonzero flows means exactly one root on r > -1 (Descartes' rule
-    of signs in x = 1/(1+r)), with NPV in closed form (``_annuity_npv``) if
-    the flows after year 0 are all equal; otherwise a bound from the flows'
-    running sums (``_root_bound``) is at most 1 on most overhaul-style
-    schedules; failing that the roots are isolated (``_isolate``), and if
-    there are several the smallest is returned and an ``AmbiguousIrrWarning``
-    gives their number.
+    of signs in x = 1/(1+r)); otherwise a bound from the flows' running sums
+    (``_root_bound``) is at most 1 on most overhaul-style schedules; failing
+    that the roots are isolated (``_isolate``), and if there are several the
+    smallest is returned and an ``AmbiguousIrrWarning`` gives their number.
 
     With at most one root, NPV at the seeds 0.05 and 0.15 brackets it, or
     else one probe beyond them or the bracket's end does, or no root lies in
     range (``_seed_bracket``). Brent's method then runs on the bracket down
     to |NPV| < 1e-12, scaled down with the largest flow when that is below
-    1 GBP m. Off the annuity path each NPV is the kernel's behind ``npv`` (at
-    the seeds, from its factor tables): exactly ``npv(schedule,
-    DiscountSpec(rate))`` at its rate. On it, each is the closed form at the
-    kernel's base 1 + r.
+    1 GBP m. NPV, on every path, is the closed form ``_annuity_npv`` (the last
+    flow's annuity plus a correction for each year off it, at the kernel's
+    base 1 + r) when at most a quarter of the flows, year 0 counted, differ
+    from the last. Otherwise it is the kernel behind ``npv`` (at the seeds,
+    from its factor tables): exactly ``npv(schedule, DiscountSpec(rate))``.
     """
     amounts = schedule.flows
-    signs = [a > 0 for a in filter(None, amounts)]  # of the nonzero flows
+    first, level = amounts[0], amounts[-1]
+    off_level = len(amounts) - amounts.count(level)
+    # Level after year 0: the first and last flows hold every sign and the largest size.
+    flows = (first, level) if off_level == (first != level) else amounts
+    signs = [a > 0 for a in filter(None, flows)]  # of the nonzero flows
     sign_changes = sum(map(ne, signs, signs[1:]))
     if sign_changes == 0:
         raise IrrUndefinedError("IRR undefined: cash flows never change sign")
-    npv = _kernel(amounts)  # on every path but the annuity one
-    if sign_changes == 1 and amounts[1:].count(amounts[1]) == len(amounts) - 1:
-        npv = (_annuity_npv, amounts[:2], _NEGATED_YEARS[len(amounts) - 1])
-        bracket = _seed_bracket(npv, map(partial(*npv), _SEED_BASES), signs[0])
-    elif sign_changes == 1 or _root_bound(amounts) in (0, 1):
-        bracket = _seed_bracket(npv, _seed_npvs(amounts), signs[0])
+    if closed := 4 * off_level <= len(amounts):  # each of years 1..L off the level, if any
+        corrections = [(a - level, e) for a, e in zip(amounts[1:], _NEGATED_YEARS[1:])
+                       if a != level] if flows is amounts else ()
+        npv = (_annuity_npv, (first, level, _NEGATED_YEARS[len(amounts) - 1]), corrections)
     else:
-        brackets = _isolate(amounts)
+        npv = (_discounted_sum, amounts, _NEGATED_YEARS)  # the kernel behind ``npv``
+    if sign_changes == 1 or _root_bound(amounts) in (0, 1):
+        seed_npvs = map(partial(*npv), _SEED_BASES) if closed else _seed_npvs(amounts)
+        bracket = _seed_bracket(npv, seed_npvs, signs[0])
+    else:
+        brackets = _isolate(amounts, npv)
         if len(brackets) > 1:
             warnings.warn(f"{len(brackets)} NPV roots bracketed; returning the smallest",
                           AmbiguousIrrWarning, stacklevel=2)
         bracket = brackets[0] if brackets else None
     if bracket is None:
         raise NoIrrInRangeError(_NO_ROOT)
-    return _brent(npv, *bracket, 1e-12 * min(1.0, max(map(abs, amounts))))
+    return _brent(npv, *bracket, 1e-12 * min(1.0, max(map(abs, flows))))
 
 
 def evaluate(

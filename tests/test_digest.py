@@ -22,7 +22,7 @@ import pytest
 import tidalecon
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-DIGEST = "f62e5d79241abd72c43faa2ffc2709dca23e48a0481e42a9d931230ab2ecf738"
+DIGEST = "78df59565b9512688d5d83c23574a6c133e1473878e13728d7c1bc1e81063ab9"
 
 
 @pytest.fixture(scope="module")

@@ -241,7 +241,7 @@ class TestIrrRuleOfSigns:
 
     @pytest.fixture
     def no_isolation(self, monkeypatch):
-        def fail(flows):
+        def fail(flows, npv):
             raise AssertionError("root isolation run for a single sign change")
 
         monkeypatch.setattr(metrics_module, "_isolate", fail)
@@ -264,9 +264,9 @@ class TestIrrRuleOfSigns:
     def test_two_roots_still_scan(self, monkeypatch):
         calls = []
 
-        def spy(flows):
+        def spy(flows, npv):
             calls.append(flows)
-            return isolate(flows)
+            return isolate(flows, npv)
 
         isolate = metrics_module._isolate
         monkeypatch.setattr(metrics_module, "_isolate", spy)
@@ -310,14 +310,21 @@ def _level(years: int, amount: float) -> dict[int, float]:
     return {year: amount for year in range(1, years + 1)}
 
 
+def _kernel(flows):
+    """NPV of ``flows`` by the kernel behind ``npv``, as ``irr`` hands it on:
+    (f, x, y), evaluated as f(x, y, 1 + r)."""
+    return metrics_module._discounted_sum, flows, metrics_module._NEGATED_YEARS
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch) -> list:
     """Every call ``metrics`` makes of the NPV kernel ``_discounted_sum``.
 
     The NPVs at the two seeds are not among them: they read factor tables
     built at import with the kernel's own ``base ** exponent``, so they keep
-    the kernel's bits without calling it. Nor are those of the annuity path,
-    which come from the closed form ``_annuity_npv``.
+    the kernel's bits without calling it. Nor are those of a schedule with at
+    most a quarter of its flows, year 0 counted, off its last flow: they all
+    come from the closed form ``_annuity_npv``.
     """
     calls = []
     kernel = metrics_module._discounted_sum
@@ -330,23 +337,25 @@ def kernel_calls(monkeypatch) -> list:
     return calls
 
 
-# float.hex IRRs of schedules that change sign two or more times. The IRR
-# search evaluates NPV with the kernel behind ``npv``, so only a change of
-# its bracket or stop moves them. The first six moved by up to 8.4e-10 when
-# Brent's method from the seeds' bracket replaced a secant that stopped at
-# |NPV| < 1e-6; each new value is within 3.3e-10 of ``irr_bisection_oracle``.
+# float.hex IRRs of schedules that change sign two or more times. Only a
+# change of the IRR search's bracket, stop or NPV evaluator moves them. The
+# first six moved by up to 8.4e-10 when Brent's method from the seeds' bracket
+# replaced a secant that stopped at |NPV| < 1e-6; each new value is within
+# 4.6e-10 of ``irr_bisection_oracle``. The six overhaul rows have at most a
+# quarter of their flows off the level, so their NPVs come from the closed
+# form: five moved by at most 1.6e-16 when it took them; overhaul3 kept its bits.
 SCAN_PATH_IRRS = {
     # overhaul-style: CAPEX, level net revenue, large OPEX hits
-    "overhaul1": ({0: -20.0, **_level(20, 3.0), 7: -4.0, 14: -4.0}, "0x1.9cfbeadafc4f1p-4"),
+    "overhaul1": ({0: -20.0, **_level(20, 3.0), 7: -4.0, 14: -4.0}, "0x1.9cfbeadafc4f8p-4"),
     "overhaul2": ({0: -38.5, **_level(25, 5.25), 5: -9.0, 10: -9.0, 15: -9.0, 20: -9.0},
-                  "0x1.e282756e6aa5fp-5"),
+                  "0x1.e282756e6aa62p-5"),
     "overhaul3": ({0: -12.0, **_level(30, 1.9), 8: -2.5, 16: -2.5, 24: -2.5},
                   "0x1.02f1281a5c8dfp-3"),
-    "overhaul4": ({0: -60.0, **_level(20, 4.4), 10: -25.0}, "-0x1.1e162ca33c214p-9"),
+    "overhaul4": ({0: -60.0, **_level(20, 4.4), 10: -25.0}, "-0x1.1e162ca33c206p-9"),
     "overhaul5": ({0: -9.2, **_level(25, 0.8), 6: -1.1, 12: -1.1, 18: -1.1, 24: -1.1},
-                  "0x1.bf9a9f03ef5c7p-6"),
+                  "0x1.bf9a9f03ef5f3p-6"),
     "overhaul6": ({0: -100.0, **_level(40, 9.0), 9: -30.0, 18: -30.0, 27: -30.0, 36: -30.0},
-                  "0x1.7cd5f124e9cecp-5"),
+                  "0x1.7cd5f124e9ce5p-5"),
     # roots below the seeds, already found by Brent's method before it
     # replaced the secant: these three kept their bits
     "below_seeds1": ({0: -100.0, 20: 1e-3, 21: -1e-3, 40: 1.0}, "-0x1.bd6ff0fdf9dccp-4"),
@@ -399,7 +408,7 @@ class TestIrrSeedBracket:
         assert tabled == kernel
         assert [value.hex() for value in metrics_module._seed_npvs(flows)] == kernel
         for positive_at_infinity in (True, False):
-            bracket = metrics_module._seed_bracket(metrics_module._kernel(flows),
+            bracket = metrics_module._seed_bracket(_kernel(flows),
                                                    metrics_module._seed_npvs(flows),
                                                    positive_at_infinity)
             if bracket is not None:
@@ -408,7 +417,7 @@ class TestIrrSeedBracket:
 
     def test_seed_npvs_make_no_kernel_call(self, kernel_calls):
         flows = schedule_of({0: -1.0, 1: 1.1}).flows  # the seeds bracket r = 0.1
-        bracket = metrics_module._seed_bracket(metrics_module._kernel(flows),
+        bracket = metrics_module._seed_bracket(_kernel(flows),
                                                metrics_module._seed_npvs(flows), False)
         assert bracket[:2] == metrics_module._SEEDS
         assert kernel_calls == []
@@ -449,8 +458,44 @@ def level_schedules(draw) -> list[float]:
     return [first] + [level] * years
 
 
+def _assert_the_kernel_npv_is_zero(flows: list[float], rate: float) -> None:
+    # Brent's method stops at |closed form| < tol, where the kernel's NPV is
+    # within its rounding bound of that, or on a bracket about 1e-15 wide,
+    # over which NPV changes sign: near r = -0.99 it is steep enough (1e5 per
+    # unit rate at L = 1) that neither end comes within tol.
+    tol = 1e-12 * min(1.0, max(map(abs, flows)))
+    if abs(kernel_npv(flows, rate)) > tol + rounding_bound(flows, DiscountSpec(rate)):
+        width = 1e-15 + 2.0**-50 * abs(rate)
+        ends = [kernel_npv(flows, rate - width), kernel_npv(flows, rate + width)]
+        assert (ends[0] > 0) != (ends[1] > 0)
+
+
+@st.composite
+def corrected_schedules(draw) -> list[float]:
+    """A first flow, a level one in years 1..L, L in 7..MAX_YEARS, and 1 to
+    (L + 1) // 4 - 1 years before L off the level, so that at most a quarter
+    of the flows, year 0 counted, differ from the last. Each off-level flow is
+    the level plus or minus 0.01 to 100 times it, or zero; the first flow is
+    any, or the one whose root is within 1e-3 of MIN_RATE."""
+    years = draw(st.integers(7, MAX_YEARS))
+    level = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    flows = [level] * (years + 1)
+    off = st.lists(st.integers(1, years - 1), min_size=1, max_size=(years + 1) // 4 - 1,
+                   unique=True)
+    for year in draw(off):
+        times = draw(st.one_of(st.floats(0.01, 10.0), st.floats(10.0, 100.0), st.just(1.0)))
+        flows[year] = level + draw(st.sampled_from([1.0, -1.0])) * times * level
+    if draw(st.booleans()):
+        flows[0] = draw(st.floats(-1e5, 1e5))
+    else:
+        base = 1.0 + MIN_RATE + draw(st.floats(1e-9, 1e-3))
+        flows = [a * base**years for a in flows]  # the last flow's value at the root stays level
+        flows[0] = -math.fsum(a * base**-k for k, a in enumerate(flows) if k)
+    return flows
+
+
 class TestAnnuityPath:
-    """One sign change and equal flows after year 0: NPV in closed form."""
+    """At most a quarter of the flows, year 0 counted, off the last: NPV in closed form."""
 
     @given(flows=level_schedules())
     @example(flows=[-100.0] + [3.0] * 30)  # the loss-making annuity, r about -0.0067
@@ -459,7 +504,7 @@ class TestAnnuityPath:
         # At the base 1.0, where the closed form is 0 / 0, NPV is first + L * level:
         # two roundings from the flows' exact sum.
         first, level, years = flows[0], flows[1], len(flows) - 1
-        at_zero = metrics_module._annuity_npv(flows[:2], -float(years), 1.0)
+        at_zero = metrics_module._annuity_npv((first, level, -float(years)), (), 1.0)
         exact = sum(map(Fraction, flows))
         assert abs(at_zero - exact) <= 2 * UNIT * (abs(first) + abs(level) * years)
         try:
@@ -477,15 +522,32 @@ class TestAnnuityPath:
             assert changes == 1 and want is None
             return
         assert want is not None and rate == pytest.approx(want, abs=1e-6)
-        # Brent's method stops at |closed form| < tol, where the kernel's NPV
-        # is within its rounding bound of that, or on a bracket about 1e-15
-        # wide, over which NPV changes sign: near r = -0.99 it is steep enough
-        # (1e5 per unit rate at L = 1) that neither end comes within tol.
-        tol = 1e-12 * min(1.0, max(map(abs, flows)))
-        if abs(kernel_npv(flows, rate)) > tol + rounding_bound(flows, DiscountSpec(rate)):
-            width = 1e-15 + 2.0**-50 * abs(rate)
-            ends = [kernel_npv(flows, rate - width), kernel_npv(flows, rate + width)]
-            assert (ends[0] > 0) != (ends[1] > 0)
+        _assert_the_kernel_npv_is_zero(flows, rate)
+
+    @given(flows=corrected_schedules())
+    @example(flows=[-100.0] + [3.0] * 9 + [-297.0] + [3.0] * 20)  # a -100x overhaul in year 10
+    @example(flows=[-100.0] + [3.0] * 9 + [0.0] + [3.0] * 20)  # a year of no flow
+    @settings(max_examples=150, deadline=None)
+    def test_corrected_level_agrees_with_oracle_and_the_kernel_npv_is_zero(self, flows):
+        # A level flow with 1 to L/4 years off it: NPV is the closed form plus
+        # a correction for each, however many times the flows change sign.
+        assert 4 * (len(flows) - flows.count(flows[-1])) <= len(flows)
+        try:
+            want = irr_bisection_oracle(dict(enumerate(flows)))
+        except AssertionError:  # the oracle finds no bracket
+            want = None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AmbiguousIrrWarning)
+            try:
+                rate = irr(CashFlowSchedule(len(flows) - 1, flows))
+            except IrrUndefinedError:
+                assert len({a > 0 for a in flows if a}) == 1 and want is None
+                return
+            except NoIrrInRangeError:
+                assert want is None
+                return
+        assert want is not None and rate == pytest.approx(want, abs=1e-6)
+        _assert_the_kernel_npv_is_zero(flows, rate)
 
     @given(level=_signed_magnitudes(3.0), last=_signed_magnitudes(5.0),
            first=st.one_of(st.none(), _signed_magnitudes(5.0)), years=st.integers(1, MAX_YEARS))
@@ -494,7 +556,7 @@ class TestAnnuityPath:
     @settings(max_examples=150, deadline=None)
     def test_uneven_last_flow_agrees_with_oracle(self, level, last, first, years):
         # Level flows but the last, with year 0 equal to them or not: never
-        # the annuity path, though with year 0 counted all but one are level.
+        # the closed form, whose level is the last flow.
         flows = [level if first is None else first] + [level] * (years - 1) + [last]
         signs = [a > 0 for a in flows if a]
         assume(sum(a != b for a, b in zip(signs, signs[1:])) == 1)  # one root on r > -1
@@ -511,14 +573,16 @@ class TestAnnuityPath:
 
 
 # Every IRR bit, or the exception class, and any warning, of 2,000 seeded
-# schedules over the four paths: the annuity form, one sign change, a root
-# bound of at most 1, and root isolation. Re-recorded when level schedules
-# took the annuity form: 600 rates moved, by at most 3.5e-15, and no outcome.
-PINNED_IRR_SHA256 = "c93ce7ce6e853700de7ee198a41c23b28c3a9f53aa476c9dc875332672a989e2"
+# schedules over the three paths, one sign change, a root bound of at most 1,
+# and root isolation, each with either NPV evaluator. Re-recorded when level
+# schedules took the annuity form: 600 rates moved, by at most 3.5e-15, and no
+# outcome; and when the closed form took the schedules with at most a quarter
+# of their flows off the level: 261 rates moved, by at most 4.0e-15, and no outcome.
+PINNED_IRR_SHA256 = "aa52269d56ebef673845fcc182e2b8e6c3a2059acd89caf95055eaf03d9c9148"
 # The NPV kernel calls of those 2,000 IRRs: 22,446 while the seeds' NPVs were
 # kernel calls, 2 fewer for each of the 1,545 that reach ``_seed_bracket``
-# (19,356), and none on the annuity path.
-PINNED_KERNEL_CALLS = 12_779
+# (19,356), none for a level schedule (12,779), and none for any closed form.
+PINNED_KERNEL_CALLS = 10_161
 
 
 def _pinned_flows(rng: random.Random) -> list[float]:
@@ -550,7 +614,8 @@ class TestIrrExactness:
         assert result == float.fromhex("0x1.99999999997f3p-5")
 
     def test_bits_pinned_on_every_path(self):
-        rng, digest, paths = random.Random(20261019), hashlib.sha256(), Counter()
+        rng, digest = random.Random(20261019), hashlib.sha256()
+        paths, closed_forms = Counter(), Counter()
         for _ in range(2000):
             amounts = _pinned_flows(rng)
             schedule = CashFlowSchedule(len(amounts) - 1, amounts)
@@ -559,9 +624,13 @@ class TestIrrExactness:
             if changes > 1:
                 bound = metrics_module._root_bound(schedule.flows)
                 changes = "bound <= 1" if bound in (0, 1) else "isolate"
-            elif changes == 1 and amounts[1:].count(amounts[1]) == len(amounts) - 1:
-                changes = "annuity"
             paths[changes] += 1
+            # The NPV evaluator, apart from the path: the closed form takes at most
+            # a quarter of the flows off the last one, year 0 counted.
+            level = amounts[-1]
+            if changes and 4 * (len(amounts) - amounts.count(level)) <= len(amounts):
+                corrected = any(a != level for a in amounts[1:])
+                closed_forms["corrected" if corrected else "level"] += 1
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 try:
@@ -569,8 +638,9 @@ class TestIrrExactness:
                 except ValueError as err:
                     out = type(err).__name__
             digest.update(" ".join([out, *(str(w.message) for w in caught)]).encode() + b"\n")
-        assert min(paths["annuity"] + paths[1], paths["bound <= 1"], paths["isolate"]) >= 300
-        assert min(paths["annuity"], paths[1]) >= 100  # one sign change: 753 level, 147 not
+        assert min(paths[1], paths["bound <= 1"], paths["isolate"]) >= 300
+        # Closed-form NPVs: 687 level after year 0, 312 with 1 or more corrections.
+        assert min(closed_forms["level"], closed_forms["corrected"]) >= 100
         assert digest.hexdigest() == PINNED_IRR_SHA256
 
     def test_kernel_calls_pinned_on_every_path(self, kernel_calls):
@@ -598,6 +668,11 @@ BUILT_SCHEDULES = {
     "overhaul": (dict(availability=_PROFILE, electrical_efficiency=0.93), _OVERHAUL, 160.0),
     "long": (dict(lifetime_years=100), None, 150.0),
 }
+# The flows of the "overhaul" row above: its availability profile puts every
+# year off the last, so its IRR evaluates NPV by the kernel; its root bound is 1.
+PER_YEAR_OVERHAUL = dict(enumerate(build_schedule(
+    design(availability=_PROFILE, electrical_efficiency=0.93), TYPICAL, TariffScheme(160.0),
+    _OVERHAUL).flows))
 BUILT_SPECS = {
     "annual": DiscountSpec(0.10),
     "annual_0.08": DiscountSpec(0.08),
@@ -748,7 +823,7 @@ GRID_CELL = math.log(1100.0) / 2000
 def _isolated_rates(flows) -> list[tuple[float, float]]:
     """The rates of ``_isolate``'s brackets, after checking that the NPVs each
     bracket carries are the kernel's at its ends, bit for bit."""
-    brackets = metrics_module._isolate(flows)
+    brackets = metrics_module._isolate(flows, _kernel(flows))
     for low, high, f_low, f_high in brackets:
         kernel = [kernel_npv(flows, rate).hex() for rate in (low, high)]
         assert [f_low.hex(), f_high.hex()] == kernel
@@ -787,7 +862,7 @@ class TestRootIsolation:
         dense = schedule_of(flows).flows
         with pytest.MonkeyPatch.context() as patch:
             calls = _record_counts(patch)
-            brackets = metrics_module._isolate(dense)
+            brackets = metrics_module._isolate(dense, _kernel(dense))
         for coefficients, lo, hi, result in calls:
             if result is not None:
                 assert result == descartes_count_oracle(coefficients, lo, hi)
@@ -796,8 +871,7 @@ class TestRootIsolation:
         # every leaf piece is settled, none was left to the kernel's signs at
         # the ends of a narrow piece, and the roots are all there are.
         settled = sum(result in (0, 1) for *_, result in calls)
-        kernel = metrics_module._kernel(dense)
-        roots = [metrics_module._brent(kernel, *bracket, 0.0) for bracket in brackets]
+        roots = [metrics_module._brent(_kernel(dense), *bracket, 0.0) for bracket in brackets]
         if settled == len(calls) - settled + 2 and _apart(roots):
             assert len(roots) == len(scan_brackets_oracle(dense))
 
@@ -806,7 +880,7 @@ class TestRootIsolation:
         # 19: the root bound of 2 sends it to isolation, which brackets none.
         schedule = CashFlowSchedule(2, [0.004, -0.13, 1.0])
         assert metrics_module._root_bound(schedule.flows) == 2
-        assert metrics_module._isolate(schedule.flows) == []
+        assert metrics_module._isolate(schedule.flows, _kernel(schedule.flows)) == []
         with pytest.raises(NoIrrInRangeError):
             irr(schedule)
 
@@ -840,10 +914,11 @@ class TestRootIsolation:
         with pytest.warns(AmbiguousIrrWarning, match="2 NPV roots bracketed"):
             assert irr(schedule) == -0.9
 
-    def test_long_horizon_needs_few_transforms(self, monkeypatch):
+    def test_long_horizon_needs_few_transforms(self, monkeypatch, kernel_calls):
         # 100 years, the window's longest: a flow of 1e8 a year, -3e7 every
         # seventh year, and a -5e11 hit in year 50. The root bound is 3, so
-        # the roots are isolated; the one root is near r = -0.12.
+        # the roots are isolated; the one root is near r = -0.12. 15 years
+        # are off the level, so every NPV, isolation's too, is the closed form.
         flows = {0: -5e8, **{y: 1e8 * (1.0 if y % 7 else -0.3) for y in range(1, 101)},
                  50: -5e11}
         assert metrics_module._root_bound(schedule_of(flows).flows) == 3
@@ -853,8 +928,9 @@ class TestRootIsolation:
             rate = irr(schedule_of(flows))
         assert rate == pytest.approx(irr_bisection_oracle(flows), abs=1e-9)
         assert len(calls) <= 8
+        assert kernel_calls == []
 
-    @pytest.mark.parametrize("flows", [TWO_ROOT_FLOWS, SCAN_PATH_IRRS["overhaul2"][0]],
+    @pytest.mark.parametrize("flows", [TWO_ROOT_FLOWS, PER_YEAR_OVERHAUL],
                              ids=["two_roots", "overhaul"])
     def test_one_irr_needs_few_npvs(self, kernel_calls, flows):
         # The exhaustive scan of the 2001-point grid makes 2001 kernel calls.
@@ -881,7 +957,7 @@ class TestRootCountBound:
     @pytest.mark.parametrize("flows, expected", list(SCAN_PATH_IRRS.values()),
                              ids=list(SCAN_PATH_IRRS))
     def test_one_root_schedules_skip_the_scan(self, monkeypatch, flows, expected):
-        def fail(flows):
+        def fail(flows, npv):
             raise AssertionError("root isolation run under a root bound of 1")
 
         monkeypatch.setattr(metrics_module, "_isolate", fail)
@@ -890,9 +966,18 @@ class TestRootCountBound:
             assert irr(schedule_of(flows)) == float.fromhex(expected)
 
     def test_overhaul_irr_needs_few_npvs(self, kernel_calls):
-        # The certified scan made 79 kernel calls on this schedule.
-        irr(schedule_of(SCAN_PATH_IRRS["overhaul2"][0]))
+        # The certified scan made 79 kernel calls on overhaul2; with a per-year
+        # availability profile NPV stays with the kernel, and this takes 6.
+        irr(schedule_of(PER_YEAR_OVERHAUL))
         assert 0 < len(kernel_calls) < 20
+
+    @pytest.mark.parametrize("name", ["overhaul1", "overhaul2", "overhaul6"])
+    def test_closed_form_overhaul_irr_makes_no_kernel_call(self, kernel_calls, name):
+        # A level flow with a few overhaul years: NPV is the closed form plus a
+        # correction for each of them.
+        flows, expected = SCAN_PATH_IRRS[name]
+        assert irr(schedule_of(flows)) == float.fromhex(expected)
+        assert kernel_calls == []
 
     @pytest.mark.parametrize("flows", [{0: -100.0, 40: 1.0},
                                        SCAN_PATH_IRRS["below_seeds1"][0]])
@@ -984,7 +1069,7 @@ class TestRootCountBound:
         flows, expected = SCAN_PATH_IRRS["overhaul1"]
         late = {year + 1: amount for year, amount in flows.items()}
 
-        def fail(flows):
+        def fail(flows, npv):
             raise AssertionError("root isolation run under a root bound of 1")
 
         monkeypatch.setattr(metrics_module, "_isolate", fail)
